@@ -25,20 +25,40 @@ def _fail(message: str) -> int:
     return EXIT_ERROR
 
 
+class InputError(Exception):
+    """An input file or stream that cannot be read as UTF-8 text."""
+
+
+def _not_utf8(source: str, exc: UnicodeDecodeError) -> InputError:
+    return InputError(f"{source}: not UTF-8 text (bad byte at offset {exc.start})")
+
+
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text("utf-8")
+    except OSError as exc:
+        raise InputError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+
+
 def _input_text(args) -> str:
     if args.formula is not None and args.file is not None:
         raise SystemExit(_fail("give the formula inline or via --file, not both"))
     if args.formula is not None:
         return args.formula
     if args.file is not None:
-        return Path(args.file).read_text("utf-8")
-    return sys.stdin.read()
+        return _read(args.file)
+    try:
+        return sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        raise _not_utf8("standard input", exc) from None
 
 
 def _cmd_parse(args) -> int:
     try:
         text = _input_text(args)
-    except OSError as exc:
+    except InputError as exc:
         return _fail(str(exc))
     renderers = {
         "linear": (parsing.parse_linear, linear.render),
@@ -57,8 +77,8 @@ def _cmd_parse(args) -> int:
 def _cmd_prove(args) -> int:
     if args.check is not None:
         try:
-            proof = prover.proof_from_text(Path(args.check).read_text("utf-8"))
-        except (OSError, ValueError, parsing.ParseError) as exc:
+            proof = prover.proof_from_text(_read(args.check))
+        except (InputError, ValueError, parsing.ParseError) as exc:
             return _fail(str(exc))
         result = prover.check_proof(proof)
         if result.ok:
@@ -70,7 +90,7 @@ def _cmd_prove(args) -> int:
     try:
         text = _input_text(args)
         sequent = parsing.parse_sequent(text)
-    except (OSError, parsing.ParseError) as exc:
+    except (InputError, parsing.ParseError) as exc:
         return _fail(str(exc))
     try:
         proof = prover.prove(sequent, budget=args.budget)
@@ -86,9 +106,9 @@ def _cmd_prove(args) -> int:
 
 def _cmd_monitor(args) -> int:
     try:
-        formula = parsing.parse_temporal(Path(args.spec).read_text("utf-8"))
-        trace = parse_trace(Path(args.trace).read_text("utf-8"))
-    except (OSError, ValueError, parsing.ParseError) as exc:
+        formula = parsing.parse_temporal(_read(args.spec))
+        trace = parse_trace(_read(args.trace))
+    except (InputError, ValueError, parsing.ParseError) as exc:
         return _fail(str(exc))
     if args.mode == "batch":
         ok = evaluate(expand_bounded(formula), trace, 0)
@@ -103,9 +123,9 @@ def _cmd_monitor(args) -> int:
 
 def _cmd_eval(args) -> int:
     try:
-        model = freelogic.parse_model(Path(args.model).read_text("utf-8"))
+        model = freelogic.parse_model(_read(args.model))
         text = _input_text(args)
-    except (OSError, freelogic.ModelFormatError) as exc:
+    except (InputError, freelogic.ModelFormatError) as exc:
         return _fail(str(exc))
     try:
         if args.term:
@@ -131,8 +151,8 @@ def _cmd_check(args) -> int:
     multiple = len(args.documents) > 1
     for doc_path in args.documents:
         try:
-            text = Path(doc_path).read_text("utf-8")
-        except OSError as exc:
+            text = _read(doc_path)
+        except InputError as exc:
             return _fail(str(exc))
         report = textcheck.check_document(text, spec)
         if args.machine:

@@ -332,7 +332,8 @@ def parse_model(text: str) -> Model:
             if not colon:
                 raise ModelFormatError(f"line {lineno}: missing ':' in pred line")
             name, slash, arity_text = head.strip().partition("/")
-            if not slash or not arity_text.isdigit() or int(arity_text) < 1:
+            arity_ok = slash and arity_text.isascii() and arity_text.isdigit()
+            if not arity_ok or int(arity_text) < 1:
                 raise ModelFormatError(
                     f"line {lineno}: pred declaration must look like name/arity"
                 )

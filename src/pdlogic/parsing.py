@@ -29,6 +29,17 @@ class ParseError(Exception):
         super().__init__(f"line {line}, column {column}: {message}{detail}")
 
 
+class _TooDeep(ParseError):
+    """Nesting past MAX_DEPTH. Free-logic backtracking must not retry it."""
+
+
+# Deepest nesting of parentheses, unary operators, binders and right operands
+# that the parser accepts. The recursive-descent parser and the recursive
+# functions over formulas take a few stack frames per level, so this stays
+# well below Python's default recursion limit of 1000 frames.
+MAX_DEPTH = 100
+
+
 @dataclass
 class _Token:
     kind: str  # atom | ident | int | sym | kw | eof
@@ -113,9 +124,9 @@ def _lex(text: str) -> list[_Token]:
                 tokens.append(_Token("ident", word, i))
                 i = j
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("int", int(text[i:j]), i))
             i = j
@@ -137,6 +148,7 @@ class _Cursor:
     tokens: list[_Token]
     pos: int = 0
     pred_arities: dict[str, int] = field(default_factory=dict)
+    depth: int = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -155,6 +167,18 @@ class _Cursor:
         if not self.at_sym(symbol):
             raise self.error(f"expected {symbol!r}", expected=[repr(symbol)])
         self.advance()
+
+    def nested(self, parse, *args):
+        """``parse(self, *args)`` one nesting level deeper, or a positioned
+        ParseError past MAX_DEPTH instead of a RecursionError."""
+        if self.depth >= MAX_DEPTH:
+            byte_offset, line, column = _position(self.text, self.peek().start)
+            raise _TooDeep(byte_offset, line, column,
+                           f"formula nested deeper than {MAX_DEPTH} levels")
+        self.depth += 1
+        result = parse(self, *args)
+        self.depth -= 1
+        return result
 
     def expect_eof(self) -> None:
         tok = self.peek()
@@ -197,7 +221,7 @@ def _linear_expr(cur: _Cursor, min_prec: int) -> linear.LinearFormula:
         if prec < min_prec:
             return lhs
         cur.advance()
-        rhs = _linear_expr(cur, prec)  # same level recursion: right-associative
+        rhs = cur.nested(_linear_expr, prec)  # same level recursion: right-associative
         lhs = _LINEAR_NODE[tok.value](lhs, rhs)
 
 
@@ -208,7 +232,7 @@ def _linear_primary(cur: _Cursor) -> linear.LinearFormula:
         return linear.Atom(tok.value)
     if cur.at_sym("("):
         cur.advance()
-        inner = _linear_expr(cur, 1)
+        inner = cur.nested(_linear_expr, 1)
         cur.take_sym(")")
         return inner
     raise cur.error("expected formula", expected=["atom", "'('"])
@@ -260,7 +284,7 @@ def _temporal_expr(cur: _Cursor, min_prec: int) -> temporal.TemporalFormula:
         if prec < min_prec:
             return lhs
         cur.advance()
-        rhs = _temporal_expr(cur, prec)
+        rhs = cur.nested(_temporal_expr, prec)
         lhs = _TEMPORAL_NODE[tok.value](lhs, rhs)
 
 
@@ -269,26 +293,26 @@ def _temporal_unary(cur: _Cursor) -> temporal.TemporalFormula:
     if tok.kind == "sym":
         if tok.value == "!":
             cur.advance()
-            return temporal.Not(_temporal_unary(cur))
+            return temporal.Not(cur.nested(_temporal_unary))
         if tok.value == "[]":
             cur.advance()
-            return temporal.Box(_temporal_unary(cur))
+            return temporal.Box(cur.nested(_temporal_unary))
         if tok.value == "<>":
             cur.advance()
-            return temporal.Diamond(_temporal_unary(cur))
+            return temporal.Diamond(cur.nested(_temporal_unary))
         if tok.value == "()":
             cur.advance()
-            return temporal.Next(_temporal_unary(cur))
+            return temporal.Next(cur.nested(_temporal_unary))
         if tok.value in ("[]<=", "<><="):
             cur.advance()
             k = _bound(cur)
-            operand = _temporal_unary(cur)
+            operand = cur.nested(_temporal_unary)
             return (temporal.BoxK if tok.value == "[]<=" else temporal.DiamondK)(
                 k, operand
             )
         if tok.value == "(":
             cur.advance()
-            inner = _temporal_expr(cur, 1)
+            inner = cur.nested(_temporal_expr, 1)
             cur.take_sym(")")
             return inner
     if tok.kind == "atom":
@@ -340,7 +364,7 @@ def _free_expr(cur: _Cursor, min_prec: int) -> freelogic.FreeFormula:
         if prec < min_prec:
             return lhs
         cur.advance()
-        rhs = _free_expr(cur, prec)
+        rhs = cur.nested(_free_expr, prec)
         lhs = _FREE_NODE[tok.value](lhs, rhs)
 
 
@@ -348,11 +372,11 @@ def _free_unary(cur: _Cursor) -> freelogic.FreeFormula:
     tok = cur.peek()
     if cur.at_sym("!"):
         cur.advance()
-        return freelogic.Not(_free_unary(cur))
+        return freelogic.Not(cur.nested(_free_unary))
     if tok.kind == "kw" and tok.value in ("forall", "exists"):
         cur.advance()
         var = _binder_var(cur)
-        body = _free_expr(cur, 1)
+        body = cur.nested(_free_expr, 1)
         node = freelogic.Forall if tok.value == "forall" else freelogic.Exists
         return node(var, body)
     if cur.at_sym("("):
@@ -360,14 +384,18 @@ def _free_unary(cur: _Cursor) -> freelogic.FreeFormula:
         # left of '='; try the formula reading first and backtrack.
         saved = cur.pos
         saved_arities = dict(cur.pred_arities)
+        saved_depth = cur.depth
         try:
             cur.advance()
-            inner = _free_expr(cur, 1)
+            inner = cur.nested(_free_expr, 1)
             cur.take_sym(")")
             return inner
+        except _TooDeep:
+            raise
         except ParseError:
             cur.pos = saved
             cur.pred_arities = saved_arities
+            cur.depth = saved_depth
             return _free_equation(cur)
     if tok.kind == "ident":
         after = cur.tokens[cur.pos + 1]
@@ -419,12 +447,12 @@ def _free_term(cur: _Cursor) -> freelogic.FreeTerm:
     if tok.kind == "kw" and tok.value in ("iota", "eps"):
         cur.advance()
         var = _binder_var(cur)
-        body = _free_expr(cur, 1)
+        body = cur.nested(_free_expr, 1)
         node = freelogic.Iota if tok.value == "iota" else freelogic.Epsilon
         return node(var, body)
     if cur.at_sym("("):
         cur.advance()
-        inner = _free_term(cur)
+        inner = cur.nested(_free_term)
         cur.take_sym(")")
         return inner
     raise cur.error("expected term", expected=["variable", "'iota'", "'eps'", "'('"])

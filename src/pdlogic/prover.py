@@ -1,19 +1,38 @@
-"""Backward proof search for the intuitionistic linear fragment over atoms,
-&, (+), *, and -o, plus an independent proof checker.
+"""Proof search for the intuitionistic linear fragment over atoms, &, (+), *
+and -o, plus an independent proof checker.
 
-Every rule strictly decreases the total node count of the sequent, so naive
-backward search terminates without loop checking; the node budget exists only
-as a safety valve. Search is memoized on the context multiset, which is sound
-because contexts are resources without order.
+The search manages resources by input and output (Hodas & Miller, Inf. &
+Comp. 1994; Cervesato, Hodas & Pfenning, TCS 2000) instead of guessing how to
+split the context. A subgoal is handed the whole multiset of formulas not yet
+used, consumes what its proof needs, and reports every leftover it can end
+with. TensorR hands each leftover of its left premise to its right premise;
+LolliL hands each leftover of the antecedent's proof on to the rest of the
+step. The fragment has no ⊤, 1 or 0, so no proof consumes resources it
+leaves unspecified and no slack needs tracking; WithR keeps the leftovers
+that both of its branches can end with.
+
+The invertible rules come first. LolliR and WithR apply as soon as the goal
+has their shape. TensorL and PlusL apply to a formula as soon as it enters
+the context (at the root, as LolliR's antecedent, or as the part a WithL or
+LolliL puts in place of its principal), and an entering formula must be used
+up by the subproof it enters. The pool of unused formulas therefore holds only
+atoms, withs and lollis, and the search chooses only among Id, PlusR, TensorR
+and a WithL or LolliL on a formula of the pool.
+
+Every rule strictly decreases the total size of the sequent, so the search
+terminates without loop checking; the node budget exists only as a safety
+valve. Subgoals are memoized on the canonical (input multiset, goal) pair, and
+each memo miss is one search node. A proof that is found has explicit
+contexts: each node's context is the multiset it consumed, rebuilt from its
+premises.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
-from .linear import Atom, Lolli, LinearFormula, Plus, Sequent, Tensor, With, render
+from .linear import Atom, Lolli, LinearFormula, Plus, Sequent, Tensor, With, children
 
 DEFAULT_BUDGET = 10**6
 
@@ -47,10 +66,12 @@ ACCEPT = CheckResult(True)
 def prove(sequent: Sequent, budget: int = DEFAULT_BUDGET) -> ProofTree | None:
     """A checkable proof of the sequent, or None if none exists."""
     searcher = _Searcher(budget)
-    tree = searcher.prove(sequent.context, sequent.goal)
-    if tree is None:
+    context = tuple(searcher.intern(f) for f in sequent.context)
+    term = searcher.enter(context, (), searcher.intern(sequent.goal)).get(())
+    if term is None:
         return None
-    # Subproofs keep the canonical context order used during search; restore
+    tree, _ = searcher.build(term, {})
+    # Subproofs list their contexts in the search's canonical order; restore
     # the caller's written order at the root only.
     return ProofTree(tree.rule, sequent, tree.premises)
 
@@ -60,105 +81,163 @@ def derivable(goal: LinearFormula, budget: int = DEFAULT_BUDGET) -> bool:
     return prove(Sequent((), goal), budget) is not None
 
 
+# Connectives of interned formulas.
+_ATOM, _TENSOR, _WITH, _PLUS, _LOLLI = range(5)
+_KIND = {Tensor: _TENSOR, With: _WITH, Plus: _PLUS, Lolli: _LOLLI}
+# The operands (1 = left, 2 = right) that the first premise of a left rule
+# holds in place of its principal formula.
+_LEFT_PARTS = {"TensorL": (1, 2), "PlusL": (1,), "WithL1": (1,), "WithL2": (2,)}
+
+
 class _Searcher:
+    """One search over interned formulas.
+
+    Formulas are numbered as they are interned, equal formulas alike, so a
+    multiset of formulas is a sorted tuple of ints and no memo key hashes a
+    formula tree. A search result maps each possible leftover to a proof term
+    ``(rule, goal, principal, premises)``; ``build`` turns a term into a
+    ``ProofTree``.
+    """
+
     def __init__(self, budget: int):
         self.budget = budget
-        self.memo: dict[tuple, ProofTree | None] = {}
+        self.memo: dict[tuple, dict] = {}
+        self.ids: dict = {}
+        self.formulas: list[LinearFormula] = []
+        self.parts: list[tuple[int, int, int]] = []  # connective, left, right
 
-    def prove(self, context: tuple[LinearFormula, ...], goal: LinearFormula):
-        context = _canonical(context)
-        key = (context, goal)
-        if key in self.memo:
-            return self.memo[key]
-        self.budget -= 1
-        if self.budget < 0:
-            raise ResourceLimit("proof search node budget exhausted")
-        result = self._attempt(context, goal)
-        self.memo[key] = result
-        return result
+    def intern(self, formula: LinearFormula) -> int:
+        if isinstance(formula, Atom):
+            key = formula
+            kind, left, right = _ATOM, -1, -1
+        else:
+            left, right = map(self.intern, children(formula))
+            kind = _KIND[type(formula)]
+            key = (kind, left, right)
+        ident = self.ids.get(key)
+        if ident is None:
+            ident = self.ids[key] = len(self.formulas)
+            self.formulas.append(formula)
+            self.parts.append((kind, left, right))
+        return ident
 
-    def _attempt(self, context, goal):
-        conclusion = Sequent(context, goal)
+    def solve(self, pool: tuple[int, ...], goal: int) -> dict:
+        """Each leftover L such that pool - L proves the goal, with a proof."""
+        key = (pool, goal)
+        found = self.memo.get(key)
+        if found is None:
+            self.budget -= 1
+            if self.budget < 0:
+                raise ResourceLimit("proof search node budget exhausted")
+            found = self.memo[key] = self._outcomes(pool, goal)
+        return found
 
-        if isinstance(goal, Atom) and context == (goal,):
-            return ProofTree("Id", conclusion)
-
-        match goal:
-            case Tensor(a, b):
-                for left, right in _splits(context):
-                    pa = self.prove(left, a)
-                    if pa is None:
-                        continue
-                    pb = self.prove(right, b)
-                    if pb is not None:
-                        return ProofTree("TensorR", conclusion, (pa, pb))
-            case With(a, b):
-                pa = self.prove(context, a)
-                if pa is not None:
-                    pb = self.prove(context, b)
-                    if pb is not None:
-                        return ProofTree("WithR", conclusion, (pa, pb))
-            case Plus(a, b):
-                pa = self.prove(context, a)
-                if pa is not None:
-                    return ProofTree("PlusR1", conclusion, (pa,))
-                pb = self.prove(context, b)
-                if pb is not None:
-                    return ProofTree("PlusR2", conclusion, (pb,))
-            case Lolli(a, b):
-                p = self.prove(context + (a,), b)
-                if p is not None:
-                    return ProofTree("LolliR", conclusion, (p,))
-
-        for i, principal in enumerate(context):
-            rest = context[:i] + context[i + 1:]
-            match principal:
-                case Tensor(a, b):
-                    p = self.prove(rest + (a, b), goal)
-                    if p is not None:
-                        return ProofTree("TensorL", conclusion, (p,))
-                case With(a, b):
-                    p = self.prove(rest + (a,), goal)
-                    if p is not None:
-                        return ProofTree("WithL1", conclusion, (p,))
-                    p = self.prove(rest + (b,), goal)
-                    if p is not None:
-                        return ProofTree("WithL2", conclusion, (p,))
-                case Plus(a, b):
-                    pa = self.prove(rest + (a,), goal)
-                    if pa is not None:
-                        pb = self.prove(rest + (b,), goal)
-                        if pb is not None:
-                            return ProofTree("PlusL", conclusion, (pa, pb))
-                case Lolli(a, b):
-                    for left, right in _splits(rest):
-                        pa = self.prove(left, a)
-                        if pa is None:
-                            continue
-                        pb = self.prove(right + (b,), goal)
-                        if pb is not None:
-                            return ProofTree("LolliL", conclusion, (pa, pb))
-        return None
-
-
-def _canonical(context: tuple[LinearFormula, ...]) -> tuple[LinearFormula, ...]:
-    return tuple(sorted(context, key=render))
-
-
-def _splits(context: tuple[LinearFormula, ...]):
-    """All ways to split the context multiset in two, deduplicated."""
-    n = len(context)
-    indices = range(n)
-    seen = set()
-    for size in range(n + 1):
-        for chosen in combinations(indices, size):
-            chosen_set = set(chosen)
-            left = _canonical(tuple(context[i] for i in chosen))
-            right = _canonical(tuple(context[i] for i in indices if i not in chosen_set))
-            if (left, right) in seen:
+    def enter(self, entering: tuple[int, ...], pool: tuple[int, ...], goal: int) -> dict:
+        """Each leftover L such that pool - L, together with all of the
+        entering formulas, proves the goal. TensorL and PlusL apply here."""
+        for i, principal in enumerate(entering):
+            kind, x, y = self.parts[principal]
+            if kind != _TENSOR and kind != _PLUS:
                 continue
-            seen.add((left, right))
-            yield left, right
+            others = entering[:i] + entering[i + 1:]
+            if kind == _TENSOR:
+                inner = self.enter(others + (x, y), pool, goal)
+                return {rest: ("TensorL", goal, principal, (p,)) for rest, p in inner.items()}
+            left = self.enter(others + (x,), pool, goal)
+            right = self.enter(others + (y,), pool, goal) if left else {}
+            return {rest: ("PlusL", goal, principal, (p, right[rest]))
+                    for rest, p in left.items() if rest in right}
+        found = self.solve(tuple(sorted(pool + entering)), goal)
+        # A leftover that kept a copy of an entering formula did not use it up.
+        bounds = [(f, pool.count(f)) for f in set(entering)]
+        return {rest: p for rest, p in found.items()
+                if all(rest.count(f) <= bound for f, bound in bounds)}
+
+    def _outcomes(self, pool: tuple[int, ...], goal: int) -> dict:
+        kind, a, b = self.parts[goal]
+        if kind == _LOLLI:
+            inner = self.enter((a,), pool, b)
+            return {rest: ("LolliR", goal, None, (p,)) for rest, p in inner.items()}
+        if kind == _WITH:
+            left = self.solve(pool, a)
+            right = self.solve(pool, b) if left else {}
+            return {rest: ("WithR", goal, None, (p, right[rest]))
+                    for rest, p in left.items() if rest in right}
+
+        out: dict = {}
+        if kind == _ATOM:
+            if goal in pool:
+                out[_remove(pool, goal)] = ("Id", goal, None, ())
+        elif kind == _PLUS:
+            for rule, operand in (("PlusR1", a), ("PlusR2", b)):
+                for rest, p in self.solve(pool, operand).items():
+                    if rest not in out:
+                        out[rest] = (rule, goal, None, (p,))
+        else:
+            for mid, pa in self.solve(pool, a).items():
+                for rest, pb in self.solve(mid, b).items():
+                    if rest not in out:
+                        out[rest] = ("TensorR", goal, None, (pa, pb))
+
+        previous = None
+        for principal in pool:
+            if principal == previous:
+                continue
+            previous = principal
+            pkind, x, y = self.parts[principal]
+            if pkind == _ATOM:
+                continue
+            others = _remove(pool, principal)
+            if pkind == _WITH:
+                for rule, operand in (("WithL1", x), ("WithL2", y)):
+                    for rest, p in self.enter((operand,), others, goal).items():
+                        if rest not in out:
+                            out[rest] = (rule, goal, principal, (p,))
+            else:  # a lolli: the pool holds no tensor or plus
+                for mid, pa in self.solve(others, x).items():
+                    for rest, pb in self.enter((y,), mid, goal).items():
+                        if rest not in out:
+                            out[rest] = ("LolliL", goal, principal, (pa, pb))
+        return out
+
+    def build(self, term: tuple, built: dict) -> tuple[ProofTree, tuple[int, ...]]:
+        """The proof tree of a term, and its context: the multiset the term
+        consumed, rebuilt from the contexts of its premises."""
+        done = built.get(id(term))
+        if done is not None:
+            return done
+        rule, goal, principal, premises = term
+        subproofs = [self.build(p, built) for p in premises]
+        first = subproofs[0][1] if subproofs else ()
+        match rule:
+            case "Id":
+                context = (goal,)
+            case "TensorR":
+                context = tuple(sorted(first + subproofs[1][1]))
+            case "WithR" | "PlusR1" | "PlusR2":
+                context = first
+            case "LolliR":
+                context = _remove(first, self.parts[goal][1])
+            case "LolliL":
+                consequent = self.parts[principal][2]
+                context = tuple(sorted(first + _remove(subproofs[1][1], consequent)
+                                       + (principal,)))
+            case _:  # TensorL, PlusL, WithL1, WithL2
+                for side in _LEFT_PARTS[rule]:
+                    first = _remove(first, self.parts[principal][side])
+                context = tuple(sorted(first + (principal,)))
+        formulas = self.formulas
+        sequent = Sequent(tuple(formulas[i] for i in context), formulas[goal])
+        done = built[id(term)] = (
+            ProofTree(rule, sequent, tuple(tree for tree, _ in subproofs)),
+            context,
+        )
+        return done
+
+
+def _remove(pool: tuple[int, ...], formula: int) -> tuple[int, ...]:
+    i = pool.index(formula)
+    return pool[:i] + pool[i + 1:]
 
 
 # --- independent proof checking ----------------------------------------------

@@ -136,7 +136,7 @@ def parse_referent_spec(text: str, base_dir: Path | None = None) -> ReferentSpec
             path = Path(value)
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
-            lexicon = parse_lexicon(path.read_text("utf-8"))
+            lexicon = parse_lexicon(_read_config(path))
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     if names is None:
@@ -148,7 +148,14 @@ def parse_referent_spec(text: str, base_dir: Path | None = None) -> ReferentSpec
 
 def load_referent_spec(path: str | Path) -> ReferentSpec:
     path = Path(path)
-    return parse_referent_spec(path.read_text("utf-8"), path.parent)
+    return parse_referent_spec(_read_config(path), path.parent)
+
+
+def _read_config(path: Path) -> str:
+    try:
+        return path.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (bad byte at offset {exc.start})") from None
 
 
 # --- segmentation ------------------------------------------------------------

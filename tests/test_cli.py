@@ -199,6 +199,66 @@ class TestCheck:
         assert err.startswith("error:")
 
 
+
+BAD_BYTES = "she/her \u00e9".encode("latin-1")  # 0xe9 starts no UTF-8 sequence
+
+
+class TestHostileInput:
+    """Every input that cannot be read or is nested too deeply ends in one
+    ``error:`` line and exit 2, never in a traceback."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(BAD_BYTES)
+        spec = tmp_path / "spec.txt"
+        spec.write_text("[] she/her\n", encoding="utf-8")
+        trace = tmp_path / "trace.txt"
+        trace.write_text("she/her\n", encoding="utf-8")
+        model = tmp_path / "model.txt"
+        model.write_text("domain: a b\npred man/1: b\n", encoding="utf-8")
+        return {"bad": str(bad), "spec": str(spec), "trace": str(trace),
+                "model": str(model), "referent": str(SAMPLES / "violated.spec")}
+
+    @pytest.mark.parametrize("argv", [
+        ["parse", "--kind", "linear", "--file", "{bad}"],
+        ["prove", "--file", "{bad}"],
+        ["prove", "--check", "{bad}"],
+        ["monitor", "{bad}", "{trace}"],
+        ["monitor", "{spec}", "{bad}"],
+        ["eval", "{bad}", "man(x)"],
+        ["eval", "{model}", "--file", "{bad}"],
+        ["check", "{bad}", "{trace}"],
+        ["check", "{referent}", "{bad}"],
+    ], ids=lambda argv: "-".join(a.strip("{}-") for a in argv))
+    def test_non_utf8_file_exits_2(self, capsys, files, argv):
+        code, out, err = run(capsys, *(a.format(**files) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {files['bad']}: not UTF-8 text (bad byte at offset 8)\n"
+
+    @pytest.mark.parametrize("depth", [1000, 3000, 10**5])
+    @pytest.mark.parametrize("kind", ["linear", "temporal", "free"])
+    def test_deep_nesting_exits_2(self, capsys, tmp_path, depth, kind):
+        opening, body, closing = {
+            "linear": ("(", "she/her", ")"),
+            "temporal": ("!", "she/her", ""),
+            "free": ("(", "man(x)", ")"),
+        }[kind]
+        path = tmp_path / "deep.txt"
+        path.write_text(opening * depth + body + closing * depth, encoding="utf-8")
+        code, out, err = run(capsys, "parse", "--kind", kind, "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 1, column ")
+        assert err.count("\n") == 1
+
+    def test_deep_sequent_exits_2(self, capsys):
+        code, _, err = run(capsys, "prove", "|- " + "(" * 3000 + "a/b" + ")" * 3000)
+        assert code == 2
+        assert "nested deeper" in err
+        assert err.count("\n") == 1
+
 class TestUsage:
     def test_no_subcommand(self, capsys):
         code, _, _ = run(capsys)

@@ -167,3 +167,7 @@ class TestModelFormat:
     def test_comments_and_blank_lines(self):
         model = parse_model("# m\n\ndomain: a b  # inline\npred man/1: a\n")
         assert model.domain == ("a", "b")
+
+    def test_non_ascii_digit_arity_rejected(self):
+        with pytest.raises(ModelFormatError):
+            parse_model("domain: a\npred man/\u00b2: a\n")

@@ -11,6 +11,7 @@ from pdlogic import linear as ll
 from pdlogic import temporal as tl
 from pdlogic.atoms import atom
 from pdlogic.parsing import (
+    MAX_DEPTH,
     ParseError,
     parse_free,
     parse_free_term,
@@ -75,6 +76,11 @@ class TestParseTemporal:
 
     def test_bounded_diamond(self):
         assert parse_temporal("<><=5 she/her") == tl.DiamondK(5, tl.Atom(SHE))
+
+    def test_bound_takes_ascii_digits_only(self):
+        for text in ("[]<=\u00b2 she/her", "[]<=1\u00b2 she/her", "[]<=\u0661 she/her"):
+            with pytest.raises(ParseError):
+                parse_temporal(text)
 
     def test_zero_bound_rejected(self):
         with pytest.raises(ParseError):
@@ -152,6 +158,59 @@ class TestParseSequent:
         s = parse_sequent("a/b, c/d |- a/b")
         assert [ll.render(f) for f in s.context] == ["a/b", "c/d"]
 
+
+
+
+
+def nested_inputs(depth):
+    """One input per grammar and kind of nesting, nested ``depth`` levels."""
+    return [
+        (parse_linear, "(" * depth + "a/b" + ")" * depth),
+        (parse_linear, " -o ".join(["a/b"] * (depth + 1))),
+        (parse_sequent, "c/d |- " + "(" * depth + "a/b" + ")" * depth),
+        (parse_temporal, "!" * depth + "a/b"),
+        (parse_temporal, "(" * depth + "a/b" + ")" * depth),
+        (parse_temporal, "[] " * depth + "a/b"),
+        (parse_temporal, "<><=2 " * depth + "a/b"),
+        (parse_free, "!" * depth + "man(x)"),
+        (parse_free, "(" * depth + "man(x)" + ")" * depth),
+        (parse_free, "forall x. " * depth + "man(x)"),
+        (parse_free, "(" * depth + "x" + ")" * depth + " = y"),
+        (parse_free_term, "iota x. man(" * depth + "x" + ")" * depth),
+    ]
+
+
+class TestNestingLimit:
+    def test_nesting_at_the_limit_parses(self):
+        for parse, text in nested_inputs(MAX_DEPTH):
+            parse(text)
+
+    @pytest.mark.parametrize("depth", [1000, 3000])
+    def test_deeper_nesting_is_a_positioned_parse_error(self, depth):
+        for parse, text in nested_inputs(depth):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert err.value.line == 1
+            assert err.value.column > MAX_DEPTH
+            assert "nested deeper" in err.value.message
+
+    def test_very_deep_input_in_every_grammar(self):
+        depth = 10**5
+        for parse, text in (
+            (parse_linear, "(" * depth + "a/b" + ")" * depth),
+            (parse_temporal, "!" * depth + "a/b"),
+            (parse_free, "(" * depth + "man(x)" + ")" * depth),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert "nested deeper" in err.value.message
+
+    def test_error_points_at_the_first_token_too_deep(self):
+        text = "# comment\n" + "(" * (MAX_DEPTH + 1) + "a/b" + ")" * (MAX_DEPTH + 1)
+        with pytest.raises(ParseError) as err:
+            parse_linear(text)
+        # The atom inside the innermost parenthesis would sit one level too deep.
+        assert (err.value.line, err.value.column) == (2, MAX_DEPTH + 2)
 
 # --- round-trip properties -----------------------------------------------------
 

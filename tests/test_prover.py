@@ -1,11 +1,13 @@
 """Derivability, proof checking, and agreement with the naive search oracle."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from pdlogic import linear as ll
 from pdlogic.atoms import atom
+from pdlogic.cli import main
 from pdlogic.parsing import parse_sequent
 from pdlogic.prover import (
     ProofTree,
@@ -106,6 +108,97 @@ class TestProperties:
             if proof is not None:
                 result = check_proof(proof)
                 assert result.ok, result.reason
+
+
+
+def consequence(rng, formula):
+    """A random formula derivable from ``formula`` alone."""
+    match formula:
+        case ll.With(left, right):
+            return rng.choice((formula, consequence(rng, left), consequence(rng, right)))
+        case ll.Tensor(left, right):
+            return ll.Tensor(consequence(rng, right), consequence(rng, left))
+        case ll.Plus(left, right):
+            return ll.Plus(consequence(rng, left), consequence(rng, right))
+        case ll.Lolli(antecedent, consequent):
+            return ll.Lolli(antecedent, consequence(rng, consequent))
+    if rng.random() < 0.3:
+        return ll.Plus(formula, random_linear(rng, 1))
+    return formula
+
+
+def wide_sequent(rng):
+    """A sequent with 3-5 context formulas whose goal is often, not always,
+    derivable: consequences of the context formulas, mostly tensored together
+    in shuffled order. Sometimes the goal is behind a lolli, a context formula
+    is only reachable through a LolliL, or the goal is replaced at random."""
+    width = rng.randint(3, 5)
+    hide = rng.random() < 0.5
+    context = [random_linear(rng, 2) for _ in range(width - hide)]
+    extra = random_linear(rng, 2)
+    lolli = rng.random() < 0.4
+    parts = [consequence(rng, f) for f in context + [extra] * lolli]
+    rng.shuffle(parts)
+    goal = parts[0]
+    for part in parts[1:]:
+        join = ll.Tensor if rng.random() < 0.85 else rng.choice((ll.With, ll.Plus))
+        goal = join(part, goal)
+    if lolli:
+        goal = ll.Lolli(extra, goal)
+    if hide:
+        i = rng.randrange(len(context))
+        key = random_linear(rng, 1)
+        context[i] = ll.Lolli(key, context[i])
+        context.append(key)
+    if rng.random() < 0.2:
+        goal = random_linear(rng, 3)
+    return ll.Sequent(tuple(context), goal)
+
+
+def tensor_family(n, derivable):
+    """``x1..xn |- xn*...*x1`` when derivable, else ``x1..xn |- x1*...*x(n-1)*z``."""
+    atoms = [ll.Atom(atom(f"{c}{c}/{c}{c}")) for c in "abcdefghijklmnopqrstuvwxy"[:n]]
+    parts = atoms[::-1] if derivable else atoms[:-1] + [ll.Atom(atom("zz/zz"))]
+    goal = parts[-1]
+    for part in reversed(parts[:-1]):
+        goal = ll.Tensor(part, goal)
+    return ll.Sequent(tuple(atoms), goal)
+
+
+class TestWideContexts:
+    """Resources handed on from one premise to the next only go wrong when
+    there is more than one formula to hand on."""
+
+    def test_oracle_agreement(self):
+        rng = random.Random(20261018)
+        verdicts = Counter()
+        for _ in range(300):
+            sequent = wide_sequent(rng)
+            assert 3 <= len(sequent.context) <= 5
+            expected = naive_derivable(list(sequent.context), sequent.goal)
+            proof = prove(sequent)
+            assert (proof is not None) == expected, str(sequent)
+            if proof is not None:
+                result = check_proof(proof)
+                assert result.ok, f"{sequent}: {result.reason}"
+                assert proof.conclusion == sequent
+                assert proof_from_text(proof_to_text(proof)) == proof
+            verdicts[expected] += 1
+        assert verdicts[True] >= 50 and verdicts[False] >= 50
+
+    @pytest.mark.parametrize("derivable", [False, True])
+    def test_tensor_family_n24_within_budget(self, derivable):
+        sequent = tensor_family(24, derivable)
+        proof = prove(sequent, budget=10_000)
+        assert (proof is not None) == derivable
+        if proof is not None:
+            assert check_proof(proof).ok
+
+    def test_cli_budget_still_counts_search_nodes(self, capsys):
+        text = str(tensor_family(6, True))
+        assert main(["prove", text, "--budget", "5"]) == 3
+        assert "budget" in capsys.readouterr().err
+        assert main(["prove", text]) == 0
 
 
 class TestCheckProof:
