@@ -2,7 +2,7 @@
 
 Subpackages by concern: formula syntax (:mod:`pdlogic.linear`,
 :mod:`pdlogic.temporal`, :mod:`pdlogic.freelogic`), concrete text syntax
-(:mod:`pdlogic.parsing`), derivability (:mod:`pdlogic.prover`), finite-trace
+(:mod:`pdlogic.parsing`, :mod:`pdlogic.notation`), derivability (:mod:`pdlogic.prover`), finite-trace
 monitoring (:mod:`pdlogic.monitoring`), and document checking
 (:mod:`pdlogic.textcheck`).
 """

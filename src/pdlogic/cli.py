@@ -229,7 +229,14 @@ def main(argv=None) -> int:
             args.formula = extra[0]
         else:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RecursionError:
+        # A formula within the parser's depth limit can still expand (a large
+        # bound k) past what the recursive evaluators can walk.
+        print("error: formula too deep to evaluate (recursion limit reached)",
+              file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

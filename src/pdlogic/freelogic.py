@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import notation
+
 
 class FreeLogicError(Exception):
     pass
@@ -151,29 +153,24 @@ def size(node: FreeTerm | FreeFormula) -> int:
 
 # Binding strength: binders weakest (their body runs as far right as it can),
 # then ->, \/, /\, then !, then atoms.
-_PREC = {Implies: 1, Or: 2, And: 3}
-_OP = {Implies: "->", Or: "\\/", And: "/\\"}
+INFIX = {Implies: ("->", 1), Or: ("\\/", 2), And: ("/\\", 3)}
+QUANTIFIERS = {Forall: "forall", Exists: "exists"}
+DESCRIPTIONS = {Iota: "iota", Epsilon: "eps"}
+_NOT_PREC = 4
 
 
 def _prec(formula: FreeFormula) -> int:
-    t = type(formula)
-    if t in (Forall, Exists):
+    if type(formula) in QUANTIFIERS:
         return 0
-    if t in _PREC:
-        return _PREC[t]
-    if t is Not:
-        return 4
-    return 5
+    return INFIX[type(formula)][1] if type(formula) in INFIX else _NOT_PREC
 
 
 def render_term(term: FreeTerm) -> str:
     match term:
         case Var(name):
             return name
-        case Iota(v, body):
-            return f"iota {v}. {render(body)}"
-        case Epsilon(v, body):
-            return f"eps {v}. {render(body)}"
+        case Iota(v, body) | Epsilon(v, body):
+            return f"{DESCRIPTIONS[type(term)]} {v}. {render(body)}"
     raise TypeError(f"not a free-logic term: {term!r}")
 
 
@@ -192,23 +189,11 @@ def render(formula: FreeFormula) -> str:
         case Eq(l, r):
             return f"{_arg(l)} = {_arg(r)}"
         case Not(f):
-            body = render(f)
-            if _prec(f) < 4:
-                body = f"({body})"
-            return f"!{body}"
-        case And() | Or() | Implies():
-            prec = _PREC[type(formula)]
-            lhs = render(formula.left)
-            if _prec(formula.left) <= prec:
-                lhs = f"({lhs})"
-            rhs = render(formula.right)
-            if _prec(formula.right) < prec:
-                rhs = f"({rhs})"
-            return f"{lhs} {_OP[type(formula)]} {rhs}"
-        case Forall(v, body):
-            return f"forall {v}. {render(body)}"
-        case Exists(v, body):
-            return f"exists {v}. {render(body)}"
+            return "!" + notation.operand(f, _NOT_PREC, render, _prec)
+        case And(l, r) | Or(l, r) | Implies(l, r):
+            return notation.infix(INFIX[type(formula)], l, r, render, _prec)
+        case Forall(v, body) | Exists(v, body):
+            return f"{QUANTIFIERS[type(formula)]} {v}. {render(body)}"
     raise TypeError(f"not a free-logic formula: {formula!r}")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import notation
 from .atoms import PronounAtom
 
 
@@ -92,25 +93,17 @@ def atoms(formula: LinearFormula) -> frozenset[PronounAtom]:
 # Binding strength, weakest first: * , & , (+) , -o.  All right-associative,
 # so "a/b & c/d (+) e/f" is With(a/b, Plus(c/d, e/f)) and a Tensor child of a
 # With must be parenthesized.
-_PREC = {Tensor: 1, With: 2, Plus: 3, Lolli: 4}
-_OP = {Tensor: "*", With: "&", Plus: "(+)", Lolli: "-o"}
+INFIX = {Tensor: ("*", 1), With: ("&", 2), Plus: ("(+)", 3), Lolli: ("-o", 4)}
 _ATOM_PREC = 5
 
 
 def _prec(formula: LinearFormula) -> int:
-    return _ATOM_PREC if isinstance(formula, Atom) else _PREC[type(formula)]
+    return INFIX[type(formula)][1] if type(formula) in INFIX else _ATOM_PREC
 
 
 def render(formula: LinearFormula) -> str:
     """Canonical ASCII syntax with minimal parentheses; round-trips through parse_linear."""
     if isinstance(formula, Atom):
         return formula.atom.key
-    prec = _prec(formula)
     left, right = children(formula)
-    lhs = render(left)
-    if _prec(left) <= prec:
-        lhs = f"({lhs})"
-    rhs = render(right)
-    if _prec(right) < prec:
-        rhs = f"({rhs})"
-    return f"{lhs} {_OP[type(formula)]} {rhs}"
+    return notation.infix(INFIX[type(formula)], left, right, render, _prec)

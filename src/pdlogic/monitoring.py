@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .atoms import PronounAtom
+from .atoms import PronounAtom, atom
 from .temporal import (
     FALSE,
     TRUE,
@@ -157,8 +157,9 @@ def expand_bounded(formula: TemporalFormula) -> TemporalFormula:
 
 def simplify(formula: TemporalFormula) -> TemporalFormula:
     """One level of True/False absorption, and/or idempotence on structurally
-    equal operands, and double-negation elimination. Children are assumed
-    already simplified."""
+    equal operands (also against the head of a right-nested chain, so that
+    ``[] <> f`` does not gain one copy of ``<> f`` per step), and
+    double-negation elimination. Children are assumed already simplified."""
     match formula:
         case Not(TrueF()):
             return FALSE
@@ -172,12 +173,16 @@ def simplify(formula: TemporalFormula) -> TemporalFormula:
             return f
         case And(l, r) if l == r:
             return l
+        case And(l, And(m, _)) if l == m:
+            return formula.right
         case Or(TrueF(), _) | Or(_, TrueF()):
             return TRUE
         case Or(FalseF(), f) | Or(f, FalseF()):
             return f
         case Or(l, r) if l == r:
             return l
+        case Or(l, Or(m, _)) if l == m:
+            return formula.right
         case Implies(FalseF(), _) | Implies(_, TrueF()):
             return TRUE
         case Implies(TrueF(), f):
@@ -284,13 +289,8 @@ def parse_trace(text: str) -> Trace:
         if line == "-":
             utterances.append(Utterance(frozenset()))
             continue
-        atoms = set()
-        for token in line.split():
-            subject, slash, obj = token.partition("/")
-            if not slash:
-                raise ValueError(
-                    f"trace line {lineno}: expected atom tokens like she/her, got {token!r}"
-                )
-            atoms.add(PronounAtom(subject, obj))
-        utterances.append(Utterance(frozenset(atoms)))
+        try:
+            utterances.append(Utterance(frozenset(atom(t) for t in line.split())))
+        except ValueError as exc:
+            raise ValueError(f"trace line {lineno}: {exc}") from None
     return Trace(tuple(utterances))

@@ -6,10 +6,18 @@ pure ASCII (``&``, ``(+)``, ``*``, ``-o``, ``[]``, ``<>``, ``()``, ``[]<=k``,
 Unicode operator symbols are accepted on input but never emitted by render.
 ``#`` starts a comment running to end of line, so a one-formula spec file can
 be fed to any parse function directly.
+
+The lexer is one regular expression built from ``_SYMBOLS`` and ``_ALIASES``.
+Operators are not listed here: each formula module declares its binary
+connectives once in ``INFIX`` (``temporal.PREFIX`` holds the modalities,
+``freelogic.QUANTIFIERS``/``DESCRIPTIONS`` the binders), and the renderers
+read the same tables. One precedence-climbing loop, ``_expr``, parses the
+binary connectives of every family.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from . import freelogic, linear, temporal
@@ -49,6 +57,7 @@ class _Token:
 
 _KEYWORDS = {"iota", "eps", "forall", "exists", "true", "false"}
 
+# Unicode spellings accepted on input, each standing for one ASCII token.
 _ALIASES = {
     "⊕": "(+)",   # ⊕
     "⊗": "*",     # ⊗
@@ -60,13 +69,27 @@ _ALIASES = {
     "∧": "/\\",   # ∧
     "∨": "\\/",   # ∨
     "→": "->",    # →
+    "ι": "iota",  # ι
+    "ε": "eps",   # ε
 }
-_ALIAS_KEYWORDS = {"ι": "iota", "ε": "eps"}  # ι, ε
 
+# Longest first where one symbol is a prefix of another.
 _SYMBOLS = [
     "[]<=", "<><=", "(+)", "()", "/\\", "\\/", "->", "-o", "|-", "[]", "<>",
     "&", "*", "(", ")", "!", "=", ",", ".",
 ]
+
+# One alternative per token kind, tried in order; "bad" catches any other
+# character. Letters and digits are ASCII only.
+_TOKEN = re.compile("|".join([
+    r"(?P<skip>\s+|#[^\n]*)",
+    r"(?P<atom>(?P<subject>[A-Za-z]+)/(?P<object>[A-Za-z]+))",
+    r"(?P<word>[A-Za-z]+)",
+    r"(?P<int>[0-9]+)",
+    "(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
+    "(?P<alias>[" + "".join(_ALIASES) + "])",
+    r"(?P<bad>(?s:.))",
+]))
 
 
 def _position(text: str, offset: int) -> tuple[int, int, int]:
@@ -82,63 +105,25 @@ def _error(text: str, offset: int, message: str, expected=()) -> ParseError:
     return ParseError(byte_offset, line, column, message, expected)
 
 
-def _is_letter(ch: str) -> bool:
-    return ch.isascii() and ch.isalpha()
-
-
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind == "skip":
             continue
-        if ch == "#":
-            newline = text.find("\n", i)
-            i = n if newline < 0 else newline + 1
-            continue
-        if ch in _ALIAS_KEYWORDS:
-            tokens.append(_Token("kw", _ALIAS_KEYWORDS[ch], i))
-            i += 1
-            continue
-        if ch in _ALIASES:
-            tokens.append(_Token("sym", _ALIASES[ch], i))
-            i += 1
-            continue
-        if _is_letter(ch):
-            j = i
-            while j < n and _is_letter(text[j]):
-                j += 1
-            word = text[i:j]
-            if j < n and text[j] == "/" and j + 1 < n and _is_letter(text[j + 1]):
-                k = j + 1
-                while k < n and _is_letter(text[k]):
-                    k += 1
-                tokens.append(_Token("atom", PronounAtom(word, text[j + 1:k]), i))
-                i = k
-            elif word in _KEYWORDS:
-                tokens.append(_Token("kw", word, i))
-                i = j
-            else:
-                tokens.append(_Token("ident", word, i))
-                i = j
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(_Token("int", int(text[i:j]), i))
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token("sym", sym, i))
-                i += len(sym)
-                break
-        else:
-            raise _error(text, i, f"unexpected character {ch!r}")
-    tokens.append(_Token("eof", None, n))
+        if kind == "atom":
+            value = PronounAtom(m["subject"], m["object"])
+        elif kind == "word":
+            kind = "kw" if value in _KEYWORDS else "ident"
+        elif kind == "alias":
+            value = _ALIASES[value]
+            kind = "kw" if value in _KEYWORDS else "sym"
+        elif kind == "int":
+            value = int(value)
+        elif kind == "bad":
+            raise _error(text, m.start(), f"unexpected character {value!r}")
+        tokens.append(_Token(kind, value, m.start()))
+    tokens.append(_Token("eof", None, len(text)))
     return tokens
 
 
@@ -193,36 +178,52 @@ class _Cursor:
         return "end of input" if tok.kind == "eof" else repr(str(tok.value))
 
 
-def _cursor(text: str) -> _Cursor:
-    return _Cursor(text, _lex(text))
-
-
-# --- linear formulas ---------------------------------------------------------
-
-_LINEAR_PREC = {"*": 1, "&": 2, "(+)": 3, "-o": 4}
-_LINEAR_NODE = {"*": linear.Tensor, "&": linear.With, "(+)": linear.Plus,
-                "-o": linear.Lolli}
-
-
-def parse_linear(text: str) -> linear.LinearFormula:
-    cur = _cursor(text)
-    formula = _linear_expr(cur, 1)
+def _whole(text: str, parse, *args):
+    """``parse(cursor, *args)`` over all of ``text``."""
+    cur = _Cursor(text, _lex(text))
+    result = parse(cur, *args)
     cur.expect_eof()
-    return formula
+    return result
 
 
-def _linear_expr(cur: _Cursor, min_prec: int) -> linear.LinearFormula:
-    lhs = _linear_primary(cur)
+def _operators(infix: dict) -> dict[str, tuple[type, int]]:
+    """A formula module's ``INFIX`` table keyed by symbol: (node type, precedence)."""
+    return {symbol: (node, prec) for node, (symbol, prec) in infix.items()}
+
+
+def _inverse(table: dict) -> dict:
+    return {symbol: node for node, symbol in table.items()}
+
+
+def _expr(cur: _Cursor, family, min_prec: int = 1):
+    """Precedence climbing over one formula family, a pair (operators from
+    ``_operators``, operand parser)."""
+    operators, operand = family
+    lhs = operand(cur)
     while True:
         tok = cur.peek()
-        if tok.kind != "sym" or tok.value not in _LINEAR_PREC:
+        if tok.kind != "sym" or tok.value not in operators:
             return lhs
-        prec = _LINEAR_PREC[tok.value]
+        node, prec = operators[tok.value]
         if prec < min_prec:
             return lhs
         cur.advance()
-        rhs = cur.nested(_linear_expr, prec)  # same level recursion: right-associative
-        lhs = _LINEAR_NODE[tok.value](lhs, rhs)
+        rhs = cur.nested(_expr, family, prec)  # same level recursion: right-associative
+        lhs = node(lhs, rhs)
+
+
+def _parenthesized(cur: _Cursor, parse, *args):
+    cur.advance()  # '('
+    inner = cur.nested(parse, *args)
+    cur.take_sym(")")
+    return inner
+
+
+# --- linear formulas and sequents ---------------------------------------------
+
+
+def parse_linear(text: str) -> linear.LinearFormula:
+    return _whole(text, _expr, _LINEAR)
 
 
 def _linear_primary(cur: _Cursor) -> linear.LinearFormula:
@@ -231,24 +232,24 @@ def _linear_primary(cur: _Cursor) -> linear.LinearFormula:
         cur.advance()
         return linear.Atom(tok.value)
     if cur.at_sym("("):
-        cur.advance()
-        inner = cur.nested(_linear_expr, 1)
-        cur.take_sym(")")
-        return inner
+        return _parenthesized(cur, _expr, _LINEAR)
     raise cur.error("expected formula", expected=["atom", "'('"])
 
 
-# --- sequents ---------------------------------------------------------------
+_LINEAR = (_operators(linear.INFIX), _linear_primary)
 
 
 def parse_sequent(text: str) -> linear.Sequent:
-    cur = _cursor(text)
+    return _whole(text, _sequent)
+
+
+def _sequent(cur: _Cursor) -> linear.Sequent:
     context: list[linear.LinearFormula] = []
     if cur.at_sym("|-"):
         cur.advance()
     else:
         while True:
-            context.append(_linear_expr(cur, 1))
+            context.append(_expr(cur, _LINEAR))
             if cur.at_sym(","):
                 cur.advance()
                 continue
@@ -256,65 +257,24 @@ def parse_sequent(text: str) -> linear.Sequent:
                 cur.advance()
                 break
             raise cur.error("expected ',' or '|-'", expected=["','", "'|-'"])
-    goal = _linear_expr(cur, 1)
-    cur.expect_eof()
-    return linear.Sequent(tuple(context), goal)
+    return linear.Sequent(tuple(context), _expr(cur, _LINEAR))
 
 
 # --- temporal formulas --------------------------------------------------------
 
-_TEMPORAL_PREC = {"->": 1, "\\/": 2, "/\\": 3}
-_TEMPORAL_NODE = {"->": temporal.Implies, "\\/": temporal.Or, "/\\": temporal.And}
-
 
 def parse_temporal(text: str) -> temporal.TemporalFormula:
-    cur = _cursor(text)
-    formula = _temporal_expr(cur, 1)
-    cur.expect_eof()
-    return formula
-
-
-def _temporal_expr(cur: _Cursor, min_prec: int) -> temporal.TemporalFormula:
-    lhs = _temporal_unary(cur)
-    while True:
-        tok = cur.peek()
-        if tok.kind != "sym" or tok.value not in _TEMPORAL_PREC:
-            return lhs
-        prec = _TEMPORAL_PREC[tok.value]
-        if prec < min_prec:
-            return lhs
-        cur.advance()
-        rhs = cur.nested(_temporal_expr, prec)
-        lhs = _TEMPORAL_NODE[tok.value](lhs, rhs)
+    return _whole(text, _expr, _TEMPORAL)
 
 
 def _temporal_unary(cur: _Cursor) -> temporal.TemporalFormula:
     tok = cur.peek()
-    if tok.kind == "sym":
-        if tok.value == "!":
-            cur.advance()
-            return temporal.Not(cur.nested(_temporal_unary))
-        if tok.value == "[]":
-            cur.advance()
-            return temporal.Box(cur.nested(_temporal_unary))
-        if tok.value == "<>":
-            cur.advance()
-            return temporal.Diamond(cur.nested(_temporal_unary))
-        if tok.value == "()":
-            cur.advance()
-            return temporal.Next(cur.nested(_temporal_unary))
-        if tok.value in ("[]<=", "<><="):
-            cur.advance()
-            k = _bound(cur)
-            operand = cur.nested(_temporal_unary)
-            return (temporal.BoxK if tok.value == "[]<=" else temporal.DiamondK)(
-                k, operand
-            )
-        if tok.value == "(":
-            cur.advance()
-            inner = cur.nested(_temporal_expr, 1)
-            cur.take_sym(")")
-            return inner
+    if tok.kind == "sym" and tok.value in _PREFIX:
+        cur.advance()
+        bound = (_bound(cur),) if tok.value.endswith("<=") else ()  # []<=k, <><=k
+        return _PREFIX[tok.value](*bound, cur.nested(_temporal_unary))
+    if cur.at_sym("("):
+        return _parenthesized(cur, _expr, _TEMPORAL)
     if tok.kind == "atom":
         cur.advance()
         return temporal.Atom(tok.value)
@@ -322,6 +282,10 @@ def _temporal_unary(cur: _Cursor) -> temporal.TemporalFormula:
         cur.advance()
         return temporal.TRUE if tok.value == "true" else temporal.FALSE
     raise cur.error("expected formula", expected=["atom", "modality", "'('"])
+
+
+_PREFIX = _inverse(temporal.PREFIX)
+_TEMPORAL = (_operators(temporal.INFIX), _temporal_unary)
 
 
 def _bound(cur: _Cursor) -> int:
@@ -336,36 +300,13 @@ def _bound(cur: _Cursor) -> int:
 
 # --- free-logic formulas and terms -------------------------------------------
 
-_FREE_PREC = {"->": 1, "\\/": 2, "/\\": 3}
-_FREE_NODE = {"->": freelogic.Implies, "\\/": freelogic.Or, "/\\": freelogic.And}
-
 
 def parse_free(text: str) -> freelogic.FreeFormula:
-    cur = _cursor(text)
-    formula = _free_expr(cur, 1)
-    cur.expect_eof()
-    return formula
+    return _whole(text, _expr, _FREE)
 
 
 def parse_free_term(text: str) -> freelogic.FreeTerm:
-    cur = _cursor(text)
-    term = _free_term(cur)
-    cur.expect_eof()
-    return term
-
-
-def _free_expr(cur: _Cursor, min_prec: int) -> freelogic.FreeFormula:
-    lhs = _free_unary(cur)
-    while True:
-        tok = cur.peek()
-        if tok.kind != "sym" or tok.value not in _FREE_PREC:
-            return lhs
-        prec = _FREE_PREC[tok.value]
-        if prec < min_prec:
-            return lhs
-        cur.advance()
-        rhs = cur.nested(_free_expr, prec)
-        lhs = _FREE_NODE[tok.value](lhs, rhs)
+    return _whole(text, _free_term)
 
 
 def _free_unary(cur: _Cursor) -> freelogic.FreeFormula:
@@ -373,12 +314,8 @@ def _free_unary(cur: _Cursor) -> freelogic.FreeFormula:
     if cur.at_sym("!"):
         cur.advance()
         return freelogic.Not(cur.nested(_free_unary))
-    if tok.kind == "kw" and tok.value in ("forall", "exists"):
-        cur.advance()
-        var = _binder_var(cur)
-        body = cur.nested(_free_expr, 1)
-        node = freelogic.Forall if tok.value == "forall" else freelogic.Exists
-        return node(var, body)
+    if tok.kind == "kw" and tok.value in _QUANTIFIERS:
+        return _binder(cur, _QUANTIFIERS)
     if cur.at_sym("("):
         # Could open a parenthesized formula or a parenthesized term on the
         # left of '='; try the formula reading first and backtrack.
@@ -386,10 +323,7 @@ def _free_unary(cur: _Cursor) -> freelogic.FreeFormula:
         saved_arities = dict(cur.pred_arities)
         saved_depth = cur.depth
         try:
-            cur.advance()
-            inner = cur.nested(_free_expr, 1)
-            cur.take_sym(")")
-            return inner
+            return _parenthesized(cur, _expr, _FREE)
         except _TooDeep:
             raise
         except ParseError:
@@ -402,12 +336,17 @@ def _free_unary(cur: _Cursor) -> freelogic.FreeFormula:
         if after.kind == "sym" and after.value == "(":
             return _free_pred(cur)
         return _free_equation(cur)
-    if tok.kind == "kw" and tok.value in ("iota", "eps"):
+    if tok.kind == "kw" and tok.value in _DESCRIPTIONS:
         return _free_equation(cur)
     raise cur.error(
         "expected formula",
         expected=["predicate", "term", "'!'", "quantifier", "'('"],
     )
+
+
+_QUANTIFIERS = _inverse(freelogic.QUANTIFIERS)
+_DESCRIPTIONS = _inverse(freelogic.DESCRIPTIONS)
+_FREE = (_operators(freelogic.INFIX), _free_unary)
 
 
 def _free_pred(cur: _Cursor) -> freelogic.FreeFormula:
@@ -444,26 +383,21 @@ def _free_term(cur: _Cursor) -> freelogic.FreeTerm:
     if tok.kind == "ident":
         cur.advance()
         return freelogic.Var(tok.value)
-    if tok.kind == "kw" and tok.value in ("iota", "eps"):
-        cur.advance()
-        var = _binder_var(cur)
-        body = cur.nested(_free_expr, 1)
-        node = freelogic.Iota if tok.value == "iota" else freelogic.Epsilon
-        return node(var, body)
+    if tok.kind == "kw" and tok.value in _DESCRIPTIONS:
+        return _binder(cur, _DESCRIPTIONS)
     if cur.at_sym("("):
-        cur.advance()
-        inner = cur.nested(_free_term)
-        cur.take_sym(")")
-        return inner
+        return _parenthesized(cur, _free_term)
     raise cur.error("expected term", expected=["variable", "'iota'", "'eps'", "'('"])
 
 
-def _binder_var(cur: _Cursor) -> str:
-    tok = cur.peek()
-    if tok.kind != "ident":
+def _binder(cur: _Cursor, binders: dict):
+    """A keyword of ``binders``, its bound variable, '.', and the body."""
+    node = binders[cur.advance().value]
+    var = cur.peek()
+    if var.kind != "ident":
         raise cur.error("expected bound variable name", expected=["identifier"])
     cur.advance()
     if not cur.at_sym("."):
         raise cur.error("expected '.' after bound variable", expected=["'.'"])
     cur.advance()
-    return tok.value
+    return node(var.value, cur.nested(_expr, _FREE))

@@ -76,11 +76,6 @@ def prove(sequent: Sequent, budget: int = DEFAULT_BUDGET) -> ProofTree | None:
     return ProofTree(tree.rule, sequent, tree.premises)
 
 
-def derivable(goal: LinearFormula, budget: int = DEFAULT_BUDGET) -> bool:
-    """Whether the goal is derivable from the empty context."""
-    return prove(Sequent((), goal), budget) is not None
-
-
 # Connectives of interned formulas.
 _ATOM, _TENSOR, _WITH, _PLUS, _LOLLI = range(5)
 _KIND = {Tensor: _TENSOR, With: _WITH, Plus: _PLUS, Lolli: _LOLLI}

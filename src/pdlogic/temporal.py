@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import notation
 from .atoms import PronounAtom
 
 
@@ -129,36 +130,13 @@ def atoms(formula: TemporalFormula) -> frozenset[PronounAtom]:
 
 # Binding strength: unary operators tightest, then /\, then \/, then ->
 # (right-associative, weakest).
-_PREC = {Implies: 1, Or: 2, And: 3}
-_OP = {Implies: "->", Or: "\\/", And: "/\\"}
+INFIX = {Implies: ("->", 1), Or: ("\\/", 2), And: ("/\\", 3)}
+PREFIX = {Not: "!", Box: "[]", Diamond: "<>", Next: "()", BoxK: "[]<=", DiamondK: "<><="}
 _UNARY_PREC = 4
-_LEAF_PREC = 5
 
 
 def _prec(formula: TemporalFormula) -> int:
-    t = type(formula)
-    if t in _PREC:
-        return _PREC[t]
-    if t in (Atom, TrueF, FalseF):
-        return _LEAF_PREC
-    return _UNARY_PREC
-
-
-def _unary_prefix(formula: TemporalFormula) -> str:
-    match formula:
-        case Not():
-            return "!"
-        case Box():
-            return "[] "
-        case Diamond():
-            return "<> "
-        case Next():
-            return "() "
-        case BoxK(k, _):
-            return f"[]<={k} "
-        case DiamondK(k, _):
-            return f"<><={k} "
-    raise TypeError(f"not a unary temporal formula: {formula!r}")
+    return INFIX[type(formula)][1] if type(formula) in INFIX else _UNARY_PREC
 
 
 def render(formula: TemporalFormula) -> str:
@@ -170,19 +148,11 @@ def render(formula: TemporalFormula) -> str:
             return "true"
         case FalseF():
             return "false"
-        case And() | Or() | Implies():
-            prec = _prec(formula)
-            left, right = children(formula)
-            lhs = render(left)
-            if _prec(left) <= prec:
-                lhs = f"({lhs})"
-            rhs = render(right)
-            if _prec(right) < prec:
-                rhs = f"({rhs})"
-            return f"{lhs} {_OP[type(formula)]} {rhs}"
-        case _:
-            (operand,) = children(formula)
-            body = render(operand)
-            if _prec(operand) < _UNARY_PREC:
-                body = f"({body})"
-            return _unary_prefix(formula) + body
+        case And(l, r) | Or(l, r) | Implies(l, r):
+            return notation.infix(INFIX[type(formula)], l, r, render, _prec)
+    (operand,) = children(formula)
+    # "!" hugs its operand; the modalities, with their bound, stand apart.
+    head = PREFIX[type(formula)] + str(getattr(formula, "k", ""))
+    if not isinstance(formula, Not):
+        head += " "
+    return head + notation.operand(operand, _UNARY_PREC, render, _prec)

@@ -58,16 +58,6 @@ class Lexicon:
             return frozenset()
         return frozenset().union(*self.entries.values())
 
-    def role(self, token: str, a: PronounAtom) -> str:
-        """Whether the token is the subject form, object form, or another
-        gendered form of the atom."""
-        token = token.lower()
-        if token == a.subject:
-            return "subject"
-        if token == a.object:
-            return "object"
-        return "other"
-
 
 def parse_lexicon(text: str) -> Lexicon:
     """Lexicon file format: ``<surface-token> -> <atom> [<atom>...]`` per line,

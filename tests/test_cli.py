@@ -205,7 +205,8 @@ BAD_BYTES = "she/her \u00e9".encode("latin-1")  # 0xe9 starts no UTF-8 sequence
 
 class TestHostileInput:
     """Every input that cannot be read or is nested too deeply ends in one
-    ``error:`` line and exit 2, never in a traceback."""
+    ``error:`` line and exit 2 (exit 3 when it exceeds a resource limit),
+    never in a traceback."""
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -257,6 +258,17 @@ class TestHostileInput:
         code, _, err = run(capsys, "prove", "|- " + "(" * 3000 + "a/b" + ")" * 3000)
         assert code == 2
         assert "nested deeper" in err
+        assert err.count("\n") == 1
+
+    def test_batch_evaluation_past_the_recursion_limit_exits_3(self, capsys, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("[]<=1000 she/her\n", encoding="utf-8")
+        trace = tmp_path / "trace.txt"
+        trace.write_text("she/her\n" * 400, encoding="utf-8")
+        code, out, err = run(capsys, "monitor", str(spec), str(trace), "--mode", "batch")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
         assert err.count("\n") == 1
 
 class TestUsage:

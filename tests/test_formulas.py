@@ -96,6 +96,11 @@ class TestRender:
         f = fl.Exists("y", fl.Eq(fl.Var("y"), term))
         assert fl.render(f) == "exists y. y = (iota x. man(x))"
 
+    @pytest.mark.parametrize("render", [ll.render, tl.render, fl.render, fl.render_term])
+    def test_non_formula_is_a_type_error(self, render):
+        with pytest.raises(TypeError):
+            render("she/her")
+
 
 class TestInvariants:
     def test_bounded_k_must_be_positive(self):

@@ -10,6 +10,7 @@ from pdlogic.monitoring import (
     INCONCLUSIVE,
     SATISFIED,
     VIOLATED,
+    MonitorSession,
     Trace,
     Utterance,
     evaluate,
@@ -215,6 +216,28 @@ class TestMonitor:
                 assert final_verdict(f, t).status == expected, tl.render(f)
 
 
+class TestResidualGrowth:
+    """Progression must not pile up copies of an obligation it already holds."""
+
+    def test_box_diamond_over_2000_steps(self):
+        session = MonitorSession(parse_temporal("[] <> she/her"))
+        for _ in range(2000):
+            assert session.feed(Utterance(frozenset({THEY}))).status == INCONCLUSIVE
+            assert tl.size(session.residual) <= 6
+        session.feed(Utterance(frozenset({SHE})))
+        assert session.finish().status == SATISFIED
+
+    def test_forty_nested_boxes(self):
+        session = MonitorSession(parse_temporal("[] " * 40 + "she/her"))
+        sizes = []
+        for _ in range(10):
+            session.feed(Utterance(frozenset({SHE})))
+            sizes.append(tl.size(session.residual))
+        assert max(sizes) < 1000
+        assert sizes[-1] == sizes[0]
+        assert session.finish().status == SATISFIED
+
+
 class TestTraceFormat:
     def test_basic(self):
         t = parse_trace("she/her they/them\n-\n# comment\n\nhe/him\n")
@@ -227,3 +250,8 @@ class TestTraceFormat:
     def test_bad_token(self):
         with pytest.raises(ValueError):
             parse_trace("she her\n")
+
+    @pytest.mark.parametrize("token", ["she", "she/1", "/her", "she/her/x", "ſhe/her"])
+    def test_every_bad_token_names_its_line(self, token):
+        with pytest.raises(ValueError, match=r"^trace line 3: .*"):
+            parse_trace(f"# header\nshe/her\nthey/them {token}\n")

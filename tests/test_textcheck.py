@@ -155,12 +155,6 @@ class TestLexicon:
         assert lex.lookup("XE") == frozenset({atom("xe/xem")})
         assert lex.lookup("unknown") == frozenset()
 
-    def test_roles(self):
-        lex = default_lexicon()
-        assert lex.role("she", SHE) == "subject"
-        assert lex.role("her", SHE) == "object"
-        assert lex.role("herself", SHE) == "other"
-
     def test_every_atom_has_subject_and_object_forms(self):
         lex = default_lexicon()
         for a in lex.atoms():
