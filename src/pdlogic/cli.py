@@ -12,7 +12,8 @@ import sys
 from pathlib import Path
 
 from . import freelogic, linear, parsing, prover, temporal, textcheck
-from .monitoring import evaluate, expand_bounded, monitor, parse_trace
+from .monitoring import SATISFIED, VIOLATED, evaluate, monitor, parse_trace
+from .monitoring import expand_bounded  # noqa: F401  (perfbench/tracing.py patches it)
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -111,14 +112,14 @@ def _cmd_monitor(args) -> int:
     except (InputError, ValueError, parsing.ParseError) as exc:
         return _fail(str(exc))
     if args.mode == "batch":
-        ok = evaluate(expand_bounded(formula), trace, 0)
-        print("Satisfied" if ok else "Violated")
+        ok = evaluate(formula, trace, 0)
+        print(SATISFIED if ok else VIOLATED)
         return EXIT_POSITIVE if ok else EXIT_NEGATIVE
     verdicts = monitor(formula, trace.utterances)
     for index, verdict in enumerate(verdicts):
         print(f"{index}\t{verdict.status}")
     final = verdicts[-1]
-    return EXIT_POSITIVE if final.status == "Satisfied" else EXIT_NEGATIVE
+    return EXIT_POSITIVE if final.status == SATISFIED else EXIT_NEGATIVE
 
 
 def _cmd_eval(args) -> int:
@@ -163,7 +164,7 @@ def _cmd_check(args) -> int:
             if multiple:
                 print(f"== {doc_path}")
             print(textcheck.render_report(report, text), end="")
-        if report.verdict.status == "Violated":
+        if report.verdict.status == VIOLATED:
             status = EXIT_NEGATIVE
     return status
 
@@ -232,8 +233,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except RecursionError:
-        # A formula within the parser's depth limit can still expand (a large
-        # bound k) past what the recursive evaluators can walk.
+        # Last line of defence for the exit contract: a formula within the
+        # parser's depth limit must never end in a traceback.
         print("error: formula too deep to evaluate (recursion limit reached)",
               file=sys.stderr)
         return EXIT_RESOURCE

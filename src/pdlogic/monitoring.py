@@ -6,6 +6,10 @@ end, Diamond is false past the end. Bounded box expands through weak next
 (running out of trace is not a violation of "the next k utterances"), while
 bounded diamond expands through strong next (silence satisfies no existential
 demand).
+
+``evaluate`` is the direct recursive semantics over a whole trace. The online
+monitor decides each utterance from one ``progress`` walk, which yields both
+the residual obligation and whether the formula holds if the stream ends there.
 """
 
 from __future__ import annotations
@@ -193,30 +197,48 @@ def simplify(formula: TemporalFormula) -> TemporalFormula:
             return formula
 
 
-def progress(formula: TemporalFormula, utterance: Utterance) -> TemporalFormula:
-    """One-step derivative: the residual obligation after this utterance.
+def progress(
+    formula: TemporalFormula, utterance: Utterance
+) -> tuple[TemporalFormula, bool]:
+    """One step in one walk: ``(residual, holds_if_ended)``.
+
+    ``residual`` is the obligation left for the utterances after this one;
+    ``holds_if_ended`` equals ``evaluate(formula, Trace((utterance,)), 0)``.
+    The residual cannot give that answer, because after progression a
+    weak-next obligation looks like a strong one.
 
     Requires bounded modalities to have been expanded away first.
     """
     match formula:
         case Atom(a):
-            return TRUE if a in utterance.atoms else FALSE
-        case TrueF() | FalseF():
-            return formula
+            return (TRUE, True) if a in utterance.atoms else (FALSE, False)
+        case TrueF():
+            return formula, True
+        case FalseF():
+            return formula, False
         case Not(f):
-            return simplify(Not(progress(f, utterance)))
+            residual, holds = progress(f, utterance)
+            return simplify(Not(residual)), not holds
         case And(l, r):
-            return simplify(And(progress(l, utterance), progress(r, utterance)))
+            left, left_holds = progress(l, utterance)
+            right, right_holds = progress(r, utterance)
+            return simplify(And(left, right)), left_holds and right_holds
         case Or(l, r):
-            return simplify(Or(progress(l, utterance), progress(r, utterance)))
+            left, left_holds = progress(l, utterance)
+            right, right_holds = progress(r, utterance)
+            return simplify(Or(left, right)), left_holds or right_holds
         case Implies(l, r):
-            return simplify(Implies(progress(l, utterance), progress(r, utterance)))
+            left, left_holds = progress(l, utterance)
+            right, right_holds = progress(r, utterance)
+            return simplify(Implies(left, right)), not left_holds or right_holds
         case Next(f):
-            return f
+            return f, False
         case Box(f):
-            return simplify(And(progress(f, utterance), formula))
+            residual, holds = progress(f, utterance)
+            return simplify(And(residual, formula)), holds
         case Diamond(f):
-            return simplify(Or(progress(f, utterance), formula))
+            residual, holds = progress(f, utterance)
+            return simplify(Or(residual, formula)), holds
         case BoxK() | DiamondK():
             raise ValueError("progress requires expand_bounded to run first")
     raise TypeError(f"not a temporal formula: {formula!r}")
@@ -227,11 +249,11 @@ class MonitorSession:
 
     Progression-based: it may stay Inconclusive in states a semantically
     omniscient monitor would already decide, but it never flips a conclusive
-    verdict. Progression alone cannot decide end-of-stream cases (weak-next
-    obligations are indistinguishable from strong ones in the residual), so
-    alongside the residual the session tracks whether the formula would hold
-    if the stream ended at the current step; a conclusive verdict is emitted
-    only when the residual constant and that ends-now answer agree.
+    verdict. Bounded modalities are expanded once, when the session starts.
+    Each ``feed`` is one ``progress`` walk of the residual, which yields the
+    next residual and whether the formula holds if the stream ends here; a
+    conclusive verdict is emitted only when the residual is a constant and
+    that ends-now answer agrees with it.
     """
 
     def __init__(self, formula: TemporalFormula):
@@ -244,8 +266,7 @@ class MonitorSession:
         if self.verdict.conclusive:
             self.position += 1
             return self.verdict
-        self._holds_if_ended = evaluate(self.residual, Trace((utterance,)), 0)
-        self.residual = progress(self.residual, utterance)
+        self.residual, self._holds_if_ended = progress(self.residual, utterance)
         if isinstance(self.residual, TrueF) and self._holds_if_ended:
             self.verdict = Verdict(SATISFIED, self.position)
         elif isinstance(self.residual, FalseF) and not self._holds_if_ended:

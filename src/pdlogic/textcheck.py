@@ -17,7 +17,8 @@ from pathlib import Path
 
 from . import parsing, temporal
 from .atoms import PronounAtom, atom
-from .monitoring import Trace, Utterance, Verdict, expand_bounded, monitor
+from .monitoring import VIOLATED, Trace, Utterance, Verdict, monitor
+from .monitoring import expand_bounded  # noqa: F401  (perfbench/tracing.py patches it)
 
 SINGLE_REFERENT_NOTE = (
     "note: every pronoun in the document is attributed to the referent; "
@@ -202,9 +203,11 @@ class Report:
     trace: Trace = Trace(())
 
 
-def _utterances(text: str, spec: ReferentSpec) -> list[tuple[Utterance, int]]:
+def _utterances(
+    sentences: list[tuple[str, tuple[int, int]]], spec: ReferentSpec
+) -> list[tuple[Utterance, int]]:
     result = []
-    for index, (sentence, span) in enumerate(segment(text)):
+    for index, (sentence, span) in enumerate(sentences):
         found: set[PronounAtom] = set()
         for token in _WORD.findall(sentence):
             found |= spec.lexicon.lookup(token)
@@ -216,18 +219,18 @@ def _utterances(text: str, spec: ReferentSpec) -> list[tuple[Utterance, int]]:
 def extract_trace(text: str, spec: ReferentSpec) -> Trace:
     """One utterance per sentence containing at least one tracked pronoun
     form; pronoun-free sentences produce no utterance."""
-    return Trace(tuple(u for u, _ in _utterances(text, spec)))
+    return Trace(tuple(u for u, _ in _utterances(segment(text), spec)))
 
 
 def check_document(text: str, spec: ReferentSpec) -> Report:
     """Monitor the extracted trace against the descriptor; the verdict is
     always forced conclusive at end of document."""
-    pairs = _utterances(text, spec)
+    sentences = segment(text)
+    pairs = _utterances(sentences, spec)
     trace = Trace(tuple(u for u, _ in pairs))
-    verdicts = monitor(expand_bounded(spec.descriptor), trace.utterances)
-    final = verdicts[-1]
+    final = monitor(spec.descriptor, trace.utterances)[-1]
     diagnostics: list[Diagnostic] = []
-    if final.status == "Violated":
+    if final.status == VIOLATED:
         if final.witness_position is not None:
             utterance, sentence_index = pairs[final.witness_position]
             atoms_text = ", ".join(sorted(a.key for a in utterance.atoms))
@@ -244,7 +247,7 @@ def check_document(text: str, spec: ReferentSpec) -> Report:
             diagnostics.append(
                 Diagnostic(
                     (doc_end, doc_end),
-                    len(segment(text)),
+                    len(sentences),
                     frozenset(),
                     "descriptor violated at end of document "
                     "(an outstanding obligation was never met)",

@@ -2,6 +2,7 @@
 
 import pytest
 
+from pdlogic import cli
 from pdlogic.cli import main
 
 SAMPLES = __import__("pathlib").Path(__file__).resolve().parent.parent / "samples"
@@ -115,6 +116,17 @@ class TestMonitor:
         assert code == 0
         assert out == "Satisfied\n"
 
+    @pytest.mark.parametrize("mode", ["batch", "stepwise"])
+    def test_large_bound(self, capsys, tmp_path, mode):
+        spec = tmp_path / "spec.txt"
+        trace = tmp_path / "trace.txt"
+        spec.write_text("[]<=1000 she/her\n", encoding="utf-8")
+        trace.write_text("she/her\n" * 400, encoding="utf-8")
+        code, out, err = run(capsys, "monitor", str(spec), str(trace), "--mode", mode)
+        assert code == 0
+        assert out.splitlines()[-1].endswith("Satisfied")
+        assert err == ""
+
     def test_bad_trace_exits_2(self, capsys, tmp_path):
         spec = tmp_path / "spec.txt"
         trace = tmp_path / "trace.txt"
@@ -193,6 +205,16 @@ class TestCheck:
         assert code == 1
         assert "no coreference" in out
 
+    def test_large_bound(self, capsys, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("referent: Mara\ndescriptor: []<=1000 she/her\n", encoding="utf-8")
+        doc = tmp_path / "doc.txt"
+        doc.write_text("Mara arrived. She smiled.\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", str(spec), str(doc), "--machine")
+        assert code == 0
+        assert out == "0\t26\tSatisfied\t-\n"
+        assert err == ""
+
     def test_missing_spec_exits_2(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent.spec", "/nonexistent.txt")
         assert code == 2
@@ -260,12 +282,14 @@ class TestHostileInput:
         assert "nested deeper" in err
         assert err.count("\n") == 1
 
-    def test_batch_evaluation_past_the_recursion_limit_exits_3(self, capsys, tmp_path):
-        spec = tmp_path / "spec.txt"
-        spec.write_text("[]<=1000 she/her\n", encoding="utf-8")
-        trace = tmp_path / "trace.txt"
-        trace.write_text("she/her\n" * 400, encoding="utf-8")
-        code, out, err = run(capsys, "monitor", str(spec), str(trace), "--mode", "batch")
+    def test_batch_evaluation_past_the_recursion_limit_exits_3(
+        self, capsys, files, monkeypatch
+    ):
+        def too_deep(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "evaluate", too_deep)
+        code, out, err = run(capsys, "monitor", files["spec"], files["trace"], "--mode", "batch")
         assert code == 3
         assert out == ""
         assert err.startswith("error: ")

@@ -1,8 +1,11 @@
 """Finite-trace semantics, bounded-modality expansion, progression, and the
 online monitor."""
 
+from pathlib import Path
+
 import pytest
 
+from pdlogic import monitoring
 from pdlogic import temporal as tl
 from pdlogic.atoms import atom
 from pdlogic.monitoring import (
@@ -142,32 +145,48 @@ class TestExpandBounded:
 class TestProgress:
     def test_box_survives_a_good_step(self):
         f = tl.Box(tl.Atom(A))
-        assert progress(f, Utterance(frozenset({A}))) == f
+        assert progress(f, Utterance(frozenset({A}))) == (f, True)
 
     def test_box_dies_on_a_bad_step(self):
-        assert progress(tl.Box(tl.Atom(A)), Utterance(frozenset())) == tl.FALSE
+        assert progress(tl.Box(tl.Atom(A)), Utterance(frozenset())) == (tl.FALSE, False)
 
     def test_next_strips_one_step(self):
         f = tl.Next(tl.Atom(A))
-        assert progress(f, Utterance(frozenset({C}))) == tl.Atom(A)
+        assert progress(f, Utterance(frozenset({C}))) == (tl.Atom(A), False)
+
+    def test_weak_next_may_end_here(self):
+        # weak next of a/b: the residual is the same as strong next's after
+        # negation, but the stream may end now
+        f = tl.Not(tl.Next(tl.Not(tl.Atom(A))))
+        assert progress(f, Utterance(frozenset())) == (tl.Atom(A), True)
+
+    def test_constants(self):
+        u = Utterance(frozenset({A}))
+        assert progress(tl.TRUE, u) == (tl.TRUE, True)
+        assert progress(tl.FALSE, u) == (tl.FALSE, False)
+        assert progress(tl.Implies(tl.FALSE, tl.Atom(C)), u) == (tl.TRUE, True)
 
     def test_bounded_modalities_rejected(self):
         with pytest.raises(ValueError):
             progress(tl.BoxK(2, tl.Atom(A)), Utterance(frozenset()))
 
     def test_correctness_contract(self):
-        # evaluate(f, t, 0) == evaluate(progress(f, t[0]), t[1:], 0).
-        # Exact whenever the remainder is non-empty; at the very end of the
-        # stream the residual cannot distinguish weak from strong next, which
-        # is why the monitor tracks the ends-now answer separately.
+        # With (residual, holds) = progress(g, t[0]): on a one-utterance
+        # trace, holds == evaluate(g, t, 0); on a longer one,
+        # evaluate(residual, t[1:], 0) == evaluate(g, t, 0). The residual
+        # alone is not enough at the very end of the stream, where it cannot
+        # tell weak from strong next.
         for f in temporal_formulas(2):
             g = expand_bounded(f)
             for t in all_traces(3):
-                if len(t) < 2:
+                if not t.utterances:
                     continue
-                residual = progress(g, t.utterances[0])
-                rest = Trace(t.utterances[1:])
-                assert evaluate(residual, rest, 0) == evaluate(g, t, 0), tl.render(f)
+                residual, holds = progress(g, t.utterances[0])
+                if len(t) == 1:
+                    assert holds == evaluate(g, t, 0), tl.render(f)
+                else:
+                    rest = Trace(t.utterances[1:])
+                    assert evaluate(residual, rest, 0) == evaluate(g, t, 0), tl.render(f)
 
 
 class TestMonitor:
@@ -208,12 +227,48 @@ class TestMonitor:
                     elif v.conclusive:
                         conclusive = v.status
 
+    def test_feed_is_one_progress_walk(self, monkeypatch):
+        session = MonitorSession(parse_temporal("[]<=3 (she/her \\/ () they/them)"))
+
+        def forbidden(*args):
+            raise AssertionError("feed must not call this")
+
+        monkeypatch.setattr(monitoring, "evaluate", forbidden)
+        monkeypatch.setattr(monitoring, "expand_bounded", forbidden)
+        statuses = [session.feed(Utterance(frozenset(s))).status
+                    for s in ({SHE}, {SHE}, {SHE, THEY}, set())]
+        assert statuses == [INCONCLUSIVE, INCONCLUSIVE, SATISFIED, SATISFIED]
+
     def test_final_verdict_matches_semantics_small(self):
         for f in temporal_formulas(2):
             expanded = expand_bounded(f)
             for t in all_traces(2):
                 expected = SATISFIED if evaluate(expanded, t, 0) else VIOLATED
                 assert final_verdict(f, t).status == expected, tl.render(f)
+
+
+def verdict_codes(verdicts):
+    """A verdict list as text: per verdict, the status's initial, then the
+    witness position if there is one. Inconclusive, then Satisfied at
+    position 1 twice, reads ``IS1S1``."""
+    return "".join(
+        v.status[0] + ("" if v.witness_position is None else str(v.witness_position))
+        for v in verdicts
+    )
+
+
+def test_stepwise_verdicts_are_pinned():
+    # Every depth-2 formula over every trace of length <= 3: the full verdict
+    # list, status and witness, recorded from the monitor that re-evaluated
+    # each residual on a one-utterance trace before progressing it. One line
+    # per formula, one space-separated group per trace in all_traces order.
+    traces = all_traces(3)
+    lines = [
+        tl.render(f) + "\t" + " ".join(verdict_codes(monitor(f, t.utterances)) for t in traces)
+        for f in temporal_formulas(2)
+    ]
+    golden = Path(__file__).with_name("monitor_verdicts.golden")
+    assert lines == golden.read_text(encoding="utf-8").splitlines()
 
 
 class TestResidualGrowth:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from pdlogic import textcheck
 from pdlogic.atoms import atom
 from pdlogic.monitoring import evaluate, expand_bounded
 from pdlogic.parsing import parse_temporal
@@ -110,6 +111,21 @@ class TestCheckDocument:
         (diag,) = report.diagnostics
         assert diag.byte_span == (9, 9)
         assert "end of document" in diag.message
+
+    @pytest.mark.parametrize("text, descriptor", [
+        ("She left. It rained.", "<> they/them"),  # violated at end of document
+        ("She left. He agreed.", "[] she/her"),  # violated at a sentence
+    ])
+    def test_segments_once(self, monkeypatch, text, descriptor):
+        calls = []
+
+        def counting_segment(text):
+            calls.append(text)
+            return segment(text)
+
+        monkeypatch.setattr(textcheck, "segment", counting_segment)
+        check_document(text, spec_for(descriptor))
+        assert calls == [text]
 
     def test_prompt_fix_is_satisfied(self):
         report = check_document(
