@@ -2,102 +2,67 @@
 
 Exit status contract: 0 = positive result (parsed / provable / satisfied /
 true / denoting), 1 = negative result (not derivable / violated / false /
-non-denoting), 2 = usage, parse, or configuration error, 3 = resource limit.
+non-denoting), 2 = usage, input, parse or configuration error, 3 = resource
+limit. Each subcommand runs straight through and raises on failure; ``main``
+holds the one table from exception to exit status, and every failure it
+catches ends in a single ``error:`` line on stderr with nothing on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import freelogic, linear, parsing, prover, temporal, textcheck
 from .monitoring import SATISFIED, VIOLATED, evaluate, monitor, parse_trace
 from .monitoring import expand_bounded  # noqa: F401  (perfbench/tracing.py patches it)
+from .textcheck import InputError, read_utf8
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 EXIT_RESOURCE = 3
 
+# Failures that exit 2 because the input is at fault. The ValueErrors are
+# those of parse_trace and proof_from_text, which name the offending line.
+INPUT_ERRORS = (InputError, parsing.ParseError, ValueError, textcheck.ConfigError,
+                textcheck.LexiconError, freelogic.FreeLogicError)
 
-def _fail(message: str) -> int:
+
+def _fail(message: str, status: int) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return EXIT_ERROR
-
-
-class InputError(Exception):
-    """An input file or stream that cannot be read as UTF-8 text."""
-
-
-def _not_utf8(source: str, exc: UnicodeDecodeError) -> InputError:
-    return InputError(f"{source}: not UTF-8 text (bad byte at offset {exc.start})")
-
-
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text("utf-8")
-    except OSError as exc:
-        raise InputError(str(exc)) from None
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
+    return status
 
 
 def _input_text(args) -> str:
     if args.formula is not None and args.file is not None:
-        raise SystemExit(_fail("give the formula inline or via --file, not both"))
+        raise InputError("give the formula inline or via --file, not both")
     if args.formula is not None:
         return args.formula
-    if args.file is not None:
-        return _read(args.file)
-    try:
-        return sys.stdin.read()
-    except UnicodeDecodeError as exc:
-        raise _not_utf8("standard input", exc) from None
+    return read_utf8(args.file)
 
 
 def _cmd_parse(args) -> int:
-    try:
-        text = _input_text(args)
-    except InputError as exc:
-        return _fail(str(exc))
     renderers = {
         "linear": (parsing.parse_linear, linear.render),
         "temporal": (parsing.parse_temporal, temporal.render),
         "free": (parsing.parse_free, freelogic.render),
     }
     parse, render = renderers[args.kind]
-    try:
-        formula = parse(text)
-    except parsing.ParseError as exc:
-        return _fail(str(exc))
-    print(render(formula))
+    print(render(parse(_input_text(args))))
     return EXIT_POSITIVE
 
 
 def _cmd_prove(args) -> int:
     if args.check is not None:
-        try:
-            proof = prover.proof_from_text(_read(args.check))
-        except (InputError, ValueError, parsing.ParseError) as exc:
-            return _fail(str(exc))
-        result = prover.check_proof(proof)
+        result = prover.check_proof(prover.proof_from_text(read_utf8(args.check)))
         if result.ok:
             print("accepted")
             return EXIT_POSITIVE
         path = ".".join(str(i) for i in result.path) or "root"
         print(f"rejected at {path}: {result.reason}")
         return EXIT_NEGATIVE
-    try:
-        text = _input_text(args)
-        sequent = parsing.parse_sequent(text)
-    except (InputError, parsing.ParseError) as exc:
-        return _fail(str(exc))
-    try:
-        proof = prover.prove(sequent, budget=args.budget)
-    except prover.ResourceLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    proof = prover.prove(parsing.parse_sequent(_input_text(args)), budget=args.budget)
     if proof is None:
         print("not derivable")
         return EXIT_NEGATIVE
@@ -106,11 +71,8 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_monitor(args) -> int:
-    try:
-        formula = parsing.parse_temporal(_read(args.spec))
-        trace = parse_trace(_read(args.trace))
-    except (InputError, ValueError, parsing.ParseError) as exc:
-        return _fail(str(exc))
+    formula = parsing.parse_temporal(read_utf8(args.spec))
+    trace = parse_trace(read_utf8(args.trace))
     if args.mode == "batch":
         ok = evaluate(formula, trace, 0)
         print(SATISFIED if ok else VIOLATED)
@@ -123,49 +85,31 @@ def _cmd_monitor(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    try:
-        model = freelogic.parse_model(_read(args.model))
-        text = _input_text(args)
-    except (InputError, freelogic.ModelFormatError) as exc:
-        return _fail(str(exc))
-    try:
-        if args.term:
-            term = parsing.parse_free_term(text)
-            value = freelogic.eval_term(model, {}, term)
-            print("non-denoting" if value is None else value)
-            return EXIT_POSITIVE if value is not None else EXIT_NEGATIVE
-        formula = parsing.parse_free(text)
-        result = freelogic.check_sentence(model, formula)
-        print("true" if result else "false")
-        return EXIT_POSITIVE if result else EXIT_NEGATIVE
-    except (parsing.ParseError, freelogic.FreeLogicError) as exc:
-        return _fail(str(exc))
+    model = freelogic.parse_model(read_utf8(args.model))
+    text = _input_text(args)
+    if args.term:
+        value = freelogic.eval_term(model, {}, parsing.parse_free_term(text))
+        print("non-denoting" if value is None else value)
+        return EXIT_POSITIVE if value is not None else EXIT_NEGATIVE
+    result = freelogic.check_sentence(model, parsing.parse_free(text))
+    print("true" if result else "false")
+    return EXIT_POSITIVE if result else EXIT_NEGATIVE
 
 
 def _cmd_check(args) -> int:
-    try:
-        spec = textcheck.load_referent_spec(args.spec)
-    except (OSError, parsing.ParseError, textcheck.ConfigError,
-            textcheck.LexiconError) as exc:
-        return _fail(str(exc))
+    spec = textcheck.load_referent_spec(args.spec)
+    render = textcheck.render_report_machine if args.machine else textcheck.render_report
     status = EXIT_POSITIVE
-    multiple = len(args.documents) > 1
+    output = []  # printed once every document is checked, so a failure prints nothing
     for doc_path in args.documents:
-        try:
-            text = _read(doc_path)
-        except InputError as exc:
-            return _fail(str(exc))
+        text = read_utf8(doc_path)
         report = textcheck.check_document(text, spec)
-        if args.machine:
-            if multiple:
-                print(f"# {doc_path}")
-            print(textcheck.render_report_machine(report, text), end="")
-        else:
-            if multiple:
-                print(f"== {doc_path}")
-            print(textcheck.render_report(report, text), end="")
+        if len(args.documents) > 1:
+            output.append(f"# {doc_path}\n" if args.machine else f"== {doc_path}\n")
+        output.append(render(report, text))
         if report.verdict.status == VIOLATED:
             status = EXIT_NEGATIVE
+    print("".join(output), end="")
     return status
 
 
@@ -230,14 +174,15 @@ def main(argv=None) -> int:
             args.formula = extra[0]
         else:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    # The one table from failure to exit status.
     try:
         return args.func(args)
+    except INPUT_ERRORS as exc:
+        return _fail(str(exc), EXIT_ERROR)
+    except prover.ResourceLimit as exc:
+        return _fail(str(exc), EXIT_RESOURCE)
     except RecursionError:
-        # Last line of defence for the exit contract: a formula within the
-        # parser's depth limit must never end in a traceback.
-        print("error: formula too deep to evaluate (recursion limit reached)",
-              file=sys.stderr)
-        return EXIT_RESOURCE
+        return _fail("formula too deep to evaluate (recursion limit reached)", EXIT_RESOURCE)
 
 
 if __name__ == "__main__":

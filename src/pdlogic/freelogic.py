@@ -136,19 +136,6 @@ def free_vars(node: FreeTerm | FreeFormula) -> frozenset[str]:
     raise TypeError(f"not a free-logic node: {node!r}")
 
 
-def size(node: FreeTerm | FreeFormula) -> int:
-    match node:
-        case Var():
-            return 1
-        case Iota(_, body) | Epsilon(_, body) | Forall(_, body) | Exists(_, body) | Not(body):
-            return 1 + size(body)
-        case Pred(_, args):
-            return 1 + sum(size(a) for a in args)
-        case Eq(l, r) | And(l, r) | Or(l, r) | Implies(l, r):
-            return 1 + size(l) + size(r)
-    raise TypeError(f"not a free-logic node: {node!r}")
-
-
 # --- rendering -------------------------------------------------------------
 
 # Binding strength: binders weakest (their body runs as far right as it can),

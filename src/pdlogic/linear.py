@@ -78,18 +78,6 @@ def children(formula: LinearFormula) -> tuple[LinearFormula, ...]:
     raise TypeError(f"not a linear formula: {formula!r}")
 
 
-def size(formula: LinearFormula) -> int:
-    """Number of AST nodes."""
-    return 1 + sum(size(c) for c in children(formula))
-
-
-def atoms(formula: LinearFormula) -> frozenset[PronounAtom]:
-    """The set of distinct pronoun atoms occurring in the formula."""
-    if isinstance(formula, Atom):
-        return frozenset((formula.atom,))
-    return frozenset().union(*(atoms(c) for c in children(formula)))
-
-
 # Binding strength, weakest first: * , & , (+) , -o.  All right-associative,
 # so "a/b & c/d (+) e/f" is With(a/b, Plus(c/d, e/f)) and a Tensor child of a
 # With must be parenthesized.

@@ -43,7 +43,8 @@ RULES = (
 
 
 class ResourceLimit(Exception):
-    """Search node budget exhausted; distinct from a not-derivable answer."""
+    """A budget ran out: proof search nodes here, bounded-modality expansion
+    in monitoring. Distinct from a negative answer."""
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ misgendering. This limitation is surfaced in the report output.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -32,6 +33,21 @@ class LexiconError(Exception):
 
 class ConfigError(Exception):
     pass
+
+
+class InputError(Exception):
+    """An input that cannot be read as UTF-8 text, or that is given twice."""
+
+
+def read_utf8(path: str | Path | None) -> str:
+    """The text of the UTF-8 file at ``path``, or of standard input if None."""
+    try:
+        return sys.stdin.read() if path is None else Path(path).read_text("utf-8")
+    except OSError as exc:
+        raise InputError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        source = "standard input" if path is None else path
+        raise InputError(f"{source}: not UTF-8 text (bad byte at offset {exc.start})") from None
 
 
 @dataclass
@@ -75,7 +91,10 @@ def parse_lexicon(text: str) -> Lexicon:
         keys = atoms_text.split()
         if not keys:
             raise LexiconError(f"line {lineno}: entry for {surface!r} lists no atoms")
-        entries.setdefault(surface, set()).update(atom(k) for k in keys)
+        try:
+            entries.setdefault(surface, set()).update(atom(k) for k in keys)
+        except ValueError as exc:
+            raise LexiconError(f"line {lineno}: {exc}") from None
     return Lexicon({k: frozenset(v) for k, v in entries.items()})
 
 
@@ -127,7 +146,7 @@ def parse_referent_spec(text: str, base_dir: Path | None = None) -> ReferentSpec
             path = Path(value)
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
-            lexicon = parse_lexicon(_read_config(path))
+            lexicon = parse_lexicon(read_utf8(path))
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     if names is None:
@@ -139,14 +158,7 @@ def parse_referent_spec(text: str, base_dir: Path | None = None) -> ReferentSpec
 
 def load_referent_spec(path: str | Path) -> ReferentSpec:
     path = Path(path)
-    return parse_referent_spec(_read_config(path), path.parent)
-
-
-def _read_config(path: Path) -> str:
-    try:
-        return path.read_text("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text (bad byte at offset {exc.start})") from None
+    return parse_referent_spec(read_utf8(path), path.parent)
 
 
 # --- segmentation ------------------------------------------------------------

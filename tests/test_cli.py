@@ -1,11 +1,14 @@
 """End-to-end CLI behaviour, including the exit-status contract."""
 
+import time
+from pathlib import Path
+
 import pytest
 
 from pdlogic import cli
 from pdlogic.cli import main
 
-SAMPLES = __import__("pathlib").Path(__file__).resolve().parent.parent / "samples"
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def run(capsys, *argv):
@@ -294,6 +297,50 @@ class TestHostileInput:
         assert out == ""
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad", ["she", "she/h3r"])
+    def test_bad_lexicon_atom_exits_2(self, capsys, tmp_path, bad):
+        (tmp_path / "lex.txt").write_text(f"she -> {bad}\n", encoding="utf-8")
+        spec = tmp_path / "spec.txt"
+        spec.write_text("referent: Mara\ndescriptor: [] she/her\nlexicon: lex.txt\n",
+                        encoding="utf-8")
+        doc = tmp_path / "doc.txt"
+        doc.write_text("Mara arrived. She smiled.\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", str(spec), str(doc))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 1: ")
+        assert err.count("\n") == 1
+
+    def test_huge_bound_exits_3_in_stepwise_monitor(self, capsys, files):
+        spec = Path(files["spec"])
+        spec.write_text("[]<=1000000000 she/her\n", encoding="utf-8")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "monitor", str(spec), files["trace"], "--mode", "stepwise")
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (3, "")
+        assert err.startswith("error: bounded modalities expand past ")
+        assert err.count("\n") == 1
+
+    def test_huge_bound_exits_3_in_check(self, capsys, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("referent: Mara\ndescriptor: []<=1000000000 she/her\n",
+                        encoding="utf-8")
+        doc = tmp_path / "doc.txt"
+        doc.write_text("Mara arrived. She smiled.\n", encoding="utf-8")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "check", str(spec), str(doc), str(doc))
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (3, "")
+        assert err.startswith("error: bounded modalities expand past ")
+        assert err.count("\n") == 1
+
+    def test_unreadable_second_document_prints_no_report(self, capsys, files):
+        code, out, err = run(capsys, "check", files["referent"],
+                             str(SAMPLES / "violated_doc.txt"), files["bad"])
+        assert (code, out) == (2, "")
+        assert err == f"error: {files['bad']}: not UTF-8 text (bad byte at offset 8)\n"
+
 
 class TestUsage:
     def test_no_subcommand(self, capsys):

@@ -32,32 +32,11 @@ class TestPronounAtom:
 
 
 class TestSize:
-    def test_leaf(self):
-        assert ll.size(ll.Atom(SHE)) == 1
-
-    def test_with(self):
-        assert ll.size(ll.With(ll.Atom(SHE), ll.Atom(THEY))) == 3
-
-    def test_lolli(self):
-        assert ll.size(ll.Lolli(ll.Atom(HE), ll.Atom(SHE))) == 3
-
     def test_temporal(self):
         assert tl.size(tl.Box(tl.Implies(tl.Atom(SHE), tl.Atom(THEY)))) == 4
 
-    def test_free(self):
-        f = fl.Forall("x", fl.Pred("man", (fl.Var("x"),)))
-        assert fl.size(f) == 3
-
 
 class TestAtoms:
-    def test_duplicates_collapse(self):
-        f = ll.With(ll.Atom(SHE), ll.Atom(SHE))
-        assert ll.atoms(f) == {SHE}
-
-    def test_lolli_atoms(self):
-        f = ll.Lolli(ll.Atom(HE), ll.Atom(SHE))
-        assert ll.atoms(f) == {HE, SHE}
-
     def test_temporal_nested(self):
         f = tl.Box(tl.Diamond(tl.Atom(THEY)))
         assert tl.atoms(f) == {THEY}

@@ -141,6 +141,30 @@ class TestExpandBounded:
             return any(has_bounded(c) for c in tl.children(g))
         assert not has_bounded(expand_bounded(f))
 
+    def test_expanded_size_counts_the_tree(self):
+        for body in temporal_formulas(2):
+            for k in (1, 2, 3):
+                nested = tl.Not(tl.BoxK(k, tl.DiamondK(2, body)))
+                for g in (tl.BoxK(k, body), tl.DiamondK(k, body), nested):
+                    assert monitoring.expanded_size(g) == tl.size(expand_bounded(g))
+
+    @pytest.mark.parametrize("text", [
+        "[]<=1000000000 she/her",
+        "<><=1000000000 she/her",
+        "[]<=1000 []<=1000 she/her",  # nested bounds multiply
+        "[]<=150000 she/her /\\ []<=150000 they/them",  # siblings add up
+    ])
+    def test_expansion_past_the_limit_raises(self, text):
+        with pytest.raises(monitoring.ResourceLimit):
+            expand_bounded(parse_temporal(text))
+
+    def test_expansion_at_the_limit_is_built(self):
+        k = (monitoring.MAX_EXPANSION + 4) // 5  # k bodies of 1 node, 4 nodes between them
+        f = tl.BoxK(k, tl.Atom(A))
+        assert monitoring.expanded_size(f) <= monitoring.MAX_EXPANSION
+        assert monitoring.expanded_size(tl.BoxK(k + 1, tl.Atom(A))) > monitoring.MAX_EXPANSION
+        assert monitor(f, [Utterance(frozenset({A}))] * 3)[-1].status == SATISFIED
+
 
 class TestProgress:
     def test_box_survives_a_good_step(self):

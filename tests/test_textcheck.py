@@ -166,6 +166,11 @@ class TestCheckDocument:
 
 
 class TestLexicon:
+    @pytest.mark.parametrize("bad", ["she", "she/h3r", "she/her/x"])
+    def test_bad_atom_names_its_line(self, bad):
+        with pytest.raises(LexiconError, match=r"^line 3: "):
+            parse_lexicon(f"# comment\nshe -> she/her\nher -> {bad}\n")
+
     def test_parse_and_lookup(self):
         lex = parse_lexicon("xe -> xe/xem\nxem -> xe/xem\nxyrself -> xe/xem\n")
         assert lex.lookup("XE") == frozenset({atom("xe/xem")})
