@@ -7,7 +7,11 @@ end, Diamond is false past the end. Bounded box expands through weak next
 bounded diamond expands through strong next (silence satisfies no existential
 demand).
 
-``evaluate`` is the direct recursive semantics over a whole trace. The online
+``evaluate`` decides a whole trace in one bottom-up labelling pass over bit
+vectors (the dynamic-programming monitor of Havelund & Rosu, "Synthesizing
+Monitors for Safety Properties", TACAS 2002): linear in the trace length, with
+O(log k) shifts per bounded modality. The direct recursive semantics it is
+checked against lives in the tests, as ``oracles.direct_evaluate``. The online
 monitor decides each utterance from one ``progress`` walk, which yields both
 the residual obligation and whether the formula holds if the stream ends there.
 """
@@ -82,49 +86,170 @@ class Verdict:
         return self.status
 
 
+_UNARY = frozenset((Not, Next, Box, Diamond, BoxK, DiamondK))
+
+
 def evaluate(formula: TemporalFormula, trace: Trace, position: int) -> bool:
-    """Direct recursive finite-trace semantics.
+    """Whether ``formula`` holds on the suffix of ``trace`` from ``position``.
 
     ``position == len(trace)`` is the empty suffix, where Box is vacuously
     true and Atom/Next/Diamond are false.
+
+    One bottom-up labelling pass with an explicit stack, so expansions tens
+    of thousands of nodes deep need no recursion. Only the suffix of n
+    utterances from ``position`` is read. A label is an int whose bit i says
+    that the subformula holds from suffix position i, and bit n stands for
+    the empty suffix. Connectives are masks, Next is a shift, Box and Diamond
+    read the highest zero or one of their operand, and a bounded modality is
+    a window AND or OR built from O(log k) doubling shifts. Each subformula
+    is labelled once per node identity, so the bodies ``expand_bounded``
+    shares cost one label each. A decided left operand of And, Or or Implies
+    skips the right one.
+
+    A Next at ()-depth d (the number of Nexts above it) is read only at
+    positions from d on. At d >= n - 1 it is false wherever it is read, so
+    it is labelled false without visiting its operand. That label is exact
+    only from d on, so its ancestors record the least ()-depth from which
+    theirs is exact, and a label is reused only at that depth or deeper.
+    That bound never exceeds the depth a label is computed at, so a node
+    whose operands are labelled is never pushed again and the loop ends.
     """
     end = len(trace)
     if not 0 <= position <= end:
         raise IndexError(f"position {position} outside [0, {end}]")
-    match formula:
-        case Atom(a):
-            return position < end and a in trace.utterances[position].atoms
-        case TrueF():
-            return True
-        case FalseF():
-            return False
-        case Not(f):
-            return not evaluate(f, trace, position)
-        case And(l, r):
-            return evaluate(l, trace, position) and evaluate(r, trace, position)
-        case Or(l, r):
-            return evaluate(l, trace, position) or evaluate(r, trace, position)
-        case Implies(l, r):
-            return (not evaluate(l, trace, position)) or evaluate(r, trace, position)
-        case Next(f):
-            return position + 1 <= end - 1 and evaluate(f, trace, position + 1)
-        case Box(f):
-            return all(evaluate(f, trace, j) for j in range(position, end))
-        case Diamond(f):
-            return any(evaluate(f, trace, j) for j in range(position, end))
-        case BoxK(k, f):
-            if position == end:
-                # empty window: agrees with the weak-next expansion chain,
-                # which collapses to the body at the empty suffix
-                return evaluate(f, trace, end)
-            stop = min(position + k - 1, end - 1)
-            return all(evaluate(f, trace, j) for j in range(position, stop + 1))
-        case DiamondK(k, f):
-            if position == end:
-                return evaluate(f, trace, end)
-            stop = min(position + k - 1, end - 1)
-            return any(evaluate(f, trace, j) for j in range(position, stop + 1))
-    raise TypeError(f"not a temporal formula: {formula!r}")
+    # Every operator reads its operands at or after its own position.
+    utterances = trace.utterances[position:] if position else trace.utterances
+    n = end - position
+    full = (1 << (n + 1)) - 1
+    below = full >> 1  # the utterances, without the empty suffix
+    top = full ^ below  # the empty suffix alone
+    horizon = n - 1  # a Next this deep or deeper is false wherever it is read
+    atom_labels: dict[PronounAtom, int] = {}
+    labels: dict[int, int] = {}  # id(node) -> label
+    exact_from: dict[int, int] = {}  # id(node) -> ()-depth, where not 0
+    nodes = [formula]
+    depths = [0]
+    while nodes:
+        node = nodes[-1]
+        depth = depths[-1]
+        cls = type(node)
+        exact = 0
+        if cls is Atom:
+            label = _atom_label(node.atom, utterances, atom_labels)
+        elif cls is TrueF:
+            label = full
+        elif cls is FalseF:
+            label = 0
+        elif cls is Next and depth >= horizon:
+            label, exact = 0, max(horizon, 0)
+        elif not n and (cls is Box or cls is Diamond):
+            # the empty suffix alone: Box is vacuous and Diamond unmet
+            label = full if cls is Box else 0
+        elif cls is And or cls is Or or cls is Implies:
+            child = node.left
+            key = id(child)
+            left = labels.get(key)
+            if left is None or exact_from and exact_from.get(key, 0) > depth:
+                if type(child) is not Atom:
+                    nodes.append(child)
+                    depths.append(depth)
+                    continue
+                left = labels[key] = _atom_label(child.atom, utterances, atom_labels)
+            if exact_from:
+                exact = exact_from.get(key, 0)
+            if left == (full if cls is Or else 0):
+                label = 0 if cls is And else full
+            else:
+                child = node.right
+                key = id(child)
+                right = labels.get(key)
+                if right is None or exact_from and exact_from.get(key, 0) > depth:
+                    if type(child) is not Atom:
+                        nodes.append(child)
+                        depths.append(depth)
+                        continue
+                    right = labels[key] = _atom_label(child.atom, utterances, atom_labels)
+                if exact_from:
+                    exact = max(exact, exact_from.get(key, 0))
+                if cls is And:
+                    label = left & right
+                elif cls is Or:
+                    label = left | right
+                else:
+                    label = (full ^ left) | right
+        elif cls in _UNARY:
+            child = node.operand
+            child_depth = depth + 1 if cls is Next else depth
+            key = id(child)
+            operand = labels.get(key)
+            if operand is None or exact_from and exact_from.get(key, 0) > child_depth:
+                if type(child) is not Atom:
+                    nodes.append(child)
+                    depths.append(child_depth)
+                    continue
+                operand = labels[key] = _atom_label(child.atom, utterances, atom_labels)
+            if exact_from:
+                exact = exact_from.get(key, 0)
+            if cls is Not:
+                label = full ^ operand
+            elif cls is Next:
+                label = (operand >> 1) & (below >> 1)
+                exact = max(exact - 1, 0)
+            elif cls is Box:
+                label = full ^ ((1 << (below & ~operand).bit_length()) - 1)
+            elif cls is Diamond:
+                label = (1 << (below & operand).bit_length()) - 1
+            else:
+                # k >= n covers every later utterance; past the end, Box
+                # pads with ones and Diamond with zeros
+                width = min(node.k, n)
+                if cls is BoxK:
+                    window = _window(operand | ((1 << width) - 1) << n, width, True)
+                else:
+                    window = _window(operand & below, width, False)
+                label = (window & below) | (operand & top)
+        else:
+            raise TypeError(f"not a temporal formula: {node!r}")
+        nodes.pop()
+        depths.pop()
+        key = id(node)
+        labels[key] = label
+        if exact:
+            exact_from[key] = exact
+        elif exact_from:
+            exact_from.pop(key, None)
+    return bool(label & 1)
+
+
+def _atom_label(
+    a: PronounAtom, utterances: tuple[Utterance, ...], cache: dict[PronounAtom, int]
+) -> int:
+    """Bit i set where utterance i uses ``a``; the empty suffix's bit is clear.
+    Built once per atom and call, and kept in ``cache``."""
+    label = cache.get(a)
+    if label is None:
+        bits = "".join(["1" if a in u.atoms else "0" for u in reversed(utterances)])
+        label = cache[a] = int(bits, 2) if bits else 0
+    return label
+
+
+def _window(bits: int, k: int, conj: bool) -> int:
+    """Bit i of the result is the AND (``conj``) or the OR of bits i..i+k-1.
+
+    ``span`` covers windows ``width`` bits wide, doubling each round; the
+    set bits of k pick the spans that ``acc`` chains, ``covered`` bits so far.
+    """
+    acc = -1 if conj else 0
+    covered, span, width = 0, bits, 1
+    while k:
+        if k & 1:
+            acc = acc & (span >> covered) if conj else acc | (span >> covered)
+            covered += width
+        k >>= 1
+        if k:
+            span = span & (span >> width) if conj else span | (span >> width)
+            width <<= 1
+    return acc
 
 
 def expanded_size(formula: TemporalFormula) -> int:

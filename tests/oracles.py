@@ -3,6 +3,9 @@
 The derivability oracle here is intentionally naive: plain backward search
 over the rules, terminating because every rule strictly shrinks the sequent.
 It shares no code with the package's prover beyond the formula types.
+Likewise ``direct_evaluate`` is the temporal semantics read straight off its
+definition, one recursive call per position, and shares nothing with the
+package's bit-vector ``evaluate`` beyond the formula and trace types.
 """
 
 from __future__ import annotations
@@ -196,6 +199,60 @@ def all_traces(max_length: int, atoms=TWO_ATOMS):
         for combo in product(letters, repeat=length):
             traces.append(Trace(combo))
     return traces
+
+
+# --- direct temporal semantics ------------------------------------------------
+
+
+def direct_evaluate(formula: tl.TemporalFormula, trace: Trace, position: int) -> bool:
+    """Direct recursive finite-trace semantics.
+
+    ``position == len(trace)`` is the empty suffix, where Box is vacuously
+    true and Atom/Next/Diamond are false.
+    """
+    end = len(trace)
+    if not 0 <= position <= end:
+        raise IndexError(f"position {position} outside [0, {end}]")
+    match formula:
+        case tl.Atom(a):
+            return position < end and a in trace.utterances[position].atoms
+        case tl.TrueF():
+            return True
+        case tl.FalseF():
+            return False
+        case tl.Not(f):
+            return not direct_evaluate(f, trace, position)
+        case tl.And(l, r):
+            return direct_evaluate(l, trace, position) and direct_evaluate(
+                r, trace, position
+            )
+        case tl.Or(l, r):
+            return direct_evaluate(l, trace, position) or direct_evaluate(
+                r, trace, position
+            )
+        case tl.Implies(l, r):
+            return (not direct_evaluate(l, trace, position)) or direct_evaluate(
+                r, trace, position
+            )
+        case tl.Next(f):
+            return position + 1 <= end - 1 and direct_evaluate(f, trace, position + 1)
+        case tl.Box(f):
+            return all(direct_evaluate(f, trace, j) for j in range(position, end))
+        case tl.Diamond(f):
+            return any(direct_evaluate(f, trace, j) for j in range(position, end))
+        case tl.BoxK(k, f):
+            if position == end:
+                # empty window: agrees with the weak-next expansion chain,
+                # which collapses to the body at the empty suffix
+                return direct_evaluate(f, trace, end)
+            stop = min(position + k - 1, end - 1)
+            return all(direct_evaluate(f, trace, j) for j in range(position, stop + 1))
+        case tl.DiamondK(k, f):
+            if position == end:
+                return direct_evaluate(f, trace, end)
+            stop = min(position + k - 1, end - 1)
+            return any(direct_evaluate(f, trace, j) for j in range(position, stop + 1))
+    raise TypeError(f"not a temporal formula: {formula!r}")
 
 
 # --- random formula generators (seeded, for round-trip volume tests) ------------

@@ -1,6 +1,8 @@
 """Finite-trace semantics, bounded-modality expansion, progression, and the
 online monitor."""
 
+import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,15 @@ from pdlogic.monitoring import (
 )
 from pdlogic.parsing import parse_temporal
 
-from oracles import TWO_ATOMS, all_traces, temporal_formulas
+from oracles import (
+    ATOM_POOL,
+    TWO_ATOMS,
+    all_traces,
+    direct_evaluate,
+    random_temporal,
+    temporal_formulas,
+)
+from test_acceptance import budget
 
 SHE = atom("she/her")
 THEY = atom("they/them")
@@ -74,8 +84,111 @@ class TestEvaluate:
                     )
 
 
+def random_trace(rng, n, pool=ATOM_POOL[:3]):
+    return Trace(tuple(
+        Utterance(frozenset(a for a in pool if rng.random() < 0.5)) for _ in range(n)
+    ))
+
+
+class TestLabellingPass:
+    """The bit-vector ``evaluate`` against the direct recursive semantics in
+    ``oracles``, at every position of every trace."""
+
+    def assert_agrees(self, f, t, expand=True):
+        forms = (f, expand_bounded(f)) if expand else (f,)
+        for i in range(len(t) + 1):
+            expected = direct_evaluate(f, t, i)
+            for g in forms:
+                assert evaluate(g, t, i) == expected, (tl.render(f), t, i)
+
+    def test_random_formulas_raw_and_expanded(self):
+        rng = random.Random(6)
+        for _ in range(1500):
+            f = random_temporal(rng, rng.randint(1, 6))
+            self.assert_agrees(f, random_trace(rng, rng.randint(0, 12)))
+
+    def test_every_bound_up_to_past_the_end(self):
+        rng = random.Random(16)
+        for n in range(13):
+            for _ in range(4):
+                t = random_trace(rng, n)
+                body = random_temporal(rng, 3)
+                for k in range(1, n + 3):
+                    for g in (tl.BoxK(k, body), tl.DiamondK(k, body)):
+                        self.assert_agrees(g, t)
+                for g in (tl.BoxK(10**40, body), tl.DiamondK(10**40, body)):
+                    self.assert_agrees(g, t, expand=False)
+
+    def test_nested_bounds_under_next(self):
+        # Expansion shares each body by identity, and under () its deeper
+        # copies reach the ()-depth where Next is pruned: a label taken there
+        # must not stand in for a shallower copy.
+        rng = random.Random(26)
+        for _ in range(300):
+            n = rng.randint(0, 12)
+            t = random_trace(rng, n)
+            f = random_temporal(rng, 2)
+            k1, k2, k = (rng.randint(1, n + 2) for _ in range(3))
+            nested = tl.BoxK(k1, tl.BoxK(k2, f))
+            for g in (nested, tl.Next(nested), tl.Next(tl.DiamondK(k, f)),
+                      tl.DiamondK(k, tl.Next(tl.DiamondK(k2, f))),
+                      tl.Or(tl.Next(tl.Next(nested)), nested)):
+                self.assert_agrees(g, t)
+
+    def test_shared_node_labelled_deep_first(self):
+        # One node object read first under j Nexts on the left, then at the
+        # top on the right.
+        traces = all_traces(5, TWO_ATOMS[:1])
+        for modality, body, k, op, negate, j in product(
+            (tl.BoxK, tl.DiamondK), (tl.Atom(A), tl.Next(tl.Atom(A))), (2, 4),
+            (tl.And, tl.Or, tl.Implies), (False, True), (1, 3),
+        ):
+            shared = expand_bounded(modality(k, body))
+            deep = tl.Not(shared) if negate else shared
+            for _ in range(j):
+                deep = tl.Next(deep)
+            for t in traces:
+                self.assert_agrees(op(deep, shared), t, expand=False)
+
+    def test_position_outside_the_trace_raises(self):
+        t = trace({A}, {C})
+        for position in (-1, 3, 10):
+            with pytest.raises(IndexError):
+                evaluate(tl.Atom(A), t, position)
+        with pytest.raises(IndexError):
+            evaluate(tl.Atom(A), EMPTY_TRACE, 1)
+
+    def test_not_a_formula_raises(self):
+        with pytest.raises(TypeError):
+            evaluate(tl.Box("a/b"), trace({A}), 0)
+
+
+class TestLongTraces:
+    """Cases the recursive evaluation was quadratic on or overflowed the stack."""
+
+    def test_box_diamond_is_linear(self):
+        t = Trace((Utterance(frozenset()),) * 3999 + (Utterance(frozenset({A})),))
+        with budget(1):
+            assert evaluate(parse_temporal("[] <> a/b"), t, 0) is True
+
+    def test_deep_expansion_needs_no_recursion(self):
+        t = Trace((Utterance(frozenset({A})),) * 4000)
+        f = expand_bounded(parse_temporal("[]<=10000 a/b"))
+        with budget(2):
+            assert evaluate(f, t, 0) is True
+            assert evaluate(f, Trace(t.utterances[:-1] + (Utterance(frozenset()),)), 0) is False
+
+    def test_huge_bound_answers_at_once(self):
+        t = Trace((Utterance(frozenset({A})),) * 4000)
+        f = parse_temporal("[]<=" + "1" + "0" * 40 + " a/b")
+        with budget(1):
+            assert evaluate(f, t, 0) is True
+            assert evaluate(f, t, 4000) is False  # a/b on the empty suffix
+            assert evaluate(tl.DiamondK(10**40, tl.Atom(C)), t, 0) is False
+
+
 class TestDescriptorPatterns:
-    """Compound descriptor shapes, each checked against the direct semantics."""
+    """Compound descriptor shapes, each against a verdict worked out by hand."""
 
     def test_always_she(self):
         assert evaluate(parse_temporal("[] she/her"), trace({SHE}, {SHE}, {THEY}), 0) is False

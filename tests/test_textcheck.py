@@ -4,7 +4,7 @@ import pytest
 
 from pdlogic import textcheck
 from pdlogic.atoms import atom
-from pdlogic.monitoring import evaluate, expand_bounded
+from pdlogic.monitoring import expand_bounded
 from pdlogic.parsing import parse_temporal
 from pdlogic.textcheck import (
     ConfigError,
@@ -20,6 +20,8 @@ from pdlogic.textcheck import (
     render_report_machine,
     segment,
 )
+
+from oracles import direct_evaluate
 
 SHE = atom("she/her")
 HE = atom("he/him")
@@ -150,7 +152,7 @@ class TestCheckDocument:
         for text in docs:
             for d in descriptors:
                 spec = spec_for(d)
-                expected = evaluate(
+                expected = direct_evaluate(
                     expand_bounded(spec.descriptor), extract_trace(text, spec), 0
                 )
                 verdict = check_document(text, spec).verdict.status
