@@ -13,7 +13,8 @@ Monitors for Safety Properties", TACAS 2002): linear in the trace length, with
 O(log k) shifts per bounded modality. The direct recursive semantics it is
 checked against lives in the tests, as ``oracles.direct_evaluate``. The online
 monitor decides each utterance from one ``progress`` walk, which yields both
-the residual obligation and whether the formula holds if the stream ends there.
+the residual obligation and whether the formula holds if the stream ends there;
+a session memoizes those walks per (residual, utterance atom set).
 """
 
 from __future__ import annotations
@@ -272,39 +273,42 @@ def expand_bounded(formula: TemporalFormula) -> TemporalFormula:
     """
     if expanded_size(formula) > MAX_EXPANSION:
         raise ResourceLimit(f"bounded modalities expand past {MAX_EXPANSION} nodes")
-    return _expand(formula)
+    return _expand(formula, {})
 
 
-def _expand(formula: TemporalFormula) -> TemporalFormula:
+def _expand(formula: TemporalFormula, done: dict) -> TemporalFormula:
     match formula:
         case Atom() | TrueF() | FalseF():
             return formula
         case Not(f):
-            return Not(_expand(f))
+            return Not(_expand(f, done))
         case And(l, r):
-            return And(_expand(l), _expand(r))
+            return And(_expand(l, done), _expand(r, done))
         case Or(l, r):
-            return Or(_expand(l), _expand(r))
+            return Or(_expand(l, done), _expand(r, done))
         case Implies(l, r):
-            return Implies(_expand(l), _expand(r))
+            return Implies(_expand(l, done), _expand(r, done))
         case Next(f):
-            return Next(_expand(f))
+            return Next(_expand(f, done))
         case Box(f):
-            return Box(_expand(f))
+            return Box(_expand(f, done))
         case Diamond(f):
-            return Diamond(_expand(f))
-        case BoxK(k, f):
-            body = _expand(f)
-            result = body
-            for _ in range(k - 1):
-                # weak next: not (next (not ...))
-                result = And(body, Not(Next(Not(result))))
-            return result
-        case DiamondK(k, f):
-            body = _expand(f)
-            result = body
-            for _ in range(k - 1):
-                result = Or(body, Next(result))
+            return Diamond(_expand(f, done))
+        case BoxK(k, f) | DiamondK(k, f):
+            # ``done`` maps each bounded subformula expanded so far to its
+            # expansion, so equal ones share one object and simplify's == on
+            # them stops at identity instead of recursing through it
+            result = done.get(formula)
+            if result is None:
+                body = result = _expand(f, done)
+                if type(formula) is BoxK:
+                    for _ in range(k - 1):
+                        # weak next: not (next (not ...))
+                        result = And(body, Not(Next(Not(result))))
+                else:
+                    for _ in range(k - 1):
+                        result = Or(body, Next(result))
+                done[formula] = result
             return result
     raise TypeError(f"not a temporal formula: {formula!r}")
 
@@ -404,19 +408,40 @@ class MonitorSession:
     next residual and whether the formula holds if the stream ends here; a
     conclusive verdict is emitted only when the residual is a constant and
     that ends-now answer agrees with it.
+
+    The walks are memoized in ``_steps``, a transition table keyed on the
+    residual's identity and the utterance's atom set, so the session is a
+    finite-trace automaton built on demand (De Giacomo & Vardi, IJCAI 2013):
+    a residual that progression returns unchanged, such as that of
+    ``[] (she/her \\/ they/them)``, costs one dict lookup per utterance. Each
+    entry holds its key's residual, so that id is not reused while the entry
+    lives. Residuals are not hashed by structure: a dataclass hash recurses,
+    and expansions run tens of thousands of nodes deep. The table is cleared
+    when it reaches ``STEP_CAP`` entries, which bounds it for residuals that
+    progression rebuilds at every step.
     """
+
+    STEP_CAP = 4096
 
     def __init__(self, formula: TemporalFormula):
         self.residual = expand_bounded(formula)
         self.position = 0
         self.verdict = Verdict(INCONCLUSIVE)
         self._holds_if_ended = evaluate(self.residual, EMPTY_TRACE, 0)
+        # (id(residual), atoms) -> (residual, next residual, holds_if_ended)
+        self._steps: dict[tuple[int, frozenset[PronounAtom]], tuple] = {}
 
     def feed(self, utterance: Utterance) -> Verdict:
         if self.verdict.conclusive:
             self.position += 1
             return self.verdict
-        self.residual, self._holds_if_ended = progress(self.residual, utterance)
+        key = (id(self.residual), utterance.atoms)
+        step = self._steps.get(key)
+        if step is None:
+            if len(self._steps) >= self.STEP_CAP:
+                self._steps.clear()
+            step = self._steps[key] = (self.residual, *progress(self.residual, utterance))
+        _, self.residual, self._holds_if_ended = step
         if isinstance(self.residual, TrueF) and self._holds_if_ended:
             self.verdict = Verdict(SATISFIED, self.position)
         elif isinstance(self.residual, FalseF) and not self._holds_if_ended:

@@ -166,34 +166,30 @@ def load_referent_spec(path: str | Path) -> ReferentSpec:
 _WORD = re.compile(r"[^\W\d_]+", re.UNICODE)
 
 
-def _byte_offsets(text: str) -> list[int]:
-    offsets = [0]
-    for ch in text:
-        offsets.append(offsets[-1] + len(ch.encode("utf-8")))
-    return offsets
+# ``\s`` here and ``str.strip`` in ``segment`` accept exactly the characters
+# that ``str.isspace`` does.
+_SENTENCE_END = re.compile(r"[.!?](?=\s|\Z)")
 
 
 def segment(text: str) -> list[tuple[str, tuple[int, int]]]:
     """Sentences with byte spans. A sentence ends at '.', '!', or '?' followed
-    by whitespace or end of input; the terminator belongs to the sentence."""
-    offsets = _byte_offsets(text)
+    by whitespace or end of input; the terminator belongs to the sentence.
+
+    One regex pass finds the sentence ends. Byte offsets are a running count:
+    the gap before each sentence and the sentence itself are encoded once each.
+    """
     sentences = []
-    start = 0
-    n = len(text)
-
-    def close(begin: int, end: int):
-        while begin < end and text[begin].isspace():
-            begin += 1
-        while end > begin and text[end - 1].isspace():
-            end -= 1
-        if begin < end:
-            sentences.append((text[begin:end], (offsets[begin], offsets[end])))
-
-    for i, ch in enumerate(text):
-        if ch in ".!?" and (i + 1 == n or text[i + 1].isspace()):
-            close(start, i + 1)
-            start = i + 1
-    close(start, n)
+    start = byte = 0  # where the current chunk begins, in characters and in bytes
+    for end in [m.end() for m in _SENTENCE_END.finditer(text)] + [len(text)]:
+        chunk = text[start:end]
+        sentence = chunk.strip()
+        if sentence:
+            lead = len(chunk) - len(chunk.lstrip())
+            byte += len(chunk[:lead].encode("utf-8"))
+            end_byte = byte + len(sentence.encode("utf-8"))
+            sentences.append((sentence, (byte, end_byte)))
+            byte = end_byte  # every chunk but the last ends at its terminator
+        start = end
     return sentences
 
 
@@ -218,13 +214,16 @@ class Report:
 def _utterances(
     sentences: list[tuple[str, tuple[int, int]]], spec: ReferentSpec
 ) -> list[tuple[Utterance, int]]:
+    lookup = spec.lexicon.entries.get
     result = []
     for index, (sentence, span) in enumerate(sentences):
-        found: set[PronounAtom] = set()
+        found = None
         for token in _WORD.findall(sentence):
-            found |= spec.lexicon.lookup(token)
+            atoms = lookup(token.lower())
+            if atoms:
+                found = atoms if found is None else found | atoms
         if found:
-            result.append((Utterance(frozenset(found), span), index))
+            result.append((Utterance(found, span), index))
     return result
 
 

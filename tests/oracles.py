@@ -5,12 +5,16 @@ over the rules, terminating because every rule strictly shrinks the sequent.
 It shares no code with the package's prover beyond the formula types.
 Likewise ``direct_evaluate`` is the temporal semantics read straight off its
 definition, one recursive call per position, and shares nothing with the
-package's bit-vector ``evaluate`` beyond the formula and trace types.
+package's bit-vector ``evaluate`` beyond the formula and trace types. And
+``direct_segment``/``direct_utterances`` split a document with one character
+loop and a per-character byte-offset table, where the package's ``segment``
+uses one regex pass and a running byte count.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations, product
 
 from pdlogic import freelogic as fl
@@ -253,6 +257,55 @@ def direct_evaluate(formula: tl.TemporalFormula, trace: Trace, position: int) ->
             stop = min(position + k - 1, end - 1)
             return any(direct_evaluate(f, trace, j) for j in range(position, stop + 1))
     raise TypeError(f"not a temporal formula: {formula!r}")
+
+
+# --- direct document segmentation ----------------------------------------------
+
+_WORD = re.compile(r"[^\W\d_]+", re.UNICODE)
+
+
+def _byte_offsets(text: str) -> list[int]:
+    offsets = [0]
+    for ch in text:
+        offsets.append(offsets[-1] + len(ch.encode("utf-8")))
+    return offsets
+
+
+def direct_segment(text: str) -> list[tuple[str, tuple[int, int]]]:
+    """Sentences with byte spans. A sentence ends at '.', '!', or '?' followed
+    by whitespace or end of input; the terminator belongs to the sentence."""
+    offsets = _byte_offsets(text)
+    sentences = []
+    start = 0
+    n = len(text)
+
+    def close(begin: int, end: int):
+        while begin < end and text[begin].isspace():
+            begin += 1
+        while end > begin and text[end - 1].isspace():
+            end -= 1
+        if begin < end:
+            sentences.append((text[begin:end], (offsets[begin], offsets[end])))
+
+    for i, ch in enumerate(text):
+        if ch in ".!?" and (i + 1 == n or text[i + 1].isspace()):
+            close(start, i + 1)
+            start = i + 1
+    close(start, n)
+    return sentences
+
+
+def direct_utterances(sentences: list[tuple[str, tuple[int, int]]], spec) -> list[
+    tuple[Utterance, int]
+]:
+    result = []
+    for index, (sentence, span) in enumerate(sentences):
+        found: set[PronounAtom] = set()
+        for token in _WORD.findall(sentence):
+            found |= spec.lexicon.lookup(token)
+        if found:
+            result.append((Utterance(frozenset(found), span), index))
+    return result
 
 
 # --- random formula generators (seeded, for round-trip volume tests) ------------

@@ -335,6 +335,24 @@ class TestHostileInput:
         assert err.startswith("error: bounded modalities expand past ")
         assert err.count("\n") == 1
 
+    def test_equal_deep_operands_answer_in_stepwise_monitor(self, capsys, files):
+        spec = Path(files["spec"])
+        spec.write_text("[]<=5000 a/b /\\ []<=5000 a/b\n", encoding="utf-8")
+        trace = Path(files["trace"])
+        trace.write_text("a/b\na/b\n", encoding="utf-8")
+        code, out, err = run(capsys, "monitor", str(spec), str(trace), "--mode", "stepwise")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].endswith("\tSatisfied")
+
+    def test_equal_deep_operands_answer_in_check(self, capsys, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("referent: Mara\ndescriptor: []<=5000 she/her /\\ []<=5000 she/her\n",
+                        encoding="utf-8")
+        doc = tmp_path / "doc.txt"
+        doc.write_text("Mara arrived. She smiled.\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", str(spec), str(doc), "--machine")
+        assert (code, out, err) == (0, "0\t26\tSatisfied\t-\n", "")
+
     def test_unreadable_second_document_prints_no_report(self, capsys, files):
         code, out, err = run(capsys, "check", files["referent"],
                              str(SAMPLES / "violated_doc.txt"), files["bad"])

@@ -279,6 +279,18 @@ class TestExpandBounded:
         assert monitor(f, [Utterance(frozenset({A}))] * 3)[-1].status == SATISFIED
 
 
+    def test_equal_operands_share_one_expansion(self):
+        f = expand_bounded(parse_temporal("[]<=3 a/b /\\ ([]<=3 a/b \\/ <><=2 a/b)"))
+        assert f.left is f.right.left
+
+    def test_equal_deep_operands_monitor_stepwise(self):
+        # Two equal but distinct 25,000-node expansions side by side used to
+        # overflow the stack in simplify's ==, which recursed through both.
+        f = parse_temporal("[]<=5000 a/b /\\ []<=5000 a/b")
+        verdicts = monitor(f, [Utterance(frozenset({A}))] * 2)
+        assert verdicts[-1].status == SATISFIED
+
+
 class TestProgress:
     def test_box_survives_a_good_step(self):
         f = tl.Box(tl.Atom(A))
@@ -428,6 +440,57 @@ class TestResidualGrowth:
         assert max(sizes) < 1000
         assert sizes[-1] == sizes[0]
         assert session.finish().status == SATISFIED
+
+
+class TestTransitionTable:
+    """A session memoizes its progress walks per (residual, atom set)."""
+
+    def test_one_walk_per_state_and_atom_set(self, monkeypatch):
+        walks = []
+        depth = [0]
+        original = monitoring.progress
+
+        def counting(formula, utterance):
+            if not depth[0]:  # count whole walks, not their recursive calls
+                walks.append(formula)
+            depth[0] += 1
+            try:
+                return original(formula, utterance)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(monitoring, "progress", counting)
+        session = MonitorSession(parse_temporal("[] (she/her \\/ they/them)"))
+        for i in range(10_000):
+            verdict = session.feed(Utterance(frozenset({SHE} if i % 2 else {THEY})))
+            assert verdict.status == INCONCLUSIVE
+        assert session.finish().status == SATISFIED
+        assert len(walks) <= 4
+
+    def test_table_stays_under_its_cap(self):
+        # [] <> a/b rebuilds its residual at every step without a/b, so
+        # every step is a new entry and the table fills and is cleared.
+        session = MonitorSession(parse_temporal("[] <> a/b"))
+        sizes = set()
+        for _ in range(10_000):
+            session.feed(Utterance(frozenset({C})))
+            sizes.add(len(session._steps))
+        assert max(sizes) == MonitorSession.STEP_CAP
+        assert session.finish().status == VIOLATED
+
+    def test_memoized_verdicts_match_unmemoized(self, monkeypatch):
+        # Long random traces revisit states; a one-entry table keeps only the
+        # last walk. Both must give the same verdicts, and the final one must
+        # agree with the direct semantics.
+        rng = random.Random(9)
+        cases = [(random_temporal(rng, rng.randint(1, 5)), random_trace(rng, 30))
+                 for _ in range(300)]
+        memoized = [monitor(f, t.utterances) for f, t in cases]
+        monkeypatch.setattr(MonitorSession, "STEP_CAP", 1)
+        for (f, t), verdicts in zip(cases, memoized):
+            assert monitor(f, t.utterances) == verdicts, tl.render(f)
+            expected = SATISFIED if direct_evaluate(f, t, 0) else VIOLATED
+            assert verdicts[-1].status == expected, tl.render(f)
 
 
 class TestTraceFormat:

@@ -1,6 +1,13 @@
 """Sentence segmentation, trace extraction, and document checking."""
 
+import random
+import re
+import sys
+import tracemalloc
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pdlogic import textcheck
 from pdlogic.atoms import atom
@@ -21,7 +28,7 @@ from pdlogic.textcheck import (
     segment,
 )
 
-from oracles import direct_evaluate
+from oracles import direct_evaluate, direct_segment, direct_utterances
 
 SHE = atom("she/her")
 HE = atom("he/him")
@@ -64,6 +71,74 @@ class TestSegment:
         assert spans == sorted(spans)
         for (_, a_end), (b_start, _) in zip(spans, spans[1:]):
             assert a_end <= b_start
+
+
+# Every character str.isspace() accepts, the ASCII separators \x1c-\x1f, NEL,
+# NBSP, U+2028 and the ideographic space among them.
+SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+# Letters whose lowercase is longer (İ), differs by context (Σ) or is not
+# ASCII (ſ, the Kelvin sign), next to the lexicon's forms in mixed case.
+PIECES = SPACES + list(".!?") + [
+    "she", "Her", "THEY", "them", "he", "HIS", "It", "ze", "vaer", "x",
+    "é", "ü", "ß", "日本", "𝔘", "İ", "İt", "hİm", "ı", "ſ", "ſhe", "\u212a",
+    "Σ", "ς", "σ", "ΟΣ", "\u0307", "'", "3", "_", "a1b", "3.5", "-",
+]
+hostile_text = st.lists(st.sampled_from(PIECES), max_size=40).map("".join)
+
+
+class TestSegmentAgainstOracle:
+    """``segment`` and ``_utterances`` against the character-loop oracle:
+    sentence texts, byte spans, atoms and sentence indices all equal."""
+
+    @settings(derandomize=True, max_examples=1500, deadline=None, database=None)
+    @given(hostile_text)
+    @example("")
+    @example("".join(SPACES))
+    @example(". she.!? her?" + "".join(SPACES) + "!")
+    @example("\x1c\x1dShe.\x1e\x1fThey!\x85He?\xa0It.\u2028Ze\u3000.")
+    @example("İt. ſhe. \u212aHE. ΟΣ'Σ her. Café her. 日本 they")
+    def test_matches_direct_segmentation(self, text):
+        spec = spec_for("[] she/her")
+        sentences = segment(text)
+        assert sentences == direct_segment(text)
+        assert (textcheck._utterances(sentences, spec)
+                == direct_utterances(direct_segment(text), spec))
+
+    def test_whitespace_sets_agree(self):
+        # segment finds ends with re's \s and trims with str.strip; both must
+        # accept exactly the characters str.isspace() does
+        every = "".join(chr(c) for c in range(sys.maxunicode + 1))
+        assert re.findall(r"\s", every) == SPACES
+        assert "".join(SPACES).strip() == ""
+        assert all(ch.strip() == ch for ch in every if not ch.isspace())
+
+
+def generated_document(size: int) -> str:
+    """About ``size`` bytes of prose, half the sentences with a pronoun."""
+    rng = random.Random(7)
+    words = "the report was filed after lunch near the café in a quiet room".split()
+    parts, total = [], 0
+    while total < size:
+        sentence = [rng.choice(words) for _ in range(rng.randint(4, 12))]
+        if rng.random() < 0.5:
+            sentence.insert(rng.randrange(len(sentence)), rng.choice(("she", "they", "her")))
+        text = " ".join(sentence).capitalize() + rng.choice(".!?") + rng.choice((" ", "\n"))
+        parts.append(text)
+        total += len(text.encode("utf-8"))
+    return "".join(parts)
+
+
+def test_checking_a_megabyte_allocates_little():
+    text = generated_document(10**6)
+    spec = spec_for("[] (she/her \\/ they/them)")
+    tracemalloc.start()
+    try:
+        report = check_document(text, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict.status == "Satisfied"
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestExtractTrace:
