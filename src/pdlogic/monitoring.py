@@ -2,10 +2,10 @@
 
 End-of-trace conventions, stated once because they decide every boundary case:
 Next is strong (false at the last position), Box is vacuously true past the
-end, Diamond is false past the end. Bounded box expands through weak next
+end, Diamond is false past the end. Bounded box steps through weak next
 (running out of trace is not a violation of "the next k utterances"), while
-bounded diamond expands through strong next (silence satisfies no existential
-demand).
+bounded diamond steps through strong next (silence satisfies no existential
+demand); expansion and progression take the same steps.
 
 ``evaluate`` decides a whole trace in one bottom-up labelling pass over bit
 vectors (the dynamic-programming monitor of Havelund & Rosu, "Synthesizing
@@ -143,9 +143,6 @@ def evaluate(formula: TemporalFormula, trace: Trace, position: int) -> bool:
             label = 0
         elif cls is Next and depth >= horizon:
             label, exact = 0, max(horizon, 0)
-        elif not n and (cls is Box or cls is Diamond):
-            # the empty suffix alone: Box is vacuous and Diamond unmet
-            label = full if cls is Box else 0
         elif cls is And or cls is Or or cls is Implies:
             child = node.left
             key = id(child)
@@ -273,42 +270,26 @@ def expand_bounded(formula: TemporalFormula) -> TemporalFormula:
     """
     if expanded_size(formula) > MAX_EXPANSION:
         raise ResourceLimit(f"bounded modalities expand past {MAX_EXPANSION} nodes")
-    return _expand(formula, {})
+    return _expand(formula)
 
 
-def _expand(formula: TemporalFormula, done: dict) -> TemporalFormula:
+def _expand(formula: TemporalFormula) -> TemporalFormula:
     match formula:
         case Atom() | TrueF() | FalseF():
             return formula
-        case Not(f):
-            return Not(_expand(f, done))
-        case And(l, r):
-            return And(_expand(l, done), _expand(r, done))
-        case Or(l, r):
-            return Or(_expand(l, done), _expand(r, done))
-        case Implies(l, r):
-            return Implies(_expand(l, done), _expand(r, done))
-        case Next(f):
-            return Next(_expand(f, done))
-        case Box(f):
-            return Box(_expand(f, done))
-        case Diamond(f):
-            return Diamond(_expand(f, done))
+        case Not(f) | Next(f) | Box(f) | Diamond(f):
+            return type(formula)(_expand(f))
+        case And(l, r) | Or(l, r) | Implies(l, r):
+            return type(formula)(_expand(l), _expand(r))
         case BoxK(k, f) | DiamondK(k, f):
-            # ``done`` maps each bounded subformula expanded so far to its
-            # expansion, so equal ones share one object and simplify's == on
-            # them stops at identity instead of recursing through it
-            result = done.get(formula)
-            if result is None:
-                body = result = _expand(f, done)
-                if type(formula) is BoxK:
-                    for _ in range(k - 1):
-                        # weak next: not (next (not ...))
-                        result = And(body, Not(Next(Not(result))))
-                else:
-                    for _ in range(k - 1):
-                        result = Or(body, Next(result))
-                done[formula] = result
+            body = result = _expand(f)
+            if type(formula) is BoxK:
+                for _ in range(k - 1):
+                    # weak next: not (next (not ...))
+                    result = And(body, Not(Next(Not(result))))
+            else:
+                for _ in range(k - 1):
+                    result = Or(body, Next(result))
             return result
     raise TypeError(f"not a temporal formula: {formula!r}")
 
@@ -351,6 +332,14 @@ def simplify(formula: TemporalFormula) -> TemporalFormula:
             return formula
 
 
+def _unbound(formula: TemporalFormula) -> TemporalFormula:
+    """``formula`` without the ``[]<=1``/``<><=1`` around it, which expand to
+    their operand: a residual that is a constant must show as one."""
+    while type(formula) in (BoxK, DiamondK) and formula.k == 1:
+        formula = formula.operand
+    return formula
+
+
 def progress(
     formula: TemporalFormula, utterance: Utterance
 ) -> tuple[TemporalFormula, bool]:
@@ -360,8 +349,6 @@ def progress(
     ``holds_if_ended`` equals ``evaluate(formula, Trace((utterance,)), 0)``.
     The residual cannot give that answer, because after progression a
     weak-next obligation looks like a strong one.
-
-    Requires bounded modalities to have been expanded away first.
     """
     match formula:
         case Atom(a):
@@ -386,15 +373,21 @@ def progress(
             right, right_holds = progress(r, utterance)
             return simplify(Implies(left, right)), not left_holds or right_holds
         case Next(f):
-            return f, False
+            return _unbound(f), False
         case Box(f):
             residual, holds = progress(f, utterance)
             return simplify(And(residual, formula)), holds
         case Diamond(f):
             residual, holds = progress(f, utterance)
             return simplify(Or(residual, formula)), holds
-        case BoxK() | DiamondK():
-            raise ValueError("progress requires expand_bounded to run first")
+        case BoxK(k, f) | DiamondK(k, f):
+            # expand_bounded's step: f now, then the bound one lower, through
+            # weak next for []<=k and strong next for <><=k
+            residual, holds = progress(f, utterance)
+            if k > 1:
+                rest = _unbound(f) if k == 2 else type(formula)(k - 1, f)
+                residual = simplify((And if type(formula) is BoxK else Or)(residual, rest))
+            return residual, holds
     raise TypeError(f"not a temporal formula: {formula!r}")
 
 
@@ -403,11 +396,10 @@ class MonitorSession:
 
     Progression-based: it may stay Inconclusive in states a semantically
     omniscient monitor would already decide, but it never flips a conclusive
-    verdict. Bounded modalities are expanded once, when the session starts.
-    Each ``feed`` is one ``progress`` walk of the residual, which yields the
-    next residual and whether the formula holds if the stream ends here; a
-    conclusive verdict is emitted only when the residual is a constant and
-    that ends-now answer agrees with it.
+    verdict. Each ``feed`` is one ``progress`` walk of the residual, which
+    yields the next residual and whether the formula holds if the stream ends
+    here; a conclusive verdict is emitted only when the residual is a constant
+    and that ends-now answer agrees with it.
 
     The walks are memoized in ``_steps``, a transition table keyed on the
     residual's identity and the utterance's atom set, so the session is a
@@ -415,19 +407,22 @@ class MonitorSession:
     a residual that progression returns unchanged, such as that of
     ``[] (she/her \\/ they/them)``, costs one dict lookup per utterance. Each
     entry holds its key's residual, so that id is not reused while the entry
-    lives. Residuals are not hashed by structure: a dataclass hash recurses,
-    and expansions run tens of thousands of nodes deep. The table is cleared
-    when it reaches ``STEP_CAP`` entries, which bounds it for residuals that
-    progression rebuilds at every step.
+    lives. Residuals are not hashed by structure, because a dataclass hash
+    recurses through the whole residual at every lookup. On a miss, a
+    residual that progression rebuilt equal to the one it came from, such as
+    that of ``[] <> f`` while ``f`` is absent, is replaced by the old object,
+    so that state hits from then on. The table is cleared when it reaches
+    ``STEP_CAP`` entries, which bounds it for residuals that change at every
+    step, such as the falling bound of ``<><=k f``.
     """
 
     STEP_CAP = 4096
 
     def __init__(self, formula: TemporalFormula):
-        self.residual = expand_bounded(formula)
+        self.residual = formula
         self.position = 0
         self.verdict = Verdict(INCONCLUSIVE)
-        self._holds_if_ended = evaluate(self.residual, EMPTY_TRACE, 0)
+        self._holds_if_ended = evaluate(formula, EMPTY_TRACE, 0)
         # (id(residual), atoms) -> (residual, next residual, holds_if_ended)
         self._steps: dict[tuple[int, frozenset[PronounAtom]], tuple] = {}
 
@@ -440,7 +435,10 @@ class MonitorSession:
         if step is None:
             if len(self._steps) >= self.STEP_CAP:
                 self._steps.clear()
-            step = self._steps[key] = (self.residual, *progress(self.residual, utterance))
+            residual, holds = progress(self.residual, utterance)
+            if residual == self.residual:
+                residual = self.residual
+            step = self._steps[key] = (self.residual, residual, holds)
         _, self.residual, self._holds_if_ended = step
         if isinstance(self.residual, TrueF) and self._holds_if_ended:
             self.verdict = Verdict(SATISFIED, self.position)

@@ -43,8 +43,9 @@ RULES = (
 
 
 class ResourceLimit(Exception):
-    """A budget ran out: proof search nodes here, bounded-modality expansion
-    in monitoring. Distinct from a negative answer."""
+    """A budget ran out: proof search nodes here, and the node cap of the
+    library's ``monitoring.expand_bounded``, which no CLI path calls. Distinct
+    from a negative answer."""
 
 
 @dataclass(frozen=True)

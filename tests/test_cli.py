@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from pdlogic import cli
+from pdlogic import cli, monitoring, textcheck
 from pdlogic.cli import main
+from pdlogic.parsing import parse_temporal
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -312,28 +313,25 @@ class TestHostileInput:
         assert err.startswith("error: line 1: ")
         assert err.count("\n") == 1
 
-    def test_huge_bound_exits_3_in_stepwise_monitor(self, capsys, files):
+    def test_huge_bound_answers_in_stepwise_monitor(self, capsys, files):
         spec = Path(files["spec"])
         spec.write_text("[]<=1000000000 she/her\n", encoding="utf-8")
         started = time.perf_counter()
         code, out, err = run(capsys, "monitor", str(spec), files["trace"], "--mode", "stepwise")
         assert time.perf_counter() - started < 1.0
-        assert (code, out) == (3, "")
-        assert err.startswith("error: bounded modalities expand past ")
-        assert err.count("\n") == 1
+        assert (code, out, err) == (0, "0\tInconclusive\n1\tSatisfied\n", "")
 
-    def test_huge_bound_exits_3_in_check(self, capsys, tmp_path):
+    def test_huge_bound_answers_in_check(self, capsys, tmp_path):
         spec = tmp_path / "spec.txt"
         spec.write_text("referent: Mara\ndescriptor: []<=1000000000 she/her\n",
                         encoding="utf-8")
         doc = tmp_path / "doc.txt"
         doc.write_text("Mara arrived. She smiled.\n", encoding="utf-8")
         started = time.perf_counter()
-        code, out, err = run(capsys, "check", str(spec), str(doc), str(doc))
+        code, out, err = run(capsys, "check", str(spec), str(doc), str(doc), "--machine")
         assert time.perf_counter() - started < 1.0
-        assert (code, out) == (3, "")
-        assert err.startswith("error: bounded modalities expand past ")
-        assert err.count("\n") == 1
+        assert (code, err) == (0, "")
+        assert out.count("0\t26\tSatisfied\t-\n") == 2
 
     def test_equal_deep_operands_answer_in_stepwise_monitor(self, capsys, files):
         spec = Path(files["spec"])
@@ -352,6 +350,54 @@ class TestHostileInput:
         doc.write_text("Mara arrived. She smiled.\n", encoding="utf-8")
         code, out, err = run(capsys, "check", str(spec), str(doc), "--machine")
         assert (code, out, err) == (0, "0\t26\tSatisfied\t-\n", "")
+
+    # Unequal bounds over one body: expanded, the two residuals would be
+    # chains of different length thousands of nodes deep, too deep to compare.
+    UNEQUAL_BOUNDS = pytest.mark.parametrize("j,k", [(5000, 5001), (3000, 2000)],
+                                             ids=["5000-5001", "3000-2000"])
+
+    @UNEQUAL_BOUNDS
+    def test_unequal_deep_operands_answer_in_stepwise_monitor(self, capsys, files, j, k):
+        spec = Path(files["spec"])
+        spec.write_text(f"[]<={j} a/b /\\ []<={k} a/b\n", encoding="utf-8")
+        trace = Path(files["trace"])
+        trace.write_text("a/b\na/b\n", encoding="utf-8")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "monitor", str(spec), str(trace), "--mode", "stepwise")
+        assert time.perf_counter() - started < 1.0
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].endswith("\tSatisfied")
+
+    @UNEQUAL_BOUNDS
+    def test_unequal_deep_operands_answer_in_check(self, capsys, tmp_path, j, k):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"referent: Mara\ndescriptor: []<={j} she/her /\\ []<={k} she/her\n",
+                        encoding="utf-8")
+        doc = tmp_path / "doc.txt"
+        doc.write_text("Mara arrived. She smiled.\n", encoding="utf-8")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "check", str(spec), str(doc), "--machine")
+        assert time.perf_counter() - started < 1.0
+        assert (code, out, err) == (0, "0\t26\tSatisfied\t-\n", "")
+
+    def test_no_path_expands_bounded_modalities(self, capsys, files, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("expand_bounded must not be called")
+
+        for owner in (monitoring, cli, textcheck):
+            monkeypatch.setattr(owner, "expand_bounded", forbidden)
+        descriptor = "[]<=3 she/her /\\ <><=2 she/her"
+        Path(files["spec"]).write_text(descriptor + "\n", encoding="utf-8")
+        for mode in ("batch", "stepwise"):
+            code, out, err = run(capsys, "monitor", files["spec"], files["trace"], "--mode", mode)
+            assert (code, err) == (0, "")
+        spec = Path(files["spec"]).with_name("referent.spec")
+        spec.write_text(f"referent: Mara\ndescriptor: {descriptor}\n", encoding="utf-8")
+        doc = spec.with_name("doc.txt")
+        doc.write_text("Mara arrived. She smiled.\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", str(spec), str(doc), "--machine")
+        assert (code, out, err) == (0, "0\t26\tSatisfied\t-\n", "")
+        assert monitoring.monitor(parse_temporal(descriptor), [])[-1].status == "Violated"
 
     def test_unreadable_second_document_prints_no_report(self, capsys, files):
         code, out, err = run(capsys, "check", files["referent"],

@@ -278,15 +278,18 @@ class TestExpandBounded:
         assert monitoring.expanded_size(tl.BoxK(k + 1, tl.Atom(A))) > monitoring.MAX_EXPANSION
         assert monitor(f, [Utterance(frozenset({A}))] * 3)[-1].status == SATISFIED
 
-
-    def test_equal_operands_share_one_expansion(self):
-        f = expand_bounded(parse_temporal("[]<=3 a/b /\\ ([]<=3 a/b \\/ <><=2 a/b)"))
-        assert f.left is f.right.left
-
     def test_equal_deep_operands_monitor_stepwise(self):
         # Two equal but distinct 25,000-node expansions side by side used to
         # overflow the stack in simplify's ==, which recursed through both.
         f = parse_temporal("[]<=5000 a/b /\\ []<=5000 a/b")
+        verdicts = monitor(f, [Utterance(frozenset({A}))] * 2)
+        assert verdicts[-1].status == SATISFIED
+
+    @pytest.mark.parametrize("j,k", [(5000, 5001), (3000, 2000)], ids=["5000-5001", "3000-2000"])
+    def test_unequal_deep_operands_monitor_stepwise(self, j, k):
+        # Expanded, the two residuals would be chains of different length,
+        # and simplify's == would recurse down both.
+        f = parse_temporal(f"[]<={j} a/b /\\ []<={k} a/b")
         verdicts = monitor(f, [Utterance(frozenset({A}))] * 2)
         assert verdicts[-1].status == SATISFIED
 
@@ -315,9 +318,22 @@ class TestProgress:
         assert progress(tl.FALSE, u) == (tl.FALSE, False)
         assert progress(tl.Implies(tl.FALSE, tl.Atom(C)), u) == (tl.TRUE, True)
 
-    def test_bounded_modalities_rejected(self):
-        with pytest.raises(ValueError):
-            progress(tl.BoxK(2, tl.Atom(A)), Utterance(frozenset()))
+    def test_bounded_modalities_take_one_step(self):
+        # k = 1 is the body's own step; above it, the body now and the bound
+        # one lower next. Box may end after a good step (weak next), Diamond
+        # may not end before it is met (strong next).
+        a, seen, silent = tl.Atom(A), Utterance(frozenset({A})), Utterance(frozenset())
+        for modality in (tl.BoxK, tl.DiamondK):
+            assert progress(modality(1, a), seen) == (tl.TRUE, True)
+            assert progress(modality(1, a), silent) == (tl.FALSE, False)
+        assert progress(tl.BoxK(2, a), seen) == (a, True)
+        assert progress(tl.BoxK(3, a), seen) == (tl.BoxK(2, a), True)
+        assert progress(tl.BoxK(3, a), silent) == (tl.FALSE, False)
+        assert progress(tl.DiamondK(2, a), silent) == (a, False)
+        assert progress(tl.DiamondK(3, a), silent) == (tl.DiamondK(2, a), False)
+        assert progress(tl.DiamondK(3, a), seen) == (tl.TRUE, True)
+        assert progress(tl.BoxK(3, tl.Next(a)), seen) == (
+            tl.And(a, tl.BoxK(2, tl.Next(a))), False)
 
     def test_correctness_contract(self):
         # With (residual, holds) = progress(g, t[0]): on a one-utterance
@@ -325,11 +341,10 @@ class TestProgress:
         # evaluate(residual, t[1:], 0) == evaluate(g, t, 0). The residual
         # alone is not enough at the very end of the stream, where it cannot
         # tell weak from strong next.
-        for f in temporal_formulas(2):
-            g = expand_bounded(f)
-            for t in all_traces(3):
-                if not t.utterances:
-                    continue
+        for f, t in product(temporal_formulas(2), all_traces(3)):
+            if not t.utterances:
+                continue
+            for g in (f, expand_bounded(f)):
                 residual, holds = progress(g, t.utterances[0])
                 if len(t) == 1:
                     assert holds == evaluate(g, t, 0), tl.render(f)
@@ -377,13 +392,12 @@ class TestMonitor:
                         conclusive = v.status
 
     def test_feed_is_one_progress_walk(self, monkeypatch):
-        session = MonitorSession(parse_temporal("[]<=3 (she/her \\/ () they/them)"))
-
         def forbidden(*args):
-            raise AssertionError("feed must not call this")
+            raise AssertionError("a session must not call this")
 
-        monkeypatch.setattr(monitoring, "evaluate", forbidden)
         monkeypatch.setattr(monitoring, "expand_bounded", forbidden)
+        session = MonitorSession(parse_temporal("[]<=3 (she/her \\/ () they/them)"))
+        monkeypatch.setattr(monitoring, "evaluate", forbidden)
         statuses = [session.feed(Utterance(frozenset(s))).status
                     for s in ({SHE}, {SHE}, {SHE, THEY}, set())]
         assert statuses == [INCONCLUSIVE, INCONCLUSIVE, SATISFIED, SATISFIED]
@@ -394,6 +408,26 @@ class TestMonitor:
             for t in all_traces(2):
                 expected = SATISFIED if evaluate(expanded, t, 0) else VIOLATED
                 assert final_verdict(f, t).status == expected, tl.render(f)
+
+    def test_same_verdicts_as_on_the_expansion(self):
+        # Progressing []<=k and <><=k directly must give, step by step, the
+        # verdicts that progressing their expansion gives: status and witness.
+        rng = random.Random(8)
+        for _ in range(2000):
+            f = rebound(rng, random_temporal(rng, rng.randint(1, 5)))
+            for _ in range(rng.randint(0, 2)):
+                f = rng.choice((tl.BoxK, tl.DiamondK))(rng.randint(1, 8), f)
+            t = random_trace(rng, rng.randint(0, 30))
+            assert monitor(f, t.utterances) == monitor(expand_bounded(f), t.utterances), (
+                tl.render(f), t)
+
+
+def rebound(rng, f):
+    """``f`` with every bound drawn again from 1..8."""
+    parts = [rebound(rng, c) for c in tl.children(f)]
+    if isinstance(f, (tl.BoxK, tl.DiamondK)):
+        return type(f)(rng.randint(1, 8), *parts)
+    return type(f)(*parts) if parts else f
 
 
 def verdict_codes(verdicts):
@@ -468,14 +502,21 @@ class TestTransitionTable:
         assert len(walks) <= 4
 
     def test_table_stays_under_its_cap(self):
-        # [] <> a/b rebuilds its residual at every step without a/b, so
-        # every step is a new entry and the table fills and is cleared.
-        session = MonitorSession(parse_temporal("[] <> a/b"))
+        # <><=k a/b lowers its bound at every step without a/b, so every
+        # step is a new entry and the table fills and is cleared.
+        session = MonitorSession(parse_temporal("<><=10000 a/b"))
         sizes = set()
         for _ in range(10_000):
             session.feed(Utterance(frozenset({C})))
             sizes.add(len(session._steps))
         assert max(sizes) == MonitorSession.STEP_CAP
+        assert session.finish().status == VIOLATED
+        # [] <> a/b rebuilds an equal residual at every such step; the
+        # session keeps the old object, so the state is one entry.
+        session = MonitorSession(parse_temporal("[] <> a/b"))
+        for _ in range(10_000):
+            session.feed(Utterance(frozenset({C})))
+        assert len(session._steps) <= 2
         assert session.finish().status == VIOLATED
 
     def test_memoized_verdicts_match_unmemoized(self, monkeypatch):
