@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import notation
+from .prover import DEFAULT_BUDGET, ResourceLimit
 
 
 class FreeLogicError(Exception):
@@ -188,6 +189,13 @@ def render(formula: FreeFormula) -> str:
 
 NON_DENOTING = None  # eval_term returns an individual name, or None
 
+# Term and formula evaluations left to the outermost eval_term or
+# eval_formula call in progress; None between calls. A description nested d
+# deep is evaluated |D|^d times, so each evaluation counts against the proof
+# search's node budget, and past it the call raises ResourceLimit. The count
+# is one per process, shared by threads that evaluate at once.
+_budget_left: int | None = None
+
 
 @dataclass
 class Model:
@@ -220,6 +228,9 @@ class Model:
 
 def eval_term(model: Model, env: dict[str, str], term: FreeTerm) -> str | None:
     """Denotation of a term: an individual name, or None when it does not denote."""
+    if _budget_left is None:
+        return _with_budget(eval_term, model, env, term)
+    _spend()
     match term:
         case Var(name):
             if name not in env:
@@ -239,6 +250,9 @@ def _satisfiers(model: Model, env: dict[str, str], var: str, body: FreeFormula) 
 
 
 def eval_formula(model: Model, env: dict[str, str], formula: FreeFormula) -> bool:
+    if _budget_left is None:
+        return _with_budget(eval_formula, model, env, formula)
+    _spend()
     match formula:
         case Pred(name, args):
             key = (name, len(args))
@@ -265,6 +279,23 @@ def eval_formula(model: Model, env: dict[str, str], formula: FreeFormula) -> boo
         case Exists(v, body):
             return any(eval_formula(model, {**env, v: d}, body) for d in model.domain)
     raise TypeError(f"not a free-logic formula: {formula!r}")
+
+
+def _spend() -> None:
+    global _budget_left
+    _budget_left -= 1
+    if _budget_left < 0:
+        raise ResourceLimit("free-logic evaluation budget exhausted")
+
+
+def _with_budget(evaluate, model: Model, env: dict[str, str], node):
+    """Run the outermost evaluation call under a fresh budget."""
+    global _budget_left
+    _budget_left = DEFAULT_BUDGET
+    try:
+        return evaluate(model, env, node)
+    finally:
+        _budget_left = None
 
 
 def check_sentence(model: Model, formula: FreeFormula) -> bool:

@@ -23,8 +23,8 @@ Every rule strictly decreases the total size of the sequent, so the search
 terminates without loop checking; the node budget exists only as a safety
 valve. Subgoals are memoized on the canonical (input multiset, goal) pair, and
 each memo miss is one search node. A proof that is found has explicit
-contexts: each node's context is the multiset it consumed, rebuilt from its
-premises.
+contexts: each node's context is the multiset it consumed, the input it was
+handed less the leftover it ended with.
 """
 
 from __future__ import annotations
@@ -43,9 +43,10 @@ RULES = (
 
 
 class ResourceLimit(Exception):
-    """A budget ran out: proof search nodes here, and the node cap of the
-    library's ``monitoring.expand_bounded``, which no CLI path calls. Distinct
-    from a negative answer."""
+    """A budget ran out: proof search nodes here, free-logic term and formula
+    evaluations in ``freelogic`` (``DEFAULT_BUDGET`` of them per call), and
+    the node cap of the library's ``monitoring.expand_bounded``, which no CLI
+    path calls. Distinct from a negative answer."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ def prove(sequent: Sequent, budget: int = DEFAULT_BUDGET) -> ProofTree | None:
     term = searcher.enter(context, (), searcher.intern(sequent.goal)).get(())
     if term is None:
         return None
-    tree, _ = searcher.build(term, {})
+    tree = searcher.build(term, {})
     # Subproofs list their contexts in the search's canonical order; restore
     # the caller's written order at the root only.
     return ProofTree(tree.rule, sequent, tree.premises)
@@ -81,9 +82,6 @@ def prove(sequent: Sequent, budget: int = DEFAULT_BUDGET) -> ProofTree | None:
 # Connectives of interned formulas.
 _ATOM, _TENSOR, _WITH, _PLUS, _LOLLI = range(5)
 _KIND = {Tensor: _TENSOR, With: _WITH, Plus: _PLUS, Lolli: _LOLLI}
-# The operands (1 = left, 2 = right) that the first premise of a left rule
-# holds in place of its principal formula.
-_LEFT_PARTS = {"TensorL": (1, 2), "PlusL": (1,), "WithL1": (1,), "WithL2": (2,)}
 
 
 class _Searcher:
@@ -92,8 +90,9 @@ class _Searcher:
     Formulas are numbered as they are interned, equal formulas alike, so a
     multiset of formulas is a sorted tuple of ints and no memo key hashes a
     formula tree. A search result maps each possible leftover to a proof term
-    ``(rule, goal, principal, premises)``; ``build`` turns a term into a
-    ``ProofTree``.
+    ``(rule, goal, premises, input, leftover)``: the input is the multiset
+    the term's subgoal was handed, and the term consumes the input less the
+    leftover. ``build`` turns a term into a ``ProofTree``.
     """
 
     def __init__(self, budget: int):
@@ -132,6 +131,7 @@ class _Searcher:
     def enter(self, entering: tuple[int, ...], pool: tuple[int, ...], goal: int) -> dict:
         """Each leftover L such that pool - L, together with all of the
         entering formulas, proves the goal. TensorL and PlusL apply here."""
+        whole = tuple(sorted(pool + entering))
         for i, principal in enumerate(entering):
             kind, x, y = self.parts[principal]
             if kind != _TENSOR and kind != _PLUS:
@@ -139,12 +139,12 @@ class _Searcher:
             others = entering[:i] + entering[i + 1:]
             if kind == _TENSOR:
                 inner = self.enter(others + (x, y), pool, goal)
-                return {rest: ("TensorL", goal, principal, (p,)) for rest, p in inner.items()}
+                return {rest: ("TensorL", goal, (p,), whole, rest) for rest, p in inner.items()}
             left = self.enter(others + (x,), pool, goal)
             right = self.enter(others + (y,), pool, goal) if left else {}
-            return {rest: ("PlusL", goal, principal, (p, right[rest]))
+            return {rest: ("PlusL", goal, (p, right[rest]), whole, rest)
                     for rest, p in left.items() if rest in right}
-        found = self.solve(tuple(sorted(pool + entering)), goal)
+        found = self.solve(whole, goal)
         # A leftover that kept a copy of an entering formula did not use it up.
         bounds = [(f, pool.count(f)) for f in set(entering)]
         return {rest: p for rest, p in found.items()
@@ -154,27 +154,28 @@ class _Searcher:
         kind, a, b = self.parts[goal]
         if kind == _LOLLI:
             inner = self.enter((a,), pool, b)
-            return {rest: ("LolliR", goal, None, (p,)) for rest, p in inner.items()}
+            return {rest: ("LolliR", goal, (p,), pool, rest) for rest, p in inner.items()}
         if kind == _WITH:
             left = self.solve(pool, a)
             right = self.solve(pool, b) if left else {}
-            return {rest: ("WithR", goal, None, (p, right[rest]))
+            return {rest: ("WithR", goal, (p, right[rest]), pool, rest)
                     for rest, p in left.items() if rest in right}
 
         out: dict = {}
         if kind == _ATOM:
             if goal in pool:
-                out[_remove(pool, goal)] = ("Id", goal, None, ())
+                rest = _remove(pool, goal)
+                out[rest] = ("Id", goal, (), pool, rest)
         elif kind == _PLUS:
             for rule, operand in (("PlusR1", a), ("PlusR2", b)):
                 for rest, p in self.solve(pool, operand).items():
                     if rest not in out:
-                        out[rest] = (rule, goal, None, (p,))
+                        out[rest] = (rule, goal, (p,), pool, rest)
         else:
             for mid, pa in self.solve(pool, a).items():
                 for rest, pb in self.solve(mid, b).items():
                     if rest not in out:
-                        out[rest] = ("TensorR", goal, None, (pa, pb))
+                        out[rest] = ("TensorR", goal, (pa, pb), pool, rest)
 
         previous = None
         for principal in pool:
@@ -189,46 +190,26 @@ class _Searcher:
                 for rule, operand in (("WithL1", x), ("WithL2", y)):
                     for rest, p in self.enter((operand,), others, goal).items():
                         if rest not in out:
-                            out[rest] = (rule, goal, principal, (p,))
+                            out[rest] = (rule, goal, (p,), pool, rest)
             else:  # a lolli: the pool holds no tensor or plus
                 for mid, pa in self.solve(others, x).items():
                     for rest, pb in self.enter((y,), mid, goal).items():
                         if rest not in out:
-                            out[rest] = ("LolliL", goal, principal, (pa, pb))
+                            out[rest] = ("LolliL", goal, (pa, pb), pool, rest)
         return out
 
-    def build(self, term: tuple, built: dict) -> tuple[ProofTree, tuple[int, ...]]:
-        """The proof tree of a term, and its context: the multiset the term
-        consumed, rebuilt from the contexts of its premises."""
+    def build(self, term: tuple, built: dict) -> ProofTree:
+        """The proof tree of a term; each node's context is its input less
+        its leftover."""
         done = built.get(id(term))
-        if done is not None:
-            return done
-        rule, goal, principal, premises = term
-        subproofs = [self.build(p, built) for p in premises]
-        first = subproofs[0][1] if subproofs else ()
-        match rule:
-            case "Id":
-                context = (goal,)
-            case "TensorR":
-                context = tuple(sorted(first + subproofs[1][1]))
-            case "WithR" | "PlusR1" | "PlusR2":
-                context = first
-            case "LolliR":
-                context = _remove(first, self.parts[goal][1])
-            case "LolliL":
-                consequent = self.parts[principal][2]
-                context = tuple(sorted(first + _remove(subproofs[1][1], consequent)
-                                       + (principal,)))
-            case _:  # TensorL, PlusL, WithL1, WithL2
-                for side in _LEFT_PARTS[rule]:
-                    first = _remove(first, self.parts[principal][side])
-                context = tuple(sorted(first + (principal,)))
-        formulas = self.formulas
-        sequent = Sequent(tuple(formulas[i] for i in context), formulas[goal])
-        done = built[id(term)] = (
-            ProofTree(rule, sequent, tuple(tree for tree, _ in subproofs)),
-            context,
-        )
+        if done is None:
+            rule, goal, premises, pool, rest = term
+            for formula in rest:
+                pool = _remove(pool, formula)
+            formulas = self.formulas
+            sequent = Sequent(tuple(formulas[i] for i in pool), formulas[goal])
+            done = built[id(term)] = ProofTree(
+                rule, sequent, tuple(self.build(p, built) for p in premises))
         return done
 
 

@@ -313,6 +313,20 @@ class TestHostileInput:
         assert err.startswith("error: line 1: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("depth, expected", [
+        (17, (1, "false\n", "")),
+        (40, (3, "", "error: free-logic evaluation budget exhausted\n")),
+    ])
+    def test_nested_descriptions_answer_or_exit_3(self, capsys, tmp_path, depth, expected):
+        # 2^depth evaluations: depth 17 is within the 10^6 budget, depth 40
+        # would not finish without it
+        model = tmp_path / "model.txt"
+        model.write_text("domain: a b\npred p/1: b\n", encoding="utf-8")
+        text = "p(iota x. " * depth + "p(x)" + ")" * depth
+        started = time.perf_counter()
+        assert run(capsys, "eval", str(model), text) == expected
+        assert time.perf_counter() - started < 5.0
+
     def test_huge_bound_answers_in_stepwise_monitor(self, capsys, files):
         spec = Path(files["spec"])
         spec.write_text("[]<=1000000000 she/her\n", encoding="utf-8")

@@ -17,9 +17,11 @@ from pdlogic.freelogic import (
     parse_model,
 )
 from pdlogic.parsing import parse_free, parse_free_term
+from pdlogic.prover import ResourceLimit
 
 TWO_MEN = parse_model("domain: a b\npred man/1: a b\n")
 ONE_MAN = parse_model("domain: a b\npred man/1: b\n")
+ONLY_B_IS_P = parse_model("domain: a b\npred p/1: b\n")
 
 IOTA_MAN = parse_free_term("iota x. man(x)")
 EPS_CONTRADICTION = parse_free_term("eps x. (man(x) /\\ !man(x))")
@@ -74,6 +76,19 @@ class TestEvalFormula:
     def test_free_variable_rejected_by_check_sentence(self):
         with pytest.raises(UnboundVariableError):
             check_sentence(TWO_MEN, parse_free("man(x)"))
+
+    def test_nested_descriptions_past_the_budget_raise(self):
+        # p(iota x. p(iota x. ... p(x))) is evaluated 2^depth times over a
+        # two-element domain: depth 17 is about 5.2 * 10^5 evaluations, depth
+        # 18 passes the 10^6 budget, and depth 30 would take hours.
+        def nested(depth):
+            return parse_free("p(iota x. " * depth + "p(x)" + ")" * depth)
+
+        assert check_sentence(ONLY_B_IS_P, nested(17)) is False
+        with pytest.raises(ResourceLimit):
+            check_sentence(ONLY_B_IS_P, nested(30))
+        # the budget is per call: the next one starts afresh
+        assert check_sentence(ONLY_B_IS_P, nested(3)) is False
 
 
 def random_model(rng):

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +202,26 @@ class TestWideContexts:
         assert main(["prove", text, "--budget", "5"]) == 3
         assert "budget" in capsys.readouterr().err
         assert main(["prove", text]) == 0
+
+
+def test_proof_texts_are_pinned():
+    # The first 120 sequents of TestWideContexts's seed, then the derivable
+    # tensor permutations n = 2..8: each proof's text as `pdlogic prove`
+    # prints it, or `not derivable | <sequent>`. Recorded from the prover
+    # that rebuilt each node's context from its premises' contexts.
+    rng = random.Random(20261018)
+    sequents = [wide_sequent(rng) for _ in range(120)]
+    sequents += [tensor_family(n, True) for n in range(2, 9)]
+    chunks = []
+    for sequent in sequents:
+        proof = prove(sequent)
+        if proof is None:
+            chunks.append(f"not derivable | {sequent}\n")
+        else:
+            assert check_proof(proof).ok, str(sequent)
+            chunks.append(proof_to_text(proof))
+    golden = Path(__file__).with_name("prove_proofs.golden")
+    assert "".join(chunks) == golden.read_text(encoding="utf-8")
 
 
 class TestCheckProof:
