@@ -6,11 +6,16 @@ non-denoting), 2 = usage, input, parse or configuration error, 3 = resource
 limit. Each subcommand runs straight through and raises on failure; ``main``
 holds the one table from exception to exit status, and every failure it
 catches ends in a single ``error:`` line on stderr with nothing on stdout.
+
+``main`` may be called many times in one process. The argument parser is
+built on the first call and reused; each call parses its own argv into a new
+namespace, and the subcommands look up the modules they call at call time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import freelogic, linear, parsing, prover, temporal, textcheck
@@ -55,6 +60,8 @@ def _cmd_parse(args) -> int:
 
 def _cmd_prove(args) -> int:
     if args.check is not None:
+        if args.formula is not None or args.file is not None:
+            raise InputError("give a sequent to prove or a proof to --check, not both")
         result = prover.check_proof(prover.proof_from_text(read_utf8(args.check)))
         if result.ok:
             print("accepted")
@@ -160,8 +167,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser every main call shares, built on the first call.
+_shared_parser = functools.cache(_build_parser)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _shared_parser()
     args, extra = parser.parse_known_args(argv)
     # argparse will not match an optional positional that appears after a
     # flag (e.g. `eval model --term "iota x. man(x)"`); pick it up here.

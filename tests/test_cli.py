@@ -1,5 +1,10 @@
 """End-to-end CLI behaviour, including the exit-status contract."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -10,6 +15,7 @@ from pdlogic.cli import main
 from pdlogic.parsing import parse_temporal
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -86,6 +92,17 @@ class TestProve:
         code, out, _ = run(capsys, "prove", "--check", str(proof_file))
         assert code == 1
         assert out.startswith("rejected at ")
+
+    @pytest.mark.parametrize("given", ["inline", "file"])
+    def test_sequent_with_check_exits_2(self, capsys, tmp_path, given):
+        proof_file = tmp_path / "proof.txt"
+        proof_file.write_text("Id | a/b |- a/b\n", encoding="utf-8")
+        sequent_file = tmp_path / "sequent.txt"
+        sequent_file.write_text("c/d |- e/f", encoding="utf-8")
+        sequent = ["c/d |- e/f"] if given == "inline" else ["--file", str(sequent_file)]
+        code, out, err = run(capsys, "prove", *sequent, "--check", str(proof_file))
+        assert (code, out) == (2, "")
+        assert err == "error: give a sequent to prove or a proof to --check, not both\n"
 
 
 class TestMonitor:
@@ -428,3 +445,98 @@ class TestUsage:
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "prove", "--frobnicate")
         assert code == 2
+
+
+# Pairs of calls where the later call leaves out a flag the earlier one set.
+SHARED_PARSER_SEQUENCES = {
+    "monitor_mode": (["monitor", "{spec}", "{trace}", "--mode", "stepwise"],
+                     ["monitor", "{spec}", "{trace}"]),
+    "prove_budget": (["prove", "she/her |- she/her (+) they/them", "--budget", "1"],
+                     ["prove", "she/her |- she/her (+) they/them"]),
+    "eval_term": (["eval", "{model}", "--term", "iota x. man(x)"],
+                  ["eval", "{model}", "man(iota x. man(x))"]),
+    "check_machine": (["check", str(SAMPLES / "violated.spec"),
+                       str(SAMPLES / "violated_doc.txt"), "--machine"],
+                      ["check", str(SAMPLES / "violated.spec"),
+                       str(SAMPLES / "violated_doc.txt")]),
+    "prove_check": (["prove", "--check", "{proof}"], ["prove", "a/b |- a/b"]),
+}
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process; one call must not leak
+    into the next."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        paths = {name: tmp_path / f"{name}.txt" for name in ("spec", "trace", "model", "proof")}
+        paths["spec"].write_text("[] she/her\n", encoding="utf-8")
+        paths["trace"].write_text("she/her\nshe/her\nthey/them\n", encoding="utf-8")
+        paths["model"].write_text("domain: a b\npred man/1: b\n", encoding="utf-8")
+        paths["proof"].write_text("Id | a/b |- a/b\n", encoding="utf-8")
+        return {name: str(path) for name, path in paths.items()}
+
+    @staticmethod
+    def fresh(capsys, *argv):
+        """The call as the first one in the process, on a newly built parser."""
+        cli._shared_parser.cache_clear()
+        return run(capsys, *argv)
+
+    @pytest.mark.parametrize("name", sorted(SHARED_PARSER_SEQUENCES))
+    def test_later_call_does_not_inherit_an_earlier_flag(self, capsys, files, name):
+        calls = [[arg.format(**files) for arg in argv]
+                 for argv in SHARED_PARSER_SEQUENCES[name]]
+        expected = [self.fresh(capsys, *argv) for argv in calls]
+        assert expected[0] != expected[1]
+        self.fresh(capsys, "parse", "--kind", "linear", "a/b")
+        assert [run(capsys, *argv) for argv in calls] == expected
+
+    @pytest.mark.parametrize("command", [None, "parse", "prove", "monitor", "eval", "check"])
+    def test_help_text_matches_a_fresh_parser(self, capsys, command):
+        argv = ["--help"] if command is None else [command, "--help"]
+        code, out, err = expected = self.fresh(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: pdlogic {command or ''}".rstrip())
+        run(capsys, "prove", "a/b |- a/b")
+        assert run(capsys, *argv) == expected
+
+    def test_usage_error_matches_a_fresh_parser(self, capsys):
+        code, out, err = expected = self.fresh(capsys, "monitor")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: pdlogic monitor")
+        run(capsys, "monitor", "--help")
+        assert run(capsys, "monitor") == expected
+
+    def test_fifty_calls_build_one_parser_and_read_the_lexicon_once(self):
+        # A fresh interpreter, so that earlier tests cannot have built or
+        # loaded anything; the counters are installed before the import.
+        script = textwrap.dedent(f"""
+            import argparse, contextlib, importlib.resources, io, json
+            built, read = [], []
+
+            init, files = argparse.ArgumentParser.__init__, importlib.resources.files
+
+            def counting_init(parser, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                init(parser, *args, **kwargs)
+
+            argparse.ArgumentParser.__init__ = counting_init
+            importlib.resources.files = lambda package: read.append(package) or files(package)
+            from pdlogic import cli
+            counts = [(len(built), read.count("pdlogic"))]
+            for i in range(50):
+                argv = (["check", {str(SAMPLES / "vacuous.spec")!r},
+                         {str(SAMPLES / "vacuous_doc.txt")!r}, "--machine"]
+                        if i % 2 else ["parse", "--kind", "linear", "a/b"])
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0
+                counts.append((len(built), read.count("pdlogic")))
+            print(json.dumps(counts))
+        """)
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": SRC},
+                                timeout=60)
+        assert result.returncode == 0, result.stderr
+        counts = json.loads(result.stdout)
+        assert [parsers for parsers, _ in counts] == [0] + [6] * 50
+        assert [reads for _, reads in counts] == [0, 0] + [1] * 49

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -272,6 +273,37 @@ class TestLexicon:
         for key in ("she/her", "he/him", "they/them", "ze/zir", "hir/hir",
                     "hy/hym", "ze/zem", "it/it", "vae/vem"):
             assert atom(key) in lex.atoms()
+
+
+class TestDefaultLexicon:
+    PACKAGED = Path(textcheck.__file__).parent / "data" / "english_lexicon.txt"
+    SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+    def test_packaged_file_is_parsed_once(self, monkeypatch):
+        parsed = []
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse_lexicon(text)
+
+        monkeypatch.setattr(textcheck, "parse_lexicon", counting_parse)
+        textcheck._default_entries.cache_clear()
+        lexicons = [default_lexicon() for _ in range(5)]
+        assert parsed == [self.PACKAGED.read_text("utf-8")]
+        assert all(lex == parse_lexicon(parsed[0]) for lex in lexicons)
+
+    def test_mutating_one_lexicon_leaves_the_next_unchanged(self):
+        packaged = parse_lexicon(self.PACKAGED.read_text("utf-8"))
+        mutated = default_lexicon()
+        mutated.entries["she"] = frozenset({HE})
+        del mutated.entries["they"]
+        mutated.entries["xe"] = frozenset({atom("xe/xem")})
+        assert default_lexicon() == packaged
+        for name in ("eventually", "prompt_fix", "vacuous", "violated"):
+            text = (self.SAMPLES / f"{name}_doc.txt").read_text("utf-8")
+            spec = textcheck.load_referent_spec(self.SAMPLES / f"{name}.spec")
+            report = render_report_machine(check_document(text, spec), text)
+            assert report == (self.SAMPLES / f"{name}.golden").read_text("utf-8")
 
 
 class TestReferentSpec:
