@@ -120,6 +120,7 @@ def _cmd_check(args) -> int:
     return status
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdlogic",
@@ -167,12 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The parser every main call shares, built on the first call.
-_shared_parser = functools.cache(_build_parser)
-
-
 def main(argv=None) -> int:
-    parser = _shared_parser()
+    parser = _build_parser()
     args, extra = parser.parse_known_args(argv)
     # argparse will not match an optional positional that appears after a
     # flag (e.g. `eval model --term "iota x. man(x)"`); pick it up here.

@@ -10,7 +10,6 @@ misgendering. This limitation is surfaced in the report output.
 
 from __future__ import annotations
 
-import functools
 import re
 import sys
 from dataclasses import dataclass, field
@@ -99,21 +98,11 @@ def parse_lexicon(text: str) -> Lexicon:
     return Lexicon({k: frozenset(v) for k, v in entries.items()})
 
 
-@functools.cache
-def _default_entries() -> tuple[tuple[str, frozenset[PronounAtom]], ...]:
+def default_lexicon() -> Lexicon:
     text = (resources.files("pdlogic") / "data" / "english_lexicon.txt").read_text(
         "utf-8"
     )
-    return tuple(parse_lexicon(text).entries.items())
-
-
-def default_lexicon() -> Lexicon:
-    """The packaged English lexicon, ``data/english_lexicon.txt``.
-
-    The file is read and parsed once per process, on the first call. Every
-    call returns a new ``Lexicon`` with its own ``entries`` dict, so a caller
-    that changes one changes no other caller's."""
-    return Lexicon(dict(_default_entries()))
+    return parse_lexicon(text)
 
 
 @dataclass

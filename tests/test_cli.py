@@ -479,7 +479,7 @@ class TestSharedParser:
     @staticmethod
     def fresh(capsys, *argv):
         """The call as the first one in the process, on a newly built parser."""
-        cli._shared_parser.cache_clear()
+        cli._build_parser.cache_clear()
         return run(capsys, *argv)
 
     @pytest.mark.parametrize("name", sorted(SHARED_PARSER_SEQUENCES))
@@ -507,36 +507,33 @@ class TestSharedParser:
         run(capsys, "monitor", "--help")
         assert run(capsys, "monitor") == expected
 
-    def test_fifty_calls_build_one_parser_and_read_the_lexicon_once(self):
-        # A fresh interpreter, so that earlier tests cannot have built or
-        # loaded anything; the counters are installed before the import.
+    def test_fifty_calls_build_one_parser(self):
+        # A fresh interpreter, so that earlier tests cannot have built the
+        # parser; the counter is installed before the import.
         script = textwrap.dedent(f"""
-            import argparse, contextlib, importlib.resources, io, json
-            built, read = [], []
-
-            init, files = argparse.ArgumentParser.__init__, importlib.resources.files
+            import argparse, contextlib, io, json
+            built = []
+            init = argparse.ArgumentParser.__init__
 
             def counting_init(parser, *args, **kwargs):
                 built.append(kwargs.get("prog"))
                 init(parser, *args, **kwargs)
 
             argparse.ArgumentParser.__init__ = counting_init
-            importlib.resources.files = lambda package: read.append(package) or files(package)
             from pdlogic import cli
-            counts = [(len(built), read.count("pdlogic"))]
+            counts = [len(built)]
             for i in range(50):
                 argv = (["check", {str(SAMPLES / "vacuous.spec")!r},
                          {str(SAMPLES / "vacuous_doc.txt")!r}, "--machine"]
                         if i % 2 else ["parse", "--kind", "linear", "a/b"])
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert cli.main(argv) == 0
-                counts.append((len(built), read.count("pdlogic")))
+                counts.append(len(built))
             print(json.dumps(counts))
         """)
         result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                                 text=True, env={**os.environ, "PYTHONPATH": SRC},
                                 timeout=60)
         assert result.returncode == 0, result.stderr
-        counts = json.loads(result.stdout)
-        assert [parsers for parsers, _ in counts] == [0] + [6] * 50
-        assert [reads for _, reads in counts] == [0, 0] + [1] * 49
+        # The top parser and its five subparsers, built by the first call.
+        assert json.loads(result.stdout) == [0] + [6] * 50
