@@ -33,6 +33,17 @@ EXIT_RESOURCE = 3
 INPUT_ERRORS = (InputError, parsing.ParseError, ValueError, textcheck.ConfigError,
                 textcheck.LexiconError, freelogic.FreeLogicError)
 
+# What went too deep when a subcommand reaches Python's recursion limit. It is
+# the subcommand's work, not always a formula: a long sequent whose formulas
+# are all shallow still recurses once per step of its proof search.
+TOO_DEEP = {
+    "parse": "formula too deep to render",
+    "prove": "proof search too deep",
+    "monitor": "formula too deep to monitor",
+    "eval": "formula too deep to evaluate",
+    "check": "descriptor too deep to monitor",
+}
+
 
 def _fail(message: str, status: int) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -190,7 +201,9 @@ def main(argv=None) -> int:
     except prover.ResourceLimit as exc:
         return _fail(str(exc), EXIT_RESOURCE)
     except RecursionError:
-        return _fail("formula too deep to evaluate (recursion limit reached)", EXIT_RESOURCE)
+        if getattr(args, "check", None) is not None:
+            return _fail("proof too deep to check (recursion limit reached)", EXIT_RESOURCE)
+        return _fail(f"{TOO_DEEP[args.command]} (recursion limit reached)", EXIT_RESOURCE)
 
 
 if __name__ == "__main__":

@@ -315,7 +315,8 @@ def parse_model(text: str) -> Model:
     """Load a model from its line format.
 
     ``domain: a b c`` (exactly once, order significant) and
-    ``pred man/1: a b`` / ``pred loves/2: a,b b,a`` lines; ``#`` starts a comment.
+    ``pred man/1: a b`` / ``pred loves/2: a,b b,a`` lines, whose predicate
+    names are letters only; ``#`` starts a comment.
     """
     domain: tuple[str, ...] | None = None
     predicates: dict[tuple[str, int], set[tuple[str, ...]]] = {}
@@ -330,17 +331,23 @@ def parse_model(text: str) -> Model:
             if not names:
                 raise ModelFormatError(f"line {lineno}: empty domain")
             domain = tuple(names)
-        elif line.startswith("pred"):
+        elif line.split(maxsplit=1)[0] == "pred":
             head, colon, extension = line[len("pred"):].partition(":")
             if not colon:
                 raise ModelFormatError(f"line {lineno}: missing ':' in pred line")
             name, slash, arity_text = head.strip().partition("/")
-            arity_ok = slash and arity_text.isascii() and arity_text.isdigit()
-            if not arity_ok or int(arity_text) < 1:
+            digits = arity_text.isascii() and arity_text.isdigit()
+            try:
+                arity = int(arity_text) if digits else 0
+            except ValueError:  # Python converts at most 4300 digits
+                raise ModelFormatError(
+                    f"line {lineno}: arity of {len(arity_text)} digits is too long"
+                ) from None
+            # the name is an identifier of the formula syntax: letters only
+            if not (slash and name.isascii() and name.isalpha()) or arity < 1:
                 raise ModelFormatError(
                     f"line {lineno}: pred declaration must look like name/arity"
                 )
-            arity = int(arity_text)
             tuples = set()
             for chunk in extension.split():
                 tup = tuple(chunk.split(","))
@@ -349,7 +356,7 @@ def parse_model(text: str) -> Model:
                         f"line {lineno}: tuple {chunk!r} does not have arity {arity}"
                     )
                 tuples.add(tup)
-            key = (name.strip(), arity)
+            key = (name, arity)
             if key in predicates:
                 raise ModelFormatError(
                     f"line {lineno}: duplicate declaration of {key[0]}/{arity}"

@@ -19,6 +19,7 @@ a session memoizes those walks per (residual, utterance atom set).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -102,18 +103,18 @@ def evaluate(formula: TemporalFormula, trace: Trace, position: int) -> bool:
     that the subformula holds from suffix position i, and bit n stands for
     the empty suffix. Connectives are masks, Next is a shift, Box and Diamond
     read the highest zero or one of their operand, and a bounded modality is
-    a window AND or OR built from O(log k) doubling shifts. Each subformula
-    is labelled once per node identity, so the bodies ``expand_bounded``
-    shares cost one label each. A decided left operand of And, Or or Implies
-    skips the right one.
+    a window AND or OR built from O(log k) doubling shifts. A decided left
+    operand of And, Or or Implies skips the right one.
 
     A Next at ()-depth d (the number of Nexts above it) is read only at
     positions from d on. At d >= n - 1 it is false wherever it is read, so
-    it is labelled false without visiting its operand. That label is exact
-    only from d on, so its ancestors record the least ()-depth from which
-    theirs is exact, and a label is reused only at that depth or deeper.
-    That bound never exceeds the depth a label is computed at, so a node
-    whose operands are labelled is never pushed again and the loop ends.
+    it is labelled false without visiting its operand. That label, and so
+    every label above it, is right only from its ()-depth on, so labels are
+    kept per ()-depth: ``labels[d]`` maps a node's identity to its label at
+    ()-depth d, and only parents at depth d read it. A node object is thus
+    labelled once for each ()-depth it is reached at, which is more than one
+    only for a node shared under different numbers of Nexts, such as the
+    bodies that ``expand_bounded`` shares.
     """
     end = len(trace)
     if not 0 <= position <= end:
@@ -126,73 +127,23 @@ def evaluate(formula: TemporalFormula, trace: Trace, position: int) -> bool:
     top = full ^ below  # the empty suffix alone
     horizon = n - 1  # a Next this deep or deeper is false wherever it is read
     atom_labels: dict[PronounAtom, int] = {}
-    labels: dict[int, int] = {}  # id(node) -> label
-    exact_from: dict[int, int] = {}  # id(node) -> ()-depth, where not 0
-    nodes = [formula]
-    depths = [0]
-    while nodes:
-        node = nodes[-1]
-        depth = depths[-1]
+    labels: defaultdict[int, dict[int, int]] = defaultdict(dict)  # depth -> id -> label
+    stack = [(formula, 0)]  # (node, ()-depth)
+    while stack:
+        node, depth = stack[-1]
         cls = type(node)
-        exact = 0
-        if cls is Atom:
-            label = _atom_label(node.atom, utterances, atom_labels)
-        elif cls is TrueF:
-            label = full
-        elif cls is FalseF:
+        if cls is Next and depth >= horizon:
             label = 0
-        elif cls is Next and depth >= horizon:
-            label, exact = 0, max(horizon, 0)
-        elif cls is And or cls is Or or cls is Implies:
-            child = node.left
-            key = id(child)
-            left = labels.get(key)
-            if left is None or exact_from and exact_from.get(key, 0) > depth:
-                if type(child) is not Atom:
-                    nodes.append(child)
-                    depths.append(depth)
-                    continue
-                left = labels[key] = _atom_label(child.atom, utterances, atom_labels)
-            if exact_from:
-                exact = exact_from.get(key, 0)
-            if left == (full if cls is Or else 0):
-                label = 0 if cls is And else full
-            else:
-                child = node.right
-                key = id(child)
-                right = labels.get(key)
-                if right is None or exact_from and exact_from.get(key, 0) > depth:
-                    if type(child) is not Atom:
-                        nodes.append(child)
-                        depths.append(depth)
-                        continue
-                    right = labels[key] = _atom_label(child.atom, utterances, atom_labels)
-                if exact_from:
-                    exact = max(exact, exact_from.get(key, 0))
-                if cls is And:
-                    label = left & right
-                elif cls is Or:
-                    label = left | right
-                else:
-                    label = (full ^ left) | right
         elif cls in _UNARY:
-            child = node.operand
             child_depth = depth + 1 if cls is Next else depth
-            key = id(child)
-            operand = labels.get(key)
-            if operand is None or exact_from and exact_from.get(key, 0) > child_depth:
-                if type(child) is not Atom:
-                    nodes.append(child)
-                    depths.append(child_depth)
-                    continue
-                operand = labels[key] = _atom_label(child.atom, utterances, atom_labels)
-            if exact_from:
-                exact = exact_from.get(key, 0)
+            operand = labels[child_depth].get(id(node.operand))
+            if operand is None:
+                stack.append((node.operand, child_depth))
+                continue
             if cls is Not:
                 label = full ^ operand
             elif cls is Next:
                 label = (operand >> 1) & (below >> 1)
-                exact = max(exact - 1, 0)
             elif cls is Box:
                 label = full ^ ((1 << (below & ~operand).bit_length()) - 1)
             elif cls is Diamond:
@@ -206,16 +157,35 @@ def evaluate(formula: TemporalFormula, trace: Trace, position: int) -> bool:
                 else:
                     window = _window(operand & below, width, False)
                 label = (window & below) | (operand & top)
+        elif cls is And or cls is Or or cls is Implies:
+            known = labels[depth]
+            left = known.get(id(node.left))
+            if left is None:
+                stack.append((node.left, depth))
+                continue
+            if left == (full if cls is Or else 0):
+                label = 0 if cls is And else full
+            else:
+                right = known.get(id(node.right))
+                if right is None:
+                    stack.append((node.right, depth))
+                    continue
+                if cls is And:
+                    label = left & right
+                elif cls is Or:
+                    label = left | right
+                else:
+                    label = (full ^ left) | right
+        elif cls is Atom:
+            label = _atom_label(node.atom, utterances, atom_labels)
+        elif cls is TrueF:
+            label = full
+        elif cls is FalseF:
+            label = 0
         else:
             raise TypeError(f"not a temporal formula: {node!r}")
-        nodes.pop()
-        depths.pop()
-        key = id(node)
-        labels[key] = label
-        if exact:
-            exact_from[key] = exact
-        elif exact_from:
-            exact_from.pop(key, None)
+        stack.pop()
+        labels[depth][id(node)] = label
     return bool(label & 1)
 
 
@@ -391,6 +361,25 @@ def progress(
     raise TypeError(f"not a temporal formula: {formula!r}")
 
 
+def _equal(a: TemporalFormula, b: TemporalFormula) -> bool:
+    """``a == b``, walked on an explicit stack: the dataclass ``==`` recurses
+    once per level, so residuals deeper than the recursion limit, such as
+    long ``()`` chains or expansions, would raise RecursionError."""
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        for x, y in zip(a.__dict__.values(), b.__dict__.values()):
+            if isinstance(x, TemporalFormula):
+                pairs.append((x, y))
+            elif x != y:  # an Atom's atom, a bound's k
+                return False
+    return True
+
+
 class MonitorSession:
     """Online monitor over one utterance stream.
 
@@ -409,8 +398,9 @@ class MonitorSession:
     entry holds its key's residual, so that id is not reused while the entry
     lives. Residuals are not hashed by structure, because a dataclass hash
     recurses through the whole residual at every lookup. On a miss, a
-    residual that progression rebuilt equal to the one it came from, such as
-    that of ``[] <> f`` while ``f`` is absent, is replaced by the old object,
+    residual that progression rebuilt equal to the one it came from (by
+    ``_equal``, which does not recurse), such as that of ``[] <> f`` while
+    ``f`` is absent, is replaced by the old object,
     so that state hits from then on. The table is cleared when it reaches
     ``STEP_CAP`` entries, which bounds it for residuals that change at every
     step, such as the falling bound of ``<><=k f``.
@@ -436,7 +426,7 @@ class MonitorSession:
             if len(self._steps) >= self.STEP_CAP:
                 self._steps.clear()
             residual, holds = progress(self.residual, utterance)
-            if residual == self.residual:
+            if _equal(residual, self.residual):
                 residual = self.residual
             step = self._steps[key] = (self.residual, residual, holds)
         _, self.residual, self._holds_if_ended = step

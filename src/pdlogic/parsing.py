@@ -119,7 +119,11 @@ def _lex(text: str) -> list[_Token]:
             value = _ALIASES[value]
             kind = "kw" if value in _KEYWORDS else "sym"
         elif kind == "int":
-            value = int(value)
+            try:
+                value = int(value)
+            except ValueError:  # Python converts at most 4300 digits
+                message = f"number of {len(value)} digits is too long"
+                raise _error(text, m.start(), message) from None
         elif kind == "bad":
             raise _error(text, m.start(), f"unexpected character {value!r}")
         tokens.append(_Token(kind, value, m.start()))

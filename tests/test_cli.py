@@ -6,7 +6,9 @@ import subprocess
 import sys
 import textwrap
 import time
+from itertools import product
 from pathlib import Path
+from string import ascii_lowercase
 
 import pytest
 
@@ -42,6 +44,13 @@ class TestParse:
         assert err.startswith("error:")
         assert "column" in err
 
+    def test_bound_past_the_digit_limit_exits_2_at_its_position(self, capsys):
+        # Python converts at most 4300 digits to an int
+        code, out, err = run(capsys, "parse", "--kind", "temporal",
+                             "a/b /\\ []<=" + "1" * 5000 + " a/b")
+        assert (code, out) == (2, "")
+        assert err == "error: line 1, column 12: number of 5000 digits is too long\n"
+
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", __import__("io").StringIO("[] she/her"))
         code, out, _ = run(capsys, "parse", "--kind", "temporal")
@@ -60,6 +69,24 @@ class TestParse:
 
 class TestProve:
     SAFETY = "|- she/her -o (she/her (+) (she/her * they/them))"
+
+    def test_long_chain_exits_3_naming_the_proof_search(self, capsys):
+        # pa/q, pa/q -o pb/q, ... |- ...: 1000 links, no formula deeper than
+        # 2, so what reaches the recursion limit is the search.
+        names = ["p" + "".join(t) + "/q" for t in product(ascii_lowercase, repeat=3)]
+        chain = [f"{x} -o {y}" for x, y in zip(names[:1000], names[1:1001])]
+        sequent = ", ".join([names[0]] + chain) + " |- " + names[1000]
+        code, out, err = run(capsys, "prove", sequent)
+        assert (code, out) == (3, "")
+        assert err == "error: proof search too deep (recursion limit reached)\n"
+
+    def test_deep_proof_text_exits_3_naming_the_check(self, capsys, tmp_path):
+        proof_file = tmp_path / "proof.txt"
+        proof_file.write_text("".join("  " * i + "WithL1 | a/b & c/d |- a/b\n"
+                                      for i in range(2000)), encoding="utf-8")
+        code, out, err = run(capsys, "prove", "--check", str(proof_file))
+        assert (code, out) == (3, "")
+        assert err == "error: proof too deep to check (recursion limit reached)\n"
 
     def test_derivable_prints_proof(self, capsys):
         code, out, _ = run(capsys, "prove", self.SAFETY)
@@ -184,6 +211,17 @@ class TestEval:
         code, out, _ = run(capsys, "eval", model, "--term", "eps x. (man(x) /\\ !man(x))")
         assert code == 1
         assert out == "non-denoting\n"
+
+    @pytest.mark.parametrize("line", [
+        "predicate man/1: a", "predman/1: a", "pred man/" + "1" * 5000 + ": a",
+    ], ids=["predicate", "predman", "arity-5000-digits"])
+    def test_malformed_pred_line_exits_2(self, capsys, tmp_path, line):
+        path = tmp_path / "model.txt"
+        path.write_text(f"domain: a b\n{line}\n", encoding="utf-8")
+        code, out, err = run(capsys, "eval", str(path), "forall x. man(x)")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2: ")
+        assert err.count("\n") == 1
 
     def test_unknown_predicate_exits_2(self, capsys, model):
         code, _, err = run(capsys, "eval", model, "woman(iota x. man(x))")

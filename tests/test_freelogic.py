@@ -183,6 +183,21 @@ class TestModelFormat:
         model = parse_model("# m\n\ndomain: a b  # inline\npred man/1: a\n")
         assert model.domain == ("a", "b")
 
+    @pytest.mark.parametrize("line", [
+        "predicate man/1: a", "predman/1: a", "pred m4n/1: a", "pred /1: a", "pred: a",
+    ])
+    def test_pred_keyword_and_name_are_strict(self, line):
+        with pytest.raises(ModelFormatError, match="^line 2: "):
+            parse_model(f"domain: a\n{line}\n")
+
+    def test_pred_keyword_takes_any_whitespace(self):
+        model = parse_model("domain: a\npred\tman/1:a\n")
+        assert model.predicates == {("man", 1): frozenset({("a",)})}
+
+    def test_arity_past_the_digit_limit_names_its_line(self):
+        with pytest.raises(ModelFormatError, match="^line 2: arity of 5000 digits"):
+            parse_model("domain: a\npred p/" + "1" * 5000 + ": a\n")
+
     def test_non_ascii_digit_arity_rejected(self):
         with pytest.raises(ModelFormatError):
             parse_model("domain: a\npred man/\u00b2: a\n")

@@ -1,6 +1,7 @@
 """Finite-trace semantics, bounded-modality expansion, progression, and the
 online monitor."""
 
+import copy
 import random
 from itertools import product
 from pathlib import Path
@@ -149,6 +150,29 @@ class TestLabellingPass:
                 deep = tl.Next(deep)
             for t in traces:
                 self.assert_agrees(op(deep, shared), t, expand=False)
+
+    def test_one_node_at_every_depth_around_the_horizon(self):
+        # One node object under d Nexts for every d from 0 to n + 1, where n
+        # is the trace length, so that from each position it is reached at
+        # the ()-depths n - 2, n - 1 and n of the suffix read there. The
+        # copies share their Next chains too, sit under random connectives
+        # and come in a random order, so a label taken past the horizon is
+        # sometimes the first one taken.
+        rng = random.Random(36)
+        wrappers = (lambda g: g, tl.Not, tl.Box, tl.Diamond,
+                    lambda g: tl.BoxK(2, g), lambda g: tl.DiamondK(3, g))
+        for _ in range(600):
+            n = rng.randint(0, 8)
+            t = random_trace(rng, n)
+            chain = [random_temporal(rng, rng.randint(1, 4))]
+            while len(chain) < n + 2:
+                chain.append(tl.Next(chain[-1]))
+            copies = [rng.choice(wrappers)(g) for g in chain]
+            rng.shuffle(copies)
+            f = copies.pop()
+            while copies:
+                f = rng.choice((tl.And, tl.Or, tl.Implies))(copies.pop(), f)
+            self.assert_agrees(f, t, expand=False)
 
     def test_position_outside_the_trace_raises(self):
         t = trace({A}, {C})
@@ -401,6 +425,30 @@ class TestMonitor:
         statuses = [session.feed(Utterance(frozenset(s))).status
                     for s in ({SHE}, {SHE}, {SHE, THEY}, set())]
         assert statuses == [INCONCLUSIVE, INCONCLUSIVE, SATISFIED, SATISFIED]
+
+    def test_residuals_deeper_than_the_recursion_limit(self):
+        # A step compares the new residual with the old one; on these the
+        # dataclass == would recurse 3000 and 5000 levels deep.
+        utterances = [Utterance(frozenset({A}))] * 5
+        chain = tl.Atom(A)
+        for _ in range(3000):
+            chain = tl.Next(chain)
+        assert [v.status for v in monitor(chain, utterances)] == [INCONCLUSIVE] * 5 + [
+            VIOLATED]
+        bounded = parse_temporal("[]<=5000 a/b")
+        verdicts = monitor(expand_bounded(bounded), utterances)
+        assert verdicts == monitor(bounded, utterances)
+        assert verdicts[-1].status == SATISFIED
+
+    def test_residual_comparison_is_structural_equality(self):
+        forms = temporal_formulas(3)
+        rng = random.Random(46)
+        pairs = [(f, copy.deepcopy(f)) for f in forms]
+        pairs += [(rng.choice(forms), copy.deepcopy(rng.choice(forms)))
+                  for _ in range(20_000)]
+        pairs += [(tl.BoxK(2, f), tl.BoxK(3, f)) for f in forms[:50]]
+        for f, g in pairs:
+            assert monitoring._equal(f, g) == (f == g), (tl.render(f), tl.render(g))
 
     def test_final_verdict_matches_semantics_small(self):
         for f in temporal_formulas(2):

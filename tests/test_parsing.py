@@ -82,6 +82,13 @@ class TestParseTemporal:
             with pytest.raises(ParseError):
                 parse_temporal(text)
 
+    def test_bound_past_the_digit_limit_is_a_positioned_error(self):
+        # Python converts at most 4300 digits to an int
+        with pytest.raises(ParseError) as err:
+            parse_temporal("she/her /\\\n  <><=" + "9" * 5000 + " she/her")
+        assert (err.value.line, err.value.column) == (2, 7)
+        assert err.value.message == "number of 5000 digits is too long"
+
     def test_zero_bound_rejected(self):
         with pytest.raises(ParseError):
             parse_temporal("[]<=0 she/her")
