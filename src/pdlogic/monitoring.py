@@ -13,14 +13,17 @@ Monitors for Safety Properties", TACAS 2002): linear in the trace length, with
 O(log k) shifts per bounded modality. The direct recursive semantics it is
 checked against lives in the tests, as ``oracles.direct_evaluate``. The online
 monitor decides each utterance from one ``progress`` walk, which yields both
-the residual obligation and whether the formula holds if the stream ends there;
-a session memoizes those walks per (residual, utterance atom set).
+the residual obligation and whether the formula holds if the stream ends there.
+Residuals are interned by structure, and the walks are memoized per (residual,
+utterance atom set) in one transition table per process, which every
+``MonitorSession`` shares.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import is_not
 from typing import Iterable
 
 from .atoms import PronounAtom, atom
@@ -280,17 +283,17 @@ def simplify(formula: TemporalFormula) -> TemporalFormula:
             return FALSE
         case And(TrueF(), f) | And(f, TrueF()):
             return f
-        case And(l, r) if l == r:
+        case And(l, r) if _equal(l, r):
             return l
-        case And(l, And(m, _)) if l == m:
+        case And(l, And(m, _)) if _equal(l, m):
             return formula.right
         case Or(TrueF(), _) | Or(_, TrueF()):
             return TRUE
         case Or(FalseF(), f) | Or(f, FalseF()):
             return f
-        case Or(l, r) if l == r:
+        case Or(l, r) if _equal(l, r):
             return l
-        case Or(l, Or(m, _)) if l == m:
+        case Or(l, Or(m, _)) if _equal(l, m):
             return formula.right
         case Implies(FalseF(), _) | Implies(_, TrueF()):
             return TRUE
@@ -363,7 +366,7 @@ def progress(
 
 def _equal(a: TemporalFormula, b: TemporalFormula) -> bool:
     """``a == b``, walked on an explicit stack: the dataclass ``==`` recurses
-    once per level, so residuals deeper than the recursion limit, such as
+    once per level, so operands deeper than the recursion limit, such as
     long ``()`` chains or expansions, would raise RecursionError."""
     pairs = [(a, b)]
     while pairs:
@@ -380,55 +383,154 @@ def _equal(a: TemporalFormula, b: TemporalFormula) -> bool:
     return True
 
 
+# The transition table, one per process and shared by every session; the
+# MonitorSession docstring describes it and the invariant that keeps its id
+# keys safe.
+_states: dict[object, TemporalFormula] = {}  # _key(node) -> canonical state
+# (id(state), atom set) -> (state, next state, holds_if_ended)
+_steps: dict[tuple[int, frozenset[PronounAtom]], tuple] = {}
+# id(formula) -> (formula, its state, whether it holds on the empty trace)
+_starts: dict[int, tuple[TemporalFormula, TemporalFormula, bool]] = {}
+
+
+def _key(node: TemporalFormula) -> object:
+    """``node``'s key in ``_states``: its class, its bound and the ids of its
+    children; an atom's key is its atom, and a constant's its class. It is
+    the key of ``node``'s state only when ``node``'s children are canonical."""
+    cls = type(node)
+    if cls is And or cls is Or or cls is Implies:
+        return cls, id(node.left), id(node.right)
+    if cls is BoxK or cls is DiamondK:
+        return cls, node.k, id(node.operand)
+    if cls in _UNARY:
+        return cls, id(node.operand)
+    if cls is Atom:
+        return node.atom
+    if cls is TrueF or cls is FalseF:
+        return cls
+    raise TypeError(f"not a temporal formula: {node!r}")
+
+
+def _intern(formula: TemporalFormula) -> TemporalFormula:
+    """The one object in ``_states`` structurally equal to ``formula``, added
+    with its parts if there is none.
+
+    A walk on an explicit stack, so chains deeper than the recursion limit
+    need no recursion. A node whose ``_key`` hits has the children of the
+    state it hits, so it is equal to that state; the walk descends only
+    below nodes whose key misses. Re-interning a canonical state is thus one
+    lookup, and a progress result costs only its newly built part. A node
+    whose children are canonical becomes canonical itself; any other is
+    rebuilt on its children's canonical objects.
+    """
+    found = _states.get(_key(formula))
+    if found is not None:
+        return found
+    done: dict[int, TemporalFormula] = {}  # id(node) -> its canonical node
+    stack = [formula]  # nodes whose key missed
+    while stack:
+        node = stack[-1]
+        if id(node) in done:  # a shared node, pushed twice
+            stack.pop()
+            continue
+        cls = type(node)
+        if cls is And or cls is Or or cls is Implies:
+            kids = (node.left, node.right)
+        else:  # as children() would, at half the cost; _key checked the type
+            kids = (node.operand,) if cls in _UNARY else ()
+        missed = []
+        for kid in kids:
+            if id(kid) not in done:
+                found = _states.get(_key(kid))
+                if found is None:
+                    missed.append(kid)
+                else:
+                    done[id(kid)] = found
+        if missed:
+            stack.extend(missed)
+            continue
+        stack.pop()
+        canonical = [done[id(kid)] for kid in kids]
+        built = node
+        if any(map(is_not, canonical, kids)):
+            built = cls(node.k, *canonical) if cls in (BoxK, DiamondK) else cls(*canonical)
+        key = _key(built)
+        found = _states.get(key)
+        if found is None:
+            found = _states[key] = built
+        done[id(node)] = found
+    return done[id(formula)]
+
+
 class MonitorSession:
     """Online monitor over one utterance stream.
 
     Progression-based: it may stay Inconclusive in states a semantically
     omniscient monitor would already decide, but it never flips a conclusive
-    verdict. Each ``feed`` is one ``progress`` walk of the residual, which
-    yields the next residual and whether the formula holds if the stream ends
-    here; a conclusive verdict is emitted only when the residual is a constant
-    and that ends-now answer agrees with it.
+    verdict. Each step takes one ``progress`` walk of the residual, or its
+    memoized result, which yields the next residual and whether the formula
+    holds if the stream ends here; a conclusive verdict is emitted only when
+    the residual is a constant and that ends-now answer agrees with it.
 
-    The walks are memoized in ``_steps``, a transition table keyed on the
-    residual's identity and the utterance's atom set, so the session is a
-    finite-trace automaton built on demand (De Giacomo & Vardi, IJCAI 2013):
-    a residual that progression returns unchanged, such as that of
-    ``[] (she/her \\/ they/them)``, costs one dict lookup per utterance. Each
-    entry holds its key's residual, so that id is not reused while the entry
-    lives. Residuals are not hashed by structure, because a dataclass hash
-    recurses through the whole residual at every lookup. On a miss, a
-    residual that progression rebuilt equal to the one it came from (by
-    ``_equal``, which does not recurse), such as that of ``[] <> f`` while
-    ``f`` is absent, is replaced by the old object,
-    so that state hits from then on. The table is cleared when it reaches
-    ``STEP_CAP`` entries, which bounds it for residuals that change at every
-    step, such as the falling bound of ``<><=k f``.
+    The walks are memoized in one transition table per process, which every
+    session shares, so the monitor is the finite-trace automaton of De
+    Giacomo & Vardi (IJCAI 2013), built on demand by progression (Bacchus &
+    Kabanza, AIJ 2000). The table has three parts:
+
+    - ``_states``, the canonical states. Residuals are interned by
+      structure (``_intern``), so a residual that progression rebuilds
+      equal, such as that of ``[] <> f`` while ``f`` is absent, is the same
+      state again.
+    - ``_steps``, ``(id(state), atom set) -> (state, next state,
+      holds_if_ended)``. A state already left once with that atom set costs
+      one dict lookup: stepwise ``[] (a/b -> <><=5 c/d)`` walks each of its
+      few states once per atom set, and a later session of that formula
+      walks nothing.
+    - ``_starts``, ``id(formula) -> (formula, its state, whether it holds on
+      the empty trace)`` for each formula object a session started from, so
+      that starting again from the same object is one lookup.
+
+    A session keeps only its residual, its position, its verdict and the
+    ends-now answer. On a miss it interns its residual again before the
+    walk, because the table may have been cleared since it took that state;
+    that is one lookup when the residual is still canonical. States are
+    keyed on identity and not hashed by structure, because a dataclass hash
+    recurses through the whole residual at every lookup.
+
+    Invariant: every id in a key names an object that the same entry holds
+    (a state holds its children, a step its state, a start its formula), so
+    no id is reused while its entry lives. This holds when threads share the
+    table too, since no entry relies on another: a race between a clear and
+    a store at worst costs a walk again, never a wrong step.
+
+    When the three parts together reach ``STEP_CAP`` entries, all are
+    cleared, before the intern or walk that would add to them. That bounds
+    the table for residuals that change at every step, such as the falling
+    bound of ``<><=k f``, and for a stream of new formulas.
     """
 
     STEP_CAP = 4096
 
     def __init__(self, formula: TemporalFormula):
-        self.residual = formula
+        entry = _starts.get(id(formula))
+        if entry is None:
+            _make_room(self.STEP_CAP)
+            state = _intern(formula)
+            entry = _starts[id(formula)] = (formula, state, evaluate(state, EMPTY_TRACE, 0))
+        _, self.residual, self._holds_if_ended = entry
         self.position = 0
         self.verdict = Verdict(INCONCLUSIVE)
-        self._holds_if_ended = evaluate(formula, EMPTY_TRACE, 0)
-        # (id(residual), atoms) -> (residual, next residual, holds_if_ended)
-        self._steps: dict[tuple[int, frozenset[PronounAtom]], tuple] = {}
 
     def feed(self, utterance: Utterance) -> Verdict:
         if self.verdict.conclusive:
             self.position += 1
             return self.verdict
-        key = (id(self.residual), utterance.atoms)
-        step = self._steps.get(key)
+        step = _steps.get((id(self.residual), utterance.atoms))
         if step is None:
-            if len(self._steps) >= self.STEP_CAP:
-                self._steps.clear()
-            residual, holds = progress(self.residual, utterance)
-            if _equal(residual, self.residual):
-                residual = self.residual
-            step = self._steps[key] = (self.residual, residual, holds)
+            _make_room(self.STEP_CAP)
+            state = _intern(self.residual)
+            residual, holds = progress(state, utterance)
+            step = _steps[id(state), utterance.atoms] = (state, _intern(residual), holds)
         _, self.residual, self._holds_if_ended = step
         if isinstance(self.residual, TrueF) and self._holds_if_ended:
             self.verdict = Verdict(SATISFIED, self.position)
@@ -444,6 +546,14 @@ class MonitorSession:
         status = SATISFIED if self._holds_if_ended else VIOLATED
         self.verdict = Verdict(status)
         return self.verdict
+
+
+def _make_room(cap: int) -> None:
+    """Clear the whole transition table once it has ``cap`` entries."""
+    if len(_states) + len(_steps) + len(_starts) >= cap:
+        _states.clear()
+        _steps.clear()
+        _starts.clear()
 
 
 def monitor(formula: TemporalFormula, utterances: Iterable[Utterance]) -> list[Verdict]:

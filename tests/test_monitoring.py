@@ -3,6 +3,8 @@ online monitor."""
 
 import copy
 import random
+import sys
+import threading
 from itertools import product
 from pathlib import Path
 
@@ -37,6 +39,9 @@ from oracles import (
     temporal_formulas,
 )
 from test_acceptance import budget
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 SHE = atom("she/her")
 THEY = atom("they/them")
@@ -427,8 +432,9 @@ class TestMonitor:
         assert statuses == [INCONCLUSIVE, INCONCLUSIVE, SATISFIED, SATISFIED]
 
     def test_residuals_deeper_than_the_recursion_limit(self):
-        # A step compares the new residual with the old one; on these the
-        # dataclass == would recurse 3000 and 5000 levels deep.
+        # A session interns each residual it takes over; on these a
+        # recursive walk, like the dataclass ==, would go 3000 and 5000
+        # levels deep.
         utterances = [Utterance(frozenset({A}))] * 5
         chain = tl.Atom(A)
         for _ in range(3000):
@@ -441,14 +447,40 @@ class TestMonitor:
         assert verdicts[-1].status == SATISFIED
 
     def test_residual_comparison_is_structural_equality(self):
+        # Both _equal and interning: two formulas intern to one object
+        # exactly when they are equal.
         forms = temporal_formulas(3)
         rng = random.Random(46)
         pairs = [(f, copy.deepcopy(f)) for f in forms]
         pairs += [(rng.choice(forms), copy.deepcopy(rng.choice(forms)))
                   for _ in range(20_000)]
         pairs += [(tl.BoxK(2, f), tl.BoxK(3, f)) for f in forms[:50]]
+        pairs += [(tl.DiamondK(2, f), tl.DiamondK(3, f)) for f in forms[:50]]
         for f, g in pairs:
             assert monitoring._equal(f, g) == (f == g), (tl.render(f), tl.render(g))
+            same = monitoring._intern(f) is monitoring._intern(g)
+            assert same == (f == g), (tl.render(f), tl.render(g))
+        c1, c2 = next_chain(3000, A), next_chain(3000, A)
+        assert monitoring._intern(c1) is monitoring._intern(c2)
+        assert monitoring._intern(tl.BoxK(2, c1)) is not monitoring._intern(tl.BoxK(3, c2))
+        for other in (next_chain(3000, C), next_chain(2999, A), next_chain(3001, A)):
+            assert not monitoring._equal(c1, other)
+            assert monitoring._intern(c1) is not monitoring._intern(other)
+
+    def test_equal_deep_operands_built_apart(self):
+        # simplify compares an And's or Or's operands, and the left one with
+        # the head of a right-nested chain; on two 3000-deep () chains built
+        # apart, dataclass == would recurse 3000 levels deep.
+        c1, c2 = next_chain(3000, A), next_chain(3000, A)
+        assert monitoring.simplify(tl.And(c1, c2)) is c1
+        assert monitoring.simplify(tl.Or(c1, c2)) is c1
+        rest = tl.And(c2, tl.Atom(C))
+        assert monitoring.simplify(tl.And(c1, rest)) is rest
+        rest = tl.Or(c2, tl.Atom(C))
+        assert monitoring.simplify(tl.Or(c1, rest)) is rest
+        utterances = [Utterance(frozenset({A}))] * 5
+        verdicts = monitor(tl.And(tl.Next(c1), tl.Next(c2)), utterances)
+        assert [v.status for v in verdicts] == [INCONCLUSIVE] * 5 + [VIOLATED]
 
     def test_final_verdict_matches_semantics_small(self):
         for f in temporal_formulas(2):
@@ -468,6 +500,14 @@ class TestMonitor:
             t = random_trace(rng, rng.randint(0, 30))
             assert monitor(f, t.utterances) == monitor(expand_bounded(f), t.utterances), (
                 tl.render(f), t)
+
+
+def next_chain(depth, a):
+    """``a`` under ``depth`` Nexts, built afresh."""
+    chain = tl.Atom(a)
+    for _ in range(depth):
+        chain = tl.Next(chain)
+    return chain
 
 
 def rebound(rng, f):
@@ -524,24 +564,52 @@ class TestResidualGrowth:
         assert session.finish().status == SATISFIED
 
 
+def clear_table():
+    """Empty the process's transition table."""
+    for table in (monitoring._states, monitoring._steps, monitoring._starts):
+        table.clear()
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Empties the transition table, then records every progress walk made
+    from there on: one entry per whole walk, not per recursive call."""
+    clear_table()
+    made = []
+    depth = [0]
+    original = monitoring.progress
+
+    def counting(formula, utterance):
+        if not depth[0]:
+            made.append(formula)
+        depth[0] += 1
+        try:
+            return original(formula, utterance)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(monitoring, "progress", counting)
+    return made
+
+
+def assert_table_consistent():
+    """Every id in a key of the transition table names an object that the
+    entry holds, and every state an entry reaches is a canonical one."""
+    states = {id(state) for state in monitoring._states.values()}
+    for key, state in monitoring._states.items():
+        assert monitoring._key(state) == key
+        assert all(id(kid) in states for kid in tl.children(state))
+    for (key, _), (state, target, _) in monitoring._steps.items():
+        assert key == id(state) and key in states and id(target) in states
+    for key, (formula, state, _) in monitoring._starts.items():
+        assert key == id(formula) and id(state) in states
+
+
 class TestTransitionTable:
-    """A session memoizes its progress walks per (residual, atom set)."""
+    """One transition table per process: residuals interned by structure and
+    progress walks memoized per (state, atom set), for every session."""
 
-    def test_one_walk_per_state_and_atom_set(self, monkeypatch):
-        walks = []
-        depth = [0]
-        original = monitoring.progress
-
-        def counting(formula, utterance):
-            if not depth[0]:  # count whole walks, not their recursive calls
-                walks.append(formula)
-            depth[0] += 1
-            try:
-                return original(formula, utterance)
-            finally:
-                depth[0] -= 1
-
-        monkeypatch.setattr(monitoring, "progress", counting)
+    def test_one_walk_per_state_and_atom_set(self, walks):
         session = MonitorSession(parse_temporal("[] (she/her \\/ they/them)"))
         for i in range(10_000):
             verdict = session.feed(Utterance(frozenset({SHE} if i % 2 else {THEY})))
@@ -549,28 +617,51 @@ class TestTransitionTable:
         assert session.finish().status == SATISFIED
         assert len(walks) <= 4
 
-    def test_table_stays_under_its_cap(self):
+    def test_response_pattern_walks_each_state_once(self, walks):
+        # The benchmark's stepwise [] (a/b -> <><=5 c/d) over 4000 utterances
+        # has 5 states; without interning it took over 800 walks.
+        utterances = workloads.to_trace(
+            workloads.response_trace(random.Random(12), 4000)).utterances
+        verdicts = monitor(parse_temporal(workloads.RESPONSE), utterances)
+        assert verdicts[-1].status == SATISFIED
+        assert len(walks) <= 100
+        walks.clear()
+        assert monitor(parse_temporal(workloads.RESPONSE), utterances) == verdicts
+        assert walks == []
+
+    def test_table_stays_under_its_cap(self, walks):
         # <><=k a/b lowers its bound at every step without a/b, so every
-        # step is a new entry and the table fills and is cleared.
+        # step adds a state and a transition, and the table fills and is
+        # cleared. A clear comes before the miss that would pass the cap,
+        # and that miss adds one state and one transition.
+        cap = MonitorSession.STEP_CAP
         session = MonitorSession(parse_temporal("<><=10000 a/b"))
-        sizes = set()
+        states, steps, totals = [], [], []
         for _ in range(10_000):
             session.feed(Utterance(frozenset({C})))
-            sizes.add(len(session._steps))
-        assert max(sizes) == MonitorSession.STEP_CAP
+            states.append(len(monitoring._states))
+            steps.append(len(monitoring._steps))
+            totals.append(states[-1] + steps[-1] + len(monitoring._starts))
         assert session.finish().status == VIOLATED
-        # [] <> a/b rebuilds an equal residual at every such step; the
-        # session keeps the old object, so the state is one entry.
+        assert len(walks) == 10_000
+        assert max(states) <= cap // 2 + 2 and max(steps) <= cap // 2 + 1
+        assert cap <= max(totals) <= cap + 1
+        # cleared: the next step holds its state, that state's atom, the
+        # next state and the transition between them
+        assert totals[totals.index(max(totals)) + 1] == 4
+        # [] <> a/b rebuilds an equal residual at every such step, which
+        # interns to the same state: two walks in all.
+        walks.clear()
         session = MonitorSession(parse_temporal("[] <> a/b"))
         for _ in range(10_000):
             session.feed(Utterance(frozenset({C})))
-        assert len(session._steps) <= 2
         assert session.finish().status == VIOLATED
+        assert len(walks) <= 2
 
     def test_memoized_verdicts_match_unmemoized(self, monkeypatch):
-        # Long random traces revisit states; a one-entry table keeps only the
-        # last walk. Both must give the same verdicts, and the final one must
-        # agree with the direct semantics.
+        # Long random traces revisit states; with a cap of one, every miss
+        # clears the table. Both must give the same verdicts, and the final
+        # one must agree with the direct semantics.
         rng = random.Random(9)
         cases = [(random_temporal(rng, rng.randint(1, 5)), random_trace(rng, 30))
                  for _ in range(300)]
@@ -580,6 +671,62 @@ class TestTransitionTable:
             assert monitor(f, t.utterances) == verdicts, tl.render(f)
             expected = SATISFIED if direct_evaluate(f, t, 0) else VIOLATED
             assert verdicts[-1].status == expected, tl.render(f)
+
+    def test_interleaved_sessions_through_clears(self, monkeypatch):
+        # Three sessions fed in turn share the table while a small cap
+        # clears it under them; each gives its solo verdicts, and the table
+        # stays consistent after every step.
+        rng = random.Random(10)
+        clears = 0
+        for _ in range(200):
+            cases = [(random_temporal(rng, rng.randint(2, 5)), random_trace(rng, 30))
+                     for _ in range(3)]
+            solo = [monitor(f, t.utterances) for f, t in cases]
+            clear_table()
+            monkeypatch.setattr(MonitorSession, "STEP_CAP", 8)
+            sessions = [MonitorSession(f) for f, _ in cases]
+            verdicts = [[] for _ in cases]
+            for i in range(30):
+                for session, (_, t), got in zip(sessions, cases, verdicts):
+                    held = len(monitoring._steps)
+                    got.append(session.feed(t.utterances[i]))
+                    clears += len(monitoring._steps) < held
+                    assert_table_consistent()
+            monkeypatch.undo()
+            for session, got in zip(sessions, verdicts):
+                if not got[-1].conclusive:
+                    got.append(session.finish())
+            for (f, t), alone, got in zip(cases, solo, verdicts):
+                assert got == alone, tl.render(f)
+                expected = SATISFIED if direct_evaluate(f, t, 0) else VIOLATED
+                assert got[-1].status == expected, tl.render(f)
+        assert clears >= 400, clears
+
+    def test_threads_share_the_table(self, monkeypatch):
+        # More threads than cores, switching often, with a cap small enough
+        # that clears race the lookups and stores of other threads.
+        rng = random.Random(11)
+        cases = [(random_temporal(rng, rng.randint(1, 5)), random_trace(rng, 30))
+                 for _ in range(300)]
+        expected = [monitor(f, t.utterances) for f, t in cases]
+        monkeypatch.setattr(MonitorSession, "STEP_CAP", 32)
+        results = {}
+
+        def run(worker):
+            results[worker] = [monitor(f, t.utterances) for f, t in cases]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [results.get(i) for i in range(4)] == [expected] * 4
 
 
 class TestTraceFormat:
