@@ -34,9 +34,30 @@ class PronounAtom:
         return self.key
 
 
+# Distinct key spellings that ``atom`` keeps. The table is cleared when it
+# is full, so a process that reads ever new atoms holds at most this many.
+# Nothing relies on two atoms of one spelling being one object, only on their
+# equality, so threads may share the table without a lock.
+ATOM_CAP = 1024
+
+_atoms: dict[str, PronounAtom] = {}
+
+
 def atom(key: str) -> PronounAtom:
-    """Build an atom from its "subject/object" key."""
-    subject, slash, obj = key.partition("/")
-    if not slash:
-        raise ValueError(f"atom key must look like subject/object, got {key!r}")
-    return PronounAtom(subject, obj)
+    """The atom of a "subject/object" key.
+
+    Each spelling gets one shared object, so text that repeats a few atoms
+    builds each of them once: "she/her" always gives the same object, and
+    "She/Her" an equal one. A key that fails validation raises ValueError
+    and is not stored.
+    """
+    found = _atoms.get(key)
+    if found is None:
+        subject, slash, obj = key.partition("/")
+        if not slash:
+            raise ValueError(f"atom key must look like subject/object, got {key!r}")
+        found = PronounAtom(subject, obj)
+        if len(_atoms) >= ATOM_CAP:
+            _atoms.clear()
+        _atoms[key] = found
+    return found

@@ -8,6 +8,7 @@ published descriptor can carry meaning of its own.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import notation
@@ -65,8 +66,7 @@ class Sequent:
     goal: LinearFormula
 
     def __str__(self) -> str:
-        ctx = ", ".join(render(f) for f in self.context)
-        return f"{ctx} |- {render(self.goal)}" if ctx else f"|- {render(self.goal)}"
+        return render_sequent(self)
 
 
 def children(formula: LinearFormula) -> tuple[LinearFormula, ...]:
@@ -89,9 +89,31 @@ def _prec(formula: LinearFormula) -> int:
     return INFIX[type(formula)][1] if type(formula) in INFIX else _ATOM_PREC
 
 
-def render(formula: LinearFormula) -> str:
-    """Canonical ASCII syntax with minimal parentheses; round-trips through parse_linear."""
+def render(formula: LinearFormula, memo: dict | None = None) -> str:
+    """Canonical ASCII syntax with minimal parentheses; round-trips through parse_linear.
+
+    With ``memo``, each formula object is rendered once: its text is stored
+    under ``id(formula)`` and read back when the object comes again, as a
+    shared part or in another formula. The caller keeps every formula it
+    renders alive for as long as it keeps the memo, so no id is reused.
+    """
+    if memo is not None:
+        text = memo.get(id(formula))
+        if text is not None:
+            return text
     if isinstance(formula, Atom):
-        return formula.atom.key
-    left, right = children(formula)
-    return notation.infix(INFIX[type(formula)], left, right, render, _prec)
+        text = formula.atom.key
+    else:
+        left, right = children(formula)
+        operand = render if memo is None else functools.partial(render, memo=memo)
+        text = notation.infix(INFIX[type(formula)], left, right, operand, _prec)
+    if memo is not None:
+        memo[id(formula)] = text
+    return text
+
+
+def render_sequent(sequent: Sequent, memo: dict | None = None) -> str:
+    """``Γ |- A`` with each formula as ``render(formula, memo)`` gives it."""
+    ctx = ", ".join([render(f, memo) for f in sequent.context])
+    goal = render(sequent.goal, memo)
+    return f"{ctx} |- {goal}" if ctx else f"|- {goal}"

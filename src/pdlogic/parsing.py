@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 
 from . import freelogic, linear, temporal
-from .atoms import PronounAtom
+from .atoms import atom
 
 
 class ParseError(Exception):
@@ -48,7 +48,7 @@ class _TooDeep(ParseError):
 MAX_DEPTH = 100
 
 
-@dataclass
+@dataclass(slots=True)
 class _Token:
     kind: str  # atom | ident | int | sym | kw | eof
     value: object
@@ -79,17 +79,18 @@ _SYMBOLS = [
     "&", "*", "(", ")", "!", "=", ",", ".",
 ]
 
-# One alternative per token kind, tried in order; "bad" catches any other
-# character. Letters and digits are ASCII only.
-_TOKEN = re.compile("|".join([
-    r"(?P<skip>\s+|#[^\n]*)",
-    r"(?P<atom>(?P<subject>[A-Za-z]+)/(?P<object>[A-Za-z]+))",
+# One alternative per token kind, tried in order after any whitespace; "bad"
+# catches any other character, and "skip" a comment or whitespace at the end.
+# Letters and digits are ASCII only.
+_TOKEN = re.compile(r"\s*(?:" + "|".join([
+    r"(?P<atom>[A-Za-z]+/[A-Za-z]+)",
     r"(?P<word>[A-Za-z]+)",
     r"(?P<int>[0-9]+)",
     "(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
     "(?P<alias>[" + "".join(_ALIASES) + "])",
+    r"(?P<skip>\s+|#[^\n]*)",
     r"(?P<bad>(?s:.))",
-]))
+]) + ")")
 
 
 def _position(text: str, offset: int) -> tuple[int, int, int]:
@@ -108,11 +109,14 @@ def _error(text: str, offset: int, message: str, expected=()) -> ParseError:
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     for m in _TOKEN.finditer(text):
-        kind, value = m.lastgroup, m.group()
-        if kind == "skip":
+        kind = m.lastgroup
+        value, start = m[kind], m.start(kind)
+        if kind == "atom":  # the commonest kinds first
+            value = atom(value)
+        elif kind == "sym":
+            pass
+        elif kind == "skip":
             continue
-        if kind == "atom":
-            value = PronounAtom(m["subject"], m["object"])
         elif kind == "word":
             kind = "kw" if value in _KEYWORDS else "ident"
         elif kind == "alias":
@@ -123,10 +127,10 @@ def _lex(text: str) -> list[_Token]:
                 value = int(value)
             except ValueError:  # Python converts at most 4300 digits
                 message = f"number of {len(value)} digits is too long"
-                raise _error(text, m.start(), message) from None
-        elif kind == "bad":
-            raise _error(text, m.start(), f"unexpected character {value!r}")
-        tokens.append(_Token(kind, value, m.start()))
+                raise _error(text, start, message) from None
+        else:
+            raise _error(text, start, f"unexpected character {value!r}")
+        tokens.append(_Token(kind, value, start))
     tokens.append(_Token("eof", None, len(text)))
     return tokens
 

@@ -32,7 +32,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .linear import Atom, Lolli, LinearFormula, Plus, Sequent, Tensor, With, children
+from .linear import (
+    Atom, Lolli, LinearFormula, Plus, Sequent, Tensor, With, children, render_sequent,
+)
 
 DEFAULT_BUDGET = 10**6
 
@@ -381,11 +383,15 @@ def _matches_left(ctx: Counter, goal, premise: ProofTree, node_type, parts) -> b
 
 
 def proof_to_text(proof: ProofTree) -> str:
-    """Indented text format: ``rule | sequent``, children indented two spaces."""
+    """Indented text format: ``rule | sequent``, children indented two spaces.
+
+    Each formula object of the proof is rendered once; the proof keeps every
+    one of them alive while the memo of their texts is in use."""
     lines: list[str] = []
+    memo: dict[int, str] = {}
 
     def emit(node: ProofTree, depth: int):
-        lines.append(f"{'  ' * depth}{node.rule} | {node.conclusion}")
+        lines.append(f"{'  ' * depth}{node.rule} | {render_sequent(node.conclusion, memo)}")
         for premise in node.premises:
             emit(premise, depth + 1)
 
@@ -394,23 +400,36 @@ def proof_to_text(proof: ProofTree) -> str:
 
 
 def proof_from_text(text: str) -> ProofTree:
-    """Inverse of proof_to_text; raises ValueError on malformed trees."""
-    from .parsing import parse_sequent
+    """Inverse of proof_to_text; raises ValueError on malformed trees, and a
+    ParseError at its line and column in ``text`` on a malformed sequent."""
+    from .parsing import ParseError, parse_sequent
 
     entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
+    end = 0
+    for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
+        start, end = end, end + len(line)
+        body = line.strip()
+        if not body:
             continue
-        indent = len(raw) - len(raw.lstrip(" "))
+        indent = len(line) - len(line.lstrip(" "))
         if indent % 2:
             raise ValueError(f"line {lineno}: odd indentation")
-        rule, sep, sequent_text = raw.strip().partition(" | ")
+        rule, sep, sequent_text = body.partition(" | ")
         if not sep:
             raise ValueError(f"line {lineno}: expected 'rule | sequent'")
         rule = rule.strip()
         if rule not in RULES:
             raise ValueError(f"line {lineno}: unknown rule {rule!r}")
-        entries.append((indent // 2, rule, parse_sequent(sequent_text.strip())))
+        try:
+            sequent = parse_sequent(sequent_text.strip())
+        except ParseError as exc:
+            # Report the position in ``text``: the sequent starts ``shift``
+            # characters into its line.
+            shift = len(line) - len(line.lstrip()) + len(body) - len(sequent_text.lstrip())
+            byte_offset = len(text[:start + shift].encode("utf-8")) + exc.byte_offset
+            raise type(exc)(byte_offset, lineno, shift + exc.column, exc.message,
+                            exc.expected) from None
+        entries.append((indent // 2, rule, sequent))
 
     if not entries:
         raise ValueError("empty proof text")

@@ -120,6 +120,18 @@ class TestProve:
         assert code == 1
         assert out.startswith("rejected at ")
 
+    @pytest.mark.parametrize("bar, column", [(" | ", 20), (" |    ", 23)])
+    def test_bad_sequent_in_proof_exits_2_at_its_line_and_column(
+            self, capsys, tmp_path, bar, column):
+        proof_file = tmp_path / "proof.txt"
+        proof_file.write_text("TensorR | a/b, c/d |- a/b * c/d\n"
+                              "  Id | a/b |- a/b\n"
+                              f"  Id{bar}c/d |- c/d &\n", encoding="utf-8")
+        code, out, err = run(capsys, "prove", "--check", str(proof_file))
+        assert (code, out) == (2, "")
+        assert err == (f"error: line 3, column {column}: "
+                       "expected formula (expected atom, '(')\n")
+
     @pytest.mark.parametrize("given", ["inline", "file"])
     def test_sequent_with_check_exits_2(self, capsys, tmp_path, given):
         proof_file = tmp_path / "proof.txt"

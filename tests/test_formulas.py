@@ -2,10 +2,14 @@
 
 import pytest
 
+from pdlogic import atoms
 from pdlogic import freelogic as fl
 from pdlogic import linear as ll
 from pdlogic import temporal as tl
 from pdlogic.atoms import PronounAtom, atom
+from pdlogic.monitoring import parse_trace
+from pdlogic.parsing import parse_linear
+from pdlogic.textcheck import LexiconError, parse_lexicon
 
 SHE = atom("she/her")
 THEY = atom("they/them")
@@ -29,6 +33,58 @@ class TestPronounAtom:
     def test_atom_key_requires_slash(self):
         with pytest.raises(ValueError):
             atom("she")
+
+
+class TestAtomTable:
+    """``atom`` keeps one object per key spelling, in a table bounded by
+    ``ATOM_CAP``."""
+
+    def test_same_spelling_same_object(self):
+        assert atom("she/her") is atom("she/her")
+
+    def test_spellings_differing_in_case_give_equal_atoms(self):
+        assert atom("She/Her") == atom("she/her")
+        assert atom("She/Her").key == "she/her"
+
+    def test_lexer_builds_atoms_through_the_table(self):
+        f = parse_linear("qa/qb * (QA/QB & qa/qb)")
+        assert f.left.atom is f.right.right.atom is atom("qa/qb")
+        assert f.right.left.atom == atom("qa/qb")
+
+    def test_stays_within_its_cap(self):
+        largest = 0
+        for i in range(atoms.ATOM_CAP + 100):
+            spelling = "".join(chr(ord("a") + int(d)) for d in str(i))
+            atom(f"{spelling}/capx")
+            largest = max(largest, len(atoms._atoms))
+        assert largest == atoms.ATOM_CAP
+        assert len(atoms._atoms) <= atoms.ATOM_CAP
+        assert atom("she/her") is atom("she/her")
+
+    @pytest.mark.parametrize("key, message", [
+        ("she", "atom key must look like subject/object, got 'she'"),
+        ("she/h3r", "pronoun token must be one or more ASCII letters, got 'h3r'"),
+        ("she/her/x", "pronoun token must be one or more ASCII letters, got 'her/x'"),
+        ("/her", "pronoun token must be one or more ASCII letters, got ''"),
+    ])
+    def test_invalid_key_raises_and_is_not_stored(self, key, message):
+        before = dict(atoms._atoms)
+        for _ in range(2):
+            with pytest.raises(ValueError) as raised:
+                atom(key)
+            assert str(raised.value) == message
+        assert key not in atoms._atoms
+        assert atoms._atoms == before
+
+    def test_trace_and_lexicon_messages_are_unchanged(self):
+        with pytest.raises(ValueError) as raised:
+            parse_trace("she/her\nthey/them she\n")
+        assert str(raised.value) == (
+            "trace line 2: atom key must look like subject/object, got 'she'")
+        with pytest.raises(LexiconError) as raised:
+            parse_lexicon("she -> she/her\n# comment\nher -> she/h3r\n")
+        assert str(raised.value) == (
+            "line 3: pronoun token must be one or more ASCII letters, got 'h3r'")
 
 
 class TestSize:

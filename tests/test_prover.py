@@ -9,7 +9,7 @@ import pytest
 from pdlogic import linear as ll
 from pdlogic.atoms import atom
 from pdlogic.cli import main
-from pdlogic.parsing import parse_sequent
+from pdlogic.parsing import ParseError, parse_sequent
 from pdlogic.prover import (
     ProofTree,
     ResourceLimit,
@@ -31,6 +31,18 @@ SAFETY = "|- she/her -o (she/her (+) (she/her * they/them))"
 
 def prove_text(text, **kw):
     return prove(parse_sequent(text), **kw)
+
+
+def plain_proof_text(proof):
+    """``proof_to_text`` without its memo: each line as ``f"{rule} |
+    {sequent}"`` prints it, indented two spaces a level."""
+    lines = []
+    stack = [(proof, 0)]
+    while stack:
+        node, depth = stack.pop()
+        lines.append(f"{'  ' * depth}{node.rule} | {node.conclusion}\n")
+        stack.extend((p, depth + 1) for p in reversed(node.premises))
+    return "".join(lines)
 
 
 class TestProve:
@@ -111,6 +123,7 @@ class TestProperties:
             if proof is not None:
                 result = check_proof(proof)
                 assert result.ok, result.reason
+                assert proof_to_text(proof) == plain_proof_text(proof)
 
 
 
@@ -185,7 +198,9 @@ class TestWideContexts:
                 result = check_proof(proof)
                 assert result.ok, f"{sequent}: {result.reason}"
                 assert proof.conclusion == sequent
-                assert proof_from_text(proof_to_text(proof)) == proof
+                text = proof_to_text(proof)
+                assert text == plain_proof_text(proof)
+                assert proof_from_text(text) == proof
             verdicts[expected] += 1
         assert verdicts[True] >= 50 and verdicts[False] >= 50
 
@@ -265,6 +280,48 @@ class TestSerialization:
         proof = prove_text(SAFETY)
         text = proof_to_text(proof)
         assert proof_from_text(text) == proof
+
+    def test_text_of_a_parsed_proof_is_the_text_it_came_from(self):
+        # The prover's proof shares formula objects between its lines; the
+        # parsed one builds every line's formulas anew. The memo, keyed on
+        # object identity, must give both the same text.
+        proof = prove(tensor_family(6, True))
+        text = proof_to_text(proof)
+        back = proof_from_text(text)
+        assert back == proof
+        assert back.conclusion.goal is not proof.conclusion.goal
+        assert back.premises[1].conclusion.goal is not proof.premises[1].conclusion.goal
+        assert proof_to_text(back) == text
+
+    BAD_THIRD_LINE = ("TensorR | a/b, c/d |- a/b * c/d\n"
+                      "  Id | a/b |- a/b\n"
+                      "  Id | c/d |- c/d &\n")
+
+    @pytest.mark.parametrize("text, line, column", [
+        (BAD_THIRD_LINE, 3, 20),
+        # extra spaces after the bar
+        (BAD_THIRD_LINE.replace("Id | c/d", "Id |   c/d"), 3, 22),
+        # a deeper, indented line after a non-ASCII operator
+        ("TensorR | a/b, c/d, e/f |- a/b ⊗ c/d * e/f\n"
+         "  Id | a/b |- a/b\n"
+         "  TensorR | c/d, e/f |- c/d * e/f\n"
+         "    Id | c/d |- c/d\n"
+         "    Id | e/f |-  e/f (+)\n", 5, 25),
+        ("TensorR | a/b, c/d, e/f |- a/b * c/d * e/f\n"
+         "  Id | a/b |- a/b\n"
+         "\n"
+         "  TensorR | c/d, e/f |- c/d * e/f\n"
+         "    Id | c/d |- c/d\n"
+         "    Id |  \tc/d , |- c/d\n", 6, 18),
+    ])
+    def test_bad_sequent_names_its_place_in_the_proof(self, text, line, column):
+        with pytest.raises(ParseError) as raised:
+            proof_from_text(text)
+        err = raised.value
+        assert (err.line, err.column) == (line, column)
+        start = sum(len(t) + 1 for t in text.split("\n")[:line - 1]) + column - 1
+        assert err.byte_offset == len(text[:start].encode("utf-8"))
+        assert str(err).startswith(f"line {line}, column {column}: expected formula")
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
