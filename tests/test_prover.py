@@ -11,6 +11,7 @@ from pdlogic.atoms import atom
 from pdlogic.cli import main
 from pdlogic.parsing import ParseError, parse_sequent
 from pdlogic.prover import (
+    RULES,
     ProofTree,
     ResourceLimit,
     check_proof,
@@ -273,6 +274,112 @@ class TestCheckProof:
     def test_unknown_rule(self):
         s = parse_sequent("she/her |- she/her")
         assert not check_proof(ProofTree("Cut", s)).ok
+
+
+# --- the checker on corrupted proofs -------------------------------------------
+
+# Every way check_proof rejects a node, but the two TestCheckProof covers
+# ("Id requires an atomic goal", "unknown rule ..."). Each rule's premise
+# count check ("<rule> needs <n> premise(s), has <m>") is counted apart.
+REJECTIONS = (
+    "Id takes no premises",
+    "Id requires context equal to the goal atom",
+    "TensorR requires a tensor goal",
+    "first premise goal must be the left operand",
+    "second premise goal must be the right operand",
+    "premise contexts do not partition the conclusion context",
+    "no tensor in the context decomposes to the premise",
+    "WithR requires a with goal",
+    "first premise goal must be the first operand",
+    "second premise goal must be the second operand",
+    "first premise must keep the conclusion context",
+    "second premise must keep the conclusion context",
+    "no with in the context decomposes to the premise (left)",
+    "no with in the context decomposes to the premise (right)",
+    "PlusR1 requires a plus goal",
+    "PlusR2 requires a plus goal",
+    "premise goal must be the chosen operand",
+    "premise must keep the conclusion context",
+    "no plus in the context decomposes to both premises",
+    "LolliR requires a lolli goal",
+    "premise goal must be the consequent",
+    "premise context must add the antecedent",
+    "second premise must keep the conclusion goal",
+    "no lolli in the context matches the premises",
+)
+
+EDITS = ("rename", "reverse", "add-context", "drop-context", "goal",
+         "drop-premise", "add-premise")
+
+
+def proof_nodes(proof, path=()):
+    yield path, proof
+    for i, premise in enumerate(proof.premises):
+        yield from proof_nodes(premise, path + (i,))
+
+
+def replaced(proof, path, node):
+    """``proof`` with its subproof at ``path`` replaced by ``node``."""
+    if not path:
+        return node
+    premises = list(proof.premises)
+    premises[path[0]] = replaced(premises[path[0]], path[1:], node)
+    return ProofTree(proof.rule, proof.conclusion, tuple(premises))
+
+
+def corrupted(rng, proof, edit):
+    """``proof`` with one edit at one random node."""
+    path, node = rng.choice(list(proof_nodes(proof)))
+    rule, premises = node.rule, node.premises
+    context, goal = list(node.conclusion.context), node.conclusion.goal
+    if edit == "rename":
+        rule = rng.choice([r for r in RULES if r != rule])
+    elif edit == "reverse":
+        premises = premises[::-1]
+    elif edit == "add-context":
+        context.insert(rng.randint(0, len(context)), random_linear(rng, 2))
+    elif edit == "drop-context" and context:
+        del context[rng.randrange(len(context))]
+    elif edit == "goal":
+        goal = random_linear(rng, 3)
+    elif edit == "drop-premise" and premises:
+        i = rng.randrange(len(premises))
+        premises = premises[:i] + premises[i + 1:]
+    elif edit == "add-premise":
+        _, extra = rng.choice(list(proof_nodes(proof)))
+        i = rng.randint(0, len(premises))
+        premises = premises[:i] + (extra,) + premises[i:]
+    node = ProofTree(rule, ll.Sequent(tuple(context), goal), premises)
+    return replaced(proof, path, node)
+
+
+def test_checker_verdicts_on_corrupted_proofs_are_pinned():
+    # 3500 corrupted proofs, 500 per edit, of 400 proofs of random
+    # derivable sequents: each verdict as `pdlogic prove --check` prints it.
+    # Recorded from the checker that wrote out each rule's case by hand.
+    rng = random.Random(14)
+    proofs = []
+    while len(proofs) < 400:
+        context = tuple(random_linear(rng, 3) for _ in range(rng.randint(1, 3)))
+        proof = prove(ll.Sequent(context, random_linear(rng, 3)))
+        if proof is not None:
+            proofs.append(proof)
+    lines, reasons = [], Counter()
+    for k in range(3500):
+        edit = EDITS[k % len(EDITS)]
+        result = check_proof(corrupted(rng, proofs[k % len(proofs)], edit))
+        if result.ok:
+            verdict = "accepted"
+        else:
+            path = ".".join(map(str, result.path)) or "root"
+            verdict = f"rejected at {path}: {result.reason}"
+            reasons[result.reason] += 1
+        lines.append(f"{edit}\t{verdict}\n")
+    golden = Path(__file__).with_name("check_proof_results.golden")
+    assert "".join(lines) == golden.read_text(encoding="utf-8")
+    assert all(reasons[reason] for reason in REJECTIONS)
+    for rule in RULES[1:]:
+        assert any(reason.startswith(f"{rule} needs ") for reason in reasons), rule
 
 
 class TestSerialization:
