@@ -73,7 +73,8 @@ def _cmd_prove(args) -> int:
     if args.check is not None:
         if args.formula is not None or args.file is not None:
             raise InputError("give a sequent to prove or a proof to --check, not both")
-        result = prover.check_proof(prover.proof_from_text(read_utf8(args.check)))
+        text = read_utf8(None if args.check == "-" else args.check)
+        result = prover.check_proof(prover.proof_from_text(text))
         if result.ok:
             print("accepted")
             return EXIT_POSITIVE
@@ -150,7 +151,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula", nargs="?", default=None, metavar="sequent")
     p.add_argument("--file", default=None, help="read the sequent from a file")
     p.add_argument("--check", default=None, metavar="PROOF",
-                   help="validate a saved proof tree instead of searching")
+                   help="validate a saved proof tree instead of searching "
+                   "('-' reads it from standard input)")
     p.add_argument("--budget", type=int, default=prover.DEFAULT_BUDGET,
                    help="search node budget")
     p.set_defaults(func=_cmd_prove)

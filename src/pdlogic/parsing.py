@@ -37,10 +37,6 @@ class ParseError(Exception):
         super().__init__(f"line {line}, column {column}: {message}{detail}")
 
 
-class _TooDeep(ParseError):
-    """Nesting past MAX_DEPTH. Free-logic backtracking must not retry it."""
-
-
 # Deepest nesting of parentheses, unary operators, binders and right operands
 # that the parser accepts. The recursive-descent parser and the recursive
 # functions over formulas take a few stack frames per level, so this stays
@@ -142,6 +138,7 @@ class _Cursor:
     pos: int = 0
     pred_arities: dict[str, int] = field(default_factory=dict)
     depth: int = 0
+    closers: dict[int, int] | None = None  # index of each '(' -> its ')'
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -165,13 +162,24 @@ class _Cursor:
         """``parse(self, *args)`` one nesting level deeper, or a positioned
         ParseError past MAX_DEPTH instead of a RecursionError."""
         if self.depth >= MAX_DEPTH:
-            byte_offset, line, column = _position(self.text, self.peek().start)
-            raise _TooDeep(byte_offset, line, column,
-                           f"formula nested deeper than {MAX_DEPTH} levels")
+            raise self.error(f"formula nested deeper than {MAX_DEPTH} levels")
         self.depth += 1
         result = parse(self, *args)
         self.depth -= 1
         return result
+
+    def after_closer(self) -> _Token:
+        """The token after the ')' that matches the '(' at the cursor, or the
+        end of input if it has none. All parentheses are paired in one pass."""
+        if self.closers is None:
+            self.closers, opened = {}, []
+            for i, tok in enumerate(self.tokens):
+                if tok.kind == "sym" and tok.value == "(":
+                    opened.append(i)
+                elif tok.kind == "sym" and tok.value == ")" and opened:
+                    self.closers[opened.pop()] = i
+        closer = self.closers.get(self.pos)
+        return self.tokens[-1 if closer is None else closer + 1]
 
     def expect_eof(self) -> None:
         tok = self.peek()
@@ -192,6 +200,20 @@ def _whole(text: str, parse, *args):
     result = parse(cur, *args)
     cur.expect_eof()
     return result
+
+
+def _parse_span(parse, text: str, start: int, end: int):
+    """``parse(text[start:end])``, a formula or sequent within one line of a
+    file. A ParseError names its place in ``text``: the line, numbered as
+    ``str.splitlines`` numbers them, the column within it and the byte offset."""
+    span = text[start:end]
+    try:
+        return parse(span)
+    except ParseError as exc:
+        prefix = text[:start] + span.encode("utf-8")[:exc.byte_offset].decode("utf-8")
+        lines = (prefix + "|").splitlines()  # the error starts the last line
+        raise ParseError(len(prefix.encode("utf-8")), len(lines), len(lines[-1]),
+                         exc.message, exc.expected) from None
 
 
 def _operators(infix: dict) -> dict[str, tuple[type, int]]:
@@ -325,20 +347,11 @@ def _free_unary(cur: _Cursor) -> freelogic.FreeFormula:
     if tok.kind == "kw" and tok.value in _QUANTIFIERS:
         return _binder(cur, _QUANTIFIERS)
     if cur.at_sym("("):
-        # Could open a parenthesized formula or a parenthesized term on the
-        # left of '='; try the formula reading first and backtrack.
-        saved = cur.pos
-        saved_arities = dict(cur.pred_arities)
-        saved_depth = cur.depth
-        try:
-            return _parenthesized(cur, _expr, _FREE)
-        except _TooDeep:
-            raise
-        except ParseError:
-            cur.pos = saved
-            cur.pred_arities = saved_arities
-            cur.depth = saved_depth
+        # A parenthesized term is followed by '=', a parenthesized formula never.
+        after = cur.after_closer()
+        if after.kind == "sym" and after.value == "=":
             return _free_equation(cur)
+        return _parenthesized(cur, _expr, _FREE)
     if tok.kind == "ident":
         after = cur.tokens[cur.pos + 1]
         if after.kind == "sym" and after.value == "(":

@@ -240,29 +240,61 @@ def _check(node: ProofTree, path: tuple[int, ...]) -> CheckResult:
     return ACCEPT
 
 
+# Each rule's shape: its premise count, then for a right rule its goal's node
+# type and name, and for a left rule whose principal's parts take its place in
+# every premise, the principal's type, the parts each premise's context gets
+# and the message when no formula in the context fits.
+_SHAPES = {
+    "Id": (0, Atom, "an atomic", None),
+    "TensorR": (2, Tensor, "a tensor", None),
+    "TensorL": (1, None, "", (Tensor, (("left", "right"),),
+                              "no tensor in the context decomposes to the premise")),
+    "WithR": (2, With, "a with", None),
+    "WithL1": (1, None, "", (With, (("left",),),
+                             "no with in the context decomposes to the premise (left)")),
+    "WithL2": (1, None, "", (With, (("right",),),
+                             "no with in the context decomposes to the premise (right)")),
+    "PlusR1": (1, Plus, "a plus", None),
+    "PlusR2": (1, Plus, "a plus", None),
+    "PlusL": (2, None, "", (Plus, (("left",), ("right",)),
+                            "no plus in the context decomposes to both premises")),
+    "LolliR": (1, Lolli, "a lolli", None),
+    "LolliL": (2, None, "", None),
+}
+
+
 def _check_node(node: ProofTree) -> str | None:
+    shape = _SHAPES.get(node.rule)
+    if shape is None:
+        return f"unknown rule {node.rule!r}"
+    count, goal_type, goal_name, left = shape
     ctx = Counter(node.conclusion.context)
     goal = node.conclusion.goal
     premises = node.premises
-
-    def arity(n: int) -> str | None:
-        if len(premises) != n:
-            return f"{node.rule} needs {n} premise(s), has {len(premises)}"
-        return None
+    if len(premises) != count:
+        if not count:  # Id, the one rule without premises
+            return "Id takes no premises"
+        return f"{node.rule} needs {count} premise(s), has {len(premises)}"
+    if goal_type is not None and not isinstance(goal, goal_type):
+        return f"{node.rule} requires {goal_name} goal"
+    if left is not None:
+        principal_type, parts, message = left
+        for principal in set(ctx):
+            if not isinstance(principal, principal_type):
+                continue
+            rest = ctx - Counter((principal,))
+            if all(premise.conclusion.goal == goal
+                   and Counter(premise.conclusion.context)
+                   == rest + Counter(getattr(principal, name) for name in names)
+                   for premise, names in zip(premises, parts)):
+                return None
+        return message
 
     match node.rule:
         case "Id":
-            if premises:
-                return "Id takes no premises"
-            if not isinstance(goal, Atom):
-                return "Id requires an atomic goal"
             if ctx != Counter((goal,)):
                 return "Id requires context equal to the goal atom"
         case "TensorR":
-            if (err := arity(2)):
-                return err
-            if not isinstance(goal, Tensor):
-                return "TensorR requires a tensor goal"
             if premises[0].conclusion.goal != goal.left:
                 return "first premise goal must be the left operand"
             if premises[1].conclusion.goal != goal.right:
@@ -271,89 +303,32 @@ def _check_node(node: ProofTree) -> str | None:
             merged.update(premises[1].conclusion.context)
             if merged != ctx:
                 return "premise contexts do not partition the conclusion context"
-        case "TensorL":
-            if (err := arity(1)):
-                return err
-            if not _matches_left(ctx, goal, premises[0], Tensor,
-                                 lambda f: (f.left, f.right)):
-                return "no tensor in the context decomposes to the premise"
         case "WithR":
-            if (err := arity(2)):
-                return err
-            if not isinstance(goal, With):
-                return "WithR requires a with goal"
-            for premise, operand, side in (
-                (premises[0], goal.left, "first"),
-                (premises[1], goal.right, "second"),
-            ):
+            for premise, operand, side in zip(premises, (goal.left, goal.right),
+                                              ("first", "second")):
                 if premise.conclusion.goal != operand:
                     return f"{side} premise goal must be the {side} operand"
                 if Counter(premise.conclusion.context) != ctx:
                     return f"{side} premise must keep the conclusion context"
-        case "WithL1":
-            if (err := arity(1)):
-                return err
-            if not _matches_left(ctx, goal, premises[0], With, lambda f: (f.left,)):
-                return "no with in the context decomposes to the premise (left)"
-        case "WithL2":
-            if (err := arity(1)):
-                return err
-            if not _matches_left(ctx, goal, premises[0], With, lambda f: (f.right,)):
-                return "no with in the context decomposes to the premise (right)"
         case "PlusR1" | "PlusR2":
-            if (err := arity(1)):
-                return err
-            if not isinstance(goal, Plus):
-                return f"{node.rule} requires a plus goal"
             operand = goal.left if node.rule == "PlusR1" else goal.right
             if premises[0].conclusion.goal != operand:
                 return "premise goal must be the chosen operand"
             if Counter(premises[0].conclusion.context) != ctx:
                 return "premise must keep the conclusion context"
-        case "PlusL":
-            if (err := arity(2)):
-                return err
-            for plus in set(ctx):
-                if not isinstance(plus, Plus):
-                    continue
-                rest = ctx - Counter((plus,))
-                left_ok = (
-                    premises[0].conclusion.goal == goal
-                    and Counter(premises[0].conclusion.context)
-                    == rest + Counter((plus.left,))
-                )
-                right_ok = (
-                    premises[1].conclusion.goal == goal
-                    and Counter(premises[1].conclusion.context)
-                    == rest + Counter((plus.right,))
-                )
-                if left_ok and right_ok:
-                    return None
-            return "no plus in the context decomposes to both premises"
         case "LolliR":
-            if (err := arity(1)):
-                return err
-            if not isinstance(goal, Lolli):
-                return "LolliR requires a lolli goal"
             if premises[0].conclusion.goal != goal.consequent:
                 return "premise goal must be the consequent"
-            if Counter(premises[0].conclusion.context) != ctx + Counter(
-                (goal.antecedent,)
-            ):
+            if Counter(premises[0].conclusion.context) != ctx + Counter((goal.antecedent,)):
                 return "premise context must add the antecedent"
         case "LolliL":
-            if (err := arity(2)):
-                return err
             first, second = premises
             second_ctx = Counter(second.conclusion.context)
             if second.conclusion.goal != goal:
                 return "second premise must keep the conclusion goal"
             for lolli in set(ctx):
-                if not isinstance(lolli, Lolli):
-                    continue
-                if first.conclusion.goal != lolli.antecedent:
-                    continue
-                if second_ctx[lolli.consequent] < 1:
+                if (not isinstance(lolli, Lolli) or first.conclusion.goal != lolli.antecedent
+                        or second_ctx[lolli.consequent] < 1):
                     continue
                 merged = Counter(first.conclusion.context) + second_ctx
                 merged.subtract((lolli.consequent,))
@@ -361,22 +336,7 @@ def _check_node(node: ProofTree) -> str | None:
                 if merged + Counter((lolli,)) == ctx:
                     return None
             return "no lolli in the context matches the premises"
-        case _:
-            return f"unknown rule {node.rule!r}"
     return None
-
-
-def _matches_left(ctx: Counter, goal, premise: ProofTree, node_type, parts) -> bool:
-    if premise.conclusion.goal != goal:
-        return False
-    premise_ctx = Counter(premise.conclusion.context)
-    for principal in set(ctx):
-        if not isinstance(principal, node_type):
-            continue
-        expected = ctx - Counter((principal,)) + Counter(parts(principal))
-        if premise_ctx == expected:
-            return True
-    return False
 
 
 # --- serialization ------------------------------------------------------------
@@ -402,7 +362,7 @@ def proof_to_text(proof: ProofTree) -> str:
 def proof_from_text(text: str) -> ProofTree:
     """Inverse of proof_to_text; raises ValueError on malformed trees, and a
     ParseError at its line and column in ``text`` on a malformed sequent."""
-    from .parsing import ParseError, parse_sequent
+    from .parsing import _parse_span, parse_sequent
 
     entries = []
     end = 0
@@ -420,15 +380,8 @@ def proof_from_text(text: str) -> ProofTree:
         rule = rule.strip()
         if rule not in RULES:
             raise ValueError(f"line {lineno}: unknown rule {rule!r}")
-        try:
-            sequent = parse_sequent(sequent_text.strip())
-        except ParseError as exc:
-            # Report the position in ``text``: the sequent starts ``shift``
-            # characters into its line.
-            shift = len(line) - len(line.lstrip()) + len(body) - len(sequent_text.lstrip())
-            byte_offset = len(text[:start + shift].encode("utf-8")) + exc.byte_offset
-            raise type(exc)(byte_offset, lineno, shift + exc.column, exc.message,
-                            exc.expected) from None
+        at = start + len(line) - len(line.lstrip()) + len(body) - len(sequent_text.lstrip())
+        sequent = _parse_span(parse_sequent, text, at, at + len(sequent_text.strip()))
         entries.append((indent // 2, rule, sequent))
 
     if not entries:

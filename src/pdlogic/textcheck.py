@@ -129,7 +129,9 @@ def parse_referent_spec(text: str, base_dir: Path | None = None) -> ReferentSpec
     names: frozenset[str] | None = None
     descriptor = None
     lexicon = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    end = 0
+    for lineno, raw in enumerate(text.splitlines(keepends=True), start=1):
+        start, end = end, end + len(raw)
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -141,7 +143,8 @@ def parse_referent_spec(text: str, base_dir: Path | None = None) -> ReferentSpec
         if key == "referent":
             names = frozenset(value.split())
         elif key == "descriptor":
-            descriptor = parsing.parse_temporal(value)
+            at = start + raw.index(value, raw.index(":") + 1)
+            descriptor = parsing._parse_span(parsing.parse_temporal, text, at, at + len(value))
         elif key == "lexicon":
             path = Path(value)
             if base_dir is not None and not path.is_absolute():

@@ -132,6 +132,17 @@ class TestProve:
         assert err == (f"error: line 3, column {column}: "
                        "expected formula (expected atom, '(')\n")
 
+    def test_check_dash_reads_standard_input(self, capsys, monkeypatch):
+        code, proof, _ = run(capsys, "prove", "a/b, c/d |- c/d * a/b")
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", __import__("io").StringIO(proof))
+        assert run(capsys, "prove", "--check", "-") == (0, "accepted\n", "")
+        tampered = proof.replace("a/b, c/d |-", "a/b, c/d, c/d |-", 1)
+        monkeypatch.setattr("sys.stdin", __import__("io").StringIO(tampered))
+        code, out, err = run(capsys, "prove", "--check", "-")
+        assert (code, err) == (1, "")
+        assert out.startswith("rejected at ")
+
     @pytest.mark.parametrize("given", ["inline", "file"])
     def test_sequent_with_check_exits_2(self, capsys, tmp_path, given):
         proof_file = tmp_path / "proof.txt"
@@ -275,6 +286,17 @@ class TestCheck:
         )
         assert code == 1
         assert "no coreference" in out
+
+    def test_bad_descriptor_exits_2_at_its_line_and_column(self, capsys, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("referent: Mara\n\ndescriptor:   [] (she/her /\\ )\n",
+                        encoding="utf-8")
+        doc = tmp_path / "doc.txt"
+        doc.write_text("Mara arrived.\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", str(spec), str(doc))
+        assert (code, out) == (2, "")
+        assert err == ("error: line 3, column 30: "
+                       "expected formula (expected atom, modality, '(')\n")
 
     def test_large_bound(self, capsys, tmp_path):
         spec = tmp_path / "spec.txt"

@@ -1,6 +1,7 @@
 """Concrete syntax: examples, precedence, errors, and round-trip properties."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +141,48 @@ class TestParseFree:
     def test_bare_description_is_not_a_formula(self):
         with pytest.raises(ParseError):
             parse_free("iota x. man(x)")
+
+    @pytest.mark.parametrize("text, expected", [
+        ("((x)) = y", fl.Eq(fl.Var("x"), fl.Var("y"))),
+        ("(x = y)", fl.Eq(fl.Var("x"), fl.Var("y"))),
+        ("((x = y)) /\\ (x) = (y)", fl.And(fl.Eq(fl.Var("x"), fl.Var("y")),
+                                           fl.Eq(fl.Var("x"), fl.Var("y")))),
+        ("(iota x. (man(x))) = y",
+         fl.Eq(fl.Iota("x", fl.Pred("man", (fl.Var("x"),))), fl.Var("y"))),
+    ])
+    def test_parenthesis_opens_a_term_exactly_before_equals(self, text, expected):
+        assert parse_free(text) == expected
+
+    @pytest.mark.parametrize("text, column", [
+        ("(man(x)) = y", 5),  # a formula in parentheses before '='
+        ("(x) /\\ man(x)", 3),  # a term in parentheses not before '='
+        ("(iota x. man(x) = y", 20),  # unbalanced
+    ])
+    def test_parenthesis_read_the_other_way_is_an_error(self, text, column):
+        with pytest.raises(ParseError) as err:
+            parse_free(text)
+        assert err.value.column == column
+
+    def test_nested_parenthesized_descriptions_parse_at_once(self):
+        # (iota x. (iota x. … x = x) = x) = y, 40 deep. A parser that reads a
+        # '(' both as a formula and as a term doubles its time per level.
+        text = "(iota x. " * 40 + "x = x" + ") = x" * 39 + ") = y"
+        started = time.perf_counter()
+        f = parse_free(text)
+        assert time.perf_counter() - started < 0.1
+        for _ in range(39):
+            f = f.left.body
+            assert f.right == fl.Var("x")
+        assert f.left.body == fl.Eq(fl.Var("x"), fl.Var("x"))
+
+    def test_malformed_nested_descriptions_fail_at_once(self):
+        text = "(iota x. " * 20 + "p(x)" + ")" * 20 + " = y"
+        started = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_free(text)
+        assert time.perf_counter() - started < 0.1
+        # p(x) is not an equation: the innermost description's body ends there
+        assert (err.value.column, err.value.message) == (185, "expected '=' after term")
 
 
 class TestParseSequent:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from pdlogic import textcheck
 from pdlogic.atoms import atom
 from pdlogic.monitoring import expand_bounded
-from pdlogic.parsing import parse_temporal
+from pdlogic.parsing import ParseError, parse_temporal
 from pdlogic.textcheck import (
     ConfigError,
     Lexicon,
@@ -308,6 +308,24 @@ class TestReferentSpec:
         spec_text = "referent: Kit\ndescriptor: [] xe/xem\nlexicon: lex.txt\n"
         spec = parse_referent_spec(spec_text, base_dir=tmp_path)
         assert spec.lexicon.atoms() == frozenset({atom("xe/xem")})
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("referent: Mara\n# the descriptor\ndescriptor:   [] (she/her /\\ )\n", 3, 30),
+        # CRLF line ends, spaces before the key, a non-ASCII operator
+        ("referent: Mara\r\n\r\n  descriptor :\t□ (she/her ∧ )\r\n", 3, 29),
+        # after a comment line with non-ASCII text; the error is at the end
+        ("# Mara’s spec\ndescriptor: [] she/her /\\\nreferent: Mara\n", 2, 26),
+        # an empty descriptor: the error is right after the colon
+        ("referent: Mara\n\ndescriptor:\n", 3, 12),
+    ])
+    def test_bad_descriptor_names_its_place_in_the_spec(self, text, line, column):
+        with pytest.raises(ParseError) as raised:
+            parse_referent_spec(text)
+        err = raised.value
+        assert (err.line, err.column) == (line, column)
+        start = sum(len(t) + 1 for t in text.split("\n")[:line - 1]) + column - 1
+        assert err.byte_offset == len(text[:start].encode("utf-8"))
+        assert str(err).startswith(f"line {line}, column {column}: expected formula")
 
 
 class TestReportRendering:
