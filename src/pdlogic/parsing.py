@@ -138,7 +138,6 @@ class _Cursor:
     pos: int = 0
     pred_arities: dict[str, int] = field(default_factory=dict)
     depth: int = 0
-    closers: dict[int, int] | None = None  # index of each '(' -> its ')'
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -167,19 +166,6 @@ class _Cursor:
         result = parse(self, *args)
         self.depth -= 1
         return result
-
-    def after_closer(self) -> _Token:
-        """The token after the ')' that matches the '(' at the cursor, or the
-        end of input if it has none. All parentheses are paired in one pass."""
-        if self.closers is None:
-            self.closers, opened = {}, []
-            for i, tok in enumerate(self.tokens):
-                if tok.kind == "sym" and tok.value == "(":
-                    opened.append(i)
-                elif tok.kind == "sym" and tok.value == ")" and opened:
-                    self.closers[opened.pop()] = i
-        closer = self.closers.get(self.pos)
-        return self.tokens[-1 if closer is None else closer + 1]
 
     def expect_eof(self) -> None:
         tok = self.peek()
@@ -225,11 +211,13 @@ def _inverse(table: dict) -> dict:
     return {symbol: node for node, symbol in table.items()}
 
 
-def _expr(cur: _Cursor, family, min_prec: int = 1):
+def _expr(cur: _Cursor, family, min_prec: int = 1, lhs=None):
     """Precedence climbing over one formula family, a pair (operators from
-    ``_operators``, operand parser)."""
+    ``_operators``, operand parser). ``lhs`` is the first operand if it is
+    already parsed."""
     operators, operand = family
-    lhs = operand(cur)
+    if lhs is None:
+        lhs = operand(cur)
     while True:
         tok = cur.peek()
         if tok.kind != "sym" or tok.value not in operators:
@@ -339,7 +327,10 @@ def parse_free_term(text: str) -> freelogic.FreeTerm:
     return _whole(text, _free_term)
 
 
-def _free_unary(cur: _Cursor) -> freelogic.FreeFormula:
+def _free_unary(cur: _Cursor, term_ok: bool = False):
+    """A formula with no infix operator on top. With ``term_ok``, a term that
+    no '=' follows is returned as it is: inside a '(' it may be the
+    parenthesized left side of an equation."""
     tok = cur.peek()
     if cur.at_sym("!"):
         cur.advance()
@@ -347,22 +338,30 @@ def _free_unary(cur: _Cursor) -> freelogic.FreeFormula:
     if tok.kind == "kw" and tok.value in _QUANTIFIERS:
         return _binder(cur, _QUANTIFIERS)
     if cur.at_sym("("):
-        # A parenthesized term is followed by '=', a parenthesized formula never.
-        after = cur.after_closer()
-        if after.kind == "sym" and after.value == "=":
-            return _free_equation(cur)
-        return _parenthesized(cur, _expr, _FREE)
-    if tok.kind == "ident":
+        left = _parenthesized(cur, _free_group)
+        if isinstance(left, freelogic.FreeFormula):
+            return left
+    elif tok.kind == "ident" or (tok.kind == "kw" and tok.value in _DESCRIPTIONS):
         after = cur.tokens[cur.pos + 1]
-        if after.kind == "sym" and after.value == "(":
+        if tok.kind == "ident" and after.kind == "sym" and after.value == "(":
             return _free_pred(cur)
-        return _free_equation(cur)
-    if tok.kind == "kw" and tok.value in _DESCRIPTIONS:
-        return _free_equation(cur)
-    raise cur.error(
-        "expected formula",
-        expected=["predicate", "term", "'!'", "quantifier", "'('"],
-    )
+        left = _free_term(cur)
+    else:
+        raise cur.error(
+            "expected formula",
+            expected=["predicate", "term", "'!'", "quantifier", "'('"],
+        )
+    if term_ok and not cur.at_sym("="):
+        return left
+    return _free_equation(cur, left)
+
+
+def _free_group(cur: _Cursor):
+    """What a '(' in place of a formula encloses: a formula, or a term."""
+    first = _free_unary(cur, term_ok=True)
+    if isinstance(first, freelogic.FreeTerm):
+        return first
+    return _expr(cur, _FREE, lhs=first)
 
 
 _QUANTIFIERS = _inverse(freelogic.QUANTIFIERS)
@@ -390,8 +389,7 @@ def _free_pred(cur: _Cursor) -> freelogic.FreeFormula:
     return freelogic.Pred(name, tuple(args))
 
 
-def _free_equation(cur: _Cursor) -> freelogic.FreeFormula:
-    left = _free_term(cur)
+def _free_equation(cur: _Cursor, left: freelogic.FreeTerm) -> freelogic.FreeFormula:
     if not cur.at_sym("="):
         raise cur.error("expected '=' after term", expected=["'='"])
     cur.advance()

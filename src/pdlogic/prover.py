@@ -304,8 +304,10 @@ def _check_node(node: ProofTree) -> str | None:
             if merged != ctx:
                 return "premise contexts do not partition the conclusion context"
         case "WithR":
-            for premise, operand, side in zip(premises, (goal.left, goal.right),
-                                              ("first", "second")):
+            for premise, operand, side in (
+                (premises[0], goal.left, "first"),
+                (premises[1], goal.right, "second"),
+            ):
                 if premise.conclusion.goal != operand:
                     return f"{side} premise goal must be the {side} operand"
                 if Counter(premise.conclusion.context) != ctx:
@@ -319,7 +321,9 @@ def _check_node(node: ProofTree) -> str | None:
         case "LolliR":
             if premises[0].conclusion.goal != goal.consequent:
                 return "premise goal must be the consequent"
-            if Counter(premises[0].conclusion.context) != ctx + Counter((goal.antecedent,)):
+            if Counter(premises[0].conclusion.context) != ctx + Counter(
+                (goal.antecedent,)
+            ):
                 return "premise context must add the antecedent"
         case "LolliL":
             first, second = premises
@@ -327,8 +331,11 @@ def _check_node(node: ProofTree) -> str | None:
             if second.conclusion.goal != goal:
                 return "second premise must keep the conclusion goal"
             for lolli in set(ctx):
-                if (not isinstance(lolli, Lolli) or first.conclusion.goal != lolli.antecedent
-                        or second_ctx[lolli.consequent] < 1):
+                if not isinstance(lolli, Lolli):
+                    continue
+                if first.conclusion.goal != lolli.antecedent:
+                    continue
+                if second_ctx[lolli.consequent] < 1:
                     continue
                 merged = Counter(first.conclusion.context) + second_ctx
                 merged.subtract((lolli.consequent,))

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour, including the exit-status contract."""
 
+import io
 import json
 import os
 import subprocess
@@ -52,7 +53,7 @@ class TestParse:
         assert err == "error: line 1, column 12: number of 5000 digits is too long\n"
 
     def test_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", __import__("io").StringIO("[] she/her"))
+        monkeypatch.setattr("sys.stdin", io.StringIO("[] she/her"))
         code, out, _ = run(capsys, "parse", "--kind", "temporal")
         assert code == 0
         assert out == "[] she/her\n"
@@ -135,10 +136,10 @@ class TestProve:
     def test_check_dash_reads_standard_input(self, capsys, monkeypatch):
         code, proof, _ = run(capsys, "prove", "a/b, c/d |- c/d * a/b")
         assert code == 0
-        monkeypatch.setattr("sys.stdin", __import__("io").StringIO(proof))
+        monkeypatch.setattr("sys.stdin", io.StringIO(proof))
         assert run(capsys, "prove", "--check", "-") == (0, "accepted\n", "")
         tampered = proof.replace("a/b, c/d |-", "a/b, c/d, c/d |-", 1)
-        monkeypatch.setattr("sys.stdin", __import__("io").StringIO(tampered))
+        monkeypatch.setattr("sys.stdin", io.StringIO(tampered))
         code, out, err = run(capsys, "prove", "--check", "-")
         assert (code, err) == (1, "")
         assert out.startswith("rejected at ")

@@ -149,19 +149,70 @@ class TestParseFree:
                                            fl.Eq(fl.Var("x"), fl.Var("y")))),
         ("(iota x. (man(x))) = y",
          fl.Eq(fl.Iota("x", fl.Pred("man", (fl.Var("x"),))), fl.Var("y"))),
+        # a parenthesized formula that ends a description's body, before '='
+        ("iota x. (man(x)) = y",
+         fl.Eq(fl.Iota("x", fl.Pred("man", (fl.Var("x"),))), fl.Var("y"))),
+        ("eps x. (man(x) /\\ !man(x)) = y",
+         fl.Eq(fl.Epsilon("x", fl.And(fl.Pred("man", (fl.Var("x"),)),
+                                      fl.Not(fl.Pred("man", (fl.Var("x"),))))),
+               fl.Var("y"))),
+        ("(iota x. iota y. ((man(y))) = x) = z",
+         fl.Eq(fl.Iota("x", fl.Eq(fl.Iota("y", fl.Pred("man", (fl.Var("y"),))),
+                                  fl.Var("x"))),
+               fl.Var("z"))),
     ])
-    def test_parenthesis_opens_a_term_exactly_before_equals(self, text, expected):
+    def test_parenthesis_around_a_term_or_a_formula(self, text, expected):
         assert parse_free(text) == expected
 
-    @pytest.mark.parametrize("text, column", [
-        ("(man(x)) = y", 5),  # a formula in parentheses before '='
-        ("(x) /\\ man(x)", 3),  # a term in parentheses not before '='
-        ("(iota x. man(x) = y", 20),  # unbalanced
+    @pytest.mark.parametrize("text, column, message", [
+        ("(man(x)) = y", 10, "unexpected trailing input at '='"),
+        ("(x) /\\ man(x)", 5, "expected '=' after term"),
+        ("(x /\\ man(x))", 4, "expected ')'"),
+        ("(iota x. man(x) = y", 20, "expected ')'"),  # unbalanced
     ])
-    def test_parenthesis_read_the_other_way_is_an_error(self, text, column):
+    def test_parenthesis_read_the_wrong_way_is_an_error(self, text, column, message):
         with pytest.raises(ParseError) as err:
             parse_free(text)
-        assert err.value.column == column
+        assert (err.value.column, err.value.message) == (column, message)
+
+    def test_loosely_parenthesized_formulas_round_trip(self):
+        # Extra parentheses around any term or formula, and none around a
+        # description on the left of '=' or as a predicate's argument.
+        rng = random.Random(15)
+
+        def term(t, bare_ok):
+            if isinstance(t, fl.Var):
+                text = t.name
+            else:
+                keyword = "iota" if isinstance(t, fl.Iota) else "eps"
+                text = f"{keyword} {t.var}. {formula(t.body)}"
+                if not (bare_ok and rng.random() < 0.5):
+                    text = f"({text})"
+            while rng.random() < 0.25:
+                text = f"({text})"
+            return text
+
+        def formula(f):
+            if isinstance(f, fl.Pred):
+                text = f"{f.name}({', '.join(term(a, True) for a in f.args)})"
+            elif isinstance(f, fl.Eq):
+                text = f"{term(f.left, True)} = {term(f.right, False)}"
+            elif isinstance(f, fl.Not):
+                text = f"!({formula(f.operand)})"
+            elif isinstance(f, (fl.Forall, fl.Exists)):
+                keyword = "forall" if isinstance(f, fl.Forall) else "exists"
+                text = f"{keyword} {f.var}. {formula(f.body)}"
+            else:
+                symbol = fl.INFIX[type(f)][0]
+                text = f"({formula(f.left)}) {symbol} ({formula(f.right)})"
+            while rng.random() < 0.3:
+                text = f"({text})"
+            return text
+
+        for _ in range(2000):
+            f = random_free(rng, rng.randint(1, 5))
+            text = formula(f)
+            assert parse_free(text) == f, text
 
     def test_nested_parenthesized_descriptions_parse_at_once(self):
         # (iota x. (iota x. … x = x) = x) = y, 40 deep. A parser that reads a
@@ -181,8 +232,8 @@ class TestParseFree:
         with pytest.raises(ParseError) as err:
             parse_free(text)
         assert time.perf_counter() - started < 0.1
-        # p(x) is not an equation: the innermost description's body ends there
-        assert (err.value.column, err.value.message) == (185, "expected '=' after term")
+        # the innermost description is a term in parentheses, but no '=' follows
+        assert (err.value.column, err.value.message) == (186, "expected '=' after term")
 
 
 class TestParseSequent:
