@@ -5,9 +5,12 @@ pure ASCII (``&``, ``(+)``, ``*``, ``-o``, ``[]``, ``<>``, ``()``, ``[]<=k``,
 ``<><=k``, ``!``, ``/\\``, ``\\/``, ``->``, ``iota x.``, ``eps x.``); the usual
 Unicode operator symbols are accepted on input but never emitted by render.
 ``#`` starts a comment running to end of line, so a one-formula spec file can
-be fed to any parse function directly.
+be fed to any parse function directly. A line ends at ``\\n``, ``\\r\\n`` or a
+lone ``\\r``.
 
-The lexer is one regular expression built from ``_SYMBOLS`` and ``_ALIASES``.
+The lexer is one regular expression built from ``_SYMBOLS`` and ``_ALIASES``,
+run as a generator: the parser pulls the next token only when it moves past
+the current one, so input is read only as far as the first error.
 Operators are not listed here: each formula module declares its binary
 connectives once in ``INFIX`` (``temporal.PREFIX`` holds the modalities,
 ``freelogic.QUANTIFIERS``/``DESCRIPTIONS`` the binders), and the renderers
@@ -18,14 +21,14 @@ binary connectives of every family.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from . import freelogic, linear, temporal
 from .atoms import atom
 
 
 class ParseError(Exception):
-    """Input rejected at a specific position. First error wins; no recovery."""
+    """Input rejected at a specific position: the first error in reading
+    order, lexical or grammatical. No recovery; nothing after it is read."""
 
     def __init__(self, byte_offset, line, column, message, expected=()):
         self.byte_offset = byte_offset
@@ -42,13 +45,6 @@ class ParseError(Exception):
 # functions over formulas take a few stack frames per level, so this stays
 # well below Python's default recursion limit of 1000 frames.
 MAX_DEPTH = 100
-
-
-@dataclass(slots=True)
-class _Token:
-    kind: str  # atom | ident | int | sym | kw | eof
-    value: object
-    start: int  # character offset into the source
 
 
 _KEYWORDS = {"iota", "eps", "forall", "exists", "true", "false"}
@@ -84,16 +80,18 @@ _TOKEN = re.compile(r"\s*(?:" + "|".join([
     r"(?P<int>[0-9]+)",
     "(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
     "(?P<alias>[" + "".join(_ALIASES) + "])",
-    r"(?P<skip>\s+|#[^\n]*)",
+    r"(?P<skip>\s+|#[^\r\n]*)",
     r"(?P<bad>(?s:.))",
 ]) + ")")
 
 
 def _position(text: str, offset: int) -> tuple[int, int, int]:
+    """The byte offset, line and column of character ``offset``. A line ends at
+    ``\\n``, ``\\r\\n`` or a lone ``\\r``, as a file read in text mode has it."""
     prefix = text[:offset]
     byte_offset = len(prefix.encode("utf-8"))
-    line = prefix.count("\n") + 1
-    column = offset - (prefix.rfind("\n") + 1) + 1
+    line = prefix.count("\n") + prefix.count("\r") - prefix.count("\r\n") + 1
+    column = offset - max(prefix.rfind("\n"), prefix.rfind("\r"))
     return byte_offset, line, column
 
 
@@ -102,8 +100,10 @@ def _error(text: str, offset: int, message: str, expected=()) -> ParseError:
     return ParseError(byte_offset, line, column, message, expected)
 
 
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _lex(text: str):
+    """The tokens of ``text`` as ``(kind, value, start)`` tuples, lexed one at
+    a time as the parser asks for them and ending with the eof token. ``kind``
+    is atom, ident, int, sym, kw or eof; ``start`` is a character offset."""
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         value, start = m[kind], m.start(kind)
@@ -126,31 +126,42 @@ def _lex(text: str) -> list[_Token]:
                 raise _error(text, start, message) from None
         else:
             raise _error(text, start, f"unexpected character {value!r}")
-        tokens.append(_Token(kind, value, start))
-    tokens.append(_Token("eof", None, len(text)))
-    return tokens
+        yield kind, value, start
+    yield "eof", None, len(text)
 
 
-@dataclass
 class _Cursor:
-    text: str
-    tokens: list[_Token]
-    pos: int = 0
-    pred_arities: dict[str, int] = field(default_factory=dict)
-    depth: int = 0
+    """The parser's place in ``text``: ``tok``, the current token, and at most
+    one token of lookahead. Tokens are lexed only as the parser reaches them."""
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    __slots__ = ("text", "tok", "_ahead", "_next", "pred_arities", "depth")
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+    def __init__(self, text: str):
+        self.text = text
+        self._next = _lex(text).__next__
+        self.tok = self._next()
+        self._ahead = None
+        self.pred_arities: dict[str, int] = {}
+        self.depth = 0
+
+    def advance(self) -> tuple:
+        """The current token; the next one becomes current. Eof stays current."""
+        tok = self.tok
+        if self._ahead is not None:
+            self.tok, self._ahead = self._ahead, None
+        elif tok[0] != "eof":
+            self.tok = self._next()
         return tok
 
+    def lookahead(self) -> tuple:
+        """The token after the current one, which must not be eof."""
+        if self._ahead is None:
+            self._ahead = self._next()
+        return self._ahead
+
     def at_sym(self, *symbols: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.value in symbols
+        kind, value, _ = self.tok
+        return kind == "sym" and value in symbols
 
     def take_sym(self, symbol: str) -> None:
         if not self.at_sym(symbol):
@@ -168,21 +179,17 @@ class _Cursor:
         return result
 
     def expect_eof(self) -> None:
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise self.error(f"unexpected trailing input at {self._describe(tok)}")
+        kind, value, _ = self.tok
+        if kind != "eof":
+            raise self.error(f"unexpected trailing input at {str(value)!r}")
 
     def error(self, message: str, expected=()) -> ParseError:
-        return _error(self.text, self.peek().start, message, expected)
-
-    @staticmethod
-    def _describe(tok: _Token) -> str:
-        return "end of input" if tok.kind == "eof" else repr(str(tok.value))
+        return _error(self.text, self.tok[2], message, expected)
 
 
 def _whole(text: str, parse, *args):
     """``parse(cursor, *args)`` over all of ``text``."""
-    cur = _Cursor(text, _lex(text))
+    cur = _Cursor(text)
     result = parse(cur, *args)
     cur.expect_eof()
     return result
@@ -219,10 +226,10 @@ def _expr(cur: _Cursor, family, min_prec: int = 1, lhs=None):
     if lhs is None:
         lhs = operand(cur)
     while True:
-        tok = cur.peek()
-        if tok.kind != "sym" or tok.value not in operators:
+        kind, value, _ = cur.tok
+        if kind != "sym" or value not in operators:
             return lhs
-        node, prec = operators[tok.value]
+        node, prec = operators[value]
         if prec < min_prec:
             return lhs
         cur.advance()
@@ -245,10 +252,10 @@ def parse_linear(text: str) -> linear.LinearFormula:
 
 
 def _linear_primary(cur: _Cursor) -> linear.LinearFormula:
-    tok = cur.peek()
-    if tok.kind == "atom":
+    kind, value, _ = cur.tok
+    if kind == "atom":
         cur.advance()
-        return linear.Atom(tok.value)
+        return linear.Atom(value)
     if cur.at_sym("("):
         return _parenthesized(cur, _expr, _LINEAR)
     raise cur.error("expected formula", expected=["atom", "'('"])
@@ -286,19 +293,19 @@ def parse_temporal(text: str) -> temporal.TemporalFormula:
 
 
 def _temporal_unary(cur: _Cursor) -> temporal.TemporalFormula:
-    tok = cur.peek()
-    if tok.kind == "sym" and tok.value in _PREFIX:
+    kind, value, _ = cur.tok
+    if kind == "sym" and value in _PREFIX:
         cur.advance()
-        bound = (_bound(cur),) if tok.value.endswith("<=") else ()  # []<=k, <><=k
-        return _PREFIX[tok.value](*bound, cur.nested(_temporal_unary))
+        bound = (_bound(cur),) if value.endswith("<=") else ()  # []<=k, <><=k
+        return _PREFIX[value](*bound, cur.nested(_temporal_unary))
     if cur.at_sym("("):
         return _parenthesized(cur, _expr, _TEMPORAL)
-    if tok.kind == "atom":
+    if kind == "atom":
         cur.advance()
-        return temporal.Atom(tok.value)
-    if tok.kind == "kw" and tok.value in ("true", "false"):
+        return temporal.Atom(value)
+    if kind == "kw" and value in ("true", "false"):
         cur.advance()
-        return temporal.TRUE if tok.value == "true" else temporal.FALSE
+        return temporal.TRUE if value == "true" else temporal.FALSE
     raise cur.error("expected formula", expected=["atom", "modality", "'('"])
 
 
@@ -307,13 +314,13 @@ _TEMPORAL = (_operators(temporal.INFIX), _temporal_unary)
 
 
 def _bound(cur: _Cursor) -> int:
-    tok = cur.peek()
-    if tok.kind != "int":
+    kind, value, _ = cur.tok
+    if kind != "int":
         raise cur.error("expected bound k", expected=["positive integer"])
-    if tok.value < 1:
-        raise cur.error(f"bounded modality requires k >= 1, got {tok.value}")
+    if value < 1:
+        raise cur.error(f"bounded modality requires k >= 1, got {value}")
     cur.advance()
-    return tok.value
+    return value
 
 
 # --- free-logic formulas and terms -------------------------------------------
@@ -331,19 +338,18 @@ def _free_unary(cur: _Cursor, term_ok: bool = False):
     """A formula with no infix operator on top. With ``term_ok``, a term that
     no '=' follows is returned as it is: inside a '(' it may be the
     parenthesized left side of an equation."""
-    tok = cur.peek()
+    kind, value, _ = cur.tok
     if cur.at_sym("!"):
         cur.advance()
         return freelogic.Not(cur.nested(_free_unary))
-    if tok.kind == "kw" and tok.value in _QUANTIFIERS:
+    if kind == "kw" and value in _QUANTIFIERS:
         return _binder(cur, _QUANTIFIERS)
     if cur.at_sym("("):
         left = _parenthesized(cur, _free_group)
         if isinstance(left, freelogic.FreeFormula):
             return left
-    elif tok.kind == "ident" or (tok.kind == "kw" and tok.value in _DESCRIPTIONS):
-        after = cur.tokens[cur.pos + 1]
-        if tok.kind == "ident" and after.kind == "sym" and after.value == "(":
+    elif kind == "ident" or (kind == "kw" and value in _DESCRIPTIONS):
+        if kind == "ident" and cur.lookahead()[:2] == ("sym", "("):
             return _free_pred(cur)
         left = _free_term(cur)
     else:
@@ -370,8 +376,7 @@ _FREE = (_operators(freelogic.INFIX), _free_unary)
 
 
 def _free_pred(cur: _Cursor) -> freelogic.FreeFormula:
-    name_tok = cur.advance()
-    name = name_tok.value
+    _, name, start = cur.advance()
     cur.take_sym("(")
     args = [_free_term(cur)]
     while cur.at_sym(","):
@@ -382,7 +387,7 @@ def _free_pred(cur: _Cursor) -> freelogic.FreeFormula:
     if known is not None and known != len(args):
         raise _error(
             cur.text,
-            name_tok.start,
+            start,
             f"predicate {name!r} used with arity {len(args)} but earlier with arity {known}",
         )
     cur.pred_arities[name] = len(args)
@@ -398,11 +403,11 @@ def _free_equation(cur: _Cursor, left: freelogic.FreeTerm) -> freelogic.FreeForm
 
 
 def _free_term(cur: _Cursor) -> freelogic.FreeTerm:
-    tok = cur.peek()
-    if tok.kind == "ident":
+    kind, value, _ = cur.tok
+    if kind == "ident":
         cur.advance()
-        return freelogic.Var(tok.value)
-    if tok.kind == "kw" and tok.value in _DESCRIPTIONS:
+        return freelogic.Var(value)
+    if kind == "kw" and value in _DESCRIPTIONS:
         return _binder(cur, _DESCRIPTIONS)
     if cur.at_sym("("):
         return _parenthesized(cur, _free_term)
@@ -411,12 +416,12 @@ def _free_term(cur: _Cursor) -> freelogic.FreeTerm:
 
 def _binder(cur: _Cursor, binders: dict):
     """A keyword of ``binders``, its bound variable, '.', and the body."""
-    node = binders[cur.advance().value]
-    var = cur.peek()
-    if var.kind != "ident":
+    node = binders[cur.advance()[1]]
+    kind, var, _ = cur.tok
+    if kind != "ident":
         raise cur.error("expected bound variable name", expected=["identifier"])
     cur.advance()
     if not cur.at_sym("."):
         raise cur.error("expected '.' after bound variable", expected=["'.'"])
     cur.advance()
-    return node(var.value, cur.nested(_expr, _FREE))
+    return node(var, cur.nested(_expr, _FREE))

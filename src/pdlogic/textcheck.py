@@ -40,9 +40,12 @@ class InputError(Exception):
 
 
 def read_utf8(path: str | Path | None) -> str:
-    """The text of the UTF-8 file at ``path``, or of standard input if None."""
+    """The text of the UTF-8 file at ``path``, or of standard input if None,
+    decoded strictly and with its line ends as stored, so that a byte offset
+    into the text is one into the file."""
     try:
-        return sys.stdin.read() if path is None else Path(path).read_text("utf-8")
+        data = sys.stdin.buffer.read() if path is None else Path(path).read_bytes()
+        return data.decode("utf-8")
     except OSError as exc:
         raise InputError(str(exc)) from None
     except UnicodeDecodeError as exc:
@@ -275,8 +278,7 @@ def check_document(text: str, spec: ReferentSpec) -> Report:
 
 def _line_column(text: str, byte_offset: int) -> tuple[int, int]:
     data = text.encode("utf-8")[:byte_offset].decode("utf-8", errors="replace")
-    line = data.count("\n") + 1
-    column = len(data) - (data.rfind("\n") + 1) + 1
+    _, line, column = parsing._position(data, len(data))
     return line, column
 
 

@@ -8,13 +8,17 @@ definition, one recursive call per position, and shares nothing with the
 package's bit-vector ``evaluate`` beyond the formula and trace types. And
 ``direct_segment``/``direct_utterances`` split a document with one character
 loop and a per-character byte-offset table, where the package's ``segment``
-uses one regex pass and a running byte count.
+uses one regex pass and a running byte count. ``eager_lex`` lexes a whole
+text into a list before any of it is parsed; the package's lexer, a generator
+the parser pulls tokens from, must yield the same tokens and raise no later
+error than it.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from dataclasses import dataclass
 from itertools import combinations, product
 
 from pdlogic import freelogic as fl
@@ -22,6 +26,7 @@ from pdlogic import linear as ll
 from pdlogic import temporal as tl
 from pdlogic.atoms import PronounAtom, atom
 from pdlogic.monitoring import Trace, Utterance
+from pdlogic.parsing import _ALIASES, _KEYWORDS, _TOKEN, _error
 
 # --- naive linear derivability ------------------------------------------------
 
@@ -306,6 +311,45 @@ def direct_utterances(sentences: list[tuple[str, tuple[int, int]]], spec) -> lis
         if found:
             result.append((Utterance(frozenset(found), span), index))
     return result
+
+
+# --- eager lexing --------------------------------------------------------------
+
+
+@dataclass(slots=True)
+class _Token:
+    kind: str  # atom | ident | int | sym | kw | eof
+    value: object
+    start: int  # character offset into the source
+
+
+def eager_lex(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        value, start = m[kind], m.start(kind)
+        if kind == "atom":  # the commonest kinds first
+            value = atom(value)
+        elif kind == "sym":
+            pass
+        elif kind == "skip":
+            continue
+        elif kind == "word":
+            kind = "kw" if value in _KEYWORDS else "ident"
+        elif kind == "alias":
+            value = _ALIASES[value]
+            kind = "kw" if value in _KEYWORDS else "sym"
+        elif kind == "int":
+            try:
+                value = int(value)
+            except ValueError:  # Python converts at most 4300 digits
+                message = f"number of {len(value)} digits is too long"
+                raise _error(text, start, message) from None
+        else:
+            raise _error(text, start, f"unexpected character {value!r}")
+        tokens.append(_Token(kind, value, start))
+    tokens.append(_Token("eof", None, len(text)))
+    return tokens
 
 
 # --- random formula generators (seeded, for round-trip volume tests) ------------

@@ -21,6 +21,13 @@ SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+def stdin_of(data: str | bytes) -> io.TextIOWrapper:
+    """Standard input as a process gets it: bytes under a text layer."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def run(capsys, *argv):
     try:
         code = main(list(argv))
@@ -53,10 +60,18 @@ class TestParse:
         assert err == "error: line 1, column 12: number of 5000 digits is too long\n"
 
     def test_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("[] she/her"))
+        monkeypatch.setattr("sys.stdin", stdin_of("[] she/her"))
         code, out, _ = run(capsys, "parse", "--kind", "temporal")
         assert code == 0
         assert out == "[] she/her\n"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_error_line_and_column_count_every_line_end(self, capsys, tmp_path, newline):
+        path = tmp_path / "formula.txt"
+        path.write_bytes(f"# linear{newline}a/b &{newline}{newline}  & c/d{newline}".encode())
+        code, out, err = run(capsys, "parse", "--kind", "linear", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: line 4, column 3: expected formula (expected atom, '(')\n"
 
     def test_inline_and_file_conflict(self, capsys, tmp_path):
         f = tmp_path / "f.txt"
@@ -136,10 +151,10 @@ class TestProve:
     def test_check_dash_reads_standard_input(self, capsys, monkeypatch):
         code, proof, _ = run(capsys, "prove", "a/b, c/d |- c/d * a/b")
         assert code == 0
-        monkeypatch.setattr("sys.stdin", io.StringIO(proof))
+        monkeypatch.setattr("sys.stdin", stdin_of(proof))
         assert run(capsys, "prove", "--check", "-") == (0, "accepted\n", "")
         tampered = proof.replace("a/b, c/d |-", "a/b, c/d, c/d |-", 1)
-        monkeypatch.setattr("sys.stdin", io.StringIO(tampered))
+        monkeypatch.setattr("sys.stdin", stdin_of(tampered))
         code, out, err = run(capsys, "prove", "--check", "-")
         assert (code, err) == (1, "")
         assert out.startswith("rejected at ")
@@ -299,6 +314,26 @@ class TestCheck:
         assert err == ("error: line 3, column 30: "
                        "expected formula (expected atom, modality, '(')\n")
 
+    def test_crlf_document_spans_are_byte_offsets_into_the_file(self, capsys, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_bytes(b"referent: Mara\r\ndescriptor: [] she/her\r\n")
+        doc = tmp_path / "doc.txt"
+        doc.write_bytes(b"Mara came.\r\nHe smiled.\r\n")
+        code, out, err = run(capsys, "check", str(spec), str(doc), "--machine")
+        assert (code, out, err) == (1, "12\t22\tViolated\the/him\n", "")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_report_line_and_column_count_every_line_end(self, capsys, tmp_path, newline):
+        doc = tmp_path / "doc.txt"
+        doc.write_bytes(f"Mara came.{newline}She sat.{newline}{newline}  He left.".encode())
+        code, out, _ = run(capsys, "check", str(SAMPLES / "violated.spec"), str(doc))
+        assert code == 1
+        assert "  4:3: descriptor violated here (pronouns found: he/him)\n" in out
+        code, out, _ = run(capsys, "check", str(SAMPLES / "violated.spec"), str(doc),
+                           "--machine")
+        start = 20 + 3 * len(newline)
+        assert out == f"{start}\t{start + 8}\tViolated\the/him\n"
+
     def test_large_bound(self, capsys, tmp_path):
         spec = tmp_path / "spec.txt"
         spec.write_text("referent: Mara\ndescriptor: []<=1000 she/her\n", encoding="utf-8")
@@ -353,6 +388,23 @@ class TestHostileInput:
         assert code == 2
         assert out == ""
         assert err == f"error: {files['bad']}: not UTF-8 text (bad byte at offset 8)\n"
+
+    def test_non_utf8_standard_input_exits_2(self, capsys, monkeypatch):
+        # the bad byte sits in a comment, which the parser would skip
+        monkeypatch.setattr("sys.stdin", stdin_of(b"a/b # \xff\n"))
+        code, out, err = run(capsys, "parse", "--kind", "linear")
+        assert (code, out) == (2, "")
+        assert err == "error: standard input: not UTF-8 text (bad byte at offset 6)\n"
+
+    def test_non_utf8_standard_input_exits_2_in_utf8_mode(self):
+        # In UTF-8 mode (the C and POSIX locales) sys.stdin decodes with
+        # surrogateescape, so a bad byte read through it raises nothing.
+        result = subprocess.run(
+            [sys.executable, "-m", "pdlogic.cli", "parse", "--kind", "linear"],
+            input=b"a/b # \xff\n", capture_output=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC, "PYTHONUTF8": "1"})
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr == b"error: standard input: not UTF-8 text (bad byte at offset 6)\n"
 
     @pytest.mark.parametrize("depth", [1000, 3000, 10**5])
     @pytest.mark.parametrize("kind", ["linear", "temporal", "free"])

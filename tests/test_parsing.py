@@ -14,6 +14,7 @@ from pdlogic.atoms import atom
 from pdlogic.parsing import (
     MAX_DEPTH,
     ParseError,
+    _lex,
     parse_free,
     parse_free_term,
     parse_linear,
@@ -21,7 +22,14 @@ from pdlogic.parsing import (
     parse_temporal,
 )
 
-from oracles import ATOM_POOL, random_free, random_free_term
+from oracles import (
+    ATOM_POOL,
+    eager_lex,
+    random_free,
+    random_free_term,
+    random_linear,
+    random_temporal,
+)
 
 SHE = atom("she/her")
 THEY = atom("they/them")
@@ -312,6 +320,100 @@ class TestNestingLimit:
             parse_linear(text)
         # The atom inside the innermost parenthesis would sit one level too deep.
         assert (err.value.line, err.value.column) == (2, MAX_DEPTH + 2)
+
+PARSERS = (parse_linear, parse_sequent, parse_temporal, parse_free, parse_free_term)
+
+# Tokens of every kind and family, characters no token starts with, a number
+# past the digit limit, and a comment; joined by nothing or by whitespace.
+TOKENS = [
+    "a/b", "she/her", "x", "y", "man", "loves", "iota", "eps", "forall",
+    "exists", "true", "false", "0", "3", "12", "[]<=", "<><=", "(+)", "()",
+    "/\\", "\\/", "->", "-o", "|-", "[]", "<>", "&", "*", "(", ")", "(", ")",
+    "!", "=", ",", ".", "⊗", "□", "ι", "∧", "$", "é", "\ufffd", "9" * 4301,
+    "# note\n",
+]
+SPACES = ["", " ", " ", "\n", "\r\n", "\r", "\t"]
+
+
+RENDERED = (
+    lambda rng: ll.render(random_linear(rng, 4)),
+    lambda rng: tl.render(random_temporal(rng, 4)),
+    lambda rng: fl.render(random_free(rng, 4)),
+    lambda rng: fl.render_term(random_free_term(rng, 4)),
+    lambda rng: ", ".join(ll.render(random_linear(rng, 3)) for _ in range(rng.randint(0, 2)))
+    + " |- " + ll.render(random_linear(rng, 3)),
+)
+
+
+def random_token_string(rng: random.Random) -> str:
+    """Random tokens, or a rendered formula of any family with up to two
+    words replaced or inserted."""
+    if rng.random() < 0.5:
+        n = rng.randint(0, 12)
+        return "".join(rng.choice(SPACES) + rng.choice(TOKENS) for _ in range(n))
+    words = rng.choice(RENDERED)(rng).split(" ")
+    for _ in range(rng.randint(0, 2)):
+        at = rng.randrange(len(words) + 1)
+        words[at:at + rng.randint(0, 1)] = [rng.choice(TOKENS)]
+    return "".join(word + rng.choice(SPACES[1:]) for word in words)
+
+
+class TestLexOnDemand:
+    """The parser pulls tokens one at a time, so it reads a rejected input
+    only up to its first error, lexical or grammatical."""
+
+    def test_agrees_with_eager_lexing(self):
+        rng = random.Random(16)
+        for _ in range(5000):
+            text = random_token_string(rng)
+            try:
+                tokens = eager_lex(text)
+                lex_error = None
+            except ParseError as exc:
+                lex_error = exc
+            else:
+                assert list(_lex(text)) == [(t.kind, t.value, t.start) for t in tokens]
+            for parse in PARSERS:
+                try:
+                    parse(text)
+                except ParseError as exc:
+                    if lex_error is not None:
+                        assert exc.byte_offset <= lex_error.byte_offset, text
+                        if exc.byte_offset == lex_error.byte_offset:
+                            assert exc.message == lex_error.message, text
+                else:
+                    assert lex_error is None, text
+
+    def test_grammar_error_before_a_bad_character_wins(self):
+        text = "(" * 101 + "a/b" + ")" * 101 + " $"
+        with pytest.raises(ParseError) as err:
+            parse_linear(text)
+        assert (err.value.line, err.value.column, err.value.message) == (
+            1, 102, "formula nested deeper than 100 levels")
+
+    def test_grammar_error_before_a_long_number_wins(self):
+        with pytest.raises(ParseError) as err:
+            parse_temporal(") " + "9" * 5000)
+        assert (err.value.line, err.value.column, err.value.message) == (
+            1, 1, "expected formula")
+
+    def test_rejected_input_is_read_only_to_its_first_error(self):
+        text = ")" + " a/b" * 10**6
+        started = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_linear(text)
+        assert time.perf_counter() - started < 0.1
+        assert (err.value.line, err.value.column) == (1, 1)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_every_line_end_starts_a_line(self, newline):
+        text = f"# a comment{newline}a/b &{newline}{newline}  & c/d"
+        with pytest.raises(ParseError) as err:
+            parse_linear(text)
+        assert (err.value.line, err.value.column) == (4, 3)
+        assert err.value.byte_offset == len(text.encode("utf-8")) - len("& c/d")
+        assert parse_linear(f"# a comment{newline}a/b") == ll.Atom(atom("a/b"))
+
 
 # --- round-trip properties -----------------------------------------------------
 
