@@ -189,13 +189,6 @@ def render(formula: FreeFormula) -> str:
 
 NON_DENOTING = None  # eval_term returns an individual name, or None
 
-# Term and formula evaluations left to the outermost eval_term or
-# eval_formula call in progress; None between calls. A description nested d
-# deep is evaluated |D|^d times, so each evaluation counts against the proof
-# search's node budget, and past it the call raises ResourceLimit. The count
-# is one per process, shared by threads that evaluate at once.
-_budget_left: int | None = None
-
 
 @dataclass
 class Model:
@@ -226,11 +219,32 @@ class Model:
                         )
 
 
+class _Evaluation:
+    """The model of one outermost eval_term or eval_formula call, and the term
+    and formula evaluations left of that call's budget. A description nested d
+    deep is evaluated |D|^d times, so each evaluation counts against the proof
+    search's node budget, and past it the call raises ResourceLimit. The
+    recursion passes this object down in the model's place, so each call,
+    in whichever thread, counts only its own evaluations."""
+
+    __slots__ = ("domain", "predicates", "left")
+
+    def __init__(self, model: Model):
+        self.domain = model.domain
+        self.predicates = model.predicates
+        self.left = DEFAULT_BUDGET
+
+    def spend(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise ResourceLimit("free-logic evaluation budget exhausted")
+
+
 def eval_term(model: Model, env: dict[str, str], term: FreeTerm) -> str | None:
     """Denotation of a term: an individual name, or None when it does not denote."""
-    if _budget_left is None:
-        return _with_budget(eval_term, model, env, term)
-    _spend()
+    if type(model) is not _Evaluation:
+        model = _Evaluation(model)
+    model.spend()
     match term:
         case Var(name):
             if name not in env:
@@ -245,14 +259,15 @@ def eval_term(model: Model, env: dict[str, str], term: FreeTerm) -> str | None:
     raise TypeError(f"not a free-logic term: {term!r}")
 
 
-def _satisfiers(model: Model, env: dict[str, str], var: str, body: FreeFormula) -> list[str]:
+def _satisfiers(model: _Evaluation, env: dict[str, str], var: str,
+                body: FreeFormula) -> list[str]:
     return [d for d in model.domain if eval_formula(model, {**env, var: d}, body)]
 
 
 def eval_formula(model: Model, env: dict[str, str], formula: FreeFormula) -> bool:
-    if _budget_left is None:
-        return _with_budget(eval_formula, model, env, formula)
-    _spend()
+    if type(model) is not _Evaluation:
+        model = _Evaluation(model)
+    model.spend()
     match formula:
         case Pred(name, args):
             key = (name, len(args))
@@ -279,23 +294,6 @@ def eval_formula(model: Model, env: dict[str, str], formula: FreeFormula) -> boo
         case Exists(v, body):
             return any(eval_formula(model, {**env, v: d}, body) for d in model.domain)
     raise TypeError(f"not a free-logic formula: {formula!r}")
-
-
-def _spend() -> None:
-    global _budget_left
-    _budget_left -= 1
-    if _budget_left < 0:
-        raise ResourceLimit("free-logic evaluation budget exhausted")
-
-
-def _with_budget(evaluate, model: Model, env: dict[str, str], node):
-    """Run the outermost evaluation call under a fresh budget."""
-    global _budget_left
-    _budget_left = DEFAULT_BUDGET
-    try:
-        return evaluate(model, env, node)
-    finally:
-        _budget_left = None
 
 
 def check_sentence(model: Model, formula: FreeFormula) -> bool:

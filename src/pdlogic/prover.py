@@ -29,7 +29,6 @@ handed less the leftover it ended with.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .linear import (
@@ -225,16 +224,55 @@ def _remove(pool: tuple[int, ...], formula: int) -> tuple[int, ...]:
 
 def check_proof(proof: ProofTree) -> CheckResult:
     """Accept iff every node is a correct rule instance; otherwise reject with
-    the path to the first offending node."""
-    return _check(proof, ())
+    the path to the first offending node.
+
+    Formulas are compared by number: each formula object is numbered once per
+    call, equal formulas alike, and a context is the sorted list of its
+    formulas' numbers. The numbering is the checker's own; it shares nothing
+    with the search."""
+    number, formulas = _numbering()
+    return _check(proof, (), _context(proof, number), number, formulas)
 
 
-def _check(node: ProofTree, path: tuple[int, ...]) -> CheckResult:
-    reason = _check_node(node)
+def _numbering():
+    """A function from formula to number for one check, and the list of
+    formulas by number. Numbers are memoized on ``id``: the proof keeps every
+    formula it numbers alive for the whole check."""
+    by_id: dict[int, int] = {}
+    by_parts: dict = {}
+    formulas: list[LinearFormula] = []
+
+    def number(formula: LinearFormula) -> int:
+        n = by_id.get(id(formula))
+        if n is None:
+            if isinstance(formula, Atom):
+                key = formula
+            else:
+                key = (type(formula), *map(number, children(formula)))
+            n = by_parts.get(key)
+            if n is None:
+                n = by_parts[key] = len(formulas)
+                formulas.append(formula)
+            by_id[id(formula)] = n
+        return n
+
+    return number, formulas
+
+
+def _context(node: ProofTree, number) -> list[int]:
+    return sorted(map(number, node.conclusion.context))
+
+
+def _check(node: ProofTree, path: tuple[int, ...], ctx: list[int],
+           number, formulas) -> CheckResult:
+    """Check ``node``, whose context numbers are ``ctx``, then its premises.
+    Each node's context is numbered once, by its parent."""
+    contexts = [_context(premise, number) for premise in node.premises]
+    reason = _check_node(node, ctx, contexts, number, formulas)
     if reason:
         return CheckResult(False, path, reason)
     for i, premise in enumerate(node.premises):
-        result = _check(premise, path + (i,))
+        result = _check(premise, path + (i,), contexts[i], number, formulas)
         if not result.ok:
             return result
     return ACCEPT
@@ -263,12 +301,18 @@ _SHAPES = {
 }
 
 
-def _check_node(node: ProofTree) -> str | None:
+def _check_node(node: ProofTree, ctx: list[int], contexts: list[list[int]],
+                number, formulas) -> str | None:
+    """Why ``node`` is not a rule instance, or None. ``ctx`` and ``contexts``
+    are the sorted context numbers of the node and of its premises."""
     shape = _SHAPES.get(node.rule)
     if shape is None:
         return f"unknown rule {node.rule!r}"
     count, goal_type, goal_name, left = shape
-    ctx = Counter(node.conclusion.context)
+
+    def goal_of(tree: ProofTree) -> int:
+        return number(tree.conclusion.goal)
+
     goal = node.conclusion.goal
     premises = node.premises
     if len(premises) != count:
@@ -280,67 +324,66 @@ def _check_node(node: ProofTree) -> str | None:
     if left is not None:
         principal_type, parts, message = left
         for principal in set(ctx):
-            if not isinstance(principal, principal_type):
+            formula = formulas[principal]
+            if not isinstance(formula, principal_type):
                 continue
-            rest = ctx - Counter((principal,))
-            if all(premise.conclusion.goal == goal
-                   and Counter(premise.conclusion.context)
-                   == rest + Counter(getattr(principal, name) for name in names)
-                   for premise, names in zip(premises, parts)):
+            rest = ctx.copy()
+            rest.remove(principal)
+            if all(goal_of(premise) == number(goal)
+                   and premise_ctx
+                   == sorted(rest + [number(getattr(formula, name)) for name in names])
+                   for premise, premise_ctx, names in zip(premises, contexts, parts)):
                 return None
         return message
 
     match node.rule:
         case "Id":
-            if ctx != Counter((goal,)):
+            if ctx != [number(goal)]:
                 return "Id requires context equal to the goal atom"
         case "TensorR":
-            if premises[0].conclusion.goal != goal.left:
+            if goal_of(premises[0]) != number(goal.left):
                 return "first premise goal must be the left operand"
-            if premises[1].conclusion.goal != goal.right:
+            if goal_of(premises[1]) != number(goal.right):
                 return "second premise goal must be the right operand"
-            merged = Counter(premises[0].conclusion.context)
-            merged.update(premises[1].conclusion.context)
-            if merged != ctx:
+            if sorted(contexts[0] + contexts[1]) != ctx:
                 return "premise contexts do not partition the conclusion context"
         case "WithR":
-            for premise, operand, side in (
-                (premises[0], goal.left, "first"),
-                (premises[1], goal.right, "second"),
+            for premise, premise_ctx, operand, side in (
+                (premises[0], contexts[0], goal.left, "first"),
+                (premises[1], contexts[1], goal.right, "second"),
             ):
-                if premise.conclusion.goal != operand:
+                if goal_of(premise) != number(operand):
                     return f"{side} premise goal must be the {side} operand"
-                if Counter(premise.conclusion.context) != ctx:
+                if premise_ctx != ctx:
                     return f"{side} premise must keep the conclusion context"
         case "PlusR1" | "PlusR2":
             operand = goal.left if node.rule == "PlusR1" else goal.right
-            if premises[0].conclusion.goal != operand:
+            if goal_of(premises[0]) != number(operand):
                 return "premise goal must be the chosen operand"
-            if Counter(premises[0].conclusion.context) != ctx:
+            if contexts[0] != ctx:
                 return "premise must keep the conclusion context"
         case "LolliR":
-            if premises[0].conclusion.goal != goal.consequent:
+            if goal_of(premises[0]) != number(goal.consequent):
                 return "premise goal must be the consequent"
-            if Counter(premises[0].conclusion.context) != ctx + Counter(
-                (goal.antecedent,)
-            ):
+            if contexts[0] != sorted(ctx + [number(goal.antecedent)]):
                 return "premise context must add the antecedent"
         case "LolliL":
             first, second = premises
-            second_ctx = Counter(second.conclusion.context)
-            if second.conclusion.goal != goal:
+            first_ctx, second_ctx = contexts
+            if goal_of(second) != number(goal):
                 return "second premise must keep the conclusion goal"
             for lolli in set(ctx):
-                if not isinstance(lolli, Lolli):
+                formula = formulas[lolli]
+                if not isinstance(formula, Lolli):
                     continue
-                if first.conclusion.goal != lolli.antecedent:
+                if goal_of(first) != number(formula.antecedent):
                     continue
-                if second_ctx[lolli.consequent] < 1:
+                consequent = number(formula.consequent)
+                if consequent not in second_ctx:
                     continue
-                merged = Counter(first.conclusion.context) + second_ctx
-                merged.subtract((lolli.consequent,))
-                merged += Counter()  # drop zero entries
-                if merged + Counter((lolli,)) == ctx:
+                merged = first_ctx + second_ctx
+                merged.remove(consequent)
+                if sorted(merged + [lolli]) == ctx:
                     return None
             return "no lolli in the context matches the premises"
     return None
@@ -368,10 +411,17 @@ def proof_to_text(proof: ProofTree) -> str:
 
 def proof_from_text(text: str) -> ProofTree:
     """Inverse of proof_to_text; raises ValueError on malformed trees, and a
-    ParseError at its line and column in ``text`` on a malformed sequent."""
-    from .parsing import _parse_span, parse_sequent
+    ParseError at its line and column in ``text`` on a malformed sequent.
+
+    Each distinct formula text is parsed once per call, and so is a right
+    operand that ends its formula's text, such as a TensorR goal's right
+    operand, which is its second premise's goal. Equal texts give one shared
+    formula object. A line with a comment, or one that does not parse, is
+    read by ``parse_sequent`` as a whole, which alone reports errors."""
+    from .parsing import _FormulaMemo, _parse_span, parse_sequent
 
     entries = []
+    memo = _FormulaMemo()
     end = 0
     for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
         start, end = end, end + len(line)
@@ -388,7 +438,10 @@ def proof_from_text(text: str) -> ProofTree:
         if rule not in RULES:
             raise ValueError(f"line {lineno}: unknown rule {rule!r}")
         at = start + len(line) - len(line.lstrip()) + len(body) - len(sequent_text.lstrip())
-        sequent = _parse_span(parse_sequent, text, at, at + len(sequent_text.strip()))
+        span = sequent_text.strip()
+        sequent = memo.sequent(span)
+        if sequent is None:
+            sequent = _parse_span(parse_sequent, text, at, at + len(span))
         entries.append((indent // 2, rule, sequent))
 
     if not entries:

@@ -11,7 +11,9 @@ loop and a per-character byte-offset table, where the package's ``segment``
 uses one regex pass and a running byte count. ``eager_lex`` lexes a whole
 text into a list before any of it is parsed; the package's lexer, a generator
 the parser pulls tokens from, must yield the same tokens and raise no later
-error than it.
+error than it. ``per_line_proof_from_text`` reads a proof with one
+``parse_sequent`` call per line, as the package's ``proof_from_text`` did
+before it parsed each distinct formula text once.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from pdlogic import linear as ll
 from pdlogic import temporal as tl
 from pdlogic.atoms import PronounAtom, atom
 from pdlogic.monitoring import Trace, Utterance
-from pdlogic.parsing import _ALIASES, _KEYWORDS, _TOKEN, _error
+from pdlogic.parsing import _ALIASES, _KEYWORDS, _TOKEN, _error, _parse_span, parse_sequent
+from pdlogic.prover import RULES, ProofTree
 
 # --- naive linear derivability ------------------------------------------------
 
@@ -350,6 +353,50 @@ def eager_lex(text: str) -> list[_Token]:
         tokens.append(_Token(kind, value, start))
     tokens.append(_Token("eof", None, len(text)))
     return tokens
+
+
+# --- proof text read one line at a time -------------------------------------------
+
+
+def per_line_proof_from_text(text: str) -> ProofTree:
+    entries = []
+    end = 0
+    for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
+        start, end = end, end + len(line)
+        body = line.strip()
+        if not body:
+            continue
+        indent = len(line) - len(line.lstrip(" "))
+        if indent % 2:
+            raise ValueError(f"line {lineno}: odd indentation")
+        rule, sep, sequent_text = body.partition(" | ")
+        if not sep:
+            raise ValueError(f"line {lineno}: expected 'rule | sequent'")
+        rule = rule.strip()
+        if rule not in RULES:
+            raise ValueError(f"line {lineno}: unknown rule {rule!r}")
+        at = start + len(line) - len(line.lstrip()) + len(body) - len(sequent_text.lstrip())
+        sequent = _parse_span(parse_sequent, text, at, at + len(sequent_text.strip()))
+        entries.append((indent // 2, rule, sequent))
+
+    if not entries:
+        raise ValueError("empty proof text")
+
+    def build(index: int, depth: int) -> tuple[ProofTree, int]:
+        level, rule, sequent = entries[index]
+        if level != depth:
+            raise ValueError(f"entry {index}: unexpected indentation")
+        index += 1
+        premises = []
+        while index < len(entries) and entries[index][0] == depth + 1:
+            child, index = build(index, depth + 1)
+            premises.append(child)
+        return ProofTree(rule, sequent, tuple(premises)), index
+
+    tree, consumed = build(0, 0)
+    if consumed != len(entries):
+        raise ValueError("trailing proof lines outside the root tree")
+    return tree
 
 
 # --- random formula generators (seeded, for round-trip volume tests) ------------

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -89,6 +91,36 @@ class TestEvalFormula:
             check_sentence(ONLY_B_IS_P, nested(30))
         # the budget is per call: the next one starts afresh
         assert check_sentence(ONLY_B_IS_P, nested(3)) is False
+
+
+class TestThreads:
+    def test_concurrent_evaluations_keep_their_own_budget(self):
+        # Each call counts its own evaluations. With one count per process,
+        # a thread that finished reset it while another still spent from it.
+        formula = parse_free("p(iota x. " * 10 + "p(x)" + ")" * 10)
+        expected = check_sentence(ONLY_B_IS_P, formula)
+        answers, errors = [], []
+
+        def work():
+            try:
+                for _ in range(300):
+                    answers.append(check_sentence(ONLY_B_IS_P, formula))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, daemon=True) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert answers == [expected] * 1200
 
 
 def random_model(rng):

@@ -24,6 +24,7 @@ from oracles import (
     TWO_ATOMS,
     linear_formulas_up_to,
     naive_derivable,
+    per_line_proof_from_text,
     random_linear,
 )
 
@@ -353,10 +354,9 @@ def corrupted(rng, proof, edit):
     return replaced(proof, path, node)
 
 
-def test_checker_verdicts_on_corrupted_proofs_are_pinned():
-    # 3500 corrupted proofs, 500 per edit, of 400 proofs of random
-    # derivable sequents: each verdict as `pdlogic prove --check` prints it.
-    # Recorded from the checker that wrote out each rule's case by hand.
+def corrupted_proofs():
+    """3500 corrupted proofs, 500 per edit, of 400 proofs of random derivable
+    sequents, as ``(edit, proof)`` pairs."""
     rng = random.Random(14)
     proofs = []
     while len(proofs) < 400:
@@ -364,10 +364,17 @@ def test_checker_verdicts_on_corrupted_proofs_are_pinned():
         proof = prove(ll.Sequent(context, random_linear(rng, 3)))
         if proof is not None:
             proofs.append(proof)
-    lines, reasons = [], Counter()
     for k in range(3500):
         edit = EDITS[k % len(EDITS)]
-        result = check_proof(corrupted(rng, proofs[k % len(proofs)], edit))
+        yield edit, corrupted(rng, proofs[k % len(proofs)], edit)
+
+
+def test_checker_verdicts_on_corrupted_proofs_are_pinned():
+    # Each verdict on corrupted_proofs() as `pdlogic prove --check` prints it.
+    # Recorded from the checker that wrote out each rule's case by hand.
+    lines, reasons = [], Counter()
+    for edit, proof in corrupted_proofs():
+        result = check_proof(proof)
         if result.ok:
             verdict = "accepted"
         else:
@@ -382,6 +389,19 @@ def test_checker_verdicts_on_corrupted_proofs_are_pinned():
         assert any(reason.startswith(f"{rule} needs ") for reason in reasons), rule
 
 
+def test_checker_verdicts_through_proof_text_are_the_same():
+    # A proof read back from its text shares a formula object wherever the
+    # text repeats one; the prover's and the corrupting edits' proofs share
+    # objects where they were built together. The checker numbers formulas
+    # by object, so both must number equal formulas alike.
+    verdicts = Counter()
+    for _, proof in corrupted_proofs():
+        result = check_proof(proof)
+        assert check_proof(proof_from_text(proof_to_text(proof))) == result
+        verdicts[result.ok] += 1
+    assert verdicts[True] and verdicts[False]
+
+
 class TestSerialization:
     def test_round_trip(self):
         proof = prove_text(SAFETY)
@@ -389,9 +409,10 @@ class TestSerialization:
         assert proof_from_text(text) == proof
 
     def test_text_of_a_parsed_proof_is_the_text_it_came_from(self):
-        # The prover's proof shares formula objects between its lines; the
-        # parsed one builds every line's formulas anew. The memo, keyed on
-        # object identity, must give both the same text.
+        # The prover's proof shares formula objects between its lines where
+        # the search built them once; the parsed one shares an object wherever
+        # its text repeats a formula, and has none of the prover's. The memo,
+        # keyed on object identity, must give both the same text.
         proof = prove(tensor_family(6, True))
         text = proof_to_text(proof)
         back = proof_from_text(text)
@@ -441,3 +462,112 @@ class TestSerialization:
         lines = text.splitlines()
         assert all(" | " in line for line in lines)
         assert lines[0].startswith("WithL1") or lines[0].startswith("PlusR1")
+
+
+def golden_proofs():
+    """Each proof text of ``prove_proofs.golden``."""
+    golden = Path(__file__).with_name("prove_proofs.golden").read_text(encoding="utf-8")
+    chunks = []
+    for line in golden.splitlines(keepends=True):
+        if not line.startswith(" "):
+            chunks.append("")
+        chunks[-1] += line
+    return [chunk for chunk in chunks if not chunk.startswith("not derivable | ")]
+
+
+def reading(read, text):
+    """What ``read(text)`` gives: the tree, or the error in full."""
+    try:
+        return read(text)
+    except ParseError as err:
+        return ("ParseError", err.line, err.column, err.byte_offset, err.message,
+                err.expected, str(err))
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+# Single characters that a corruption inserts or puts in place of another:
+# token characters, whitespace and line ends, a comment, a Unicode operator
+# and characters the lexer rejects.
+NOISE = "ab/*&(+)-o|,# \t\n\r\u2297$1"
+
+
+def corrupted_text(rng, text):
+    """``text`` with one to three characters deleted, inserted or replaced."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(chars) + 1)
+        edit = rng.choice(("delete", "insert", "replace"))
+        if edit == "insert" or i == len(chars):
+            chars.insert(i, rng.choice(NOISE))
+        elif edit == "delete":
+            del chars[i]
+        else:
+            chars[i] = rng.choice(NOISE)
+    return "".join(chars)
+
+
+class TestReading:
+    """``proof_from_text`` parses each distinct formula text once; a reader
+    that parses each line with ``parse_sequent`` must agree with it."""
+
+    def test_golden_proofs_read_back_to_their_text(self):
+        proofs = golden_proofs()
+        assert len(proofs) == 68
+        for text in proofs:
+            back = proof_from_text(text)
+            assert back == per_line_proof_from_text(text)
+            assert proof_to_text(back) == text
+
+    def test_corrupted_proofs_read_as_line_by_line(self):
+        rng = random.Random(16)
+        outcomes = Counter()
+        for text in golden_proofs():
+            for _ in range(40):
+                bad = corrupted_text(rng, text)
+                expected = reading(per_line_proof_from_text, bad)
+                assert reading(proof_from_text, bad) == expected, repr(bad)
+                outcomes[expected[0] if isinstance(expected, tuple) else "tree"] += 1
+        assert min(outcomes[kind] for kind in ("tree", "ParseError", "ValueError")) >= 100
+
+    def test_a_right_operand_is_read_once(self):
+        # A TensorR goal's right operand is its second premise's goal, and
+        # its text ends the goal's text: reading gives one object for both.
+        back = proof_from_text(proof_to_text(prove(tensor_family(13, True))))
+        for node in (back, back.premises[1], back.premises[1].premises[1]):
+            assert node.rule == "TensorR"
+            assert node.premises[1].conclusion.goal is node.conclusion.goal.right
+
+    def test_a_remembered_operand_serves_only_where_it_binds(self):
+        # The first goal leaves "b/b * c/c" in the memo as a right operand.
+        # After "-o" it would bind too loosely: the second goal is
+        # (x/x -o b/b) * c/c, and the third uses it where it fits.
+        text = ("Id | a/a |- a/a * b/b * c/c\n"
+                "  Id | a/a |- x/x -o b/b * c/c\n"
+                "  Id | a/a |- x/x * b/b * c/c\n")
+        back = proof_from_text(text)
+        assert back == per_line_proof_from_text(text)
+        first, second, third = (node.conclusion.goal for node in (back, *back.premises))
+        assert isinstance(second, ll.Tensor) and isinstance(second.left, ll.Lolli)
+        assert third.right is first.right
+
+    def test_a_deeper_reading_replaces_a_shallower_one(self):
+        # Read first as a whole goal, "b/b * c/c" cannot serve as an
+        # operand; read again as one, it can serve every later operand.
+        text = ("Id | a/a |- b/b * c/c\n"
+                "  Id | a/a |- a/a * b/b * c/c\n"
+                "  Id | a/a |- x/x * b/b * c/c\n")
+        back = proof_from_text(text)
+        assert back == per_line_proof_from_text(text)
+        first, second, third = (node.conclusion.goal for node in (back, *back.premises))
+        assert second.right is not first
+        assert third.right is second.right
+
+    def test_a_remembered_formula_still_counts_its_nesting(self):
+        # 95 parentheses parse as a whole piece, but not as the operand of a
+        # seventh '*', nested 101 deep: the memo must not lift the limit.
+        deep = "(" * 95 + "a/b" + ")" * 95
+        text = f"Id | {deep} |- {deep}\n  Id | a/b |- {'a/b * ' * 7}{deep}\n"
+        with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+            per_line_proof_from_text(text)
+        assert reading(proof_from_text, text) == reading(per_line_proof_from_text, text)
