@@ -132,6 +132,17 @@ def _cmd_check(args) -> int:
     return status
 
 
+def _budget(text: str) -> int:
+    """A ``--budget`` value: a whole number of search nodes, 0 or more."""
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"expected a whole number 0 or more, got {text!r}")
+    return budget
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -153,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", default=None, metavar="PROOF",
                    help="validate a saved proof tree instead of searching "
                    "('-' reads it from standard input)")
-    p.add_argument("--budget", type=int, default=prover.DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_budget, default=prover.DEFAULT_BUDGET,
                    help="search node budget")
     p.set_defaults(func=_cmd_prove)
 

@@ -15,8 +15,10 @@ Operators are not listed here: each formula module declares its binary
 connectives once in ``INFIX`` (``temporal.PREFIX`` holds the modalities,
 ``freelogic.QUANTIFIERS``/``DESCRIPTIONS`` the binders), and the renderers
 read the same tables. One precedence-climbing loop, ``_expr``, parses the
-binary connectives of every family. For ``prover.proof_from_text`` it also
-reads linear formulas through a memo of formula texts (``_FormulaMemo``).
+binary connectives of every family. ``prover.proof_from_text`` reads linear
+formulas through a memo (``_FormulaMemo``) that shares two kinds of text:
+whole piece texts, and right operands that end a text, which ``_expr`` keeps
+as it parses. Nothing is looked up in the middle of a parse.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ class _Cursor:
     """The parser's place in ``text``: ``tok``, the current token, and at most
     one token of lookahead. Tokens are lexed only as the parser reaches them."""
 
-    __slots__ = ("text", "tok", "_ahead", "_next", "pred_arities", "depth", "memo", "tail")
+    __slots__ = ("text", "tok", "_ahead", "_next", "pred_arities", "depth", "memo")
 
     def __init__(self, text: str, memo: _FormulaMemo | None = None):
         self.text = text
@@ -144,10 +146,7 @@ class _Cursor:
         self._ahead = None
         self.pred_arities: dict[str, int] = {}
         self.depth = 0
-        # With a memo, the depth of the innermost loop of ``_expr`` known to
-        # run to the end of the text; without one, no depth.
-        self.memo = memo
-        self.tail = -1 if memo is None else 0
+        self.memo = memo  # keeps the right operands that end the text
 
     def advance(self) -> tuple:
         """The current token; the next one becomes current. Eof stays current."""
@@ -157,10 +156,6 @@ class _Cursor:
         elif tok[0] != "eof":
             self.tok = self._next()
         return tok
-
-    def skip_to_end(self) -> None:
-        """Make eof current, past text that is known to parse."""
-        self.tok, self._ahead = ("eof", None, len(self.text)), None
 
     def lookahead(self) -> tuple:
         """The token after the current one, which must not be eof."""
@@ -230,7 +225,9 @@ def _inverse(table: dict) -> dict:
 def _expr(cur: _Cursor, family, min_prec: int = 1, lhs=None):
     """Precedence climbing over one formula family, a pair (operators from
     ``_operators``, operand parser). ``lhs`` is the first operand if it is
-    already parsed."""
+    already parsed. With ``cur.memo``, a right operand that runs to the end of
+    the text is kept there: it has taken every operator after it, so parsed
+    alone it is the same formula."""
     operators, operand = family
     if lhs is None:
         lhs = operand(cur)
@@ -242,14 +239,11 @@ def _expr(cur: _Cursor, family, min_prec: int = 1, lhs=None):
         if prec < min_prec:
             return lhs
         cur.advance()
-        if cur.depth != cur.tail:
-            rhs = cur.nested(_expr, family, prec)  # same level recursion: right-associative
-        else:
-            start = cur.tok[2]
-            rhs = cur.memo.recall(cur, start, prec, prec == min_prec)
-            if rhs is None:
-                rhs = cur.nested(_expr, family, prec)
-                cur.memo.remember(cur, start, rhs)
+        start = cur.tok[2]
+        rhs = cur.nested(_expr, family, prec)  # same level recursion: right-associative
+        if cur.memo is not None and cur.tok[0] == "eof":
+            kept = cur.memo.unsliced.setdefault(len(cur.text) - start, [])
+            kept.append((cur.text, start, rhs))
         lhs = node(lhs, rhs)
 
 
@@ -281,84 +275,36 @@ _LINEAR = (_operators(linear.INFIX), _linear_primary)
 
 
 class _FormulaMemo:
-    """The linear formulas read so far, by text, for reading many sequents
-    that repeat their formulas (``prover.proof_from_text``). ``formulas``
-    maps a text without comments or surrounding whitespace to its formula and
-    the nesting depth it was parsed at; ``lengths`` holds the length of each
-    such text. A right operand that ends a text is kept in ``unsliced``, by
-    length, as its text and start: it is sliced off and hashed only when a
-    text as long is looked up, so a long text pays nothing for its operands
-    unless a lookup can match one."""
+    """The linear formulas read so far, for reading many sequents that repeat
+    their formulas (``prover.proof_from_text``). Two kinds of text are
+    shared, and nothing is looked up in the middle of a parse: ``formulas``
+    maps each whole text read (without comments or surrounding whitespace)
+    to its formula, and ``_expr`` keeps each right operand that runs to the
+    end of its text in ``unsliced``, by length, as that text and the
+    operand's start. Operands are sliced off and hashed only when a text as
+    long is looked up, so a long text pays nothing for its operands unless a
+    later text can be one of them."""
 
-    __slots__ = ("formulas", "lengths", "unsliced")
+    __slots__ = ("formulas", "unsliced")
 
     def __init__(self):
-        self.formulas: dict[str, tuple[linear.LinearFormula, int]] = {}
-        self.lengths: set[int] = set()
-        self.unsliced: dict[int, list[tuple[str, int, linear.LinearFormula, int]]] = {}
-
-    def keep(self, text: str, formula: linear.LinearFormula, depth: int) -> None:
-        """Keep ``formula`` for ``text`` unless it is kept from a deeper level."""
-        entry = self.formulas.get(text)
-        if entry is None or entry[1] < depth:
-            self.formulas[text] = (formula, depth)
-            self.lengths.add(len(text))
-
-    def unslice(self, length: int) -> bool:
-        """Move the operands ``length`` long into ``formulas``; whether there
-        were any."""
-        kept = self.unsliced.pop(length, None)
-        if kept is None:
-            return False
-        for text, start, formula, depth in kept:
-            self.keep(text[start:], formula, depth)
-        return True
-
-    # A text read through the memo is parsed with ``cur.memo`` set. Where a
-    # loop of ``_expr`` is known to run to the end of the text (at first the
-    # outermost loop), each right operand lies outside parentheses: its text
-    # is looked up (``recall``), and kept if it turns out to end the text
-    # (``remember``). An operator that binds no tighter than the loop's
-    # minimum has an operand whose loop runs to the end too. A loop's
-    # operators bind ever more loosely, so each loop looks up at most four
-    # operands and keeps one.
-
-    def recall(self, cur: _Cursor, start: int, prec: int, tail: bool):
-        """The right operand starting at ``start``, or None. An entry serves
-        if it binds at least as tightly as ``prec`` and was parsed at this
-        nesting depth or a deeper one, so MAX_DEPTH holds as if it were
-        parsed here. On a miss, a ``tail`` operand's loop becomes the one
-        known to run to the end."""
-        depth, length = cur.depth + 1, len(cur.text) - start
-        self.unslice(length)
-        if length in self.lengths:
-            entry = self.formulas.get(cur.text[start:])
-            if entry is not None and entry[1] >= depth and linear._prec(entry[0]) >= prec:
-                cur.skip_to_end()
-                return entry[0]
-        if tail:
-            cur.tail = depth
-        return None
-
-    def remember(self, cur: _Cursor, start: int, rhs: linear.LinearFormula) -> None:
-        """Keep the right operand ``rhs`` parsed from ``start`` if it ran to
-        the end of the text."""
-        if cur.tok[0] == "eof":
-            kept = (cur.text, start, rhs, cur.depth + 1)
-            self.unsliced.setdefault(len(cur.text) - start, []).append(kept)
+        self.formulas: dict[str, linear.LinearFormula] = {}
+        self.unsliced: dict[int, list[tuple[str, int, linear.LinearFormula]]] = {}
 
     def formula(self, text: str) -> linear.LinearFormula:
         """``parse_linear(text)``, each distinct text parsed once: equal texts
-        give one object, and so do right operands that end a text."""
-        entry = self.formulas.get(text)
-        if entry is None and self.unslice(len(text)):
-            entry = self.formulas.get(text)
-        if entry is not None:
-            return entry[0]
-        cur = _Cursor(text, self)
-        formula = _expr(cur, _LINEAR)
-        cur.expect_eof()
-        self.keep(text, formula, 0)
+        give one object, and so does a text equal to a right operand that
+        ended an earlier text."""
+        formula = self.formulas.get(text)
+        if formula is None:
+            for whole, start, operand in self.unsliced.pop(len(text), ()):
+                self.formulas.setdefault(whole[start:], operand)
+            formula = self.formulas.get(text)
+            if formula is None:
+                cur = _Cursor(text, self)
+                formula = _expr(cur, _LINEAR)
+                cur.expect_eof()
+                self.formulas[text] = formula
         return formula
 
     def sequent(self, text: str) -> linear.Sequent | None:

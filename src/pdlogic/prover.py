@@ -413,10 +413,12 @@ def proof_from_text(text: str) -> ProofTree:
     """Inverse of proof_to_text; raises ValueError on malformed trees, and a
     ParseError at its line and column in ``text`` on a malformed sequent.
 
-    Each distinct formula text is parsed once per call, and so is a right
-    operand that ends its formula's text, such as a TensorR goal's right
-    operand, which is its second premise's goal. Equal texts give one shared
-    formula object. A line with a comment, or one that does not parse, is
+    Two kinds of formula text are shared within one call. Each distinct
+    text is parsed once, and equal texts give one formula object. Each right
+    operand that runs to the end of its text is kept, and it is the formula
+    of a later text that is the whole of it, such as a TensorR goal's right
+    operand, which is its second premise's goal. Nothing is looked up in the
+    middle of a parse. A line with a comment, or one that does not parse, is
     read by ``parse_sequent`` as a whole, which alone reports errors."""
     from .parsing import _FormulaMemo, _parse_span, parse_sequent
 

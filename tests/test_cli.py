@@ -119,6 +119,17 @@ class TestProve:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize("budget", ["-5", "five"])
+    def test_budget_below_0_is_a_usage_error(self, capsys, budget):
+        code, out, err = run(capsys, "prove", "--budget", budget, "a/b |- a/b")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == ("pdlogic prove: error: argument --budget: "
+                                        f"expected a whole number 0 or more, got {budget!r}")
+
+    def test_budget_0_exits_3(self, capsys):
+        code, out, err = run(capsys, "prove", "--budget", "0", "a/b |- a/b")
+        assert (code, out, err) == (3, "", "error: proof search node budget exhausted\n")
+
     def test_check_round_trip(self, capsys, tmp_path):
         code, out, _ = run(capsys, "prove", self.SAFETY)
         proof_file = tmp_path / "proof.txt"

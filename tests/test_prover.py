@@ -1,6 +1,7 @@
 """Derivability, proof checking, and agreement with the naive search oracle."""
 
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from pdlogic import linear as ll
 from pdlogic.atoms import atom
 from pdlogic.cli import main
-from pdlogic.parsing import ParseError, parse_sequent
+from pdlogic.parsing import ParseError, _FormulaMemo, parse_sequent
 from pdlogic.prover import (
     RULES,
     ProofTree,
@@ -507,6 +508,29 @@ def corrupted_text(rng, text):
     return "".join(chars)
 
 
+def ending_operands(formula):
+    """Each right operand of ``formula`` whose text ends the text of
+    ``formula``, outermost first: the right operands not in parentheses."""
+    text, operands = ll.render(formula), []
+    while not isinstance(formula, ll.Atom):
+        symbol, right = ll.INFIX[type(formula)][0], ll.children(formula)[1]
+        if not text.endswith(f" {symbol} {ll.render(right)}"):
+            break
+        formula = right
+        operands.append(formula)
+    return operands
+
+
+def traced_peak(read, text):
+    """The most memory that tracemalloc saw allocated while ``read(text)`` ran."""
+    tracemalloc.start()
+    try:
+        read(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestReading:
     """``proof_from_text`` parses each distinct formula text once; a reader
     that parses each line with ``parse_sequent`` must agree with it."""
@@ -538,10 +562,10 @@ class TestReading:
             assert node.rule == "TensorR"
             assert node.premises[1].conclusion.goal is node.conclusion.goal.right
 
-    def test_a_remembered_operand_serves_only_where_it_binds(self):
-        # The first goal leaves "b/b * c/c" in the memo as a right operand.
-        # After "-o" it would bind too loosely: the second goal is
-        # (x/x -o b/b) * c/c, and the third uses it where it fits.
+    def test_a_kept_operand_serves_no_operand_of_a_later_text(self):
+        # The first goal keeps "b/b * c/c" as a right operand. After "-o" it
+        # would bind too loosely: the second goal is (x/x -o b/b) * c/c. The
+        # third goal's operand is read anew, to an equal formula.
         text = ("Id | a/a |- a/a * b/b * c/c\n"
                 "  Id | a/a |- x/x -o b/b * c/c\n"
                 "  Id | a/a |- x/x * b/b * c/c\n")
@@ -549,11 +573,11 @@ class TestReading:
         assert back == per_line_proof_from_text(text)
         first, second, third = (node.conclusion.goal for node in (back, *back.premises))
         assert isinstance(second, ll.Tensor) and isinstance(second.left, ll.Lolli)
-        assert third.right is first.right
+        assert third.right == first.right
 
-    def test_a_deeper_reading_replaces_a_shallower_one(self):
-        # Read first as a whole goal, "b/b * c/c" cannot serve as an
-        # operand; read again as one, it can serve every later operand.
+    def test_a_whole_text_serves_no_operand_of_a_later_text(self):
+        # Read first as a whole goal, "b/b * c/c" does not serve as the
+        # operand of a later goal; each such operand is read anew.
         text = ("Id | a/a |- b/b * c/c\n"
                 "  Id | a/a |- a/a * b/b * c/c\n"
                 "  Id | a/a |- x/x * b/b * c/c\n")
@@ -561,7 +585,7 @@ class TestReading:
         assert back == per_line_proof_from_text(text)
         first, second, third = (node.conclusion.goal for node in (back, *back.premises))
         assert second.right is not first
-        assert third.right is second.right
+        assert third.right == second.right
 
     def test_a_remembered_formula_still_counts_its_nesting(self):
         # 95 parentheses parse as a whole piece, but not as the operand of a
@@ -571,3 +595,49 @@ class TestReading:
         with pytest.raises(ParseError, match="nested deeper than 100 levels"):
             per_line_proof_from_text(text)
         assert reading(proof_from_text, text) == reading(per_line_proof_from_text, text)
+
+    def test_kept_operands_read_as_line_by_line(self):
+        # Each operand that ends the root goal's text serves the later goal
+        # whose whole text it is, past equal operands kept by later lines.
+        rng = random.Random(17)
+        hits = 0
+        for _ in range(1000):
+            goal = random_linear(rng, 6)
+            operands = ending_operands(goal)
+            lines = [f"Id | |- {ll.render(goal)}\n"]
+            lines += [f"  Id | |- x/x {symbol} {ll.render(operand)}\n"
+                      for operand in operands for symbol, _ in ll.INFIX.values()]
+            lines += [f"  Id | |- {ll.render(operand)}\n" for operand in operands]
+            text = "".join(lines)
+            back = proof_from_text(text)
+            assert back == per_line_proof_from_text(text), text
+            hit_lines = back.premises[len(back.premises) - len(operands):]
+            for operand, node in zip(ending_operands(back.conclusion.goal), hit_lines):
+                assert node.conclusion.goal is operand, text
+                hits += 1
+        assert hits >= 750
+
+    def test_an_operand_that_stops_short_is_not_kept(self):
+        # '&' binds tighter than '*': the operand of '&' in the first goal is
+        # "b/b" alone, and "b/b * c/c", the text after the '&', is none.
+        text = ("Id | a/a |- x/x & b/b * c/c\n"
+                "  Id | a/a |- b/b * c/c\n")
+        assert proof_from_text(text) == per_line_proof_from_text(text)
+
+    def test_a_text_that_does_not_parse_is_not_kept(self):
+        memo = _FormulaMemo()
+        for _ in range(2):
+            with pytest.raises(ParseError, match="trailing input"):
+                memo.formula("a/b * c/d e/f")
+
+    def test_kept_operands_are_sliced_only_when_looked_up(self):
+        # A goal of 99 top-level operators whose operands run to its end: were
+        # each sliced off as it is kept, the suffixes would take several times
+        # the memory of parsing the line (85 trees of 128 atoms, then 15 atoms
+        # in parentheses, stay within the nesting limit).
+        tree = "a/b"
+        for _ in range(7):
+            tree = f"({tree} * {tree})"
+        line = "a/b |- " + " * ".join([tree] * 85 + ["(a/b)"] * 15)
+        reading_peak = traced_peak(proof_from_text, f"Id | {line}\n")
+        assert reading_peak <= 1.5 * traced_peak(parse_sequent, line)
