@@ -566,11 +566,6 @@ def monitor(formula: TemporalFormula, utterances: Iterable[Utterance]) -> list[V
     return verdicts
 
 
-def final_verdict(formula: TemporalFormula, trace: Trace) -> Verdict:
-    """The monitor's conclusive verdict over a whole trace."""
-    return monitor(formula, trace.utterances)[-1]
-
-
 def parse_trace(text: str) -> Trace:
     """Trace file format: one utterance per line of whitespace-separated atom
     tokens, ``-`` for an utterance with no atoms, ``#`` comment lines, blank

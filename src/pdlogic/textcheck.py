@@ -128,7 +128,9 @@ class ReferentSpec:
 
 def parse_referent_spec(text: str, base_dir: Path | None = None) -> ReferentSpec:
     """Spec file format: ``referent:`` and ``descriptor:`` lines, optional
-    ``lexicon: <path>`` (relative to the spec file)."""
+    ``lexicon: <path>`` (relative to the spec file). Each key appears at
+    most once."""
+    seen: set[str] = set()
     names: frozenset[str] | None = None
     descriptor = None
     lexicon = None
@@ -143,6 +145,9 @@ def parse_referent_spec(text: str, base_dir: Path | None = None) -> ReferentSpec
             raise ConfigError(f"line {lineno}: expected '<key>: <value>'")
         key = key.strip()
         value = value.strip()
+        if key in seen:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        seen.add(key)
         if key == "referent":
             names = frozenset(value.split())
         elif key == "descriptor":

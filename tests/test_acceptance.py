@@ -21,7 +21,7 @@ from pdlogic.monitoring import (
     Utterance,
     evaluate,
     expand_bounded,
-    final_verdict,
+    monitor,
 )
 from pdlogic.parsing import (
     ParseError,
@@ -125,7 +125,7 @@ def test_criterion_4_monitor_oracle_equivalence():
             expanded = expand_bounded(f)
             for t in traces:
                 expected = SATISFIED if direct_evaluate(expanded, t, 0) else VIOLATED
-                assert final_verdict(f, t).status == expected
+                assert monitor(f, t.utterances)[-1].status == expected
         assert len(formulas) * len(traces) > 1_000_000
 
 

@@ -325,6 +325,17 @@ class TestCheck:
         assert err == ("error: line 3, column 30: "
                        "expected formula (expected atom, modality, '(')\n")
 
+    def test_repeated_descriptor_exits_2(self, capsys, tmp_path):
+        # the second descriptor once replaced the first without a word
+        spec = tmp_path / "spec.txt"
+        spec.write_text("referent: Mara\ndescriptor: [] she/her\ndescriptor: [] he/him\n",
+                        encoding="utf-8")
+        doc = tmp_path / "doc.txt"
+        doc.write_text("Mara came. She smiled.\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", str(spec), str(doc))
+        assert (code, out) == (2, "")
+        assert err == "error: line 3: duplicate key 'descriptor'\n"
+
     def test_crlf_document_spans_are_byte_offsets_into_the_file(self, capsys, tmp_path):
         spec = tmp_path / "spec.txt"
         spec.write_bytes(b"referent: Mara\r\ndescriptor: [] she/her\r\n")

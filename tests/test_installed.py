@@ -3,32 +3,43 @@
 Each case runs ``[sys.executable, "-m", "pdlogic.cli"]`` with the package
 from ``src``, or the command in the ``PDLOGIC_COMMAND`` environment variable
 when it is set (``PDLOGIC_COMMAND=pdlogic`` runs the console script that pip
-installed). A case gives its arguments, the files it writes first, the run
-whose output is its standard input if any, its exit status, its exact
-standard output and error, and the seconds it may take.
+installed). A case gives its arguments, the files it writes first, its
+standard input (bytes, or the output of another run), the variables laid
+over the command's environment, its exit status, its exact standard output
+and error, and the seconds it may take. Sample files are named by absolute
+path, so the table runs from any working directory.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import shlex
 import subprocess
 import sys
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
+from string import ascii_lowercase
+from unittest import mock
 
 import pytest
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+from pdlogic import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+SAMPLES = ROOT / "samples"
 
 
-def command() -> tuple[list[str], dict[str, str]]:
-    """The command to run and its environment."""
+def command(env: dict[str, str]) -> tuple[list[str], dict[str, str]]:
+    """The command to run, and its environment with ``env`` laid over it."""
     installed = os.environ.get("PDLOGIC_COMMAND")
     if installed:
-        return shlex.split(installed), dict(os.environ)
+        return shlex.split(installed), {**os.environ, **env}
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return [sys.executable, "-m", "pdlogic.cli"], {**os.environ, "PYTHONPATH": path}
+    return [sys.executable, "-m", "pdlogic.cli"], {**os.environ, "PYTHONPATH": path, **env}
 
 
 @dataclass(frozen=True)
@@ -38,17 +49,37 @@ class Case:
     stdout: str
     stderr: str = ""
     files: dict[str, str] = field(default_factory=dict)
+    stdin: bytes = b""
     piped_from: list[str] | None = None  # a run whose output, exit 0, is stdin
+    env: dict[str, str] = field(default_factory=dict)
     timeout: float = 60
 
 
-def run(args: list[str], stdin: bytes, directory: Path,
+def run(args: list[str], stdin: bytes, directory: Path, env: dict[str, str],
         timeout: float) -> subprocess.CompletedProcess:
-    argv, env = command()
+    argv, environment = command(env)
     args = [arg.replace("{dir}", str(directory)) for arg in args]
-    return subprocess.run(argv + args, input=stdin, capture_output=True, env=env,
+    return subprocess.run(argv + args, input=stdin, capture_output=True, env=environment,
                           timeout=timeout)
 
+
+COLUMNS_80 = {"COLUMNS": "80"}
+HELP_ARGV = {sub: [sub, "--help"] if sub else ["--help"]
+             for sub in ("", "parse", "prove", "monitor", "eval", "check")}
+
+
+def help_text(argv: list[str]) -> str:
+    """What ``cli.main(argv)`` prints in this process at 80 columns."""
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, COLUMNS_80), contextlib.redirect_stdout(out):
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+    return out.getvalue()
+
+
+HELP = {sub: help_text(argv) for sub, argv in HELP_ARGV.items()}
 
 TENSOR_KEYS = [f"{c}{c}/{c}{c}" for c in "abcdefghijklm"]
 SAFETY = "|- she/her -o (she/her (+) (she/her * they/them))"
@@ -56,6 +87,37 @@ SAFETY = "|- she/her -o (she/her (+) (she/her * they/them))"
 # whose innermost term is a predicate with no '=' after its parentheses.
 NESTED_TERMS = "(iota x. " * 40 + "x = x" + ") = x" * 39 + ") = y"
 MALFORMED_TERMS = "(iota x. " * 20 + "p(x)" + ")" * 20 + " = y"
+
+GOLDEN = {name: (SAMPLES / f"{name}.golden").read_text("utf-8")
+          for name in ("eventually", "prompt_fix", "vacuous", "violated")}
+
+# A trace of three utterances, and 4000 utterances of the response pattern
+# whose last trigger, in the last five utterances, goes unanswered.
+SHORT_TRACE = "she/her a/b\nshe/her c/d\nshe/her a/b c/d\n"
+RESPONSE = "[] (a/b -> <><=5 c/d)"
+LONG_TRACE = "\n".join(" ".join(["a/b"] * (j % 5 == 0)
+                                + ["c/d"] * (j < 3995 and j % 5 == j // 5 % 5)) or "-"
+                       for j in range(4000)) + "\n"
+# Both modes answer alike: the name of each pair of rows, its spec, trace and
+# exit status, and its batch and stepwise output.
+MONITOR = {
+    "huge_bound": ("[]<=1000000000 she/her", SHORT_TRACE, 0, "Satisfied\n",
+                   "0\tInconclusive\n1\tInconclusive\n2\tInconclusive\n3\tSatisfied\n"),
+    "unequal_deep_bounds": ("[]<=5000 a/b /\\ []<=5001 a/b", SHORT_TRACE, 1, "Violated\n",
+                            "0\tInconclusive\n1\tViolated\n2\tViolated\n"),
+    "response": (RESPONSE, SHORT_TRACE, 0, "Satisfied\n",
+                 "0\tInconclusive\n1\tInconclusive\n2\tInconclusive\n3\tSatisfied\n"),
+    "response_over_4000_utterances": (
+        RESPONSE, LONG_TRACE, 1, "Violated\n",
+        "".join(f"{j}\tInconclusive\n" for j in range(3999)) + "3999\tViolated\n"),
+}
+
+# A 1000-link chain of depth-2 formulas, deeper than the proof search's
+# recursion limit.
+CHAIN_NAMES = ["p" + "".join(t) + "/q" for t in product(ascii_lowercase, repeat=3)]
+CHAIN_LINKS = [f"{x} -o {y}" for x, y in zip(CHAIN_NAMES[:1000], CHAIN_NAMES[1:1001])]
+CHAIN = ", ".join([CHAIN_NAMES[0]] + CHAIN_LINKS) + " |- " + CHAIN_NAMES[1000]
+DEEP_TEXT = "(" * 101 + "a/b" + ")" * 101 + " $"
 
 CASES = {
     # The printed proof of the 13-atom tensor permutation is accepted when
@@ -106,20 +168,90 @@ CASES = {
                "doc.txt": "Mara arrived.\n"},
         timeout=10,
     ),
+    # Each sample's machine report is its golden file, and the exit status
+    # is 0 for Satisfied, 1 for Violated.
+    **{f"check_golden_{name}": Case(
+        ["check", str(SAMPLES / f"{name}.spec"), str(SAMPLES / f"{name}_doc.txt"), "--machine"],
+        0 if golden.split("\t")[2] == "Satisfied" else 1, golden,
+    ) for name, golden in GOLDEN.items()},
+    # Stepwise mode progresses []<=k and <><=k one bound at a time, so a huge
+    # bound and unequal deep bounds answer, and one transition table serves
+    # the whole long trace.
+    **{f"monitor_{name}_{mode}": Case(
+        ["monitor", "{dir}/spec.txt", "{dir}/trace.txt", "--mode", mode], status, stdout,
+        files={"spec.txt": spec + "\n", "trace.txt": trace},
+    ) for name, (spec, trace, status, batch, stepwise) in MONITOR.items()
+      for mode, stdout in (("batch", batch), ("stepwise", stepwise))},
+    # Every --help prints what the parser in this process prints.
+    **{f"help_{sub or 'pdlogic'}": Case(argv, 0, HELP[sub], env=COLUMNS_80)
+       for sub, argv in HELP_ARGV.items()},
+    "monitor_without_arguments": Case(
+        ["monitor"], 2, "",
+        "usage: pdlogic monitor [-h] [--mode {batch,stepwise}] spec trace\n"
+        "pdlogic monitor: error: the following arguments are required: spec, trace\n",
+        env=COLUMNS_80,
+    ),
+    "prove_sequent_with_check": Case(
+        ["prove", "c/d |- e/f", "--check", "{dir}/proof.txt"], 2, "",
+        "error: give a sequent to prove or a proof to --check, not both\n",
+        files={"proof.txt": "Id | a/b |- a/b\n"},
+    ),
+    # The 1000-link chain reaches the recursion limit in the proof search.
+    "prove_chain_too_deep": Case(
+        ["prove", "--file", "{dir}/chain.txt"], 3, "",
+        "error: proof search too deep (recursion limit reached)\n",
+        files={"chain.txt": CHAIN + "\n"},
+    ),
+    "eval_unrecognized_model_line": Case(
+        ["eval", "{dir}/model.txt", "forall x. man(x)"], 2, "",
+        "error: line 2: unrecognized line 'predicate man/1: a'\n",
+        files={"model.txt": "domain: a b\npredicate man/1: a\n"},
+    ),
+    "monitor_bound_of_5000_digits": Case(
+        ["monitor", "{dir}/spec.txt", "{dir}/trace.txt"], 2, "",
+        "error: line 1, column 5: number of 5000 digits is too long\n",
+        files={"spec.txt": "[]<=" + "1" * 5000 + " a/b\n", "trace.txt": "a/b\n"},
+    ),
+    # In UTF-8 mode, as under the C and POSIX locales: a 101-deep input that
+    # ends in a bad character fails at its nesting, the first error in
+    # reading order; standard input that is not UTF-8 fails, even in a
+    # comment; a CRLF document's span is its byte offsets in the file.
+    "parse_too_deep_before_a_bad_character": Case(
+        ["parse", "--kind", "linear", DEEP_TEXT], 2, "",
+        "error: line 1, column 102: formula nested deeper than 100 levels\n",
+        env={"PYTHONUTF8": "1"},
+    ),
+    "parse_standard_input_not_utf8": Case(
+        ["parse", "--kind", "linear"], 2, "",
+        "error: standard input: not UTF-8 text (bad byte at offset 6)\n",
+        stdin=b"a/b # \xff\n", env={"PYTHONUTF8": "1"},
+    ),
+    "check_crlf_document_spans": Case(
+        ["check", "{dir}/crlf.spec", "{dir}/crlf.txt", "--machine"], 1,
+        "12\t22\tViolated\the/him\n",
+        files={"crlf.spec": "referent: Mara\ndescriptor: [] she/her\n",
+               "crlf.txt": "Mara came.\r\nHe smiled.\r\n"},
+        env={"PYTHONUTF8": "1"},
+    ),
 }
+
+
+@pytest.mark.parametrize("sub", HELP_ARGV)
+def test_help_names_its_command(sub):
+    assert HELP[sub].startswith(f"usage: pdlogic {sub}")
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_installed_command(name, tmp_path):
     case = CASES[name]
     for file_name, text in case.files.items():
-        (tmp_path / file_name).write_text(text, encoding="utf-8")
-    stdin = b""
+        (tmp_path / file_name).write_bytes(text.encode("utf-8"))
+    stdin = case.stdin
     if case.piped_from is not None:
-        source = run(case.piped_from, b"", tmp_path, case.timeout)
+        source = run(case.piped_from, b"", tmp_path, case.env, case.timeout)
         assert (source.returncode, source.stderr) == (0, b"")
         stdin = source.stdout
-    result = run(case.args, stdin, tmp_path, case.timeout)
+    result = run(case.args, stdin, tmp_path, case.env, case.timeout)
     assert result.stdout.decode("utf-8") == case.stdout
     assert result.stderr.decode("utf-8") == case.stderr
     assert result.returncode == case.status

@@ -23,7 +23,6 @@ from pdlogic.monitoring import (
     Utterance,
     evaluate,
     expand_bounded,
-    final_verdict,
     monitor,
     parse_trace,
     progress,
@@ -406,8 +405,8 @@ class TestMonitor:
         assert [v.status for v in verdicts] == [INCONCLUSIVE, SATISFIED]
 
     def test_empty_stream(self):
-        assert final_verdict(tl.Box(tl.Atom(SHE)), EMPTY_TRACE).status == SATISFIED
-        assert final_verdict(tl.Diamond(tl.Atom(SHE)), EMPTY_TRACE).status == VIOLATED
+        assert monitor(tl.Box(tl.Atom(SHE)), EMPTY_TRACE.utterances)[-1].status == SATISFIED
+        assert monitor(tl.Diamond(tl.Atom(SHE)), EMPTY_TRACE.utterances)[-1].status == VIOLATED
 
     def test_monotonicity_exhaustively(self):
         for f in temporal_formulas(2):
@@ -487,7 +486,7 @@ class TestMonitor:
             expanded = expand_bounded(f)
             for t in all_traces(2):
                 expected = SATISFIED if evaluate(expanded, t, 0) else VIOLATED
-                assert final_verdict(f, t).status == expected, tl.render(f)
+                assert monitor(f, t.utterances)[-1].status == expected, tl.render(f)
 
     def test_same_verdicts_as_on_the_expansion(self):
         # Progressing []<=k and <><=k directly must give, step by step, the

@@ -301,6 +301,18 @@ class TestReferentSpec:
         with pytest.raises(ConfigError):
             parse_referent_spec("referent: Mara\n")
 
+    @pytest.mark.parametrize("text, key", [
+        ("referent: Mara\ndescriptor: [] she/her\nreferent: Ren\n", "referent"),
+        ("referent: Mara\ndescriptor: [] she/her\n\ndescriptor: [] he/him\n", "descriptor"),
+        ("referent: Mara\nlexicon: lex.txt\ndescriptor: [] she/her\n  lexicon : lex.txt\n",
+         "lexicon"),
+    ], ids=["referent", "descriptor", "lexicon"])
+    def test_repeated_key_is_rejected(self, tmp_path, text, key):
+        (tmp_path / "lex.txt").write_text("she -> she/her\nher -> she/her\n", encoding="utf-8")
+        line = len(text.splitlines())
+        with pytest.raises(ConfigError, match=f"^line {line}: duplicate key '{key}'$"):
+            parse_referent_spec(text, base_dir=tmp_path)
+
     def test_custom_lexicon_path(self, tmp_path):
         (tmp_path / "lex.txt").write_text(
             "xe -> xe/xem\nxem -> xe/xem\n", encoding="utf-8"
