@@ -14,9 +14,9 @@ O(log k) shifts per bounded modality. The direct recursive semantics it is
 checked against lives in the tests, as ``oracles.direct_evaluate``. The online
 monitor decides each utterance from one ``progress`` walk, which yields both
 the residual obligation and whether the formula holds if the stream ends there.
-Residuals are interned by structure, and the walks are memoized per (residual,
-utterance atom set) in one transition table per process, which every
-``MonitorSession`` shares.
+Residuals are states of one transition table per process, shared by every
+``MonitorSession``: the walk builds each node through the table, so equal
+residuals are one object, and walks are memoized per (state, atom set).
 """
 
 from __future__ import annotations
@@ -268,10 +268,11 @@ def _expand(formula: TemporalFormula) -> TemporalFormula:
 
 
 def simplify(formula: TemporalFormula) -> TemporalFormula:
-    """One level of True/False absorption, and/or idempotence on structurally
-    equal operands (also against the head of a right-nested chain, so that
+    """One level of True/False absorption, and/or idempotence on equal
+    operands (also against the head of a right-nested chain, so that
     ``[] <> f`` does not gain one copy of ``<> f`` per step), and
-    double-negation elimination. Children are assumed already simplified."""
+    double-negation elimination. The children are states, so ``is`` finds
+    equal ones."""
     match formula:
         case Not(TrueF()):
             return FALSE
@@ -283,17 +284,17 @@ def simplify(formula: TemporalFormula) -> TemporalFormula:
             return FALSE
         case And(TrueF(), f) | And(f, TrueF()):
             return f
-        case And(l, r) if _equal(l, r):
+        case And(l, r) if l is r:
             return l
-        case And(l, And(m, _)) if _equal(l, m):
+        case And(l, And(m, _)) if l is m:
             return formula.right
         case Or(TrueF(), _) | Or(_, TrueF()):
             return TRUE
         case Or(FalseF(), f) | Or(f, FalseF()):
             return f
-        case Or(l, r) if _equal(l, r):
+        case Or(l, r) if l is r:
             return l
-        case Or(l, Or(m, _)) if _equal(l, m):
+        case Or(l, Or(m, _)) if l is m:
             return formula.right
         case Implies(FalseF(), _) | Implies(_, TrueF()):
             return TRUE
@@ -313,16 +314,22 @@ def _unbound(formula: TemporalFormula) -> TemporalFormula:
     return formula
 
 
-def progress(
-    formula: TemporalFormula, utterance: Utterance
-) -> tuple[TemporalFormula, bool]:
+def progress(formula: TemporalFormula, utterance: Utterance) -> tuple[TemporalFormula, bool]:
     """One step in one walk: ``(residual, holds_if_ended)``.
 
     ``residual`` is the obligation left for the utterances after this one;
     ``holds_if_ended`` equals ``evaluate(formula, Trace((utterance,)), 0)``.
     The residual cannot give that answer, because after progression a
     weak-next obligation looks like a strong one.
+
+    The walk runs on ``formula``'s state and builds each node through
+    ``simplify``, then ``_canon``: the residual is a state or a bare constant.
     """
+    return _progress(_intern(formula), utterance)
+
+
+def _progress(formula: TemporalFormula, utterance: Utterance) -> tuple[TemporalFormula, bool]:
+    """``progress`` on a state."""
     match formula:
         case Atom(a):
             return (TRUE, True) if a in utterance.atoms else (FALSE, False)
@@ -331,56 +338,37 @@ def progress(
         case FalseF():
             return formula, False
         case Not(f):
-            residual, holds = progress(f, utterance)
-            return simplify(Not(residual)), not holds
+            residual, holds = _progress(f, utterance)
+            return _canon(simplify(Not(residual))), not holds
         case And(l, r):
-            left, left_holds = progress(l, utterance)
-            right, right_holds = progress(r, utterance)
-            return simplify(And(left, right)), left_holds and right_holds
+            left, left_holds = _progress(l, utterance)
+            right, right_holds = _progress(r, utterance)
+            return _canon(simplify(And(left, right))), left_holds and right_holds
         case Or(l, r):
-            left, left_holds = progress(l, utterance)
-            right, right_holds = progress(r, utterance)
-            return simplify(Or(left, right)), left_holds or right_holds
+            left, left_holds = _progress(l, utterance)
+            right, right_holds = _progress(r, utterance)
+            return _canon(simplify(Or(left, right))), left_holds or right_holds
         case Implies(l, r):
-            left, left_holds = progress(l, utterance)
-            right, right_holds = progress(r, utterance)
-            return simplify(Implies(left, right)), not left_holds or right_holds
+            left, left_holds = _progress(l, utterance)
+            right, right_holds = _progress(r, utterance)
+            return _canon(simplify(Implies(left, right))), not left_holds or right_holds
         case Next(f):
             return _unbound(f), False
         case Box(f):
-            residual, holds = progress(f, utterance)
-            return simplify(And(residual, formula)), holds
+            residual, holds = _progress(f, utterance)
+            return _canon(simplify(And(residual, formula))), holds
         case Diamond(f):
-            residual, holds = progress(f, utterance)
-            return simplify(Or(residual, formula)), holds
+            residual, holds = _progress(f, utterance)
+            return _canon(simplify(Or(residual, formula))), holds
         case BoxK(k, f) | DiamondK(k, f):
             # expand_bounded's step: f now, then the bound one lower, through
             # weak next for []<=k and strong next for <><=k
-            residual, holds = progress(f, utterance)
+            residual, holds = _progress(f, utterance)
             if k > 1:
-                rest = _unbound(f) if k == 2 else type(formula)(k - 1, f)
-                residual = simplify((And if type(formula) is BoxK else Or)(residual, rest))
+                rest = _unbound(f) if k == 2 else _canon(type(formula)(k - 1, f))
+                residual = _canon(simplify((And if type(formula) is BoxK else Or)(residual, rest)))
             return residual, holds
     raise TypeError(f"not a temporal formula: {formula!r}")
-
-
-def _equal(a: TemporalFormula, b: TemporalFormula) -> bool:
-    """``a == b``, walked on an explicit stack: the dataclass ``==`` recurses
-    once per level, so operands deeper than the recursion limit, such as
-    long ``()`` chains or expansions, would raise RecursionError."""
-    pairs = [(a, b)]
-    while pairs:
-        a, b = pairs.pop()
-        if a is b:
-            continue
-        if type(a) is not type(b):
-            return False
-        for x, y in zip(a.__dict__.values(), b.__dict__.values()):
-            if isinstance(x, TemporalFormula):
-                pairs.append((x, y))
-            elif x != y:  # an Atom's atom, a bound's k
-                return False
-    return True
 
 
 # The transition table, one per process and shared by every session; the
@@ -389,8 +377,6 @@ def _equal(a: TemporalFormula, b: TemporalFormula) -> bool:
 _states: dict[object, TemporalFormula] = {}  # _key(node) -> canonical state
 # (id(state), atom set) -> (state, next state, holds_if_ended)
 _steps: dict[tuple[int, frozenset[PronounAtom]], tuple] = {}
-# id(formula) -> (formula, its state, whether it holds on the empty trace)
-_starts: dict[int, tuple[TemporalFormula, TemporalFormula, bool]] = {}
 
 
 def _key(node: TemporalFormula) -> object:
@@ -411,23 +397,25 @@ def _key(node: TemporalFormula) -> object:
     raise TypeError(f"not a temporal formula: {node!r}")
 
 
+def _canon(node: TemporalFormula) -> TemporalFormula:
+    """The state equal to ``node``, whose children are states; ``node`` if new."""
+    return _states.setdefault(_key(node), node)
+
+
 def _intern(formula: TemporalFormula) -> TemporalFormula:
     """The one object in ``_states`` structurally equal to ``formula``, added
     with its parts if there is none.
 
-    A walk on an explicit stack, so chains deeper than the recursion limit
-    need no recursion. A node whose ``_key`` hits has the children of the
-    state it hits, so it is equal to that state; the walk descends only
-    below nodes whose key misses. Re-interning a canonical state is thus one
-    lookup, and a progress result costs only its newly built part. A node
-    whose children are canonical becomes canonical itself; any other is
-    rebuilt on its children's canonical objects.
+    Interning a state, such as a progress result, is one lookup. Any other
+    formula is walked bottom-up on an explicit stack, so chains deeper than
+    the recursion limit need no recursion: a node whose children are states
+    goes through ``_canon``, and any other is rebuilt on its children's states.
     """
     found = _states.get(_key(formula))
     if found is not None:
         return found
-    done: dict[int, TemporalFormula] = {}  # id(node) -> its canonical node
-    stack = [formula]  # nodes whose key missed
+    done: dict[int, TemporalFormula] = {}  # id(node) -> its state
+    stack = [formula]
     while stack:
         node = stack[-1]
         if id(node) in done:  # a shared node, pushed twice
@@ -436,29 +424,18 @@ def _intern(formula: TemporalFormula) -> TemporalFormula:
         cls = type(node)
         if cls is And or cls is Or or cls is Implies:
             kids = (node.left, node.right)
-        else:  # as children() would, at half the cost; _key checked the type
+        else:  # as children() would, at half the cost; _canon checks the type
             kids = (node.operand,) if cls in _UNARY else ()
-        missed = []
-        for kid in kids:
-            if id(kid) not in done:
-                found = _states.get(_key(kid))
-                if found is None:
-                    missed.append(kid)
-                else:
-                    done[id(kid)] = found
+        missed = [kid for kid in kids if id(kid) not in done]
         if missed:
             stack.extend(missed)
             continue
         stack.pop()
-        canonical = [done[id(kid)] for kid in kids]
+        states = [done[id(kid)] for kid in kids]
         built = node
-        if any(map(is_not, canonical, kids)):
-            built = cls(node.k, *canonical) if cls in (BoxK, DiamondK) else cls(*canonical)
-        key = _key(built)
-        found = _states.get(key)
-        if found is None:
-            found = _states[key] = built
-        done[id(node)] = found
+        if any(map(is_not, states, kids)):
+            built = cls(node.k, *states) if cls in (BoxK, DiamondK) else cls(*states)
+        done[id(node)] = _canon(built)
     return done[id(formula)]
 
 
@@ -475,35 +452,32 @@ class MonitorSession:
     The walks are memoized in one transition table per process, which every
     session shares, so the monitor is the finite-trace automaton of De
     Giacomo & Vardi (IJCAI 2013), built on demand by progression (Bacchus &
-    Kabanza, AIJ 2000). The table has three parts:
+    Kabanza, AIJ 2000). The table has two parts:
 
-    - ``_states``, the canonical states. Residuals are interned by
-      structure (``_intern``), so a residual that progression rebuilds
-      equal, such as that of ``[] <> f`` while ``f`` is absent, is the same
-      state again.
+    - ``_states``, one canonical state per structure, added by ``_intern``
+      and ``_canon``. A residual that progression rebuilds equal, such as
+      that of ``[] <> f`` while ``f`` is absent, is the same state again.
     - ``_steps``, ``(id(state), atom set) -> (state, next state,
       holds_if_ended)``. A state already left once with that atom set costs
       one dict lookup: stepwise ``[] (a/b -> <><=5 c/d)`` walks each of its
       few states once per atom set, and a later session of that formula
       walks nothing.
-    - ``_starts``, ``id(formula) -> (formula, its state, whether it holds on
-      the empty trace)`` for each formula object a session started from, so
-      that starting again from the same object is one lookup.
 
     A session keeps only its residual, its position, its verdict and the
     ends-now answer. On a miss it interns its residual again before the
-    walk, because the table may have been cleared since it took that state;
-    that is one lookup when the residual is still canonical. States are
-    keyed on identity and not hashed by structure, because a dataclass hash
-    recurses through the whole residual at every lookup.
+    walk, because the table may have been cleared since it took that state,
+    and the walk's result, which may be a bare constant: one lookup each
+    while the table holds them. States are keyed on identity and not hashed
+    by structure, because a dataclass hash recurses through the whole
+    residual at every lookup.
 
     Invariant: every id in a key names an object that the same entry holds
-    (a state holds its children, a step its state, a start its formula), so
-    no id is reused while its entry lives. This holds when threads share the
-    table too, since no entry relies on another: a race between a clear and
-    a store at worst costs a walk again, never a wrong step.
+    (a state holds its children, a step its state), so no id is reused
+    while its entry lives. This holds when threads share the table too,
+    since no entry relies on another: a race between a clear and a store at
+    worst costs a walk again, never a wrong step.
 
-    When the three parts together reach ``STEP_CAP`` entries, all are
+    When the two parts together reach ``STEP_CAP`` entries, both are
     cleared, before the intern or walk that would add to them. That bounds
     the table for residuals that change at every step, such as the falling
     bound of ``<><=k f``, and for a stream of new formulas.
@@ -512,12 +486,9 @@ class MonitorSession:
     STEP_CAP = 4096
 
     def __init__(self, formula: TemporalFormula):
-        entry = _starts.get(id(formula))
-        if entry is None:
-            _make_room(self.STEP_CAP)
-            state = _intern(formula)
-            entry = _starts[id(formula)] = (formula, state, evaluate(state, EMPTY_TRACE, 0))
-        _, self.residual, self._holds_if_ended = entry
+        _make_room(self.STEP_CAP)
+        self.residual = _intern(formula)
+        self._holds_if_ended = evaluate(self.residual, EMPTY_TRACE, 0)
         self.position = 0
         self.verdict = Verdict(INCONCLUSIVE)
 
@@ -550,10 +521,9 @@ class MonitorSession:
 
 def _make_room(cap: int) -> None:
     """Clear the whole transition table once it has ``cap`` entries."""
-    if len(_states) + len(_steps) + len(_starts) >= cap:
+    if len(_states) + len(_steps) >= cap:
         _states.clear()
         _steps.clear()
-        _starts.clear()
 
 
 def monitor(formula: TemporalFormula, utterances: Iterable[Utterance]) -> list[Verdict]:

@@ -129,7 +129,7 @@ class ReferentSpec:
 def parse_referent_spec(text: str, base_dir: Path | None = None) -> ReferentSpec:
     """Spec file format: ``referent:`` and ``descriptor:`` lines, optional
     ``lexicon: <path>`` (relative to the spec file). Each key appears at
-    most once."""
+    most once, and a line ends at ``#``."""
     seen: set[str] = set()
     names: frozenset[str] | None = None
     descriptor = None
@@ -137,8 +137,8 @@ def parse_referent_spec(text: str, base_dir: Path | None = None) -> ReferentSpec
     end = 0
     for lineno, raw in enumerate(text.splitlines(keepends=True), start=1):
         start, end = end, end + len(raw)
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         key, colon, value = line.partition(":")
         if not colon:
@@ -151,9 +151,14 @@ def parse_referent_spec(text: str, base_dir: Path | None = None) -> ReferentSpec
         if key == "referent":
             names = frozenset(value.split())
         elif key == "descriptor":
+            # the span runs on over a comment, which the parser skips itself:
+            # an error at the end of the formula is placed at the line's end
             at = start + raw.index(value, raw.index(":") + 1)
-            descriptor = parsing._parse_span(parsing.parse_temporal, text, at, at + len(value))
+            descriptor = parsing._parse_span(parsing.parse_temporal, text, at,
+                                             start + len(raw.rstrip()))
         elif key == "lexicon":
+            if not value:
+                raise ConfigError(f"line {lineno}: empty value for 'lexicon'")
             path = Path(value)
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path

@@ -336,6 +336,14 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err == "error: line 3: duplicate key 'descriptor'\n"
 
+    def test_empty_lexicon_exits_2_naming_its_line(self, capsys, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("referent: Mara\ndescriptor: [] she/her\nlexicon:\n", encoding="utf-8")
+        doc = tmp_path / "doc.txt"
+        doc.write_text("Mara came. She smiled.\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", str(spec), str(doc))
+        assert (code, out, err) == (2, "", "error: line 3: empty value for 'lexicon'\n")
+
     def test_crlf_document_spans_are_byte_offsets_into_the_file(self, capsys, tmp_path):
         spec = tmp_path / "spec.txt"
         spec.write_bytes(b"referent: Mara\r\ndescriptor: [] she/her\r\n")

@@ -118,6 +118,9 @@ CHAIN_NAMES = ["p" + "".join(t) + "/q" for t in product(ascii_lowercase, repeat=
 CHAIN_LINKS = [f"{x} -o {y}" for x, y in zip(CHAIN_NAMES[:1000], CHAIN_NAMES[1:1001])]
 CHAIN = ", ".join([CHAIN_NAMES[0]] + CHAIN_LINKS) + " |- " + CHAIN_NAMES[1000]
 DEEP_TEXT = "(" * 101 + "a/b" + ")" * 101 + " $"
+# The referent spec that README.md shows under "### check", comments and all.
+README_SPEC = (ROOT / "README.md").read_text("utf-8").split(
+    "Lint documents against a referent spec:\n\n```\n", 1)[1].split("```", 1)[0]
 
 CASES = {
     # The printed proof of the 13-atom tensor permutation is accepted when
@@ -167,6 +170,15 @@ CASES = {
         files={"bad.spec": "referent: Mara\n\ndescriptor:   [] (she/her /\\ )\n",
                "doc.txt": "Mara arrived.\n"},
         timeout=10,
+    ),
+    # README's spec, with a lexicon at the path it names that tracks only
+    # she/her: "He" is no pronoun of the referent's, so the check passes.
+    "check_readme_spec": Case(
+        ["check", "{dir}/referent.spec", "{dir}/draft.txt", "--machine"], 0,
+        "0\t34\tSatisfied\t-\n",
+        files={"referent.spec": README_SPEC,
+               "my_lexicon.txt": "she -> she/her\nher -> she/her\n",
+               "draft.txt": "Mara arrived. She smiled. He left."},
     ),
     # Each sample's machine report is its golden file, and the exit status
     # is 0 for Satisfied, 1 for Violated.

@@ -363,6 +363,17 @@ class TestProgress:
         assert progress(tl.BoxK(3, tl.Next(a)), seen) == (
             tl.And(a, tl.BoxK(2, tl.Next(a))), False)
 
+    def test_residuals_are_states(self):
+        # A residual other than a constant is the one state of its
+        # structure, down to its last node: a copy of it interns to it. That
+        # holds on a formula that is not a state too, which progress interns.
+        clear_table()
+        letters = [Utterance(frozenset(s)) for s in ((), (A,), (C,), (A, C))]
+        for f, u in product(temporal_formulas(3), letters):
+            residual, _ = progress(f, u)
+            if not isinstance(residual, (tl.TrueF, tl.FalseF)):
+                assert monitoring._intern(copy.deepcopy(residual)) is residual, tl.render(f)
+
     def test_correctness_contract(self):
         # With (residual, holds) = progress(g, t[0]): on a one-utterance
         # trace, holds == evaluate(g, t, 0); on a longer one,
@@ -446,8 +457,7 @@ class TestMonitor:
         assert verdicts[-1].status == SATISFIED
 
     def test_residual_comparison_is_structural_equality(self):
-        # Both _equal and interning: two formulas intern to one object
-        # exactly when they are equal.
+        # Two formulas intern to one object exactly when they are equal.
         forms = temporal_formulas(3)
         rng = random.Random(46)
         pairs = [(f, copy.deepcopy(f)) for f in forms]
@@ -456,30 +466,30 @@ class TestMonitor:
         pairs += [(tl.BoxK(2, f), tl.BoxK(3, f)) for f in forms[:50]]
         pairs += [(tl.DiamondK(2, f), tl.DiamondK(3, f)) for f in forms[:50]]
         for f, g in pairs:
-            assert monitoring._equal(f, g) == (f == g), (tl.render(f), tl.render(g))
             same = monitoring._intern(f) is monitoring._intern(g)
             assert same == (f == g), (tl.render(f), tl.render(g))
         c1, c2 = next_chain(3000, A), next_chain(3000, A)
         assert monitoring._intern(c1) is monitoring._intern(c2)
         assert monitoring._intern(tl.BoxK(2, c1)) is not monitoring._intern(tl.BoxK(3, c2))
         for other in (next_chain(3000, C), next_chain(2999, A), next_chain(3001, A)):
-            assert not monitoring._equal(c1, other)
             assert monitoring._intern(c1) is not monitoring._intern(other)
 
     def test_equal_deep_operands_built_apart(self):
-        # simplify compares an And's or Or's operands, and the left one with
-        # the head of a right-nested chain; on two 3000-deep () chains built
-        # apart, dataclass == would recurse 3000 levels deep.
+        # Two 3000-deep () chains built apart: a structural comparison of
+        # the two operands, like dataclass ==, would recurse 3000 levels deep.
         c1, c2 = next_chain(3000, A), next_chain(3000, A)
-        assert monitoring.simplify(tl.And(c1, c2)) is c1
-        assert monitoring.simplify(tl.Or(c1, c2)) is c1
-        rest = tl.And(c2, tl.Atom(C))
-        assert monitoring.simplify(tl.And(c1, rest)) is rest
-        rest = tl.Or(c2, tl.Atom(C))
-        assert monitoring.simplify(tl.Or(c1, rest)) is rest
         utterances = [Utterance(frozenset({A}))] * 5
         verdicts = monitor(tl.And(tl.Next(c1), tl.Next(c2)), utterances)
         assert [v.status for v in verdicts] == [INCONCLUSIVE] * 5 + [VIOLATED]
+
+    def test_a_walk_merges_equal_operands_by_identity(self):
+        # Without a/b, <><=3 a/b leaves <><=2 a/b and () <><=2 a/b leaves
+        # its operand. The walk builds the first as the state the second
+        # already is, so the conjunction of the two is that one state.
+        session = MonitorSession(parse_temporal("<><=3 a/b /\\ () <><=2 a/b"))
+        assert session.feed(Utterance(frozenset())).status == INCONCLUSIVE
+        assert session.residual == parse_temporal("<><=2 a/b")
+        assert monitoring._intern(session.residual) is session.residual
 
     def test_final_verdict_matches_semantics_small(self):
         for f in temporal_formulas(2):
@@ -565,7 +575,7 @@ class TestResidualGrowth:
 
 def clear_table():
     """Empty the process's transition table."""
-    for table in (monitoring._states, monitoring._steps, monitoring._starts):
+    for table in (monitoring._states, monitoring._steps):
         table.clear()
 
 
@@ -600,8 +610,6 @@ def assert_table_consistent():
         assert all(id(kid) in states for kid in tl.children(state))
     for (key, _), (state, target, _) in monitoring._steps.items():
         assert key == id(state) and key in states and id(target) in states
-    for key, (formula, state, _) in monitoring._starts.items():
-        assert key == id(formula) and id(state) in states
 
 
 class TestTransitionTable:
@@ -640,7 +648,7 @@ class TestTransitionTable:
             session.feed(Utterance(frozenset({C})))
             states.append(len(monitoring._states))
             steps.append(len(monitoring._steps))
-            totals.append(states[-1] + steps[-1] + len(monitoring._starts))
+            totals.append(states[-1] + steps[-1])
         assert session.finish().status == VIOLATED
         assert len(walks) == 10_000
         assert max(states) <= cap // 2 + 2 and max(steps) <= cap // 2 + 1

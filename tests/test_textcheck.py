@@ -321,6 +321,22 @@ class TestReferentSpec:
         spec = parse_referent_spec(spec_text, base_dir=tmp_path)
         assert spec.lexicon.atoms() == frozenset({atom("xe/xem")})
 
+    def test_a_line_ends_at_a_hash(self, tmp_path):
+        (tmp_path / "lex.txt").write_text("she -> she/her\nher -> she/her\n", encoding="utf-8")
+        spec = parse_referent_spec(
+            "referent: Mara M # the author\n"
+            "descriptor: [] she/her  # in every sentence\n"
+            "lexicon: lex.txt   # surface -> atom lines\n", base_dir=tmp_path)
+        assert spec.referent_names == {"Mara", "M"}
+        assert spec.descriptor == parse_temporal("[] she/her")
+        assert spec.lexicon.atoms() == frozenset({SHE})
+
+    @pytest.mark.parametrize("value", ["", "   ", "  # no path"])
+    def test_empty_lexicon_value_names_its_line(self, value):
+        text = f"referent: Mara\ndescriptor: [] she/her\nlexicon:{value}\n"
+        with pytest.raises(ConfigError, match="^line 3: empty value for 'lexicon'$"):
+            parse_referent_spec(text, base_dir=Path("."))
+
     @pytest.mark.parametrize("text, line, column", [
         ("referent: Mara\n# the descriptor\ndescriptor:   [] (she/her /\\ )\n", 3, 30),
         # CRLF line ends, spaces before the key, a non-ASCII operator
@@ -329,6 +345,9 @@ class TestReferentSpec:
         ("# Mara’s spec\ndescriptor: [] she/her /\\\nreferent: Mara\n", 2, 26),
         # an empty descriptor: the error is right after the colon
         ("referent: Mara\n\ndescriptor:\n", 3, 12),
+        # a comment after the formula: the error is at the end of the line,
+        # as the parser reads the comment itself
+        ("referent: Mara\ndescriptor: [] (she/her /\\  # a note\n", 2, 37),
     ])
     def test_bad_descriptor_names_its_place_in_the_spec(self, text, line, column):
         with pytest.raises(ParseError) as raised:
