@@ -5,11 +5,19 @@ Terms may fail to denote. We use the negative reading: an atomic formula with
 a non-denoting argument is false (and its negation therefore true). This is
 the simplest total two-valued semantics and it is what decides the truth value
 of descriptions built from contradictory bodies.
+
+Evaluation remembers the value of each part of a formula under each binding of
+the part's own free variables, so a formula f costs O(|f| * |D|^w)
+evaluations, where w is the most free variables of any part of f (Vardi, "The
+Complexity of Relational Query Languages", STOC 1982). Each evaluation that
+this memo does not answer counts against a budget of ``DEFAULT_BUDGET`` per
+call, past which the call raises ``ResourceLimit``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import notation
 from .prover import DEFAULT_BUDGET, ResourceLimit
@@ -121,20 +129,51 @@ class Exists(FreeFormula):
 
 def free_vars(node: FreeTerm | FreeFormula) -> frozenset[str]:
     """Free variables of a term or formula."""
-    match node:
-        case Var(name):
-            return frozenset((name,))
-        case Iota(v, body) | Epsilon(v, body) | Forall(v, body) | Exists(v, body):
-            return free_vars(body) - {v}
-        case Pred(_, args):
-            return frozenset().union(frozenset(), *(free_vars(a) for a in args))
-        case Eq(l, r):
-            return free_vars(l) | free_vars(r)
-        case Not(f):
-            return free_vars(f)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return free_vars(l) | free_vars(r)
-    raise TypeError(f"not a free-logic node: {node!r}")
+    return _Scan(node).free
+
+
+class _Scan:
+    """One bottom-up walk over a term or formula, keyed on node identity: its
+    free variables, the name and arity of each predicate in reading order, and
+    the free variables, in sorted order, of each node that does not use every
+    variable bound around it. Evaluation visits such a node again with the
+    same values of its own free variables; a node that uses every variable
+    bound around it meets each binding of them once. Variables are left out,
+    as a key for one would cost as much as its value."""
+
+    __slots__ = ("predicates", "marked", "_seen", "free")
+
+    def __init__(self, root: FreeTerm | FreeFormula):
+        self.predicates: list[tuple[str, int]] = []
+        self.marked: dict[int, tuple[str, ...]] = {}
+        self._seen: dict[int, frozenset[str]] = {}
+        self.free = self._walk(root, 0, frozenset())
+
+    def _walk(self, node, depth: int, bound: frozenset[str]) -> frozenset[str]:
+        """The free variables of ``node``, which sits under ``depth`` binders of
+        the variables ``bound``."""
+        if id(node) in self._seen:  # a part shared by two places: their visits may agree
+            names = self._seen[id(node)]
+            self.marked[id(node)] = tuple(sorted(names))
+            return names
+        match node:
+            case Var(name):
+                return frozenset((name,))
+            case Iota(v, body) | Epsilon(v, body) | Forall(v, body) | Exists(v, body):
+                names = self._walk(body, depth + 1, bound | {v}) - {v}
+            case Pred(name, args):
+                self.predicates.append((name, len(args)))
+                names = frozenset().union(*(self._walk(a, depth, bound) for a in args))
+            case Eq(l, r) | And(l, r) | Or(l, r) | Implies(l, r):
+                names = self._walk(l, depth, bound) | self._walk(r, depth, bound)
+            case Not(f):
+                names = self._walk(f, depth, bound)
+            case _:
+                raise TypeError(f"not a free-logic node: {node!r}")
+        self._seen[id(node)] = names
+        if len(names & bound) < depth:
+            self.marked[id(node)] = tuple(sorted(names))
+        return names
 
 
 # --- rendering -------------------------------------------------------------
@@ -220,89 +259,148 @@ class Model:
 
 
 class _Evaluation:
-    """The model of one outermost eval_term or eval_formula call, and the term
-    and formula evaluations left of that call's budget. A description nested d
-    deep is evaluated |D|^d times, so each evaluation counts against the proof
-    search's node budget, and past it the call raises ResourceLimit. The
-    recursion passes this object down in the model's place, so each call,
-    in whichever thread, counts only its own evaluations."""
+    """The state of one outermost eval_term or eval_formula call, passed down
+    the recursion in the model's place, so each call, in whichever thread,
+    counts and remembers only its own evaluations: the model, the evaluations
+    left of the call's budget, and a memo table for each node that ``_Scan``
+    marks, keyed on the values of the node's own free variables. A
+    description nested d deep is then evaluated once per binding of the
+    variables it uses, not |D|^d times.
 
-    __slots__ = ("domain", "predicates", "left")
+    Before anything is evaluated, it rejects a free variable that the
+    environment does not bind and a predicate that the model does not
+    interpret, so neither depends on which parts evaluation reaches. Each
+    evaluation that the memo does not answer counts against the proof
+    search's node budget, past which the call raises ResourceLimit. Each memo
+    entry is one such evaluation, so the memo never holds more entries than
+    the evaluations spent."""
 
-    def __init__(self, model: Model):
+    __slots__ = ("domain", "predicates", "left", "marked")
+
+    def __init__(self, model: Model, env: dict[str, str], root: FreeTerm | FreeFormula):
         self.domain = model.domain
         self.predicates = model.predicates
         self.left = DEFAULT_BUDGET
+        scan = _Scan(root)
+        unbound = sorted(name for name in scan.free if name not in env)
+        if unbound:
+            kind = "term" if isinstance(root, FreeTerm) else "formula"
+            raise UnboundVariableError(f"{kind} has free variables: {', '.join(unbound)}")
+        for name, arity in scan.predicates:
+            if (name, arity) not in model.predicates:
+                raise UnknownPredicateError(f"model does not interpret {name}/{arity}")
+        # marked node id -> (environment -> key, memo table of the node's values)
+        self.marked = {node: (itemgetter(*names) if names else _no_values, {})
+                       for node, names in scan.marked.items()}
 
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise ResourceLimit("free-logic evaluation budget exhausted")
+
+def _no_values(env: dict[str, str]) -> tuple[()]:
+    return ()
+
+
+_MISSING = object()  # no memo entry; None is the value of a non-denoting term
+
+# The evaluators below inline the memo lookup and the spending of the budget,
+# and they match bare class patterns and then read attributes: a pattern that
+# captures costs a __match_args__ lookup per field, and made an evaluation past
+# the memo twice as dear. Binders rebind one copy of the environment in place.
 
 
 def eval_term(model: Model, env: dict[str, str], term: FreeTerm) -> str | None:
     """Denotation of a term: an individual name, or None when it does not denote."""
     if type(model) is not _Evaluation:
-        model = _Evaluation(model)
-    model.spend()
+        model = _Evaluation(model, env, term)
+    marked = model.marked.get(id(term))
+    if marked is not None:
+        values, table = marked
+        key = values(env)
+        value = table.get(key, _MISSING)
+        if value is not _MISSING:
+            return value
+    model.left -= 1
+    if model.left < 0:
+        raise ResourceLimit("free-logic evaluation budget exhausted")
     match term:
-        case Var(name):
-            if name not in env:
-                raise UnboundVariableError(f"unbound variable {name!r}")
-            return env[name]
-        case Iota(v, body):
-            satisfiers = _satisfiers(model, env, v, body)
-            return satisfiers[0] if len(satisfiers) == 1 else NON_DENOTING
-        case Epsilon(v, body):
-            satisfiers = _satisfiers(model, env, v, body)
-            return satisfiers[0] if satisfiers else NON_DENOTING
-    raise TypeError(f"not a free-logic term: {term!r}")
+        case Var():
+            value = env[term.name]
+        case Iota():
+            satisfiers = _satisfiers(model, env, term.var, term.body)
+            value = satisfiers[0] if len(satisfiers) == 1 else NON_DENOTING
+        case Epsilon():
+            satisfiers = _satisfiers(model, env, term.var, term.body)
+            value = satisfiers[0] if satisfiers else NON_DENOTING
+        case _:
+            raise TypeError(f"not a free-logic term: {term!r}")
+    if marked is not None:
+        table[key] = value
+    return value
 
 
 def _satisfiers(model: _Evaluation, env: dict[str, str], var: str,
                 body: FreeFormula) -> list[str]:
-    return [d for d in model.domain if eval_formula(model, {**env, var: d}, body)]
+    env = dict(env)
+    satisfiers = []
+    for env[var] in model.domain:
+        if eval_formula(model, env, body):
+            satisfiers.append(env[var])
+    return satisfiers
 
 
 def eval_formula(model: Model, env: dict[str, str], formula: FreeFormula) -> bool:
+    """Truth of a formula under ``env``, which binds at least its free variables."""
     if type(model) is not _Evaluation:
-        model = _Evaluation(model)
-    model.spend()
+        model = _Evaluation(model, env, formula)
+    marked = model.marked.get(id(formula))
+    if marked is not None:
+        values, table = marked
+        key = values(env)
+        value = table.get(key, _MISSING)
+        if value is not _MISSING:
+            return value
+    model.left -= 1
+    if model.left < 0:
+        raise ResourceLimit("free-logic evaluation budget exhausted")
     match formula:
-        case Pred(name, args):
-            key = (name, len(args))
-            if key not in model.predicates:
-                raise UnknownPredicateError(f"model does not interpret {name}/{len(args)}")
-            values = [eval_term(model, env, a) for a in args]
-            if any(v is NON_DENOTING for v in values):
-                return False
-            return tuple(values) in model.predicates[key]
-        case Eq(l, r):
-            lv = eval_term(model, env, l)
-            rv = eval_term(model, env, r)
-            return lv is not NON_DENOTING and lv == rv
-        case Not(f):
-            return not eval_formula(model, env, f)
-        case And(l, r):
-            return eval_formula(model, env, l) and eval_formula(model, env, r)
-        case Or(l, r):
-            return eval_formula(model, env, l) or eval_formula(model, env, r)
-        case Implies(l, r):
-            return (not eval_formula(model, env, l)) or eval_formula(model, env, r)
-        case Forall(v, body):
-            return all(eval_formula(model, {**env, v: d}, body) for d in model.domain)
-        case Exists(v, body):
-            return any(eval_formula(model, {**env, v: d}, body) for d in model.domain)
-    raise TypeError(f"not a free-logic formula: {formula!r}")
+        case Pred():
+            args = tuple([eval_term(model, env, a) for a in formula.args])
+            value = NON_DENOTING not in args and args in model.predicates[formula.name, len(args)]
+        case Eq():
+            lv = eval_term(model, env, formula.left)
+            rv = eval_term(model, env, formula.right)
+            value = lv is not NON_DENOTING and lv == rv
+        case Not():
+            value = not eval_formula(model, env, formula.operand)
+        case And():
+            value = eval_formula(model, env, formula.left) and eval_formula(model, env, formula.right)
+        case Or():
+            value = eval_formula(model, env, formula.left) or eval_formula(model, env, formula.right)
+        case Implies():
+            value = (not eval_formula(model, env, formula.left)
+                     or eval_formula(model, env, formula.right))
+        case Forall():
+            value = True
+            env = dict(env)
+            for env[formula.var] in model.domain:
+                if not eval_formula(model, env, formula.body):
+                    value = False
+                    break
+        case Exists():
+            value = False
+            env = dict(env)
+            for env[formula.var] in model.domain:
+                if eval_formula(model, env, formula.body):
+                    value = True
+                    break
+        case _:
+            raise TypeError(f"not a free-logic formula: {formula!r}")
+    if marked is not None:
+        table[key] = value
+    return value
 
 
 def check_sentence(model: Model, formula: FreeFormula) -> bool:
-    """Evaluate a closed formula against a model."""
-    unbound = free_vars(formula)
-    if unbound:
-        raise UnboundVariableError(
-            f"formula has free variables: {', '.join(sorted(unbound))}"
-        )
+    """Evaluate a closed formula against a model; a free variable raises
+    UnboundVariableError."""
     return eval_formula(model, {}, formula)
 
 

@@ -45,9 +45,10 @@ RULES = (
 
 class ResourceLimit(Exception):
     """A budget ran out: proof search nodes here, free-logic term and formula
-    evaluations in ``freelogic`` (``DEFAULT_BUDGET`` of them per call), and
-    the node cap of the library's ``monitoring.expand_bounded``, which no CLI
-    path calls. Distinct from a negative answer."""
+    evaluations that the memo does not answer in ``freelogic``
+    (``DEFAULT_BUDGET`` of them per call), and the node cap of the library's
+    ``monitoring.expand_bounded``, which no CLI path calls. Distinct from a
+    negative answer."""
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,10 @@ text into a list before any of it is parsed; the package's lexer, a generator
 the parser pulls tokens from, must yield the same tokens and raise no later
 error than it. ``per_line_proof_from_text`` reads a proof with one
 ``parse_sequent`` call per line, as the package's ``proof_from_text`` did
-before it parsed each distinct formula text once.
+before it parsed each distinct formula text once. ``eval_term`` and
+``eval_formula`` evaluate free logic once per binding of every variable bound
+around a node, as the package did before it memoized each node on the values
+of its own free variables.
 """
 
 from __future__ import annotations
@@ -27,9 +30,12 @@ from pdlogic import freelogic as fl
 from pdlogic import linear as ll
 from pdlogic import temporal as tl
 from pdlogic.atoms import PronounAtom, atom
+from pdlogic.freelogic import (NON_DENOTING, And, Epsilon, Eq, Exists, FreeFormula, FreeTerm,
+                               Forall, Implies, Iota, Model, Not, Or, Pred,
+                               UnboundVariableError, UnknownPredicateError, Var)
 from pdlogic.monitoring import Trace, Utterance
 from pdlogic.parsing import _ALIASES, _KEYWORDS, _TOKEN, _error, _parse_span, parse_sequent
-from pdlogic.prover import RULES, ProofTree
+from pdlogic.prover import DEFAULT_BUDGET, RULES, ProofTree, ResourceLimit
 
 # --- naive linear derivability ------------------------------------------------
 
@@ -397,6 +403,89 @@ def per_line_proof_from_text(text: str) -> ProofTree:
     if consumed != len(entries):
         raise ValueError("trailing proof lines outside the root tree")
     return tree
+
+
+# --- free-logic evaluation, once per binding of every enclosing variable ---------
+
+# The package's evaluator before it memoized subformulas: every term and
+# formula is evaluated again for each binding of each variable bound around it,
+# and each evaluation counts against the budget.
+
+class _Evaluation:
+    """The model of one outermost eval_term or eval_formula call, and the term
+    and formula evaluations left of that call's budget. A description nested d
+    deep is evaluated |D|^d times, so each evaluation counts against the proof
+    search's node budget, and past it the call raises ResourceLimit. The
+    recursion passes this object down in the model's place, so each call,
+    in whichever thread, counts only its own evaluations."""
+
+    __slots__ = ("domain", "predicates", "left")
+
+    def __init__(self, model: Model):
+        self.domain = model.domain
+        self.predicates = model.predicates
+        self.left = DEFAULT_BUDGET
+
+    def spend(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise ResourceLimit("free-logic evaluation budget exhausted")
+
+
+def eval_term(model: Model, env: dict[str, str], term: FreeTerm) -> str | None:
+    """Denotation of a term: an individual name, or None when it does not denote."""
+    if type(model) is not _Evaluation:
+        model = _Evaluation(model)
+    model.spend()
+    match term:
+        case Var(name):
+            if name not in env:
+                raise UnboundVariableError(f"unbound variable {name!r}")
+            return env[name]
+        case Iota(v, body):
+            satisfiers = _satisfiers(model, env, v, body)
+            return satisfiers[0] if len(satisfiers) == 1 else NON_DENOTING
+        case Epsilon(v, body):
+            satisfiers = _satisfiers(model, env, v, body)
+            return satisfiers[0] if satisfiers else NON_DENOTING
+    raise TypeError(f"not a free-logic term: {term!r}")
+
+
+def _satisfiers(model: _Evaluation, env: dict[str, str], var: str,
+                body: FreeFormula) -> list[str]:
+    return [d for d in model.domain if eval_formula(model, {**env, var: d}, body)]
+
+
+def eval_formula(model: Model, env: dict[str, str], formula: FreeFormula) -> bool:
+    if type(model) is not _Evaluation:
+        model = _Evaluation(model)
+    model.spend()
+    match formula:
+        case Pred(name, args):
+            key = (name, len(args))
+            if key not in model.predicates:
+                raise UnknownPredicateError(f"model does not interpret {name}/{len(args)}")
+            values = [eval_term(model, env, a) for a in args]
+            if any(v is NON_DENOTING for v in values):
+                return False
+            return tuple(values) in model.predicates[key]
+        case Eq(l, r):
+            lv = eval_term(model, env, l)
+            rv = eval_term(model, env, r)
+            return lv is not NON_DENOTING and lv == rv
+        case Not(f):
+            return not eval_formula(model, env, f)
+        case And(l, r):
+            return eval_formula(model, env, l) and eval_formula(model, env, r)
+        case Or(l, r):
+            return eval_formula(model, env, l) or eval_formula(model, env, r)
+        case Implies(l, r):
+            return (not eval_formula(model, env, l)) or eval_formula(model, env, r)
+        case Forall(v, body):
+            return all(eval_formula(model, {**env, v: d}, body) for d in model.domain)
+        case Exists(v, body):
+            return any(eval_formula(model, {**env, v: d}, body) for d in model.domain)
+    raise TypeError(f"not a free-logic formula: {formula!r}")
 
 
 # --- random formula generators (seeded, for round-trip volume tests) ------------

@@ -278,6 +278,18 @@ class TestEval:
         assert code == 2
         assert "woman" in err
 
+    @pytest.mark.parametrize("text", [
+        "forall x. man(x) /\\ q(x)", "exists x. man(x) \\/ q(x)",
+    ])
+    def test_unknown_predicate_exits_2_where_evaluation_does_not_reach_it(
+            self, capsys, model, text):
+        assert run(capsys, "eval", model, text) == (
+            2, "", "error: model does not interpret q/1\n")
+
+    def test_term_with_a_free_variable_exits_2(self, capsys, model):
+        code, out, err = run(capsys, "eval", model, "--term", "eps x. !(x = x) /\\ man(y)")
+        assert (code, out, err) == (2, "", "error: term has free variables: y\n")
+
 
 class TestCheck:
     def test_violation_machine_output(self, capsys):
@@ -487,17 +499,27 @@ class TestHostileInput:
 
     @pytest.mark.parametrize("depth, expected", [
         (17, (1, "false\n", "")),
-        (40, (3, "", "error: free-logic evaluation budget exhausted\n")),
+        (40, (1, "false\n", "")),
     ])
     def test_nested_descriptions_answer_or_exit_3(self, capsys, tmp_path, depth, expected):
-        # 2^depth evaluations: depth 17 is within the 10^6 budget, depth 40
-        # would not finish without it
+        # Each description is closed and evaluated once. Evaluated once per
+        # binding of every x around it instead, depth 40 would take 2^40
+        # evaluations.
         model = tmp_path / "model.txt"
         model.write_text("domain: a b\npred p/1: b\n", encoding="utf-8")
         text = "p(iota x. " * depth + "p(x)" + ")" * depth
         started = time.perf_counter()
         assert run(capsys, "eval", str(model), text) == expected
         assert time.perf_counter() - started < 5.0
+
+    def test_wide_sentence_past_the_budget_exits_3(self, capsys, tmp_path):
+        # The body uses all four variables: 32^4 evaluations past the memo.
+        model = tmp_path / "model.txt"
+        model.write_text("domain: " + " ".join(f"i{k}" for k in range(32)) + "\n",
+                         encoding="utf-8")
+        text = "forall x. forall y. forall z. forall w. x = y \\/ !(x = y) \\/ z = w"
+        assert run(capsys, "eval", str(model), text) == (
+            3, "", "error: free-logic evaluation budget exhausted\n")
 
     def test_huge_bound_answers_in_stepwise_monitor(self, capsys, files):
         spec = Path(files["spec"])

@@ -8,10 +8,13 @@ exit 0, 1, 2 or 3, print nothing on stdout when it exits 2 or 3, print
 exactly one ``error:`` line on stderr when it exits 2 or 3 and nothing on
 stderr otherwise, and never let an exception escape.
 
-Binders nest at most three deep in the seeds, and each of the at most two
-edits adds at most one, so free-logic nesting stays within depth 6 and its
-evaluation stays fast, far below the budget of 10^6 term and formula
-evaluations per call that would end it with exit 3.
+The free-logic seeds include a description nested 20 deep and a sentence of
+four nested quantifiers, and each of the at most two edits adds at most one
+binder. Evaluation takes each node once per binding of the variables it
+uses, so the nested description costs a few evaluations per level, and a
+body under at most six binders meets at most 2^6 bindings over the seed
+model's two individuals: far below the budget of 10^6 evaluations per call
+that would end it with exit 3.
 """
 
 import contextlib
@@ -32,7 +35,9 @@ SEEDS = {
     "temporal": ["[] (she/her \\/ they/them)", "[]<=3 <> a/b",
                  "[] (!she/her -> () she/her)", "<><=2 (a/b /\\ []<=2 c/d)"],
     "free": ["man(iota x. man(x))", "forall x. exists y. loves(x, y)",
-             "exists y. y = (eps x. (man(x) /\\ !loves(x, iota z. man(z))))"],
+             "exists y. y = (eps x. (man(x) /\\ !loves(x, iota z. man(z))))",
+             "man(iota x. " * 20 + "man(x)" + ")" * 20,
+             "forall x. forall y. forall z. forall w. x = y \\/ !(x = y) \\/ loves(z, w)"],
     "term": ["iota x. man(x)", "eps x. loves(x, iota y. man(y))"],
     "sequent": ["a/b & c/d |- a/b (+) c/d", "she/her |- she/her * she/her",
                 "a/b -o c/d, a/b, e/f |- c/d * e/f"],

@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 import threading
+import time
 
 import pytest
 
@@ -21,9 +22,16 @@ from pdlogic.freelogic import (
 from pdlogic.parsing import parse_free, parse_free_term
 from pdlogic.prover import ResourceLimit
 
+import oracles
+
 TWO_MEN = parse_model("domain: a b\npred man/1: a b\n")
 ONE_MAN = parse_model("domain: a b\npred man/1: b\n")
 ONLY_B_IS_P = parse_model("domain: a b\npred p/1: b\n")
+
+WIDE = parse_free("forall x. forall y. forall z. forall w. x = y \\/ !(x = y) \\/ z = w")
+# the same shape over the variables and predicates of oracles.random_free
+WIDE_SMALL = parse_free("forall x. forall y. forall z. loves(x, y) \\/ !man(x) \\/ happy(z)")
+VARIABLES = ("x", "y", "z")
 
 IOTA_MAN = parse_free_term("iota x. man(x)")
 EPS_CONTRADICTION = parse_free_term("eps x. (man(x) /\\ !man(x))")
@@ -79,18 +87,69 @@ class TestEvalFormula:
         with pytest.raises(UnboundVariableError):
             check_sentence(TWO_MEN, parse_free("man(x)"))
 
-    def test_nested_descriptions_past_the_budget_raise(self):
-        # p(iota x. p(iota x. ... p(x))) is evaluated 2^depth times over a
-        # two-element domain: depth 17 is about 5.2 * 10^5 evaluations, depth
-        # 18 passes the 10^6 budget, and depth 30 would take hours.
+    def test_unknown_predicate_rejected_before_evaluation(self):
+        # only the second reaches q when evaluated: the first stops at p(a), the
+        # third at !(x = x)
+        for text in ("forall x. p(x) /\\ q(x)", "exists x. p(x) \\/ q(x)",
+                     "p(eps x. !(x = x) /\\ q(x))"):
+            with pytest.raises(UnknownPredicateError, match="^model does not interpret q/1$"):
+                check_sentence(ONLY_B_IS_P, parse_free(text))
+
+    def test_first_unknown_predicate_in_reading_order_is_named(self):
+        with pytest.raises(UnknownPredicateError, match="^model does not interpret r/2$"):
+            check_sentence(ONLY_B_IS_P, parse_free("r(iota x. q(x), iota y. s(y))"))
+
+    def test_free_variable_of_a_term_rejected_before_evaluation(self):
+        # the body is false before p(y) is reached, for every x
+        term = parse_free_term("eps x. !(x = x) /\\ p(y) /\\ p(w)")
+        with pytest.raises(UnboundVariableError, match="^term has free variables: w, y$"):
+            eval_term(ONLY_B_IS_P, {}, term)
+        assert eval_term(ONLY_B_IS_P, {"y": "b", "w": "a"}, term) is None
+
+    def test_nested_descriptions_answer_at_any_depth(self):
+        # p(iota x. p(iota x. ... p(x))): each description is closed, so it is
+        # evaluated once, not once per binding of the x around it. Evaluated
+        # that way, depth 30 would take 2^30 evaluations.
         def nested(depth):
             return parse_free("p(iota x. " * depth + "p(x)" + ")" * depth)
 
         assert check_sentence(ONLY_B_IS_P, nested(17)) is False
-        with pytest.raises(ResourceLimit):
-            check_sentence(ONLY_B_IS_P, nested(30))
+        assert check_sentence(ONLY_B_IS_P, nested(30)) is False
+        assert check_sentence(ONLY_B_IS_P, nested(100)) is False
+        deep = nested(22)
+        fastest = min(timed(check_sentence, ONLY_B_IS_P, deep) for _ in range(3))
+        assert fastest < 0.01
+
+    def test_wide_sentence_past_the_budget_raises(self):
+        # The body uses all four variables, so it is evaluated past the memo
+        # once for each of the 32^4 bindings: more than the 10^6 budget.
+        model = Model(tuple(f"i{k}" for k in range(32)))
+        with pytest.raises(ResourceLimit, match="^free-logic evaluation budget exhausted$"):
+            check_sentence(model, WIDE)
         # the budget is per call: the next one starts afresh
-        assert check_sentence(ONLY_B_IS_P, nested(3)) is False
+        assert check_sentence(model, parse_free("forall x. x = x")) is True
+
+    def test_budget_counts_evaluations_past_the_memo(self, monkeypatch):
+        # The 23 descriptions and the 23 atoms around them are closed, so each
+        # is evaluated once; the innermost p(x) and its x once per individual.
+        formula = parse_free("p(iota x. " * 23 + "p(x)" + ")" * 23)
+        monkeypatch.setattr(fl, "DEFAULT_BUDGET", 50)
+        assert check_sentence(ONLY_B_IS_P, formula) is False
+        monkeypatch.setattr(fl, "DEFAULT_BUDGET", 49)
+        with pytest.raises(ResourceLimit):
+            check_sentence(ONLY_B_IS_P, formula)
+
+    def test_memo_holds_no_more_entries_than_evaluations_spent(self):
+        rng = random.Random(12)
+        formulas = [parse_free("man(iota x. " * 22 + "man(x)" + ")" * 22), WIDE_SMALL]
+        formulas += [oracles.random_free(rng, 5) for _ in range(200)]
+        for formula in formulas:
+            model = random_full_model(rng)
+            env = {v: rng.choice(model.domain) for v in VARIABLES}
+            evaluation = fl._Evaluation(model, env, formula)
+            eval_formula(evaluation, env, formula)
+            entries = sum(len(table) for _, table in evaluation.marked.values())
+            assert entries <= fl.DEFAULT_BUDGET - evaluation.left
 
 
 class TestThreads:
@@ -129,6 +188,54 @@ def random_model(rng):
         (d,) for d in domain if rng.random() < 0.5
     )
     return Model(domain, {("p", 1): extension})
+
+
+def random_full_model(rng):
+    """One to four individuals, and every predicate of oracles.random_free."""
+    domain = tuple(f"d{i}" for i in range(rng.randint(1, 4)))
+    return Model(domain, {
+        (name, arity): frozenset(t for t in itertools.product(domain, repeat=arity)
+                                 if rng.random() < 0.5)
+        for name, arity in oracles._PREDS
+    })
+
+
+def timed(function, *args):
+    started = time.perf_counter()
+    function(*args)
+    return time.perf_counter() - started
+
+
+class TestAgainstTheOracle:
+    """The package evaluates each node once per binding of its own free
+    variables; oracles.eval_formula and oracles.eval_term evaluate it once per
+    binding of every variable bound around it. Each input is evaluated under
+    two models and environments, so a memo kept from one call to the next
+    answers wrongly."""
+
+    def test_sentences_open_formulas_and_terms(self):
+        rng = random.Random(20)
+        denotations = []
+        for _ in range(2000):
+            formula = oracles.random_free(rng, 5)
+            sentence = formula
+            for name in sorted(fl.free_vars(formula)):
+                sentence = rng.choice((fl.Forall, fl.Exists))(name, sentence)
+            term = rng.choice((fl.Iota, fl.Epsilon))(rng.choice(VARIABLES),
+                                                     oracles.random_free(rng, 5))
+            for _ in range(2):
+                model = random_full_model(rng)
+                env = {name: rng.choice(model.domain) for name in VARIABLES}
+                assert check_sentence(model, sentence) == oracles.eval_formula(
+                    model, {}, sentence), fl.render(sentence)
+                assert eval_formula(model, env, formula) == oracles.eval_formula(
+                    model, env, formula), fl.render(formula)
+                value = eval_term(model, env, term)
+                assert value == oracles.eval_term(model, env, term), fl.render_term(term)
+                denotations.append(value)
+        # both kinds of answer are compared, many times
+        assert denotations.count(None) > 500
+        assert len(denotations) - denotations.count(None) > 500
 
 
 class TestLaws:

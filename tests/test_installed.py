@@ -147,12 +147,20 @@ CASES = {
         ["prove", "--check", "-"], 0, "accepted\n",
         piped_from=["prove", "a/b, c/d |- c/d * a/b"],
     ),
-    # A description nested 40 deep takes 2^40 evaluations: it stops at the
-    # evaluation budget.
-    "eval_nested_descriptions_past_the_budget": Case(
-        ["eval", "{dir}/model.txt", "p(iota x. " * 40 + "p(x)" + ")" * 40], 3, "",
-        "error: free-logic evaluation budget exhausted\n",
+    # A description nested 40 deep is closed, so it is evaluated once, not
+    # once per binding of the x around it.
+    "eval_nested_descriptions_answer": Case(
+        ["eval", "{dir}/model.txt", "p(iota x. " * 40 + "p(x)" + ")" * 40], 1, "false\n",
         files={"model.txt": "domain: a b\npred p/1: b\n"}, timeout=30,
+    ),
+    # A body that uses all four variables is evaluated 32^4 times: it stops at
+    # the evaluation budget.
+    "eval_wide_sentence_past_the_budget": Case(
+        ["eval", "{dir}/model.txt",
+         "forall x. forall y. forall z. forall w. x = y \\/ !(x = y) \\/ z = w"], 3, "",
+        "error: free-logic evaluation budget exhausted\n",
+        files={"model.txt": "domain: " + " ".join(f"i{k}" for k in range(32)) + "\n"},
+        timeout=30,
     ),
     # Each level of parenthesized terms once doubled the parse time.
     "parse_nested_parenthesized_terms": Case(
