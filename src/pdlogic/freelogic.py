@@ -11,7 +11,9 @@ the part's own free variables, so a formula f costs O(|f| * |D|^w)
 evaluations, where w is the most free variables of any part of f (Vardi, "The
 Complexity of Relational Query Languages", STOC 1982). Each evaluation that
 this memo does not answer counts against a budget of ``DEFAULT_BUDGET`` per
-call, past which the call raises ``ResourceLimit``.
+call, past which the call raises ``ResourceLimit``. A binder scans the domain
+in order and stops once its value is fixed: ``forall`` at the first falsifier,
+``exists`` and ``eps`` at the first satisfier, and ``iota`` at the second.
 """
 
 from __future__ import annotations
@@ -129,7 +131,10 @@ class Exists(FreeFormula):
 
 def free_vars(node: FreeTerm | FreeFormula) -> frozenset[str]:
     """Free variables of a term or formula."""
-    return _Scan(node).free
+    return _Scan(node, object).free
+
+
+_KINDS = {FreeTerm: "term", FreeFormula: "formula"}
 
 
 class _Scan:
@@ -139,19 +144,23 @@ class _Scan:
     variable bound around it. Evaluation visits such a node again with the
     same values of its own free variables; a node that uses every variable
     bound around it meets each binding of them once. Variables are left out,
-    as a key for one would cost as much as its value."""
+    as a key for one would cost as much as its value. A root that is not a
+    ``kind``, a term where a formula belongs and a formula where a term does
+    raise TypeError, so evaluation meets only well-formed nodes."""
 
     __slots__ = ("predicates", "marked", "_seen", "free")
 
-    def __init__(self, root: FreeTerm | FreeFormula):
+    def __init__(self, root: FreeTerm | FreeFormula, kind: type):
         self.predicates: list[tuple[str, int]] = []
         self.marked: dict[int, tuple[str, ...]] = {}
         self._seen: dict[int, frozenset[str]] = {}
-        self.free = self._walk(root, 0, frozenset())
+        self.free = self._walk(root, 0, frozenset(), kind)
 
-    def _walk(self, node, depth: int, bound: frozenset[str]) -> frozenset[str]:
-        """The free variables of ``node``, which sits under ``depth`` binders of
-        the variables ``bound``."""
+    def _walk(self, node, depth: int, bound: frozenset[str], kind) -> frozenset[str]:
+        """The free variables of ``node``, an instance of ``kind`` that sits
+        under ``depth`` binders of the variables ``bound``."""
+        if not isinstance(node, kind):
+            raise TypeError(f"not a free-logic {_KINDS[kind]}: {node!r}")
         if id(node) in self._seen:  # a part shared by two places: their visits may agree
             names = self._seen[id(node)]
             self.marked[id(node)] = tuple(sorted(names))
@@ -160,14 +169,15 @@ class _Scan:
             case Var(name):
                 return frozenset((name,))
             case Iota(v, body) | Epsilon(v, body) | Forall(v, body) | Exists(v, body):
-                names = self._walk(body, depth + 1, bound | {v}) - {v}
+                names = self._walk(body, depth + 1, bound | {v}, FreeFormula) - {v}
             case Pred(name, args):
                 self.predicates.append((name, len(args)))
-                names = frozenset().union(*(self._walk(a, depth, bound) for a in args))
+                names = frozenset().union(*(self._walk(a, depth, bound, FreeTerm) for a in args))
             case Eq(l, r) | And(l, r) | Or(l, r) | Implies(l, r):
-                names = self._walk(l, depth, bound) | self._walk(r, depth, bound)
+                kind = FreeTerm if type(node) is Eq else FreeFormula
+                names = self._walk(l, depth, bound, kind) | self._walk(r, depth, bound, kind)
             case Not(f):
-                names = self._walk(f, depth, bound)
+                names = self._walk(f, depth, bound, FreeFormula)
             case _:
                 raise TypeError(f"not a free-logic node: {node!r}")
         self._seen[id(node)] = names
@@ -259,13 +269,12 @@ class Model:
 
 
 class _Evaluation:
-    """The state of one outermost eval_term or eval_formula call, passed down
-    the recursion in the model's place, so each call, in whichever thread,
-    counts and remembers only its own evaluations: the model, the evaluations
-    left of the call's budget, and a memo table for each node that ``_Scan``
-    marks, keyed on the values of the node's own free variables. A
-    description nested d deep is then evaluated once per binding of the
-    variables it uses, not |D|^d times.
+    """The state of one eval_term or eval_formula call, passed down the
+    recursion, so each call, in whichever thread, counts and remembers only
+    its own evaluations: the model, the evaluations left of the call's budget,
+    and a memo table for each node that ``_Scan`` marks, keyed on the values
+    of the node's own free variables. A description nested d deep is then
+    evaluated once per binding of the variables it uses, not |D|^d times.
 
     Before anything is evaluated, it rejects a free variable that the
     environment does not bind and a predicate that the model does not
@@ -277,15 +286,15 @@ class _Evaluation:
 
     __slots__ = ("domain", "predicates", "left", "marked")
 
-    def __init__(self, model: Model, env: dict[str, str], root: FreeTerm | FreeFormula):
+    def __init__(self, model: Model, env: dict[str, str], root: FreeTerm | FreeFormula,
+                 kind: type):
         self.domain = model.domain
         self.predicates = model.predicates
         self.left = DEFAULT_BUDGET
-        scan = _Scan(root)
+        scan = _Scan(root, kind)
         unbound = sorted(name for name in scan.free if name not in env)
         if unbound:
-            kind = "term" if isinstance(root, FreeTerm) else "formula"
-            raise UnboundVariableError(f"{kind} has free variables: {', '.join(unbound)}")
+            raise UnboundVariableError(f"{_KINDS[kind]} has free variables: {', '.join(unbound)}")
         for name, arity in scan.predicates:
             if (name, arity) not in model.predicates:
                 raise UnknownPredicateError(f"model does not interpret {name}/{arity}")
@@ -300,108 +309,86 @@ def _no_values(env: dict[str, str]) -> tuple[()]:
 
 _MISSING = object()  # no memo entry; None is the value of a non-denoting term
 
-# The evaluators below inline the memo lookup and the spending of the budget,
-# and they match bare class patterns and then read attributes: a pattern that
-# captures costs a __match_args__ lookup per field, and made an evaluation past
-# the memo twice as dear. Binders rebind one copy of the environment in place.
+# One evaluator serves terms and formulas, and one domain scan, ``_witnesses``,
+# the four binders. The evaluator spends the budget inline, and it matches bare
+# class patterns and then reads attributes: a pattern that captures costs a
+# __match_args__ lookup per field, and made an evaluation past the memo twice
+# as dear. The scan rebinds one copy of the environment in place.
 
 
 def eval_term(model: Model, env: dict[str, str], term: FreeTerm) -> str | None:
     """Denotation of a term: an individual name, or None when it does not denote."""
-    if type(model) is not _Evaluation:
-        model = _Evaluation(model, env, term)
-    marked = model.marked.get(id(term))
-    if marked is not None:
-        values, table = marked
-        key = values(env)
-        value = table.get(key, _MISSING)
-        if value is not _MISSING:
-            return value
-    model.left -= 1
-    if model.left < 0:
-        raise ResourceLimit("free-logic evaluation budget exhausted")
-    match term:
-        case Var():
-            value = env[term.name]
-        case Iota():
-            satisfiers = _satisfiers(model, env, term.var, term.body)
-            value = satisfiers[0] if len(satisfiers) == 1 else NON_DENOTING
-        case Epsilon():
-            satisfiers = _satisfiers(model, env, term.var, term.body)
-            value = satisfiers[0] if satisfiers else NON_DENOTING
-        case _:
-            raise TypeError(f"not a free-logic term: {term!r}")
-    if marked is not None:
-        table[key] = value
-    return value
-
-
-def _satisfiers(model: _Evaluation, env: dict[str, str], var: str,
-                body: FreeFormula) -> list[str]:
-    env = dict(env)
-    satisfiers = []
-    for env[var] in model.domain:
-        if eval_formula(model, env, body):
-            satisfiers.append(env[var])
-    return satisfiers
+    return _eval(_Evaluation(model, env, term, FreeTerm), env, term)
 
 
 def eval_formula(model: Model, env: dict[str, str], formula: FreeFormula) -> bool:
     """Truth of a formula under ``env``, which binds at least its free variables."""
-    if type(model) is not _Evaluation:
-        model = _Evaluation(model, env, formula)
-    marked = model.marked.get(id(formula))
-    if marked is not None:
-        values, table = marked
-        key = values(env)
-        value = table.get(key, _MISSING)
-        if value is not _MISSING:
-            return value
-    model.left -= 1
-    if model.left < 0:
-        raise ResourceLimit("free-logic evaluation budget exhausted")
-    match formula:
-        case Pred():
-            args = tuple([eval_term(model, env, a) for a in formula.args])
-            value = NON_DENOTING not in args and args in model.predicates[formula.name, len(args)]
-        case Eq():
-            lv = eval_term(model, env, formula.left)
-            rv = eval_term(model, env, formula.right)
-            value = lv is not NON_DENOTING and lv == rv
-        case Not():
-            value = not eval_formula(model, env, formula.operand)
-        case And():
-            value = eval_formula(model, env, formula.left) and eval_formula(model, env, formula.right)
-        case Or():
-            value = eval_formula(model, env, formula.left) or eval_formula(model, env, formula.right)
-        case Implies():
-            value = (not eval_formula(model, env, formula.left)
-                     or eval_formula(model, env, formula.right))
-        case Forall():
-            value = True
-            env = dict(env)
-            for env[formula.var] in model.domain:
-                if not eval_formula(model, env, formula.body):
-                    value = False
-                    break
-        case Exists():
-            value = False
-            env = dict(env)
-            for env[formula.var] in model.domain:
-                if eval_formula(model, env, formula.body):
-                    value = True
-                    break
-        case _:
-            raise TypeError(f"not a free-logic formula: {formula!r}")
-    if marked is not None:
-        table[key] = value
-    return value
+    return _eval(_Evaluation(model, env, formula, FreeFormula), env, formula)
 
 
 def check_sentence(model: Model, formula: FreeFormula) -> bool:
     """Evaluate a closed formula against a model; a free variable raises
     UnboundVariableError."""
     return eval_formula(model, {}, formula)
+
+
+def _eval(ev: _Evaluation, env: dict[str, str], node: FreeTerm | FreeFormula):
+    """The value of ``node``, a part that ``ev`` scanned: an individual or None
+    for a term, a bool for a formula."""
+    marked = ev.marked.get(id(node))
+    if marked is not None:
+        values, table = marked
+        key = values(env)
+        value = table.get(key, _MISSING)
+        if value is not _MISSING:
+            return value
+    ev.left -= 1
+    if ev.left < 0:
+        raise ResourceLimit("free-logic evaluation budget exhausted")
+    match node:
+        case Var():
+            value = env[node.name]
+        case Pred():
+            args = tuple([_eval(ev, env, a) for a in node.args])
+            value = NON_DENOTING not in args and args in ev.predicates[node.name, len(args)]
+        case Eq():
+            lv = _eval(ev, env, node.left)
+            rv = _eval(ev, env, node.right)
+            value = lv is not NON_DENOTING and lv == rv
+        case Not():
+            value = not _eval(ev, env, node.operand)
+        case And():
+            value = _eval(ev, env, node.left) and _eval(ev, env, node.right)
+        case Or():
+            value = _eval(ev, env, node.left) or _eval(ev, env, node.right)
+        case Implies():
+            value = not _eval(ev, env, node.left) or _eval(ev, env, node.right)
+        case Forall():
+            value = not _witnesses(ev, env, node, False, 1)
+        case Exists():
+            value = bool(_witnesses(ev, env, node, True, 1))
+        case Iota() | Epsilon():
+            found = _witnesses(ev, env, node, True, 2 if type(node) is Iota else 1)
+            value = found[0] if len(found) == 1 else NON_DENOTING
+    if marked is not None:
+        table[key] = value
+    return value
+
+
+def _witnesses(ev: _Evaluation, env: dict[str, str], binder: FreeTerm | FreeFormula,
+               sought: bool, enough: int) -> list[str]:
+    """The first ``enough`` individuals, in domain order, that give the body of
+    ``binder`` the value ``sought``, or all there are: once ``enough`` are
+    found, the binder's value no longer depends on the rest."""
+    env = dict(env)
+    var, body = binder.var, binder.body
+    found = []
+    for env[var] in ev.domain:
+        if _eval(ev, env, body) is sought:
+            found.append(env[var])
+            if len(found) == enough:
+                break
+    return found
 
 
 # --- model file format -----------------------------------------------------

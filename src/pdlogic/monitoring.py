@@ -375,8 +375,9 @@ def _progress(formula: TemporalFormula, utterance: Utterance) -> tuple[TemporalF
 # MonitorSession docstring describes it and the invariant that keeps its id
 # keys safe.
 _states: dict[object, TemporalFormula] = {}  # _key(node) -> canonical state
-# (id(state), atom set) -> (state, next state, holds_if_ended)
-_steps: dict[tuple[int, frozenset[PronounAtom]], tuple] = {}
+# (id(state), atom set) -> (state, next state, holds_if_ended), and
+# (id(formula), None) -> (formula, its state, None), a session start
+_steps: dict[tuple[int, frozenset[PronounAtom] | None], tuple] = {}
 
 
 def _key(node: TemporalFormula) -> object:
@@ -461,21 +462,24 @@ class MonitorSession:
       holds_if_ended)``. A state already left once with that atom set costs
       one dict lookup: stepwise ``[] (a/b -> <><=5 c/d)`` walks each of its
       few states once per atom set, and a later session of that formula
-      walks nothing.
+      walks nothing. A session start is the step ``(id(formula), None) ->
+      (formula, its state, None)``, so a formula object that starts many
+      sessions is walked once, not once per session.
 
     A session keeps only its residual, its position, its verdict and the
-    ends-now answer. On a miss it interns its residual again before the
-    walk, because the table may have been cleared since it took that state,
-    and the walk's result, which may be a bare constant: one lookup each
-    while the table holds them. States are keyed on identity and not hashed
-    by structure, because a dataclass hash recurses through the whole
-    residual at every lookup.
+    ends-now answer; a session never fed gets that answer at ``finish``,
+    from ``evaluate`` on the empty trace. On a miss it interns its residual
+    again before the walk, because the table may have been cleared since it
+    took that state, and the walk's result, which may be a bare constant:
+    one lookup each while the table holds them. States are keyed on identity
+    and not hashed by structure, because a dataclass hash recurses through
+    the whole residual at every lookup.
 
     Invariant: every id in a key names an object that the same entry holds
-    (a state holds its children, a step its state), so no id is reused
-    while its entry lives. This holds when threads share the table too,
-    since no entry relies on another: a race between a clear and a store at
-    worst costs a walk again, never a wrong step.
+    (a state holds its children, a step its state, a start its formula), so
+    no id is reused while its entry lives. This holds when threads share the
+    table too, since no entry relies on another: a race between a clear and
+    a store at worst costs a walk again, never a wrong step.
 
     When the two parts together reach ``STEP_CAP`` entries, both are
     cleared, before the intern or walk that would add to them. That bounds
@@ -486,9 +490,11 @@ class MonitorSession:
     STEP_CAP = 4096
 
     def __init__(self, formula: TemporalFormula):
-        _make_room(self.STEP_CAP)
-        self.residual = _intern(formula)
-        self._holds_if_ended = evaluate(self.residual, EMPTY_TRACE, 0)
+        start = _steps.get((id(formula), None))
+        if start is None:
+            _make_room(self.STEP_CAP)
+            start = _steps[id(formula), None] = (formula, _intern(formula), None)
+        _, self.residual, self._holds_if_ended = start
         self.position = 0
         self.verdict = Verdict(INCONCLUSIVE)
 
@@ -514,6 +520,8 @@ class MonitorSession:
         """Force a verdict for end-of-stream."""
         if self.verdict.conclusive:
             return self.verdict
+        if not self.position:  # never fed: the formula on the empty trace
+            self._holds_if_ended = evaluate(self.residual, EMPTY_TRACE, 0)
         status = SATISFIED if self._holds_if_ended else VIOLATED
         self.verdict = Verdict(status)
         return self.verdict
@@ -538,12 +546,12 @@ def monitor(formula: TemporalFormula, utterances: Iterable[Utterance]) -> list[V
 
 def parse_trace(text: str) -> Trace:
     """Trace file format: one utterance per line of whitespace-separated atom
-    tokens, ``-`` for an utterance with no atoms, ``#`` comment lines, blank
-    lines ignored."""
+    tokens, ``-`` for an utterance with no atoms; ``#`` starts a comment, and
+    blank lines are ignored."""
     utterances = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         if line == "-":
             utterances.append(Utterance(frozenset()))

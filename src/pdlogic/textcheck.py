@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 from . import parsing, temporal
@@ -102,6 +101,8 @@ def parse_lexicon(text: str) -> Lexicon:
 
 
 def default_lexicon() -> Lexicon:
+    from importlib import resources  # here, so that importing the CLI skips it
+
     text = (resources.files("pdlogic") / "data" / "english_lexicon.txt").read_text(
         "utf-8"
     )

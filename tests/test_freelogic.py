@@ -139,17 +139,42 @@ class TestEvalFormula:
         with pytest.raises(ResourceLimit):
             check_sentence(ONLY_B_IS_P, formula)
 
-    def test_memo_holds_no_more_entries_than_evaluations_spent(self):
+    def test_memo_holds_no_more_entries_than_evaluations_spent(self, monkeypatch):
+        built = []
+
+        def recording(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        real = fl._Evaluation
+        monkeypatch.setattr(fl, "_Evaluation", recording)
         rng = random.Random(12)
         formulas = [parse_free("man(iota x. " * 22 + "man(x)" + ")" * 22), WIDE_SMALL]
         formulas += [oracles.random_free(rng, 5) for _ in range(200)]
         for formula in formulas:
             model = random_full_model(rng)
             env = {v: rng.choice(model.domain) for v in VARIABLES}
-            evaluation = fl._Evaluation(model, env, formula)
-            eval_formula(evaluation, env, formula)
+            eval_formula(model, env, formula)
+            # the tables of the evaluation that this very call ran
+            evaluation, = built
+            built.clear()
+            spent = fl.DEFAULT_BUDGET - evaluation.left
             entries = sum(len(table) for _, table in evaluation.marked.values())
-            assert entries <= fl.DEFAULT_BUDGET - evaluation.left
+            assert 0 < spent and entries <= spent
+
+    def test_binders_stop_once_the_answer_is_fixed(self, monkeypatch):
+        # eps stops at its first satisfier and iota at its second, so over
+        # 20,000 individuals each answers in a handful of evaluations.
+        model = Model(tuple(f"i{k}" for k in range(20_000)))
+        monkeypatch.setattr(fl, "DEFAULT_BUDGET", 10)
+        assert eval_term(model, {}, parse_free_term("eps x. x = x")) == "i0"
+        assert eval_term(model, {}, parse_free_term("iota x. x = x")) is None
+
+    def test_term_where_a_formula_belongs_raises(self):
+        with pytest.raises(TypeError, match=r"^not a free-logic formula: Var\(name='x'\)$"):
+            eval_formula(TWO_MEN, {"x": "a"}, fl.Not(fl.Var("x")))
+        with pytest.raises(TypeError, match=r"^not a free-logic term: "):
+            eval_term(TWO_MEN, {}, parse_free("man(iota x. man(x))"))
 
 
 class TestThreads:
@@ -280,21 +305,25 @@ class TestLaws:
             assert check_sentence(model, f) is False
             assert check_sentence(model, fl.Not(f)) is True
 
-    def test_quantifiers_bind_exactly_the_domain(self, monkeypatch):
-        model = parse_model("domain: a b c\npred man/1: a b c\n")
+    def test_quantifiers_bind_exactly_the_domain(self):
+        # The extension records each tuple that evaluation looks up in it. A
+        # non-denoting binding would make man(x) false, and so forall false.
         bindings = []
-        real = fl.eval_formula
 
-        def spy(m, env, formula):
-            if isinstance(formula, fl.Pred):
-                bindings.append(env["x"])
-            return real(m, env, formula)
+        class Recording(frozenset):
+            def __contains__(self, args):
+                bindings.append(args)
+                return super().__contains__(args)
 
-        monkeypatch.setattr(fl, "eval_formula", spy)
-        f = fl.Forall("x", fl.Pred("man", (fl.Var("x"),)))
-        assert fl.eval_formula(model, {}, f) is True
-        # one environment per domain individual, never a non-denoting binding
-        assert bindings == list(model.domain)
+        everyone = Recording({("a",), ("b",), ("c",)})
+        model = Model(("a", "b", "c"), {("man", 1): everyone})
+        assert eval_formula(model, {}, parse_free("forall x. man(x)")) is True
+        # one binding per domain individual, in domain order
+        assert bindings == [("a",), ("b",), ("c",)]
+        bindings.clear()
+        model = Model(("a", "b", "c"), {("man", 1): Recording()})
+        assert eval_formula(model, {}, parse_free("exists x. man(x)")) is False
+        assert bindings == [("a",), ("b",), ("c",)]
 
 
 class TestModelFormat:

@@ -162,6 +162,13 @@ CASES = {
         files={"model.txt": "domain: " + " ".join(f"i{k}" for k in range(32)) + "\n"},
         timeout=30,
     ),
+    # iota stops at the second satisfier, so 20,000 individuals cost it a
+    # few evaluations.
+    "eval_iota_over_20000_individuals": Case(
+        ["eval", "{dir}/model.txt", "--term", "iota x. x = x"], 1, "non-denoting\n",
+        files={"model.txt": "domain: " + " ".join(f"i{k}" for k in range(20_000)) + "\n"},
+        timeout=10,
+    ),
     # Each level of parenthesized terms once doubled the parse time.
     "parse_nested_parenthesized_terms": Case(
         ["parse", "--kind", "free", NESTED_TERMS], 0, NESTED_TERMS + "\n", timeout=10,
@@ -205,6 +212,11 @@ CASES = {
     # Every --help prints what the parser in this process prints.
     **{f"help_{sub or 'pdlogic'}": Case(argv, 0, HELP[sub], env=COLUMNS_80)
        for sub, argv in HELP_ARGV.items()},
+    # A trace line ends at '#', as spec, model and lexicon lines do.
+    "monitor_trace_line_with_a_comment": Case(
+        ["monitor", "{dir}/spec.txt", "{dir}/trace.txt"], 0, "Satisfied\n",
+        files={"spec.txt": "[] she/her\n", "trace.txt": "she/her # note\n"},
+    ),
     "monitor_without_arguments": Case(
         ["monitor"], 2, "",
         "usage: pdlogic monitor [-h] [--mode {batch,stepwise}] spec trace\n"

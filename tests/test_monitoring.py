@@ -603,13 +603,15 @@ def walks(monkeypatch):
 
 def assert_table_consistent():
     """Every id in a key of the transition table names an object that the
-    entry holds, and every state an entry reaches is a canonical one."""
+    entry holds, every state an entry reaches is a canonical one, and so is
+    every state that a step leaves; a session start leaves its formula."""
     states = {id(state) for state in monitoring._states.values()}
     for key, state in monitoring._states.items():
         assert monitoring._key(state) == key
         assert all(id(kid) in states for kid in tl.children(state))
-    for (key, _), (state, target, _) in monitoring._steps.items():
-        assert key == id(state) and key in states and id(target) in states
+    for (key, atoms), (source, target, _) in monitoring._steps.items():
+        assert key == id(source) and id(target) in states
+        assert atoms is None or key in states
 
 
 class TestTransitionTable:
@@ -635,6 +637,30 @@ class TestTransitionTable:
         walks.clear()
         assert monitor(parse_temporal(workloads.RESPONSE), utterances) == verdicts
         assert walks == []
+
+    def test_a_second_session_of_one_formula_walks_nothing(self, walks, monkeypatch):
+        # The states are an equal formula's, parsed apart, so interning this
+        # one walks it; a start entry keyed on the formula object spares a
+        # second session that walk and the empty trace's evaluation.
+        text = "[] (she/her -> <><=3 they/them) /\\ <> he/him"
+        utterances = [Utterance(frozenset(s)) for s in ({SHE}, {THEY}, {C}, {SHE}, {THEY})]
+        first = monitor(parse_temporal(text), utterances)
+        formula = parse_temporal(text)
+        assert monitor(formula, utterances) == first
+        calls = []
+        for name in ("_intern", "_canon", "evaluate"):
+            def counting(*args, original=getattr(monitoring, name), name=name):
+                calls.append(name)
+                return original(*args)
+            monkeypatch.setattr(monitoring, name, counting)
+        walks.clear()
+        session = MonitorSession(formula)
+        assert calls == []
+        assert [session.feed(u) for u in utterances] + [session.finish()] == first
+        assert (calls, walks) == ([], [])
+        # a session that is never fed evaluates the empty trace at its end
+        assert MonitorSession(formula).finish().status == VIOLATED
+        assert calls == ["evaluate"]
 
     def test_table_stays_under_its_cap(self, walks):
         # <><=k a/b lowers its bound at every step without a/b, so every
@@ -748,6 +774,14 @@ class TestTraceFormat:
     def test_bad_token(self):
         with pytest.raises(ValueError):
             parse_trace("she her\n")
+
+    def test_a_line_ends_at_a_hash(self):
+        t = parse_trace("she/her # note\n- # silence\nthey/them#he/him\n  # indented\n")
+        assert [sorted(a.key for a in u.atoms) for u in t.utterances] == [
+            ["she/her"],
+            [],
+            ["they/them"],
+        ]
 
     @pytest.mark.parametrize("token", ["she", "she/1", "/her", "she/her/x", "ſhe/her"])
     def test_every_bad_token_names_its_line(self, token):

@@ -1,7 +1,9 @@
 """Sentence segmentation, trace extraction, and document checking."""
 
+import os
 import random
 import re
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -285,6 +287,15 @@ class TestDefaultLexicon:
         del mutated.entries["they"]
         mutated.entries["xe"] = frozenset({atom("xe/xem")})
         assert default_lexicon() == packaged
+
+
+    def test_importing_the_cli_leaves_importlib_resources_out(self):
+        # default_lexicon imports it when called; at startup it cost 15-20 ms.
+        script = "import sys, pdlogic.cli; print('importlib.resources' in sys.modules)"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
 
 
 class TestReferentSpec:
