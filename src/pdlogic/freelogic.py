@@ -349,12 +349,19 @@ def _eval(ev: _Evaluation, env: dict[str, str], node: FreeTerm | FreeFormula):
         case Var():
             value = env[node.name]
         case Pred():
-            args = tuple([_eval(ev, env, a) for a in node.args])
-            value = NON_DENOTING not in args and args in ev.predicates[node.name, len(args)]
+            # An argument that does not denote makes the atom false; the
+            # arguments after it are not evaluated.
+            args = []
+            for arg in node.args:
+                args.append(_eval(ev, env, arg))
+                if args[-1] is NON_DENOTING:
+                    value = False
+                    break
+            else:
+                value = tuple(args) in ev.predicates[node.name, len(args)]
         case Eq():
             lv = _eval(ev, env, node.left)
-            rv = _eval(ev, env, node.right)
-            value = lv is not NON_DENOTING and lv == rv
+            value = lv is not NON_DENOTING and lv == _eval(ev, env, node.right)
         case Not():
             value = not _eval(ev, env, node.operand)
         case And():

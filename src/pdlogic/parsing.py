@@ -134,16 +134,15 @@ def _lex(text: str):
 
 
 class _Cursor:
-    """The parser's place in ``text``: ``tok``, the current token, and at most
-    one token of lookahead. Tokens are lexed only as the parser reaches them."""
+    """The parser's place in ``text``: ``tok``, the current token. Tokens are
+    lexed only as the parser reaches them."""
 
-    __slots__ = ("text", "tok", "_ahead", "_next", "pred_arities", "depth", "memo")
+    __slots__ = ("text", "tok", "_next", "pred_arities", "depth", "memo")
 
     def __init__(self, text: str, memo: _FormulaMemo | None = None):
         self.text = text
         self._next = _lex(text).__next__
         self.tok = self._next()
-        self._ahead = None
         self.pred_arities: dict[str, int] = {}
         self.depth = 0
         self.memo = memo  # keeps the right operands that end the text
@@ -151,17 +150,9 @@ class _Cursor:
     def advance(self) -> tuple:
         """The current token; the next one becomes current. Eof stays current."""
         tok = self.tok
-        if self._ahead is not None:
-            self.tok, self._ahead = self._ahead, None
-        elif tok[0] != "eof":
+        if tok[0] != "eof":
             self.tok = self._next()
         return tok
-
-    def lookahead(self) -> tuple:
-        """The token after the current one, which must not be eof."""
-        if self._ahead is None:
-            self._ahead = self._next()
-        return self._ahead
 
     def at_sym(self, *symbols: str) -> bool:
         kind, value, _ = self.tok
@@ -399,7 +390,7 @@ def _free_unary(cur: _Cursor, term_ok: bool = False):
     """A formula with no infix operator on top. With ``term_ok``, a term that
     no '=' follows is returned as it is: inside a '(' it may be the
     parenthesized left side of an equation."""
-    kind, value, _ = cur.tok
+    kind, value, start = cur.tok
     if cur.at_sym("!"):
         cur.advance()
         return freelogic.Not(cur.nested(_free_unary))
@@ -409,10 +400,13 @@ def _free_unary(cur: _Cursor, term_ok: bool = False):
         left = _parenthesized(cur, _free_group)
         if isinstance(left, freelogic.FreeFormula):
             return left
-    elif kind == "ident" or (kind == "kw" and value in _DESCRIPTIONS):
-        if kind == "ident" and cur.lookahead()[:2] == ("sym", "("):
-            return _free_pred(cur)
-        left = _free_term(cur)
+    elif kind == "ident":
+        cur.advance()
+        if cur.at_sym("("):
+            return _free_pred(cur, value, start)
+        left = freelogic.Var(value)
+    elif kind == "kw" and value in _DESCRIPTIONS:
+        left = _binder(cur, _DESCRIPTIONS)
     else:
         raise cur.error(
             "expected formula",
@@ -436,8 +430,7 @@ _DESCRIPTIONS = _inverse(freelogic.DESCRIPTIONS)
 _FREE = (_operators(freelogic.INFIX), _free_unary)
 
 
-def _free_pred(cur: _Cursor) -> freelogic.FreeFormula:
-    _, name, start = cur.advance()
+def _free_pred(cur: _Cursor, name: str, start: int) -> freelogic.FreeFormula:
     cur.take_sym("(")
     args = [_free_term(cur)]
     while cur.at_sym(","):

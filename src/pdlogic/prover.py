@@ -71,8 +71,8 @@ ACCEPT = CheckResult(True)
 def prove(sequent: Sequent, budget: int = DEFAULT_BUDGET) -> ProofTree | None:
     """A checkable proof of the sequent, or None if none exists."""
     searcher = _Searcher(budget)
-    context = tuple(searcher.intern(f) for f in sequent.context)
-    term = searcher.enter(context, (), searcher.intern(sequent.goal)).get(())
+    context = tuple(map(searcher.number, sequent.context))
+    term = searcher.enter(context, (), searcher.number(sequent.goal)).get(())
     if term is None:
         return None
     tree = searcher.build(term, {})
@@ -81,43 +81,52 @@ def prove(sequent: Sequent, budget: int = DEFAULT_BUDGET) -> ProofTree | None:
     return ProofTree(tree.rule, sequent, tree.premises)
 
 
-# Connectives of interned formulas.
-_ATOM, _TENSOR, _WITH, _PLUS, _LOLLI = range(5)
-_KIND = {Tensor: _TENSOR, With: _WITH, Plus: _PLUS, Lolli: _LOLLI}
+def _numbering():
+    """One numbering of formulas, for one search or one check: a function
+    from formula to number, the list of formulas by number, and the list of
+    their parts by number. A formula's parts are its node class and its
+    operands' numbers, ``(Atom, -1, -1)`` for an atom. Equal formulas get
+    one number; a formula is numbered when first met, its operands before
+    it. Numbers are memoized on ``id``: the sequent or proof keeps every
+    formula it numbers alive while the numbering is in use."""
+    by_id: dict[int, int] = {}
+    by_parts: dict = {}
+    formulas: list[LinearFormula] = []
+    parts: list[tuple[type, int, int]] = []
+
+    def number(formula: LinearFormula) -> int:
+        n = by_id.get(id(formula))
+        if n is None:
+            if isinstance(formula, Atom):
+                key = formula.atom  # equal for equal atoms, and faster to hash
+                entry = (Atom, -1, -1)
+            else:
+                key = entry = (type(formula), *map(number, children(formula)))
+            n = by_parts.setdefault(key, len(formulas))
+            if n == len(formulas):
+                formulas.append(formula)
+                parts.append(entry)
+            by_id[id(formula)] = n
+        return n
+
+    return number, formulas, parts
 
 
 class _Searcher:
-    """One search over interned formulas.
+    """One search over numbered formulas.
 
-    Formulas are numbered as they are interned, equal formulas alike, so a
-    multiset of formulas is a sorted tuple of ints and no memo key hashes a
-    formula tree. A search result maps each possible leftover to a proof term
-    ``(rule, goal, premises, input, leftover)``: the input is the multiset
-    the term's subgoal was handed, and the term consumes the input less the
-    leftover. ``build`` turns a term into a ``ProofTree``.
+    The search numbers formulas with its own ``_numbering``, equal formulas
+    alike, so a multiset of formulas is a sorted tuple of ints and no memo
+    key hashes a formula tree. A search result maps each possible leftover
+    to a proof term ``(rule, goal, premises, input, leftover)``: the input
+    is the multiset the term's subgoal was handed, and the term consumes the
+    input less the leftover. ``build`` turns a term into a ``ProofTree``.
     """
 
     def __init__(self, budget: int):
         self.budget = budget
         self.memo: dict[tuple, dict] = {}
-        self.ids: dict = {}
-        self.formulas: list[LinearFormula] = []
-        self.parts: list[tuple[int, int, int]] = []  # connective, left, right
-
-    def intern(self, formula: LinearFormula) -> int:
-        if isinstance(formula, Atom):
-            key = formula
-            kind, left, right = _ATOM, -1, -1
-        else:
-            left, right = map(self.intern, children(formula))
-            kind = _KIND[type(formula)]
-            key = (kind, left, right)
-        ident = self.ids.get(key)
-        if ident is None:
-            ident = self.ids[key] = len(self.formulas)
-            self.formulas.append(formula)
-            self.parts.append((kind, left, right))
-        return ident
+        self.number, self.formulas, self.parts = _numbering()
 
     def solve(self, pool: tuple[int, ...], goal: int) -> dict:
         """Each leftover L such that pool - L proves the goal, with a proof."""
@@ -136,10 +145,10 @@ class _Searcher:
         whole = tuple(sorted(pool + entering))
         for i, principal in enumerate(entering):
             kind, x, y = self.parts[principal]
-            if kind != _TENSOR and kind != _PLUS:
+            if kind is not Tensor and kind is not Plus:
                 continue
             others = entering[:i] + entering[i + 1:]
-            if kind == _TENSOR:
+            if kind is Tensor:
                 inner = self.enter(others + (x, y), pool, goal)
                 return {rest: ("TensorL", goal, (p,), whole, rest) for rest, p in inner.items()}
             left = self.enter(others + (x,), pool, goal)
@@ -154,21 +163,21 @@ class _Searcher:
 
     def _outcomes(self, pool: tuple[int, ...], goal: int) -> dict:
         kind, a, b = self.parts[goal]
-        if kind == _LOLLI:
+        if kind is Lolli:
             inner = self.enter((a,), pool, b)
             return {rest: ("LolliR", goal, (p,), pool, rest) for rest, p in inner.items()}
-        if kind == _WITH:
+        if kind is With:
             left = self.solve(pool, a)
             right = self.solve(pool, b) if left else {}
             return {rest: ("WithR", goal, (p, right[rest]), pool, rest)
                     for rest, p in left.items() if rest in right}
 
         out: dict = {}
-        if kind == _ATOM:
+        if kind is Atom:
             if goal in pool:
                 rest = _remove(pool, goal)
                 out[rest] = ("Id", goal, (), pool, rest)
-        elif kind == _PLUS:
+        elif kind is Plus:
             for rule, operand in (("PlusR1", a), ("PlusR2", b)):
                 for rest, p in self.solve(pool, operand).items():
                     if rest not in out:
@@ -185,10 +194,10 @@ class _Searcher:
                 continue
             previous = principal
             pkind, x, y = self.parts[principal]
-            if pkind == _ATOM:
+            if pkind is Atom:
                 continue
             others = _remove(pool, principal)
-            if pkind == _WITH:
+            if pkind is With:
                 for rule, operand in (("WithL1", x), ("WithL2", y)):
                     for rest, p in self.enter((operand,), others, goal).items():
                         if rest not in out:
@@ -229,35 +238,11 @@ def check_proof(proof: ProofTree) -> CheckResult:
 
     Formulas are compared by number: each formula object is numbered once per
     call, equal formulas alike, and a context is the sorted list of its
-    formulas' numbers. The numbering is the checker's own; it shares nothing
-    with the search."""
-    number, formulas = _numbering()
-    return _check(proof, (), _context(proof, number), number, formulas)
-
-
-def _numbering():
-    """A function from formula to number for one check, and the list of
-    formulas by number. Numbers are memoized on ``id``: the proof keeps every
-    formula it numbers alive for the whole check."""
-    by_id: dict[int, int] = {}
-    by_parts: dict = {}
-    formulas: list[LinearFormula] = []
-
-    def number(formula: LinearFormula) -> int:
-        n = by_id.get(id(formula))
-        if n is None:
-            if isinstance(formula, Atom):
-                key = formula
-            else:
-                key = (type(formula), *map(number, children(formula)))
-            n = by_parts.get(key)
-            if n is None:
-                n = by_parts[key] = len(formulas)
-                formulas.append(formula)
-            by_id[id(formula)] = n
-        return n
-
-    return number, formulas
+    formulas' numbers. The checker numbers formulas the way the search does,
+    with ``_numbering``, but each check builds its own numbering and shares
+    no state with any search."""
+    number, _, parts = _numbering()
+    return _check(proof, (), _context(proof, number), number, parts)
 
 
 def _context(node: ProofTree, number) -> list[int]:
@@ -265,37 +250,38 @@ def _context(node: ProofTree, number) -> list[int]:
 
 
 def _check(node: ProofTree, path: tuple[int, ...], ctx: list[int],
-           number, formulas) -> CheckResult:
+           number, parts) -> CheckResult:
     """Check ``node``, whose context numbers are ``ctx``, then its premises.
     Each node's context is numbered once, by its parent."""
     contexts = [_context(premise, number) for premise in node.premises]
-    reason = _check_node(node, ctx, contexts, number, formulas)
+    reason = _check_node(node, ctx, contexts, number, parts)
     if reason:
         return CheckResult(False, path, reason)
     for i, premise in enumerate(node.premises):
-        result = _check(premise, path + (i,), contexts[i], number, formulas)
+        result = _check(premise, path + (i,), contexts[i], number, parts)
         if not result.ok:
             return result
     return ACCEPT
 
 
 # Each rule's shape: its premise count, then for a right rule its goal's node
-# type and name, and for a left rule whose principal's parts take its place in
-# every premise, the principal's type, the parts each premise's context gets
+# type and name, and for a left rule whose principal's operands take its place
+# in every premise, the principal's type, the positions in the principal's
+# parts (1 its left operand, 2 its right) that each premise's context gets,
 # and the message when no formula in the context fits.
 _SHAPES = {
     "Id": (0, Atom, "an atomic", None),
     "TensorR": (2, Tensor, "a tensor", None),
-    "TensorL": (1, None, "", (Tensor, (("left", "right"),),
+    "TensorL": (1, None, "", (Tensor, ((1, 2),),
                               "no tensor in the context decomposes to the premise")),
     "WithR": (2, With, "a with", None),
-    "WithL1": (1, None, "", (With, (("left",),),
+    "WithL1": (1, None, "", (With, ((1,),),
                              "no with in the context decomposes to the premise (left)")),
-    "WithL2": (1, None, "", (With, (("right",),),
+    "WithL2": (1, None, "", (With, ((2,),),
                              "no with in the context decomposes to the premise (right)")),
     "PlusR1": (1, Plus, "a plus", None),
     "PlusR2": (1, Plus, "a plus", None),
-    "PlusL": (2, None, "", (Plus, (("left",), ("right",)),
+    "PlusL": (2, None, "", (Plus, ((1,), (2,)),
                             "no plus in the context decomposes to both premises")),
     "LolliR": (1, Lolli, "a lolli", None),
     "LolliL": (2, None, "", None),
@@ -303,7 +289,7 @@ _SHAPES = {
 
 
 def _check_node(node: ProofTree, ctx: list[int], contexts: list[list[int]],
-                number, formulas) -> str | None:
+                number, parts) -> str | None:
     """Why ``node`` is not a rule instance, or None. ``ctx`` and ``contexts``
     are the sorted context numbers of the node and of its premises."""
     shape = _SHAPES.get(node.rule)
@@ -323,63 +309,60 @@ def _check_node(node: ProofTree, ctx: list[int], contexts: list[list[int]],
     if goal_type is not None and not isinstance(goal, goal_type):
         return f"{node.rule} requires {goal_name} goal"
     if left is not None:
-        principal_type, parts, message = left
+        principal_type, positions, message = left
         for principal in set(ctx):
-            formula = formulas[principal]
-            if not isinstance(formula, principal_type):
+            entry = parts[principal]
+            if not issubclass(entry[0], principal_type):
                 continue
             rest = ctx.copy()
             rest.remove(principal)
             if all(goal_of(premise) == number(goal)
-                   and premise_ctx
-                   == sorted(rest + [number(getattr(formula, name)) for name in names])
-                   for premise, premise_ctx, names in zip(premises, contexts, parts)):
+                   and premise_ctx == sorted(rest + [entry[i] for i in at])
+                   for premise, premise_ctx, at in zip(premises, contexts, positions)):
                 return None
         return message
 
+    goal = number(goal)
+    _, a, b = parts[goal]
     match node.rule:
         case "Id":
-            if ctx != [number(goal)]:
+            if ctx != [goal]:
                 return "Id requires context equal to the goal atom"
         case "TensorR":
-            if goal_of(premises[0]) != number(goal.left):
+            if goal_of(premises[0]) != a:
                 return "first premise goal must be the left operand"
-            if goal_of(premises[1]) != number(goal.right):
+            if goal_of(premises[1]) != b:
                 return "second premise goal must be the right operand"
             if sorted(contexts[0] + contexts[1]) != ctx:
                 return "premise contexts do not partition the conclusion context"
         case "WithR":
             for premise, premise_ctx, operand, side in (
-                (premises[0], contexts[0], goal.left, "first"),
-                (premises[1], contexts[1], goal.right, "second"),
+                (premises[0], contexts[0], a, "first"),
+                (premises[1], contexts[1], b, "second"),
             ):
-                if goal_of(premise) != number(operand):
+                if goal_of(premise) != operand:
                     return f"{side} premise goal must be the {side} operand"
                 if premise_ctx != ctx:
                     return f"{side} premise must keep the conclusion context"
         case "PlusR1" | "PlusR2":
-            operand = goal.left if node.rule == "PlusR1" else goal.right
-            if goal_of(premises[0]) != number(operand):
+            if goal_of(premises[0]) != (a if node.rule == "PlusR1" else b):
                 return "premise goal must be the chosen operand"
             if contexts[0] != ctx:
                 return "premise must keep the conclusion context"
         case "LolliR":
-            if goal_of(premises[0]) != number(goal.consequent):
+            if goal_of(premises[0]) != b:
                 return "premise goal must be the consequent"
-            if contexts[0] != sorted(ctx + [number(goal.antecedent)]):
+            if contexts[0] != sorted(ctx + [a]):
                 return "premise context must add the antecedent"
         case "LolliL":
             first, second = premises
             first_ctx, second_ctx = contexts
-            if goal_of(second) != number(goal):
+            if goal_of(second) != goal:
                 return "second premise must keep the conclusion goal"
             for lolli in set(ctx):
-                formula = formulas[lolli]
-                if not isinstance(formula, Lolli):
+                kind, antecedent, consequent = parts[lolli]
+                if not issubclass(kind, Lolli) or goal_of(first) != antecedent:
                     continue
-                if goal_of(first) != number(formula.antecedent):
-                    continue
-                consequent = number(formula.consequent)
                 if consequent not in second_ctx:
                     continue
                 merged = first_ctx + second_ctx

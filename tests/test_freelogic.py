@@ -170,6 +170,17 @@ class TestEvalFormula:
         assert eval_term(model, {}, parse_free_term("eps x. x = x")) == "i0"
         assert eval_term(model, {}, parse_free_term("iota x. x = x")) is None
 
+    def test_atoms_stop_at_an_argument_that_does_not_denote(self, monkeypatch):
+        # Each description scans all 20,000 individuals in 80,001 evaluations.
+        # The atom is false once its first argument does not denote, so it
+        # answers in 80,002; evaluating its second argument too would take
+        # 160,003.
+        model = Model(tuple(f"i{k}" for k in range(20_000)), {("p", 2): frozenset()})
+        monkeypatch.setattr(fl, "DEFAULT_BUDGET", 100_000)
+        for text in ("(eps x. !(x = x)) = (eps y. !(y = y))",
+                     "p(eps x. !(x = x), eps y. !(y = y))"):
+            assert check_sentence(model, parse_free(text)) is False, text
+
     def test_term_where_a_formula_belongs_raises(self):
         with pytest.raises(TypeError, match=r"^not a free-logic formula: Var\(name='x'\)$"):
             eval_formula(TWO_MEN, {"x": "a"}, fl.Not(fl.Var("x")))

@@ -169,6 +169,14 @@ CASES = {
         files={"model.txt": "domain: " + " ".join(f"i{k}" for k in range(20_000)) + "\n"},
         timeout=10,
     ),
+    # Each description scans all 130,000 individuals in 520,001 evaluations.
+    # The left one does not denote, so '=' is false without the right one,
+    # which would take the budget of 10^6 past its end.
+    "eval_equation_stops_at_a_non_denoting_left_side": Case(
+        ["eval", "{dir}/model.txt", "(eps x. !(x = x)) = (eps y. !(y = y))"], 1, "false\n",
+        files={"model.txt": "domain: " + " ".join(f"i{k}" for k in range(130_000)) + "\n"},
+        timeout=30,
+    ),
     # Each level of parenthesized terms once doubled the parse time.
     "parse_nested_parenthesized_terms": Case(
         ["parse", "--kind", "free", NESTED_TERMS], 0, NESTED_TERMS + "\n", timeout=10,
