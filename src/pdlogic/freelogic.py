@@ -6,6 +6,10 @@ a non-denoting argument is false (and its negation therefore true). This is
 the simplest total two-valued semantics and it is what decides the truth value
 of descriptions built from contradictory bodies.
 
+Terms and formulas are immutable trees of ``Node``s (see ``node``): each class
+lists its fields as its ``__slots__``, and nodes compare and hash by
+structure.
+
 Evaluation remembers the value of each part of a formula under each binding of
 the part's own free variables, so a formula f costs O(|f| * |D|^w)
 evaluations, where w is the most free variables of any part of f (Vardi, "The
@@ -22,6 +26,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from . import notation
+from .node import Node
 from .prover import DEFAULT_BUDGET, ResourceLimit
 
 
@@ -44,24 +49,20 @@ class ModelFormatError(FreeLogicError):
 # --- terms -----------------------------------------------------------------
 
 
-class FreeTerm:
+class FreeTerm(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(FreeTerm):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Iota(FreeTerm):
     """The unique x satisfying the body; non-denoting otherwise."""
 
-    var: str
-    body: "FreeFormula"
+    __slots__ = ("var", "body")  # a variable name, a FreeFormula
 
 
-@dataclass(frozen=True)
 class Epsilon(FreeTerm):
     """Some fixed x satisfying the body; non-denoting if there is none.
 
@@ -69,64 +70,48 @@ class Epsilon(FreeTerm):
     evaluation deterministic and reproducible.
     """
 
-    var: str
-    body: "FreeFormula"
+    __slots__ = ("var", "body")
 
 
 # --- formulas --------------------------------------------------------------
 
 
-class FreeFormula:
+class FreeFormula(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Pred(FreeFormula):
-    name: str
-    args: tuple[FreeTerm, ...]
+    __slots__ = ("name", "args")  # a predicate name, a tuple of FreeTerms
 
 
-@dataclass(frozen=True)
 class Eq(FreeFormula):
     """Built-in identity over denotations; true only when both sides denote."""
 
-    left: FreeTerm
-    right: FreeTerm
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Not(FreeFormula):
-    operand: FreeFormula
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
 class And(FreeFormula):
-    left: FreeFormula
-    right: FreeFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(FreeFormula):
-    left: FreeFormula
-    right: FreeFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Implies(FreeFormula):
-    left: FreeFormula
-    right: FreeFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Forall(FreeFormula):
-    var: str
-    body: FreeFormula
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True)
 class Exists(FreeFormula):
-    var: str
-    body: FreeFormula
+    __slots__ = ("var", "body")
 
 
 def free_vars(node: FreeTerm | FreeFormula) -> frozenset[str]:

@@ -1,9 +1,11 @@
 """Descriptor formulas over the choice/product/implication connectives.
 
-Formulas are immutable trees. Syntactic operand order is preserved and never
-normalized: Tensor(A, B) and Tensor(B, A) are distinct syntax even though the
-prover treats them as interderivable, because left-to-right order in a
-published descriptor can carry meaning of its own.
+Formulas are immutable trees of ``Node``s (see ``node``): each class lists its
+fields as its ``__slots__``, and nodes compare and hash by structure.
+Syntactic operand order is preserved and never normalized: Tensor(A, B) and
+Tensor(B, A) are distinct syntax even though the prover treats them as
+interderivable, because left-to-right order in a published descriptor can
+carry meaning of its own.
 """
 
 from __future__ import annotations
@@ -12,50 +14,41 @@ import functools
 from dataclasses import dataclass
 
 from . import notation
-from .atoms import PronounAtom
+from .node import Node
 
 
-class LinearFormula:
+class LinearFormula(Node):
     """Base class; concrete nodes are Atom, With, Plus, Tensor, Lolli."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(LinearFormula):
-    atom: PronounAtom
+    __slots__ = ("atom",)  # a PronounAtom
 
 
-@dataclass(frozen=True)
 class With(LinearFormula):
     """External choice: the speaker picks which operand to respect."""
 
-    left: LinearFormula
-    right: LinearFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Plus(LinearFormula):
     """Internal choice: the referent picks; the speaker handles either."""
 
-    left: LinearFormula
-    right: LinearFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Tensor(LinearFormula):
     """Both operands must be used."""
 
-    left: LinearFormula
-    right: LinearFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Lolli(LinearFormula):
     """Linear implication, read as correcting the antecedent to the consequent."""
 
-    antecedent: LinearFormula
-    consequent: LinearFormula
+    __slots__ = ("antecedent", "consequent")
 
 
 @dataclass(frozen=True)

@@ -472,7 +472,7 @@ class MonitorSession:
     again before the walk, because the table may have been cleared since it
     took that state, and the walk's result, which may be a bare constant:
     one lookup each while the table holds them. States are keyed on identity
-    and not hashed by structure, because a dataclass hash recurses through
+    and not hashed by structure, because a structural hash recurses through
     the whole residual at every lookup.
 
     Invariant: every id in a key names an object that the same entry holds

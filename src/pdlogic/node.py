@@ -1,0 +1,61 @@
+"""One base for the formula nodes of the three logics: slotted and immutable.
+
+A node class lists its fields, in order, as its ``__slots__``. When the class
+is created, ``Node`` builds from that list its ``__match_args__``,
+``__init__``, ``__eq__`` and ``__hash__``, so that a node takes its fields by
+position or by name, and compares, hashes and prints as a frozen dataclass
+with those fields would: two nodes are equal when they are of one class and
+their fields are equal, and a node hashes as the tuple of its fields. A node
+has no ``__dict__``, so building one is one allocation, and ``__init__``
+writes each field through its slot's descriptor, taken once per class. Nothing
+else writes a field: assigning or deleting an attribute raises
+AttributeError, because the tables that key nodes on their identity, the
+monitor's states and steps and the free-logic memo, rely on nodes never
+changing. A class that defines ``__post_init__`` has it called after the
+fields are set, to reject bad values. ``__reduce__`` rebuilds a node from its
+fields, so ``copy.deepcopy`` and ``pickle`` work.
+"""
+
+from __future__ import annotations
+
+
+class Node:
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "__slots__" not in cls.__dict__:
+            raise TypeError(f"{cls.__qualname__} must list its fields as __slots__")
+        fields = tuple(name for base in reversed(cls.__mro__)
+                       for name in base.__dict__.get("__slots__", ()))
+        own = "".join(f"self.{name}, " for name in fields)
+        other = "".join(f"other.{name}, " for name in fields)
+        source = (
+            f"def __init__(self, {', '.join(fields)}):\n"
+            + "".join(f"    set_{name}(self, {name})\n" for name in fields)
+            + ("    self.__post_init__()\n" if hasattr(cls, "__post_init__") else "")
+            + "    pass\n"
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return ({own}) == ({other})\n"
+            "    return NotImplemented\n"
+            "def __hash__(self):\n"
+            f"    return hash(({own}))\n"
+        )
+        namespace = {f"set_{name}": getattr(cls, name).__set__ for name in fields}
+        exec(source, namespace)
+        cls.__match_args__ = fields
+        for name in ("__init__", "__eq__", "__hash__"):
+            setattr(cls, name, namespace[name])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

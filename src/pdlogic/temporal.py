@@ -1,104 +1,90 @@
 """Temporal descriptor formulas over utterance time.
 
+Formulas are immutable trees of ``Node``s (see ``node``): each class lists its
+fields as its ``__slots__``, and nodes compare and hash by structure.
 True/False are included even though a descriptor author never writes them:
 formula progression needs explicit verdict constants to simplify into.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import notation
 from .atoms import PronounAtom
+from .node import Node
 
 
-class TemporalFormula:
+class TemporalFormula(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(TemporalFormula):
     """The current utterance must use this pronoun class."""
 
-    atom: PronounAtom
+    __slots__ = ("atom",)  # a PronounAtom
 
 
-@dataclass(frozen=True)
 class TrueF(TemporalFormula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FalseF(TemporalFormula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Not(TemporalFormula):
-    operand: TemporalFormula
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
 class And(TemporalFormula):
-    left: TemporalFormula
-    right: TemporalFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(TemporalFormula):
-    left: TemporalFormula
-    right: TemporalFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Implies(TemporalFormula):
-    left: TemporalFormula
-    right: TemporalFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Box(TemporalFormula):
     """Must be respected at all times from now on."""
 
-    operand: TemporalFormula
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
 class Diamond(TemporalFormula):
     """Must be respected at some current or future time."""
 
-    operand: TemporalFormula
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
 class Next(TemporalFormula):
     """The next utterance must respect the operand (strong: false at trace end)."""
 
-    operand: TemporalFormula
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class BoxK(TemporalFormula):
+class _Bounded(TemporalFormula):
+    """A modality over the next k utterances, for an int k >= 1."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"bounded modality requires k >= 1, got {self.k}")
+
+
+class BoxK(_Bounded):
     """Respected for all of the next k utterances."""
 
-    k: int
-    operand: TemporalFormula
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"bounded modality requires k >= 1, got {self.k}")
+    __slots__ = ("k", "operand")
 
 
-@dataclass(frozen=True)
-class DiamondK(TemporalFormula):
+class DiamondK(_Bounded):
     """Respected somewhere within the next k utterances."""
 
-    k: int
-    operand: TemporalFormula
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"bounded modality requires k >= 1, got {self.k}")
+    __slots__ = ("k", "operand")
 
 
 TRUE = TrueF()

@@ -443,7 +443,7 @@ class TestMonitor:
 
     def test_residuals_deeper_than_the_recursion_limit(self):
         # A session interns each residual it takes over; on these a
-        # recursive walk, like the dataclass ==, would go 3000 and 5000
+        # recursive walk, like the structural ==, would go 3000 and 5000
         # levels deep.
         utterances = [Utterance(frozenset({A}))] * 5
         chain = tl.Atom(A)
@@ -476,7 +476,7 @@ class TestMonitor:
 
     def test_equal_deep_operands_built_apart(self):
         # Two 3000-deep () chains built apart: a structural comparison of
-        # the two operands, like dataclass ==, would recurse 3000 levels deep.
+        # the two operands, like the structural ==, would recurse 3000 levels deep.
         c1, c2 = next_chain(3000, A), next_chain(3000, A)
         utterances = [Utterance(frozenset({A}))] * 5
         verdicts = monitor(tl.And(tl.Next(c1), tl.Next(c2)), utterances)
