@@ -2,7 +2,10 @@
 
 The pipeline is deliberately thin: split the document into sentences, turn
 every sentence bearing a tracked pronoun form into one utterance, and hand
-the resulting trace to the monitor. No coreference resolution is attempted:
+the resulting trace to the monitor. A word is a run of letters, and it is a
+form when its ``str.lower()`` is a lexicon entry. One compiled pattern per
+lexicon finds, in each sentence, the words that could be forms, so Python
+looks up only those. No coreference resolution is attempted:
 every pronoun in the document is attributed to the single referent, because a
 wrong coreference heuristic would manufacture false accusations of
 misgendering. This limitation is surfaced in the report output.
@@ -10,9 +13,11 @@ misgendering. This limitation is surfaced in the report output.
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 from . import parsing, temporal
@@ -100,13 +105,20 @@ def parse_lexicon(text: str) -> Lexicon:
     return Lexicon({k: frozenset(v) for k, v in entries.items()})
 
 
-def default_lexicon() -> Lexicon:
+@functools.cache
+def _default_entries() -> dict[str, frozenset[PronounAtom]]:
     from importlib import resources  # here, so that importing the CLI skips it
 
     text = (resources.files("pdlogic") / "data" / "english_lexicon.txt").read_text(
         "utf-8"
     )
-    return parse_lexicon(text)
+    return parse_lexicon(text).entries
+
+
+def default_lexicon() -> Lexicon:
+    """The bundled English lexicon. The file is read and parsed once per
+    process; each call returns a new ``Lexicon`` with its own dict."""
+    return Lexicon(dict(_default_entries()))
 
 
 @dataclass
@@ -180,7 +192,32 @@ def load_referent_spec(path: str | Path) -> ReferentSpec:
 
 # --- segmentation ------------------------------------------------------------
 
-_WORD = re.compile(r"[^\W\d_]+", re.UNICODE)
+_LETTER = r"[^\W\d_]"
+
+
+@functools.lru_cache(maxsize=16)
+def _scanner(forms: frozenset[str]) -> re.Pattern:
+    """A pattern whose ``findall`` gives the runs of letters at whose start
+    some form matches, case-insensitively, up to the run's end: a superset of
+    the runs whose ``str.lower()`` is a form, and only whole runs.
+
+    It relies on ``str.lower()`` mapping each letter to one letter that
+    matches it under ``re.IGNORECASE`` (σ and ς match each other there). The
+    one exception is U+0130, which lowers to ``i`` and a combining dot above:
+    that dot, after an ``i`` in a form, is optional. A match is always a
+    whole run, so a form that holds a character that is no letter, such as
+    ``o'er``, can select the run it starts in but never reach into the next.
+    """
+    first = "".join(sorted({re.escape(form[0]) for form in forms if form}))
+    if not first:
+        return re.compile(r"(?!)")
+    alternatives = "|".join(
+        re.escape(form).replace("i\u0307", "i\u0307?") for form in sorted(forms)
+    )
+    return re.compile(
+        f"(?=[{first}])(?<!{_LETTER})(?=(?:{alternatives})(?!{_LETTER})){_LETTER}+",
+        re.IGNORECASE,
+    )
 
 
 # ``\s`` here and ``str.strip`` in ``segment`` accept exactly the characters
@@ -231,16 +268,23 @@ class Report:
 def _utterances(
     sentences: list[tuple[str, tuple[int, int]]], spec: ReferentSpec
 ) -> list[tuple[Utterance, int]]:
-    lookup = spec.lexicon.entries.get
+    """Each sentence with a lexicon form, as an utterance of the union of its
+    forms' atoms, paired with the sentence's index.
+
+    Each sentence is scanned once, in C, by the lexicon's ``_scanner``; only
+    the runs it finds are lowercased and looked up."""
+    entries = spec.lexicon.entries
+    lookup = entries.get
+    scans = map(_scanner(frozenset(entries)).findall, map(itemgetter(0), sentences))
     result = []
-    for index, (sentence, span) in enumerate(sentences):
+    for index, tokens in enumerate(scans):
         found = None
-        for token in _WORD.findall(sentence):
+        for token in tokens:
             atoms = lookup(token.lower())
             if atoms:
                 found = atoms if found is None else found | atoms
         if found:
-            result.append((Utterance(found, span), index))
+            result.append((Utterance(found, sentences[index][1]), index))
     return result
 
 

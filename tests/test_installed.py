@@ -203,6 +203,18 @@ CASES = {
                "my_lexicon.txt": "she -> she/her\nher -> she/her\n",
                "draft.txt": "Mara arrived. She smiled. He left."},
     ),
+    # A lexicon form matches a whole run of letters, lowercased: "ΟΣ" is the
+    # form ος, and "O'ER" the runs "O" and "ER", so the form o'er never
+    # matches. The first utterance is the second sentence's, with xe/xem.
+    "check_custom_lexicon_forms": Case(
+        ["check", "{dir}/kit.spec", "{dir}/doc.txt", "--machine"], 1,
+        "15\t30\tViolated\txe/xem\n",
+        files={"kit.spec": "referent: Kit\ndescriptor: [] !ey/em /\\ [] !xe/xem\n"
+                           "lexicon: lex.txt\n",
+               "lex.txt": "o'er -> ey/em\ney -> ey/em\nem -> ey/em\n"
+                          "ος -> xe/xem\nxe -> xe/xem\nxem -> xe/xem\n",
+               "doc.txt": "O'ER the hill. ΟΣ went home.\n"},
+    ),
     # Each sample's machine report is its golden file, and the exit status
     # is 0 for Satisfied, 1 for Violated.
     **{f"check_golden_{name}": Case(

@@ -88,6 +88,17 @@ PIECES = SPACES + list(".!?") + [
 ]
 hostile_text = st.lists(st.sampled_from(PIECES), max_size=40).map("".join)
 
+XE = atom("xe/xem")
+HOSTILE_FORMS = ["ος", "οσ", "σα", "i\u0307", "i\u0307t", "t", "o'er", "er", "o", "foo bar",
+                 "ια", "α", "ſhe", "k", "ß", "ss", "ﬁ"]
+HOSTILE_SPEC = ReferentSpec(
+    frozenset(["Kit"]), parse_temporal("[] xe/xem"),
+    Lexicon({**default_lexicon().entries,
+             **dict.fromkeys(HOSTILE_FORMS + ["xe", "xem"], frozenset({XE}))}))
+# The Kelvin sign lowers to k, ẞ to ß, İT to i̇t; U+0345 matches ι under
+# IGNORECASE but is no letter.
+HOSTILE_PIECES = PIECES + ["ΟΣ'", "ΣΑ", "İT", "O'ER", "\u0345α", "ẞ", "FI", "\u212a"]
+
 
 class TestSegmentAgainstOracle:
     """``segment`` and ``_utterances`` against the character-loop oracle:
@@ -106,6 +117,39 @@ class TestSegmentAgainstOracle:
         assert sentences == direct_segment(text)
         assert (textcheck._utterances(sentences, spec)
                 == direct_utterances(direct_segment(text), spec))
+
+    @settings(derandomize=True, max_examples=1500, deadline=None, database=None)
+    @given(st.lists(st.sampled_from(HOSTILE_PIECES), max_size=40).map("".join))
+    @example("ΟΣ' ΣΑ. İT O'ER ͅα. ẞ FI \u212a. foo bar. ΟΣ.")
+    def test_hostile_lexicon_matches_direct_extraction(self, text):
+        # Forms with a character that is no letter (o'er, foo bar, the dot of
+        # i̇t), a letter that matches a non-letter under IGNORECASE (ι and
+        # U+0345), and forms that begin or end others (o, er, t): the scan
+        # must give the same utterances as a lookup of every word.
+        sentences = segment(text)
+        assert (textcheck._utterances(sentences, HOSTILE_SPEC)
+                == direct_utterances(sentences, HOSTILE_SPEC))
+
+    def test_each_letter_lowers_to_one_letter_that_matches_it(self):
+        # The scan finds a form where str.lower() of a run equals it, by
+        # matching the form under IGNORECASE; that holds letter by letter
+        # but for U+0130, whose lowercase is i and a combining dot above.
+        letter = re.compile(textcheck._LETTER)
+        exceptions = []
+        for code in range(sys.maxunicode + 1):
+            ch = chr(code)
+            if letter.fullmatch(ch):
+                lower = ch.lower()
+                if not (len(lower) == 1 and letter.fullmatch(lower)
+                        and re.fullmatch(re.escape(lower), ch, re.IGNORECASE)):
+                    exceptions.append(ch)
+        assert exceptions == ["\u0130"]
+        assert "\u0130".lower() == "i\u0307"
+        assert re.fullmatch("i", "\u0130", re.IGNORECASE)
+        # str.lower() gives σ or ς by context; under IGNORECASE each matches
+        # both and Σ, so a form's σ or ς matches as the class [σς]
+        for form in "σς":
+            assert [c for c in "σςΣ" if re.fullmatch(form, c, re.IGNORECASE)] == list("σςΣ")
 
     def test_whitespace_sets_agree(self):
         # segment finds ends with re's \s and trims with str.strip; both must
@@ -162,6 +206,10 @@ class TestExtractTrace:
 
     def test_nothing_tracked(self):
         assert extract_trace("Nothing here.", spec_for("[] she/her")).utterances == ()
+
+    def test_an_empty_lexicon_finds_nothing(self):
+        spec = ReferentSpec(frozenset(["Mara"]), parse_temporal("true"), Lexicon({}))
+        assert extract_trace("She left. They agreed.", spec).utterances == ()
 
     def test_spans_point_at_the_sentence(self):
         text = "Intro words. She left."
@@ -288,6 +336,22 @@ class TestDefaultLexicon:
         mutated.entries["xe"] = frozenset({atom("xe/xem")})
         assert default_lexicon() == packaged
 
+    def test_the_bundled_file_is_parsed_once(self, monkeypatch):
+        parsed = []
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse_lexicon(text)
+
+        monkeypatch.setattr(textcheck, "parse_lexicon", counting_parse)
+        textcheck._default_entries.cache_clear()
+        try:
+            lexicons = [default_lexicon() for _ in range(3)]
+        finally:
+            textcheck._default_entries.cache_clear()
+        assert len(parsed) == 1
+        assert lexicons[0] == lexicons[1] == lexicons[2]
+        assert lexicons[0].entries is not lexicons[1].entries
 
     def test_importing_the_cli_leaves_importlib_resources_out(self):
         # default_lexicon imports it when called; at startup it cost 15-20 ms.
