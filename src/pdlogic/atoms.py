@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .node import Node
 
 
-@dataclass(frozen=True)
-class PronounAtom:
+class PronounAtom(Node):
     """A subject/object pronoun class such as she/her.
 
     The set of atoms is open-ended: any pair of nonempty ASCII-letter tokens
@@ -14,8 +13,7 @@ class PronounAtom:
     structural equality coincides with equality of canonical keys.
     """
 
-    subject: str
-    object: str
+    __slots__ = ("subject", "object")
 
     def __post_init__(self):
         for part in (self.subject, self.object):

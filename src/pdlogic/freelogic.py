@@ -22,8 +22,8 @@ in order and stops once its value is fixed: ``forall`` at the first falsifier,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
+from types import MappingProxyType
 
 from . import notation
 from .node import Node
@@ -224,15 +224,13 @@ def render(formula: FreeFormula) -> str:
 NON_DENOTING = None  # eval_term returns an individual name, or None
 
 
-@dataclass
-class Model:
+class Model(Node, defaults={"predicates": MappingProxyType({})}):
     """Finite first-order structure. Domain order is significant: it fixes
     which satisfier an indefinite description picks."""
 
-    domain: tuple[str, ...]
-    predicates: dict[tuple[str, int], frozenset[tuple[str, ...]]] = field(
-        default_factory=dict
-    )
+    # a tuple of individual names; a mapping from (name, arity) to a frozenset
+    # of tuples of individuals, by default an immutable empty one
+    __slots__ = ("domain", "predicates")
 
     def __post_init__(self):
         if not self.domain:

@@ -11,7 +11,6 @@ carry meaning of its own.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from . import notation
 from .node import Node
@@ -51,12 +50,10 @@ class Lolli(LinearFormula):
     __slots__ = ("antecedent", "consequent")
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(Node):
     """Judgment Γ ⊢ A over a linear context: multiplicity matters, order is as written."""
 
-    context: tuple[LinearFormula, ...]
-    goal: LinearFormula
+    __slots__ = ("context", "goal")  # a tuple of LinearFormulas, a LinearFormula
 
     def __str__(self) -> str:
         return render_sequent(self)

@@ -22,11 +22,11 @@ residuals are one object, and walks are memoized per (state, atom set).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from collections.abc import Iterable
 from operator import is_not
-from typing import Iterable
 
 from .atoms import PronounAtom, atom
+from .node import Node
 from .prover import ResourceLimit
 from .temporal import (
     FALSE,
@@ -57,17 +57,14 @@ INCONCLUSIVE = "Inconclusive"
 MAX_EXPANSION = 10**6
 
 
-@dataclass(frozen=True)
-class Utterance:
+class Utterance(Node, defaults={"source_span": None}):
     """One time step: the set of pronoun atoms used, plus where it came from."""
 
-    atoms: frozenset[PronounAtom]
-    source_span: tuple[int, int] | None = None
+    __slots__ = ("atoms", "source_span")  # a frozenset of PronounAtoms, a (start, end) or None
 
 
-@dataclass(frozen=True)
-class Trace:
-    utterances: tuple[Utterance, ...]
+class Trace(Node):
+    __slots__ = ("utterances",)  # a tuple of Utterances
 
     def __len__(self) -> int:
         return len(self.utterances)
@@ -76,12 +73,10 @@ class Trace:
 EMPTY_TRACE = Trace(())
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Node, defaults={"witness_position": None}):
     """Monitoring outcome; monotone once Satisfied or Violated."""
 
-    status: str
-    witness_position: int | None = None
+    __slots__ = ("status", "witness_position")  # a str, an int or None
 
     @property
     def conclusive(self) -> bool:

@@ -29,11 +29,10 @@ handed less the leftover it ended with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .linear import (
     Atom, Lolli, LinearFormula, Plus, Sequent, Tensor, With, children, render_sequent,
 )
+from .node import Node
 
 DEFAULT_BUDGET = 10**6
 
@@ -51,18 +50,12 @@ class ResourceLimit(Exception):
     negative answer."""
 
 
-@dataclass(frozen=True)
-class ProofTree:
-    rule: str
-    conclusion: Sequent
-    premises: tuple["ProofTree", ...] = ()
+class ProofTree(Node, defaults={"premises": ()}):
+    __slots__ = ("rule", "conclusion", "premises")  # a str, a Sequent, a tuple of ProofTrees
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    path: tuple[int, ...] = ()
-    reason: str = ""
+class CheckResult(Node, defaults={"path": (), "reason": ""}):
+    __slots__ = ("ok", "path", "reason")  # a bool, a tuple of premise indices, a str
 
 
 ACCEPT = CheckResult(True)

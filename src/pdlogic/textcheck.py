@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from . import parsing, temporal
 from .atoms import PronounAtom, atom
 from .monitoring import VIOLATED, Trace, Utterance, Verdict, monitor
 from .monitoring import expand_bounded  # noqa: F401  (perfbench/tracing.py patches it)
+from .node import Node
 
 SINGLE_REFERENT_NOTE = (
     "note: every pronoun in the document is attributed to the referent; "
@@ -57,11 +57,10 @@ def read_utf8(path: str | Path | None) -> str:
         raise InputError(f"{source}: not UTF-8 text (bad byte at offset {exc.start})") from None
 
 
-@dataclass
-class Lexicon:
+class Lexicon(Node):
     """Map from lowercase surface token to the atoms it can realize."""
 
-    entries: dict[str, frozenset[PronounAtom]]
+    __slots__ = ("entries",)  # a dict from str to a frozenset of PronounAtoms
 
     def __post_init__(self):
         for token in self.entries:
@@ -73,9 +72,6 @@ class Lexicon:
                     raise LexiconError(
                         f"atom {a} is referenced but its form {form!r} is missing"
                     )
-
-    def lookup(self, token: str) -> frozenset[PronounAtom]:
-        return self.entries.get(token.lower(), frozenset())
 
     def atoms(self) -> frozenset[PronounAtom]:
         if not self.entries:
@@ -121,14 +117,12 @@ def default_lexicon() -> Lexicon:
     return Lexicon(dict(_default_entries()))
 
 
-@dataclass
-class ReferentSpec:
+class ReferentSpec(Node):
     """A referent's names paired with their descriptor and the lexicon that
     grounds the descriptor's atoms in surface forms."""
 
-    referent_names: frozenset[str]
-    descriptor: temporal.TemporalFormula
-    lexicon: Lexicon
+    # a frozenset of strs, a TemporalFormula, a Lexicon
+    __slots__ = ("referent_names", "descriptor", "lexicon")
 
     def __post_init__(self):
         if not self.referent_names:
@@ -250,19 +244,13 @@ def segment(text: str) -> list[tuple[str, tuple[int, int]]]:
 # --- trace extraction and checking -------------------------------------------
 
 
-@dataclass
-class Diagnostic:
-    byte_span: tuple[int, int]
-    sentence_index: int
-    atoms_found: frozenset[PronounAtom]
-    message: str
+class Diagnostic(Node):
+    # a (start, end) in bytes, an int, a frozenset of PronounAtoms, a str
+    __slots__ = ("byte_span", "sentence_index", "atoms_found", "message")
 
 
-@dataclass
-class Report:
-    verdict: Verdict
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    trace: Trace = Trace(())
+class Report(Node):
+    __slots__ = ("verdict", "diagnostics", "trace")  # a Verdict, a list of Diagnostics, a Trace
 
 
 def _utterances(

@@ -316,7 +316,7 @@ def direct_utterances(sentences: list[tuple[str, tuple[int, int]]], spec) -> lis
     for index, (sentence, span) in enumerate(sentences):
         found: set[PronounAtom] = set()
         for token in _WORD.findall(sentence):
-            found |= spec.lexicon.lookup(token)
+            found |= spec.lexicon.entries.get(token.lower(), frozenset())
         if found:
             result.append((Utterance(frozenset(found), span), index))
     return result

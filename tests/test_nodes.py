@@ -1,19 +1,24 @@
-"""The contract every formula node of the three families keeps: its fields in
-order, construction by position or by name, structural equality and hashing
-that survive copying and pickling, immutability, and no per-node
-``__dict__``."""
+"""The contract every value class keeps, the formula nodes of the three
+families and the package's records alike: its fields in order, construction
+by position or by name, structural equality and hashing that survive copying
+and pickling, immutability, and no per-value ``__dict__``."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from itertools import product
 
 import pytest
 
+import pdlogic
+from pdlogic import atoms, monitoring, prover, textcheck
 from pdlogic import freelogic as fl
 from pdlogic import linear as ll
 from pdlogic import temporal as tl
 from pdlogic.atoms import atom
 from pdlogic.monitoring import expand_bounded
+from pdlogic.node import Node
 from pdlogic.parsing import parse_temporal
 
 SHE = atom("she/her")
@@ -61,10 +66,53 @@ FIELDS = {
     },
 }
 BASES = {tl: (tl.TemporalFormula,), ll: (ll.LinearFormula,), fl: (fl.FreeTerm, fl.FreeFormula)}
+
+SHE_ONLY = frozenset({SHE})
+SEQUENT = ll.Sequent((L_A,), L_A)
+UTTERANCE = monitoring.Utterance(SHE_ONLY, (0, 4))
+VERDICT = monitoring.Verdict("Violated", 1)
+LEXICON = textcheck.Lexicon({"she": SHE_ONLY, "her": SHE_ONLY})
+DIAGNOSTIC = textcheck.Diagnostic((0, 4), 1, SHE_ONLY, "she/her used")
+# Each record class: its fields in order, and one set of field values.
+RECORDS = {
+    atoms: {"PronounAtom": (("subject", "object"), ("she", "her"))},
+    ll: {"Sequent": (("context", "goal"), ((L_A, L_B), L_A))},
+    prover: {
+        "ProofTree": (("rule", "conclusion", "premises"),
+                      ("WithL1", SEQUENT, (prover.ProofTree("Id", SEQUENT),))),
+        "CheckResult": (("ok", "path", "reason"), (False, (0, 1), "not an axiom")),
+    },
+    monitoring: {
+        "Utterance": (("atoms", "source_span"), (SHE_ONLY, (0, 4))),
+        "Trace": (("utterances",), ((UTTERANCE, UTTERANCE),)),
+        "Verdict": (("status", "witness_position"), ("Violated", 1)),
+    },
+    fl: {"Model": (("domain", "predicates"), (("a", "b"), {("p", 1): frozenset({("a",)})}))},
+    textcheck: {
+        "Lexicon": (("entries",), (LEXICON.entries,)),
+        "ReferentSpec": (("referent_names", "descriptor", "lexicon"),
+                         (frozenset({"Mara"}), tl.Box(T_A), LEXICON)),
+        "Diagnostic": (("byte_span", "sentence_index", "atoms_found", "message"),
+                       ((0, 4), 1, SHE_ONLY, "she/her used")),
+        "Report": (("verdict", "diagnostics", "trace"),
+                   (VERDICT, [DIAGNOSTIC], monitoring.Trace((UTTERANCE,)))),
+    },
+}
 CASES = [(getattr(module, name), fields, values)
-         for module, table in FIELDS.items() for name, (fields, values) in table.items()]
+         for tables in (FIELDS, RECORDS)
+         for module, table in tables.items() for name, (fields, values) in table.items()]
 IDS = [f"{cls.__module__.rsplit('.', 1)[1]}.{cls.__name__}" for cls, _, _ in CASES]
 SAMPLES = [cls(*values) for cls, _, values in CASES]
+MODULES = [importlib.import_module(f"pdlogic.{info.name}")
+           for info in pkgutil.iter_modules(pdlogic.__path__)]
+
+
+def hash_of(value):
+    """The hash of ``value``, or "unhashable" for a record over a dict or list."""
+    try:
+        return hash(value)
+    except TypeError:
+        return "unhashable"
 
 
 @pytest.mark.parametrize("module", FIELDS, ids=lambda m: m.__name__)
@@ -73,6 +121,21 @@ def test_the_table_names_every_concrete_class(module):
               if isinstance(value, type) and issubclass(value, BASES[module])
               and value not in BASES[module] and not name.startswith("_")}
     assert public == set(FIELDS[module])
+
+
+def test_the_record_table_names_every_other_value_class():
+    records = {(module, name) for module in MODULES for name, value in vars(module).items()
+               if isinstance(value, type) and value.__module__ == module.__name__
+               and issubclass(value, Node) and value is not Node
+               and not issubclass(value, sum(BASES.values(), ()))}
+    assert records == {(module, name) for module, table in RECORDS.items() for name in table}
+
+
+def test_no_class_of_the_package_is_a_dataclass():
+    classes = [value for module in MODULES for value in vars(module).values()
+               if isinstance(value, type) and value.__module__ == module.__name__]
+    assert len(classes) > len(CASES)
+    assert [cls for cls in classes if hasattr(cls, "__dataclass_fields__")] == []
 
 
 @pytest.mark.parametrize(("cls", "fields", "values"), CASES, ids=IDS)
@@ -86,13 +149,13 @@ class TestEachClass:
         assert tuple(getattr(node, name) for name in fields) == values
 
     def test_hash_is_the_hash_of_the_fields(self, cls, fields, values):
-        assert hash(cls(*values)) == hash(values)
+        assert hash_of(cls(*values)) == hash_of(values)
 
     def test_copies_and_pickles_are_equal_and_hash_alike(self, cls, fields, values):
         node = cls(*values)
         for other in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
             assert type(other) is cls
-            assert other == node and hash(other) == hash(node)
+            assert other == node and hash_of(other) == hash_of(node)
 
     def test_fields_cannot_be_assigned_or_deleted(self, cls, fields, values):
         node = cls(*values)
@@ -129,6 +192,39 @@ def test_a_node_class_must_list_its_fields():
     with pytest.raises(TypeError, match="must list its fields as __slots__"):
         class Until(tl.TemporalFormula):
             pass
+
+
+def test_defaults_must_be_for_the_last_fields_in_order():
+    with pytest.raises(TypeError, match="defaults must be for its last fields, in order"):
+        class Until(tl.TemporalFormula, defaults={"left": None}):
+            __slots__ = ("left", "right")
+
+
+# A record built from fewer values, and the fields it then has: the defaults
+# of the last fields, and PronounAtom's lowercasing.
+FILLED = [
+    (monitoring.Utterance, (SHE_ONLY,), (SHE_ONLY, None)),
+    (monitoring.Verdict, ("Satisfied",), ("Satisfied", None)),
+    (prover.ProofTree, ("Id", SEQUENT), ("Id", SEQUENT, ())),
+    (prover.CheckResult, (True,), (True, (), "")),
+    (fl.Model, (("a",),), (("a",), {})),
+    (atoms.PronounAtom, ("She", "HER"), ("she", "her")),
+]
+
+
+@pytest.mark.parametrize(("cls", "given", "values"), FILLED,
+                         ids=[cls.__name__ for cls, _, _ in FILLED])
+def test_defaults_and_lowercasing_fill_the_fields(cls, given, values):
+    record = cls(*given)
+    assert tuple(getattr(record, name) for name in cls.__match_args__) == values
+    for other in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(other) is cls and other == record
+
+
+def test_the_default_model_predicates_cannot_be_changed():
+    with pytest.raises(TypeError):
+        fl.Model(("a",)).predicates["p", 1] = frozenset()
+    assert fl.Model(("b",)).predicates == {}
 
 
 def test_repr_names_each_field():
