@@ -5,7 +5,9 @@ every sentence bearing a tracked pronoun form into one utterance, and hand
 the resulting trace to the monitor. A word is a run of letters, and it is a
 form when its ``str.lower()`` is a lexicon entry. One compiled pattern per
 lexicon finds, in each sentence, the words that could be forms, so Python
-looks up only those. No coreference resolution is attempted:
+looks up only those. The pattern starts with a case-sensitive class of the
+characters that can begin a form, so ``re`` skips to them in C and tries
+its case-insensitive test only there. No coreference resolution is attempted:
 every pronoun in the document is attributed to the single referent, because a
 wrong coreference heuristic would manufacture false accusations of
 misgendering. This limitation is surfaced in the report output.
@@ -14,10 +16,10 @@ misgendering. This limitation is surfaced in the report output.
 from __future__ import annotations
 
 import functools
+import os
 import re
 import sys
 from operator import itemgetter
-from pathlib import Path
 
 from . import parsing, temporal
 from .atoms import PronounAtom, atom
@@ -43,12 +45,16 @@ class InputError(Exception):
     """An input that cannot be read as UTF-8 text, or that is given twice."""
 
 
-def read_utf8(path: str | Path | None) -> str:
+def read_utf8(path: str | os.PathLike | None) -> str:
     """The text of the UTF-8 file at ``path``, or of standard input if None,
     decoded strictly and with its line ends as stored, so that a byte offset
     into the text is one into the file."""
     try:
-        data = sys.stdin.buffer.read() if path is None else Path(path).read_bytes()
+        if path is None:
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as file:
+                data = file.read()
         return data.decode("utf-8")
     except OSError as exc:
         raise InputError(str(exc)) from None
@@ -133,7 +139,7 @@ class ReferentSpec(Node):
             raise ConfigError(f"descriptor atoms missing from lexicon: {keys}")
 
 
-def parse_referent_spec(text: str, base_dir: Path | None = None) -> ReferentSpec:
+def parse_referent_spec(text: str, base_dir: str | os.PathLike | None = None) -> ReferentSpec:
     """Spec file format: ``referent:`` and ``descriptor:`` lines, optional
     ``lexicon: <path>`` (relative to the spec file). Each key appears at
     most once, and a line ends at ``#``."""
@@ -166,9 +172,8 @@ def parse_referent_spec(text: str, base_dir: Path | None = None) -> ReferentSpec
         elif key == "lexicon":
             if not value:
                 raise ConfigError(f"line {lineno}: empty value for 'lexicon'")
-            path = Path(value)
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
+            # join keeps an absolute value as it is
+            path = value if base_dir is None else os.path.join(base_dir, value)
             lexicon = parse_lexicon(read_utf8(path))
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
@@ -179,9 +184,8 @@ def parse_referent_spec(text: str, base_dir: Path | None = None) -> ReferentSpec
     return ReferentSpec(names, descriptor, lexicon or default_lexicon())
 
 
-def load_referent_spec(path: str | Path) -> ReferentSpec:
-    path = Path(path)
-    return parse_referent_spec(read_utf8(path), path.parent)
+def load_referent_spec(path: str | os.PathLike) -> ReferentSpec:
+    return parse_referent_spec(read_utf8(path), os.path.dirname(path))
 
 
 # --- segmentation ------------------------------------------------------------
@@ -195,22 +199,40 @@ def _scanner(forms: frozenset[str]) -> re.Pattern:
     some form matches, case-insensitively, up to the run's end: a superset of
     the runs whose ``str.lower()`` is a form, and only whole runs.
 
+    The pattern begins with a case-sensitive class, so that ``re`` skips in C
+    to the characters that can start such a run; only there does it try the
+    rest, under ``(?i:...)``. The class keeps every non-ASCII character and
+    each ASCII character whose ``str.lower()`` is the first character of a
+    form. That loses no run: an ASCII character lowers to one ASCII
+    character, so a run that lowers to a form and starts with one starts with
+    a character that lowers to the form's first. (A class under IGNORECASE
+    would hand ``re`` no such prefix.) After the class, ``(?<=L)(?<!L.)``
+    keeps only the first letter of a run, and a lookahead holds one branch
+    per first character, ``(?<=h)(?:e|er|im|...)``, before the run is
+    consumed.
+
     It relies on ``str.lower()`` mapping each letter to one letter that
     matches it under ``re.IGNORECASE`` (σ and ς match each other there). The
     one exception is U+0130, which lowers to ``i`` and a combining dot above:
-    that dot, after an ``i`` in a form, is optional. A match is always a
-    whole run, so a form that holds a character that is no letter, such as
-    ``o'er``, can select the run it starts in but never reach into the next.
+    that dot, after an ``i`` in a form, is optional. The rule is applied to
+    the whole form before its first character is split off, so that ``İt``
+    still finds ``i̇t``. A match is always a whole run, so a form that holds
+    a character that is no letter, such as ``o'er``, can select the run it
+    starts in but never reach into the next.
     """
-    first = "".join(sorted({re.escape(form[0]) for form in forms if form}))
-    if not first:
+    rests: dict[str, list[str]] = {}  # escaped, by first character
+    for form in sorted(filter(None, forms)):
+        escaped = re.escape(form).replace("i\u0307", "i\u0307?")
+        rests.setdefault(form[0], []).append(escaped[len(re.escape(form[0])):])
+    if not rests:
         return re.compile(r"(?!)")
-    alternatives = "|".join(
-        re.escape(form).replace("i\u0307", "i\u0307?") for form in sorted(forms)
-    )
+    # a negated set: the class written as "[\x80-\U0010ffff...]" compiles 30 times slower
+    cannot_start = "".join(re.escape(c) for c in map(chr, range(128)) if c.lower() not in rests)
+    branches = "|".join(f"(?<={re.escape(first)})(?:{'|'.join(rest)})"
+                        for first, rest in rests.items())
     return re.compile(
-        f"(?=[{first}])(?<!{_LETTER})(?=(?:{alternatives})(?!{_LETTER})){_LETTER}+",
-        re.IGNORECASE,
+        f"[^{cannot_start}](?<={_LETTER})(?<!{_LETTER}.)"
+        f"(?i:(?=(?:{branches})(?!{_LETTER})){_LETTER}*)"
     )
 
 

@@ -627,9 +627,11 @@ class TestUsage:
 def test_importing_the_cli_leaves_slow_modules_out():
     # dataclasses loads inspect, ast, dis and tokenize, and with typing it
     # took half of the CLI's import time; default_lexicon imports
-    # importlib.resources when called, which at startup cost 15-20 ms.
+    # importlib.resources when called, which at startup cost 15-20 ms;
+    # pathlib brings urllib.parse and ipaddress, about 5 ms.
     script = ("import sys, pdlogic.cli; print([name for name in ('dataclasses', 'inspect',"
-              " 'typing', 'importlib.resources') if name in sys.modules])")
+              " 'typing', 'importlib.resources', 'pathlib', 'urllib.parse', 'ipaddress')"
+              " if name in sys.modules])")
     result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")

@@ -88,7 +88,7 @@ hostile_text = st.lists(st.sampled_from(PIECES), max_size=40).map("".join)
 
 XE = atom("xe/xem")
 HOSTILE_FORMS = ["ος", "οσ", "σα", "i\u0307", "i\u0307t", "t", "o'er", "er", "o", "foo bar",
-                 "ια", "α", "ſhe", "k", "ß", "ss", "ﬁ"]
+                 "ια", "α", "ſhe", "k", "ß", "ss", "ﬁ", "'em"]
 HOSTILE_SPEC = ReferentSpec(
     frozenset(["Kit"]), parse_temporal("[] xe/xem"),
     Lexicon({**default_lexicon().entries,
@@ -148,6 +148,28 @@ class TestSegmentAgainstOracle:
         # both and Σ, so a form's σ or ς matches as the class [σς]
         for form in "σς":
             assert [c for c in "σςΣ" if re.fullmatch(form, c, re.IGNORECASE)] == list("σςΣ")
+
+    def test_every_first_letter_of_a_form_is_found(self):
+        # The scan skips to the characters its leading class admits; every
+        # letter that lowers to the start of a form, capitals, the Kelvin
+        # sign, İ and ſ among them, must be admitted and then matched.
+        letter = re.compile(textcheck._LETTER)
+        by_lower = {}
+        for code in range(sys.maxunicode + 1):
+            ch = chr(code)
+            if letter.fullmatch(ch):
+                by_lower.setdefault(ch.lower(), []).append(ch)
+        forms = frozenset(HOSTILE_SPEC.lexicon.entries)
+        findall = textcheck._scanner(forms).findall
+        runs = set()
+        for form in forms:
+            for size in range(1, min(len(form), 3) + 1):  # a lowercase is 1-3 long
+                for ch in by_lower.get(form[:size], ()):
+                    run = ch + form[size:]
+                    if re.fullmatch(f"{textcheck._LETTER}+", run) and run.lower() == form:
+                        runs.add(run)
+                        assert findall(run) == [run], (form, run)
+        assert {"She", "\u212a", "\u0130t", "ſhe", "ẞ", "Σα"} <= runs
 
     def test_whitespace_sets_agree(self):
         # segment finds ends with re's \s and trims with str.strip; both must
