@@ -19,7 +19,7 @@ import functools
 import sys
 
 from . import freelogic, linear, parsing, prover, temporal, textcheck
-from .monitoring import SATISFIED, VIOLATED, evaluate, monitor, parse_trace
+from .monitoring import SATISFIED, VIOLATED, TraceFormatError, evaluate, monitor, parse_trace
 from .monitoring import expand_bounded  # noqa: F401  (perfbench/tracing.py patches it)
 from .textcheck import InputError, read_utf8
 
@@ -28,21 +28,17 @@ EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 EXIT_RESOURCE = 3
 
-# Failures that exit 2 because the input is at fault. The ValueErrors are
-# those of parse_trace and proof_from_text, which name the offending line.
-INPUT_ERRORS = (InputError, parsing.ParseError, ValueError, textcheck.ConfigError,
-                textcheck.LexiconError, freelogic.FreeLogicError)
+# Failures that exit 2 because the input is at fault. Any other exception is
+# a bug below main and is not caught.
+INPUT_ERRORS = (InputError, parsing.ParseError, TraceFormatError, prover.ProofTextError,
+                textcheck.ConfigError, textcheck.LexiconError, freelogic.FreeLogicError)
 
-# What went too deep when a subcommand reaches Python's recursion limit. It is
-# the subcommand's work, not always a formula: a long sequent whose formulas
-# are all shallow still recurses once per step of its proof search.
-TOO_DEEP = {
-    "parse": "formula too deep to render",
-    "prove": "proof search too deep",
-    "monitor": "formula too deep to monitor",
-    "eval": "formula too deep to evaluate",
-    "check": "descriptor too deep to monitor",
-}
+# What went too deep when a subcommand reaches Python's recursion limit. A
+# long sequent whose formulas are all shallow still recurses once per step
+# of its proof search, and a long proof once per level. No input nested 100
+# deep or less, the parsers' limit, was found to take the other subcommands
+# there, so they share one message.
+TOO_DEEP = {"prove": "proof search too deep", "prove --check": "proof too deep to check"}
 
 
 def _fail(message: str, status: int) -> int:
@@ -214,9 +210,9 @@ def main(argv=None) -> int:
     except prover.ResourceLimit as exc:
         return _fail(str(exc), EXIT_RESOURCE)
     except RecursionError:
-        if getattr(args, "check", None) is not None:
-            return _fail("proof too deep to check (recursion limit reached)", EXIT_RESOURCE)
-        return _fail(f"{TOO_DEEP[args.command]} (recursion limit reached)", EXIT_RESOURCE)
+        work = args.command + (" --check" if getattr(args, "check", None) is not None else "")
+        return _fail(f"{TOO_DEEP.get(work, 'input too deep')} (recursion limit reached)",
+                     EXIT_RESOURCE)
 
 
 if __name__ == "__main__":

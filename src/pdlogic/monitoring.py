@@ -539,10 +539,15 @@ def monitor(formula: TemporalFormula, utterances: Iterable[Utterance]) -> list[V
     return verdicts
 
 
+class TraceFormatError(ValueError):
+    """A trace file line that does not read as an utterance."""
+
+
 def parse_trace(text: str) -> Trace:
     """Trace file format: one utterance per line of whitespace-separated atom
     tokens, ``-`` for an utterance with no atoms; ``#`` starts a comment, and
-    blank lines are ignored."""
+    blank lines are ignored. A bad token raises ``TraceFormatError`` naming
+    its line."""
     utterances = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -554,5 +559,5 @@ def parse_trace(text: str) -> Trace:
         try:
             utterances.append(Utterance(frozenset(atom(t) for t in line.split())))
         except ValueError as exc:
-            raise ValueError(f"trace line {lineno}: {exc}") from None
+            raise TraceFormatError(f"trace line {lineno}: {exc}") from None
     return Trace(tuple(utterances))

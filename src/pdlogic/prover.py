@@ -25,6 +25,14 @@ valve. Subgoals are memoized on the canonical (input multiset, goal) pair, and
 each memo miss is one search node. A proof that is found has explicit
 contexts: each node's context is the multiset it consumed, the input it was
 handed less the leftover it ended with.
+
+Before the search, the sequent's atom counts may refute it. Each additive
+slice of a proof pairs every atom occurrence with an opposite one (Girard,
+TCS 1987; Hughes & van Glabbeek, ACM TOCL 2005). So a sequent is underivable
+when some atom's supply less demand cannot be 0, whatever is chosen at each
+``&`` and ``(+)``. The count runs over the search's numbering, in about one
+pass over the sequent's distinct subformulas, and a refuted sequent spends no
+search node.
 """
 
 from __future__ import annotations
@@ -62,10 +70,15 @@ ACCEPT = CheckResult(True)
 
 
 def prove(sequent: Sequent, budget: int = DEFAULT_BUDGET) -> ProofTree | None:
-    """A checkable proof of the sequent, or None if none exists."""
+    """A checkable proof of the sequent, or None if none exists. A sequent
+    that its atom counts refute is answered before the search, and spends
+    none of the budget."""
     searcher = _Searcher(budget)
     context = tuple(map(searcher.number, sequent.context))
-    term = searcher.enter(context, (), searcher.number(sequent.goal)).get(())
+    goal = searcher.number(sequent.goal)
+    if _unbalanced(searcher.parts, context, goal):
+        return None
+    term = searcher.enter(context, (), goal).get(())
     if term is None:
         return None
     tree = searcher.build(term, {})
@@ -103,6 +116,83 @@ def _numbering():
         return n
 
     return number, formulas, parts
+
+
+def _unbalanced(parts: list, context: tuple[int, ...], goal: int) -> bool:
+    """Whether some atom's supply less demand cannot be 0, whatever is
+    chosen at each ``&`` and ``(+)``. ``parts`` is a numbering's list of
+    parts, which holds exactly the subformulas of the sequent ``context |-
+    goal``, given by number.
+
+    One pass from the largest number down hands each formula its weight: how
+    many copies of it the context supplies less the goal demands, outside
+    any ``&`` or ``(+)``. ``*`` hands its weight to both operands, and
+    ``-o`` hands its consequent the weight and its antecedent the negated
+    weight. An atom adds its weight to its count, and an additive formula
+    adds its weight times its ``_spans`` interval.
+
+    A supplied and a demanded copy of one formula cancel. That stays sound:
+    for each atom, choosing at every additive of the two copies by its
+    minimax count gives a slice in which the supplied copy counts at least
+    the demanded one, and another in which it counts at most, so the rest of
+    a derivable sequent still reaches 0 from both sides."""
+    weight = [0] * len(parts)
+    for formula in context:
+        weight[formula] += 1
+    weight[goal] -= 1
+    low = [0] * len(parts)  # by atom number, the least and greatest count
+    high = [0] * len(parts)
+    spans = None
+    for n in range(len(parts) - 1, -1, -1):
+        w = weight[n]
+        if not w:
+            continue
+        kind, x, y = parts[n]
+        if kind is Tensor:
+            weight[x] += w
+            weight[y] += w
+        elif kind is Lolli:
+            weight[x] -= w
+            weight[y] += w
+        elif kind is Atom:
+            low[n] += w
+            high[n] += w
+        else:
+            if spans is None:
+                spans = _spans(parts)
+            for a, (lo, hi) in spans[n].items():
+                lo, hi = (w * lo, w * hi) if w > 0 else (w * hi, w * lo)
+                low[a] += lo
+                high[a] += hi
+    return any(lo > 0 or hi < 0 for lo, hi in zip(low, high))
+
+
+def _spans(parts: list) -> list[dict[int, tuple[int, int]]]:
+    """For each formula by number, each atom's least and greatest count in
+    one copy of it over the choices at its ``&`` and ``(+)``: ``*`` adds its
+    operands' intervals, ``-o`` subtracts its antecedent's from its
+    consequent's, and ``&`` and ``(+)`` take the lower low and the higher
+    high of their operands."""
+    spans: list[dict[int, tuple[int, int]]] = []
+    for n, (kind, x, y) in enumerate(parts):
+        if kind is Atom:
+            spans.append({n: (1, 1)})
+            continue
+        left, right = spans[x], spans[y]
+        if kind is Tensor or kind is Lolli:
+            span = dict(right)
+            for a, (lo, hi) in left.items():
+                if kind is Lolli:
+                    lo, hi = -hi, -lo
+                low, high = span.get(a, (0, 0))
+                span[a] = (low + lo, high + hi)
+        else:
+            span = {}
+            for a in left.keys() | right.keys():
+                (l1, h1), (l2, h2) = left.get(a, (0, 0)), right.get(a, (0, 0))
+                span[a] = (min(l1, l2), max(h1, h2))
+        spans.append(span)
+    return spans
 
 
 class _Searcher:
@@ -369,6 +459,10 @@ def _check_node(node: ProofTree, ctx: list[int], contexts: list[list[int]],
 # --- serialization ------------------------------------------------------------
 
 
+class ProofTextError(ValueError):
+    """Proof text whose lines do not form a proof tree."""
+
+
 def proof_to_text(proof: ProofTree) -> str:
     """Indented text format: ``rule | sequent``, children indented two spaces.
 
@@ -387,7 +481,7 @@ def proof_to_text(proof: ProofTree) -> str:
 
 
 def proof_from_text(text: str) -> ProofTree:
-    """Inverse of proof_to_text; raises ValueError on malformed trees, and a
+    """Inverse of proof_to_text; raises ProofTextError on malformed trees, and a
     ParseError at its line and column in ``text`` on a malformed sequent.
 
     Two kinds of formula text are shared within one call. Each distinct
@@ -409,13 +503,13 @@ def proof_from_text(text: str) -> ProofTree:
             continue
         indent = len(line) - len(line.lstrip(" "))
         if indent % 2:
-            raise ValueError(f"line {lineno}: odd indentation")
+            raise ProofTextError(f"line {lineno}: odd indentation")
         rule, sep, sequent_text = body.partition(" | ")
         if not sep:
-            raise ValueError(f"line {lineno}: expected 'rule | sequent'")
+            raise ProofTextError(f"line {lineno}: expected 'rule | sequent'")
         rule = rule.strip()
         if rule not in RULES:
-            raise ValueError(f"line {lineno}: unknown rule {rule!r}")
+            raise ProofTextError(f"line {lineno}: unknown rule {rule!r}")
         at = start + len(line) - len(line.lstrip()) + len(body) - len(sequent_text.lstrip())
         span = sequent_text.strip()
         sequent = memo.sequent(span)
@@ -424,12 +518,12 @@ def proof_from_text(text: str) -> ProofTree:
         entries.append((indent // 2, rule, sequent))
 
     if not entries:
-        raise ValueError("empty proof text")
+        raise ProofTextError("empty proof text")
 
     def build(index: int, depth: int) -> tuple[ProofTree, int]:
         level, rule, sequent = entries[index]
         if level != depth:
-            raise ValueError(f"entry {index}: unexpected indentation")
+            raise ProofTextError(f"entry {index}: unexpected indentation")
         index += 1
         premises = []
         while index < len(entries) and entries[index][0] == depth + 1:
@@ -439,5 +533,5 @@ def proof_from_text(text: str) -> ProofTree:
 
     tree, consumed = build(0, 0)
     if consumed != len(entries):
-        raise ValueError("trailing proof lines outside the root tree")
+        raise ProofTextError("trailing proof lines outside the root tree")
     return tree

@@ -478,10 +478,17 @@ class TestHostileInput:
 
         monkeypatch.setattr(cli, "evaluate", too_deep)
         code, out, err = run(capsys, "monitor", files["spec"], files["trace"], "--mode", "batch")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: ")
-        assert err.count("\n") == 1
+        assert (code, out, err) == (3, "", "error: input too deep (recursion limit reached)\n")
+
+    def test_a_value_error_below_main_is_not_bad_input(self, files, monkeypatch):
+        # Only the package's own input errors exit 2. A ValueError from a bug
+        # below main propagates, so that no test mistakes it for bad input.
+        def buggy(*args):
+            raise ValueError("a bug, not the input")
+
+        monkeypatch.setattr(cli, "evaluate", buggy)
+        with pytest.raises(ValueError, match="^a bug, not the input$"):
+            main(["monitor", files["spec"], files["trace"]])
 
     @pytest.mark.parametrize("bad", ["she", "she/h3r"])
     def test_bad_lexicon_atom_exits_2(self, capsys, tmp_path, bad):

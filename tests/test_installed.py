@@ -254,6 +254,21 @@ CASES = {
         "error: proof search too deep (recursion limit reached)\n",
         files={"chain.txt": CHAIN + "\n"},
     ),
+    # Atom counts refute the sequent before the search, which spends no node.
+    "prove_refuted_spends_no_budget": Case(
+        ["prove", "--budget", "0", "a/b |- c/d"], 1, "not derivable\n",
+    ),
+    # The malformed trace and proof errors keep their text and exit status.
+    "monitor_bad_trace_atom": Case(
+        ["monitor", "{dir}/spec.txt", "{dir}/trace.txt"], 2, "",
+        "error: trace line 2: atom key must look like subject/object, got 'she'\n",
+        files={"spec.txt": "[] she/her\n", "trace.txt": "she/her\nshe\n"},
+    ),
+    "prove_check_unknown_rule": Case(
+        ["prove", "--check", "{dir}/proof.txt"], 2, "",
+        "error: line 1: unknown rule 'Foo'\n",
+        files={"proof.txt": "Foo | a/b |- a/b\n"},
+    ),
     "eval_unrecognized_model_line": Case(
         ["eval", "{dir}/model.txt", "forall x. man(x)"], 2, "",
         "error: line 2: unrecognized line 'predicate man/1: a'\n",

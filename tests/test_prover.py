@@ -15,6 +15,8 @@ from pdlogic.prover import (
     RULES,
     ProofTree,
     ResourceLimit,
+    _numbering,
+    _unbalanced,
     check_proof,
     proof_from_text,
     proof_to_text,
@@ -23,6 +25,7 @@ from pdlogic.prover import (
 
 from oracles import (
     TWO_ATOMS,
+    all_small_sequents,
     linear_formulas_up_to,
     naive_derivable,
     per_line_proof_from_text,
@@ -220,6 +223,104 @@ class TestWideContexts:
         assert main(["prove", text, "--budget", "5"]) == 3
         assert "budget" in capsys.readouterr().err
         assert main(["prove", text]) == 0
+
+
+def refuted(sequent):
+    """Whether ``prove`` answers the sequent from its atom counts alone."""
+    number, _, parts = _numbering()
+    return _unbalanced(parts, tuple(map(number, sequent.context)), number(sequent.goal))
+
+
+def atom_intervals(sequent):
+    """Each atom's least and greatest supply less demand over the choices at
+    ``&`` and ``(+)``, each copy of a formula choosing on its own: counted on
+    the formula trees, keyed by ``PronounAtom``."""
+    def add(left, right):
+        out = dict(left)
+        for key, (lo, hi) in right.items():
+            low, high = out.get(key, (0, 0))
+            out[key] = (low + lo, high + hi)
+        return out
+
+    def count(formula, sign):
+        match formula:
+            case ll.Atom(key):
+                return {key: (sign, sign)}
+            case ll.Tensor(left, right):
+                return add(count(left, sign), count(right, sign))
+            case ll.Lolli(antecedent, consequent):
+                return add(count(antecedent, -sign), count(consequent, sign))
+        left, right = count(formula.left, sign), count(formula.right, sign)
+        return {key: (min(left.get(key, (0, 0))[0], right.get(key, (0, 0))[0]),
+                      max(left.get(key, (0, 0))[1], right.get(key, (0, 0))[1]))
+                for key in left.keys() | right.keys()}
+
+    total = count(sequent.goal, -1)
+    for formula in sequent.context:
+        total = add(total, count(formula, 1))
+    return total
+
+
+class TestAtomCounts:
+    """A sequent in which some atom's supply can never equal its demand is
+    refuted before the proof search starts."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("a/b |- c/d", True),
+        ("a/b, c/d |- a/b", True),
+        ("a/b |- a/b * a/b", True),
+        ("|- a/b -o a/b", False),
+        ("a/b, a/b -o c/d |- c/d", False),
+        ("a/b & c/d |- a/b", False),
+        ("(a/b & c/d) -o e/f, a/b |- e/f", False),
+        # Underivable, but some choice balances every atom.
+        ("a/b (+) c/d |- a/b & c/d", False),
+        # The supplied and the demanded copy of a/b & c/d cancel, leaving
+        # c/d supplied and a/b demanded.
+        ("a/b & c/d, c/d |- (a/b & c/d) * a/b", True),
+    ])
+    def test_examples(self, text, expected):
+        sequent = parse_sequent(text)
+        assert refuted(sequent) == expected
+        if expected:
+            assert prove(sequent) is None
+
+    def test_refuted_sequent_spends_no_budget(self):
+        assert prove(parse_sequent("a/b |- c/d"), budget=0) is None
+        with pytest.raises(ResourceLimit):
+            prove(parse_sequent("a/b |- a/b"), budget=0)
+
+    def test_no_small_derivable_sequent_is_refuted(self):
+        # Every sequent of criterion 3. The count with the copies of each
+        # formula choosing on their own refutes 118,544 of them; cancelling
+        # a formula's supplied and demanded copies refutes more.
+        memo = {}
+        count = 0
+        for sequent in all_small_sequents():
+            if refuted(sequent):
+                count += 1
+                assert not naive_derivable(list(sequent.context), sequent.goal, memo), \
+                    str(sequent)
+        assert count == 118_812
+
+    @pytest.mark.parametrize("family", ["random_linear", "wide_sequent"])
+    def test_refutation_agrees_with_the_oracles(self, family):
+        rng = random.Random(20261019)
+        verdicts = Counter()
+        for _ in range(300):
+            if family == "wide_sequent":
+                sequent = wide_sequent(rng)
+            else:
+                context = tuple(random_linear(rng, 3) for _ in range(rng.randrange(4)))
+                sequent = ll.Sequent(context, random_linear(rng, 4))
+            unbalanced = any(lo > 0 or hi < 0 for lo, hi in atom_intervals(sequent).values())
+            verdict = refuted(sequent)
+            assert verdict or not unbalanced, str(sequent)
+            if verdict:
+                assert not naive_derivable(list(sequent.context), sequent.goal), str(sequent)
+                assert prove(sequent, budget=0) is None
+            verdicts[verdict] += 1
+        assert verdicts[True] >= 50 and verdicts[False] >= 50
 
 
 def test_proof_texts_are_pinned():
