@@ -61,6 +61,8 @@ def read_utf8(path: str | os.PathLike | None) -> str:
     except UnicodeDecodeError as exc:
         source = "standard input" if path is None else path
         raise InputError(f"{source}: not UTF-8 text (bad byte at offset {exc.start})") from None
+    except ValueError:  # open() refuses a name that holds a NUL byte
+        raise InputError(f"file name holds a NUL byte: {os.fspath(path)!r}") from None
 
 
 class Lexicon(Node):

@@ -269,6 +269,14 @@ CASES = {
         "error: line 1: unknown rule 'Foo'\n",
         files={"proof.txt": "Foo | a/b |- a/b\n"},
     ),
+    # A lexicon path read from a spec file may hold a NUL byte, which no
+    # file name can; the spec is at fault.
+    "check_lexicon_path_with_a_nul_byte": Case(
+        ["check", "{dir}/nul.spec", "{dir}/doc.txt"], 2, "",
+        "error: file name holds a NUL byte: '/a\\x00b'\n",
+        files={"nul.spec": "referent: Mara\ndescriptor: [] she/her\nlexicon: /a\0b\n",
+               "doc.txt": "Mara arrived.\n"},
+    ),
     "eval_unrecognized_model_line": Case(
         ["eval", "{dir}/model.txt", "forall x. man(x)"], 2, "",
         "error: line 2: unrecognized line 'predicate man/1: a'\n",
@@ -322,3 +330,28 @@ def test_installed_command(name, tmp_path):
     assert result.stdout.decode("utf-8") == case.stdout
     assert result.stderr.decode("utf-8") == case.stderr
     assert result.returncode == case.status
+
+
+# Runs ``python -m pdlogic.cli`` with ``prover.prove`` replaced by a bug.
+BUGGY_RUN = """
+import runpy, sys
+from pdlogic import prover
+def prove(*args, **kwargs):
+    raise ValueError("a bug, not the input")
+prover.prove = prove
+sys.argv = ["pdlogic", "prove", "a/b |- a/b"]
+runpy.run_module("pdlogic.cli", run_name="__main__")
+"""
+
+
+def test_a_bug_exits_1_with_a_traceback():
+    # A bug below main is no input error, so it escapes main, and Python
+    # prints its traceback and exits 1. That status is also the negative
+    # result's: only stderr tells a bug from "not derivable" (ROADMAP item 12).
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", BUGGY_RUN], capture_output=True,
+                            env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    stderr = result.stderr.decode("utf-8")
+    assert (result.returncode, result.stdout) == (cli.EXIT_NEGATIVE, b"")
+    assert stderr.startswith("Traceback (most recent call last):\n")
+    assert stderr.endswith("ValueError: a bug, not the input\n")
