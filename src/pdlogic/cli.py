@@ -10,12 +10,19 @@ catches ends in a single ``error:`` line on stderr with nothing on stdout.
 ``main`` may be called many times in one process. The argument parser is
 built on the first call and reused; each call parses its own argv into a new
 namespace, and the subcommands look up the modules they call at call time.
+argparse stays the one definition of the command line. For in-process
+callers that make many calls, argv of a plain shape (a subcommand, its own
+flags spelled in full and given once, each value as the next token, the
+positionals in one run) is read in one pass over the actions that argparse
+built (``_fast_args``). argparse reads every other argv, and prints every
+help text and usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import freelogic, linear, parsing, prover, temporal, textcheck
@@ -120,7 +127,10 @@ def _cmd_check(args) -> int:
         text = read_utf8(doc_path)
         report = textcheck.check_document(text, spec)
         if len(args.documents) > 1:
-            output.append(f"# {doc_path}\n" if args.machine else f"== {doc_path}\n")
+            # A name's bytes that are not UTF-8 are printed as \xNN escapes,
+            # which any standard output can encode.
+            shown = os.fsencode(doc_path).decode("utf-8", "backslashreplace")
+            output.append(f"# {shown}\n" if args.machine else f"== {shown}\n")
         output.append(render(report, text))
         if report.verdict.status == VIOLATED:
             status = EXIT_NEGATIVE
@@ -139,57 +149,156 @@ def _budget(text: str) -> int:
     return budget
 
 
+def _value(action: argparse.Action, token: str):
+    """``token`` converted by the action's ``type`` and checked against its
+    ``choices``, as argparse does; ValueError when either refuses it."""
+    value = token if action.type is None else action.type(token)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"invalid choice: {value!r}")
+    return value
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The parser, and each subcommand's parser with the actions that its
+    ``add_argument`` calls returned, which ``_fast_args`` reads."""
     parser = argparse.ArgumentParser(
         prog="pdlogic",
         description="Pronoun descriptor logics: parse, prove, monitor, "
         "evaluate, and check documents.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
     p = sub.add_parser("parse", help="parse a formula and print its canonical form")
-    p.add_argument("--kind", choices=("linear", "temporal", "free"), required=True)
-    p.add_argument("formula", nargs="?", default=None)
-    p.add_argument("--file", default=None, help="read the formula from a file")
+    commands["parse"] = p, (
+        p.add_argument("--kind", choices=("linear", "temporal", "free"), required=True),
+        p.add_argument("formula", nargs="?", default=None),
+        p.add_argument("--file", default=None, help="read the formula from a file"),
+    )
     p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("prove", help="decide a linear sequent")
-    p.add_argument("formula", nargs="?", default=None, metavar="sequent")
-    p.add_argument("--file", default=None, help="read the sequent from a file")
-    p.add_argument("--check", default=None, metavar="PROOF",
-                   help="validate a saved proof tree instead of searching "
-                   "('-' reads it from standard input)")
-    p.add_argument("--budget", type=_budget, default=prover.DEFAULT_BUDGET,
-                   help="search node budget")
+    commands["prove"] = p, (
+        p.add_argument("formula", nargs="?", default=None, metavar="sequent"),
+        p.add_argument("--file", default=None, help="read the sequent from a file"),
+        p.add_argument("--check", default=None, metavar="PROOF",
+                       help="validate a saved proof tree instead of searching "
+                       "('-' reads it from standard input)"),
+        p.add_argument("--budget", type=_budget, default=prover.DEFAULT_BUDGET,
+                       help="search node budget"),
+    )
     p.set_defaults(func=_cmd_prove)
 
     p = sub.add_parser("monitor", help="check a trace against a temporal descriptor")
-    p.add_argument("spec", help="file containing one temporal formula")
-    p.add_argument("trace", help="trace file, one utterance per line")
-    p.add_argument("--mode", choices=("batch", "stepwise"), default="batch")
+    commands["monitor"] = p, (
+        p.add_argument("spec", help="file containing one temporal formula"),
+        p.add_argument("trace", help="trace file, one utterance per line"),
+        p.add_argument("--mode", choices=("batch", "stepwise"), default="batch"),
+    )
     p.set_defaults(func=_cmd_monitor)
 
     p = sub.add_parser("eval", help="evaluate a free-logic formula or term over a model")
-    p.add_argument("model", help="model file")
-    p.add_argument("formula", nargs="?", default=None)
-    p.add_argument("--file", default=None, help="read the formula from a file")
-    p.add_argument("--term", action="store_true",
-                   help="treat the input as a term and print its denotation")
+    commands["eval"] = p, (
+        p.add_argument("model", help="model file"),
+        p.add_argument("formula", nargs="?", default=None),
+        p.add_argument("--file", default=None, help="read the formula from a file"),
+        p.add_argument("--term", action="store_true",
+                       help="treat the input as a term and print its denotation"),
+    )
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("check", help="lint documents against a referent spec")
-    p.add_argument("spec", help="referent spec file")
-    p.add_argument("documents", nargs="+", metavar="document")
-    p.add_argument("--machine", action="store_true",
-                   help="tab-separated diagnostics instead of prose")
+    commands["check"] = p, (
+        p.add_argument("spec", help="referent spec file"),
+        p.add_argument("documents", nargs="+", metavar="document"),
+        p.add_argument("--machine", action="store_true",
+                       help="tab-separated diagnostics instead of prose"),
+    )
     p.set_defaults(func=_cmd_check)
 
-    return parser
+    return parser, commands
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
+def _fast_args(argv: list) -> argparse.Namespace | None:
+    """The namespace that argparse builds from ``argv``, read in one pass
+    over the subcommand's own actions, or None when ``argv`` is not of a
+    plain shape. Plain means: a subcommand name, then strings each of which is
+    exactly one of its option strings, given once, or a positional. An
+    option takes no value or the next token, which does not start with
+    ``-``. The positionals form one run, which the positional actions take
+    in order, one each (``?`` one if any is left, ``+`` the rest), with none
+    left over. Help, ``--opt=value``, abbreviations, ``--``, negative numbers
+    and any value that ``type`` or ``choices`` refuses are left to argparse,
+    which prints the help text and words every usage error."""
+    _, commands = _build_parser()
+    if not argv or not isinstance(argv[0], str) or argv[0] not in commands:
+        return None
+    command, actions = commands[argv[0]]
+    options = {string: action for action in actions for string in action.option_strings}
+    given = {}  # action -> (its token, or list of tokens; its option string)
+    run = []
+    run_ended = False
+    i, n = 1, len(argv)
+    while i < n:
+        token = argv[i]
+        i += 1
+        if not isinstance(token, str):
+            return None
+        if token[:1] != "-" or token == "-":
+            if run_ended:  # argparse takes positionals run by run
+                return None
+            run.append(token)
+            continue
+        action = options.get(token)
+        if action is None or action in given:
+            return None
+        if action.nargs == 0:
+            given[action] = [], token
+        elif action.nargs is None and i < n and isinstance(argv[i], str) \
+                and argv[i][:1] != "-":
+            given[action] = argv[i], token
+            i += 1
+        else:
+            return None
+        run_ended = bool(run)
+    taken = 0
+    for action in actions:
+        if action.option_strings:
+            continue
+        if action.nargs == "+" and taken < len(run):
+            given[action] = run[taken:], None
+            taken = len(run)
+        elif action.nargs in (None, "?") and taken < len(run):
+            given[action] = run[taken], None
+            taken += 1
+        elif action.nargs != "?":
+            return None
+    if taken < len(run):
+        return None
+    namespace = argparse.Namespace(command=argv[0])
+    for action in actions:
+        if action in given:
+            continue
+        if action.required or action.type is not None and isinstance(action.default, str):
+            return None
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            setattr(namespace, action.dest, action.default)
+    for action, (tokens, option_string) in given.items():
+        try:
+            values = ([_value(action, token) for token in tokens] if isinstance(tokens, list)
+                      else _value(action, tokens))
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        action(command, namespace, values, option_string)
+    namespace.func = command.get_default("func")
+    return namespace
+
+
+def _argparse_args(argv: list) -> argparse.Namespace:
+    """The namespace that argparse builds from ``argv``; on a usage error
+    argparse prints it and exits 2."""
+    parser, _ = _build_parser()
     args, extra = parser.parse_known_args(argv)
     # argparse will not match an optional positional that appears after a
     # flag (e.g. `eval model --term "iota x. man(x)"`); pick it up here.
@@ -202,6 +311,16 @@ def main(argv=None) -> int:
             args.formula = extra[0]
         else:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Most argv is plain and read in one pass; argparse reads the rest, so it
+    # still prints every help text and usage error.
+    args = _fast_args(argv)
+    if args is None:
+        args = _argparse_args(argv)
     # The one table from failure to exit status.
     try:
         return args.func(args)

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour, including the exit-status contract."""
 
+import contextlib
 import io
 import json
 import os
@@ -7,11 +8,14 @@ import subprocess
 import sys
 import textwrap
 import time
+import types
 from itertools import product
 from pathlib import Path
 from string import ascii_lowercase
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pdlogic import cli, monitoring, textcheck
 from pdlogic.cli import main
@@ -317,6 +321,22 @@ class TestCheck:
         assert code == 1  # any violation wins
         assert f"# {SAMPLES / 'vacuous_doc.txt'}" in out
         assert f"# {SAMPLES / 'violated_doc.txt'}" in out
+
+    def test_document_name_that_is_not_utf8_is_escaped_in_its_header(
+            self, tmp_path, monkeypatch):
+        # A strict UTF-8 standard output, as under PYTHONIOENCODING=utf-8:strict
+        # or a UTF-8 locale other than C, cannot encode the name's \udcff.
+        doc = tmp_path / "d\udcff.txt"
+        golden = (SAMPLES / "violated.golden").read_text("utf-8")
+        doc.write_bytes((SAMPLES / "violated_doc.txt").read_bytes())
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+        monkeypatch.setattr("sys.stdout", stdout)
+        code = main(["check", str(SAMPLES / "violated.spec"), str(doc),
+                     str(SAMPLES / "violated_doc.txt"), "--machine"])
+        stdout.flush()
+        assert code == 1
+        assert stdout.buffer.getvalue().decode("utf-8") == (
+            f"# {tmp_path}/d\\xff.txt\n{golden}# {SAMPLES / 'violated_doc.txt'}\n{golden}")
 
     def test_human_report_mentions_caveat(self, capsys):
         code, out, _ = run(
@@ -657,6 +677,21 @@ SHARED_PARSER_SEQUENCES = {
                       ["check", str(SAMPLES / "violated.spec"),
                        str(SAMPLES / "violated_doc.txt")]),
     "prove_check": (["prove", "--check", "{proof}"], ["prove", "a/b |- a/b"]),
+    # One call read by argparse, the other by cli._fast_args, in both orders.
+    "prove_budget_spelled_with_equals": (
+        ["prove", "she/her |- she/her (+) they/them", "--budget=1"],
+        ["prove", "she/her |- she/her (+) they/them"]),
+    "prove_budget_after_a_plain_call": (
+        ["prove", "she/her |- she/her (+) they/them"],
+        ["prove", "she/her |- she/her (+) they/them", "--budget=1"]),
+    "eval_term_after_a_plain_call": (["eval", "{model}", "man(iota x. man(x))"],
+                                     ["eval", "{model}", "--term", "iota x. man(x)"]),
+    "monitor_mode_abbreviated": (["monitor", "{spec}", "{trace}", "--mo", "stepwise"],
+                                 ["monitor", "{spec}", "{trace}"]),
+    "check_machine_after_a_plain_call": (
+        ["check", str(SAMPLES / "violated.spec"), str(SAMPLES / "violated_doc.txt")],
+        ["check", "--machine", "--", str(SAMPLES / "violated.spec"),
+         str(SAMPLES / "violated_doc.txt")]),
 }
 
 
@@ -734,3 +769,62 @@ class TestSharedParser:
         assert result.returncode == 0, result.stderr
         # The top parser and its five subparsers, built by the first call.
         assert json.loads(result.stdout) == [0] + [6] * 50
+
+
+# Each subcommand's own options, for drawing argv.
+FLAGS = {"parse": ["--kind", "--file"], "prove": ["--file", "--check", "--budget"],
+         "monitor": ["--mode"], "eval": ["--file", "--term"], "check": ["--machine"]}
+FLAG_VALUES = ["linear", "free", "batch", "stepwise", "3", "0", "five", "a/b |- a/b", "f.txt"]
+ODD_TOKENS = ["-", "", "--", "-h", "--bud", "--budget=3", "--kind=linear", "-o b", "-1"]
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, then its own flags with and without values, positionals,
+    other subcommands' flags and the spellings only argparse reads."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    other_flags = sorted({flag for flags in FLAGS.values() for flag in flags})
+    argv = [command]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["positional", "flag", "flag", "other", "odd"]))
+        if kind == "flag":
+            argv.append(draw(st.sampled_from(FLAGS[command])))
+            if draw(st.integers(0, 4)):
+                argv.append(draw(st.sampled_from(FLAG_VALUES)))
+        else:
+            argv.append(draw(st.sampled_from({"positional": FLAG_VALUES + ["s", "d1", "d2"],
+                                              "other": other_flags,
+                                              "odd": ODD_TOKENS}[kind])))
+    return argv
+
+
+def argparse_answer(argv):
+    """What argparse and main's one-extra rule make of argv: the namespace,
+    or the exit status of a usage error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli._argparse_args(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(derandomize=True, max_examples=3000, deadline=None, database=None)
+@given(argvs())
+@example(["parse", "x"])  # --kind is required
+@example(["check", "s", "d1", "--machine", "d2"])  # argparse takes positionals run by run
+@example(["prove", "--check", "-"])  # "-" is a positional to argparse
+def test_reader_builds_the_namespace_argparse_builds(argv):
+    fast = cli._fast_args(argv)
+    if fast is not None:
+        assert argparse_answer(argv) == fast
+
+
+def test_reader_takes_most_benchmark_argv(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(SAMPLES.parent / "perfbench"))
+    import workloads
+    calls = []
+    api = types.SimpleNamespace(cli_main=lambda argv: calls.append(argv) or 0)
+    for op in workloads.CliWorkload(1, api, SAMPLES.parent, tmp_path).make_pass(0):
+        op.run()
+    taken = [argv for argv in calls if cli._fast_args(argv) is not None]
+    assert len(taken) >= 0.9 * len(calls) > 0

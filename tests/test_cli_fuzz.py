@@ -3,10 +3,12 @@
 Every subcommand gets valid inputs of its own grammars (formulas, sequents,
 specs, traces, models, lexicons, proof texts, documents), one of which is
 mutated: byte edits, bytes that are not UTF-8, Unicode operator aliases,
-inserted tokens and huge ``[]<=k`` bounds. Whatever the input, the run must
-exit 0, 1, 2 or 3, print nothing on stdout when it exits 2 or 3, print
-exactly one ``error:`` line on stderr when it exits 2 or 3 and nothing on
-stderr otherwise, and never let an exception escape.
+inserted tokens and huge ``[]<=k`` bounds. Flag values are given plainly or
+as ``--opt=value``, so that both of ``main``'s argument readers run.
+Whatever the input, the run must exit 0, 1, 2 or 3, print nothing on stdout
+when it exits 2 or 3, print exactly one ``error:`` line on stderr when it
+exits 2 or 3 and nothing on stderr otherwise, and never let an exception
+escape.
 
 The free-logic seeds include a description nested 20 deep and a sentence of
 four nested quantifiers, and each of the at most two edits adds at most one
@@ -108,10 +110,24 @@ COMMANDS = [
 ]
 
 
+VALUELESS = {"--term", "--machine"}
+
+
+def with_equals(argv):
+    """argv with each flag's value written ``--opt=value``, a spelling that
+    only argparse reads, where the plain one is read by ``cli._fast_args``."""
+    tokens = iter(argv)
+    return [token + "=" + next(tokens) if token.startswith("--") and token not in VALUELESS
+            else token for token in tokens]
+
+
 @st.composite
 def invocations(draw):
-    """argv template, file contents by name (one of them mutated), stdin bytes."""
+    """argv template in either spelling, file contents by name (one of them
+    mutated), stdin bytes."""
     argv, kinds = draw(st.sampled_from(COMMANDS))
+    if draw(st.booleans()):
+        argv = with_equals(argv)
     target = draw(st.sampled_from(sorted(kinds)))
     contents = {name: draw(mutated(kind)) if name == target
                 else SEEDS[kind][0].encode("utf-8")
