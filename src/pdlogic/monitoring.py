@@ -15,15 +15,16 @@ checked against lives in the tests, as ``oracles.direct_evaluate``. The online
 monitor decides each utterance from one ``progress`` walk, which yields both
 the residual obligation and whether the formula holds if the stream ends there.
 Residuals are states of one transition table per process, shared by every
-``MonitorSession``: the walk builds each node through the table, so equal
-residuals are one object, and walks are memoized per (state, atom set).
+``MonitorSession``: the walk applies the simplification rules to a residual's
+operands before it builds the residual, and builds only what survives through
+the table, so equal residuals are one object; walks are memoized per (state,
+atom set).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterable
-from operator import is_not
+from operator import and_, is_not, le, or_
 
 from .atoms import PronounAtom, atom
 from .node import Node
@@ -107,12 +108,11 @@ def evaluate(formula: TemporalFormula, trace: Trace, position: int) -> bool:
     A Next at ()-depth d (the number of Nexts above it) is read only at
     positions from d on. At d >= n - 1 it is false wherever it is read, so
     it is labelled false without visiting its operand. That label, and so
-    every label above it, is right only from its ()-depth on, so labels are
-    kept per ()-depth: ``labels[d]`` maps a node's identity to its label at
-    ()-depth d, and only parents at depth d read it. A node object is thus
-    labelled once for each ()-depth it is reached at, which is more than one
-    only for a node shared under different numbers of Nexts, such as the
-    bodies that ``expand_bounded`` shares.
+    every label above it, is right only from its ()-depth on. One table maps
+    a node's identity to the ()-depth it was labelled at and its label: a
+    reader at that depth or deeper reuses the label, and only a shallower
+    one labels the node again. So a body that ``expand_bounded`` shares
+    under k Nexts, and that is first reached at the top, is labelled once.
     """
     end = len(trace)
     if not 0 <= position <= end:
@@ -125,7 +125,7 @@ def evaluate(formula: TemporalFormula, trace: Trace, position: int) -> bool:
     top = full ^ below  # the empty suffix alone
     horizon = n - 1  # a Next this deep or deeper is false wherever it is read
     atom_labels: dict[PronounAtom, int] = {}
-    labels: defaultdict[int, dict[int, int]] = defaultdict(dict)  # depth -> id -> label
+    labels: dict[int, tuple[int, int]] = {}  # id -> (()-depth, label)
     stack = [(formula, 0)]  # (node, ()-depth)
     while stack:
         node, depth = stack[-1]
@@ -134,10 +134,11 @@ def evaluate(formula: TemporalFormula, trace: Trace, position: int) -> bool:
             label = 0
         elif cls in _UNARY:
             child_depth = depth + 1 if cls is Next else depth
-            operand = labels[child_depth].get(id(node.operand))
-            if operand is None:
+            known = labels.get(id(node.operand))
+            if known is None or known[0] > child_depth:
                 stack.append((node.operand, child_depth))
                 continue
+            operand = known[1]
             if cls is Not:
                 label = full ^ operand
             elif cls is Next:
@@ -156,18 +157,19 @@ def evaluate(formula: TemporalFormula, trace: Trace, position: int) -> bool:
                     window = _window(operand & below, width, False)
                 label = (window & below) | (operand & top)
         elif cls is And or cls is Or or cls is Implies:
-            known = labels[depth]
-            left = known.get(id(node.left))
-            if left is None:
+            known = labels.get(id(node.left))
+            if known is None or known[0] > depth:
                 stack.append((node.left, depth))
                 continue
+            left = known[1]
             if left == (full if cls is Or else 0):
                 label = 0 if cls is And else full
             else:
-                right = known.get(id(node.right))
-                if right is None:
+                known = labels.get(id(node.right))
+                if known is None or known[0] > depth:
                     stack.append((node.right, depth))
                     continue
+                right = known[1]
                 if cls is And:
                     label = left & right
                 elif cls is Or:
@@ -183,7 +185,7 @@ def evaluate(formula: TemporalFormula, trace: Trace, position: int) -> bool:
         else:
             raise TypeError(f"not a temporal formula: {node!r}")
         stack.pop()
-        labels[depth][id(node)] = label
+        labels[id(node)] = depth, label
     return bool(label & 1)
 
 
@@ -262,45 +264,6 @@ def _expand(formula: TemporalFormula) -> TemporalFormula:
     raise TypeError(f"not a temporal formula: {formula!r}")
 
 
-def simplify(formula: TemporalFormula) -> TemporalFormula:
-    """One level of True/False absorption, and/or idempotence on equal
-    operands (also against the head of a right-nested chain, so that
-    ``[] <> f`` does not gain one copy of ``<> f`` per step), and
-    double-negation elimination. The children are states, so ``is`` finds
-    equal ones."""
-    match formula:
-        case Not(TrueF()):
-            return FALSE
-        case Not(FalseF()):
-            return TRUE
-        case Not(Not(f)):
-            return f
-        case And(FalseF(), _) | And(_, FalseF()):
-            return FALSE
-        case And(TrueF(), f) | And(f, TrueF()):
-            return f
-        case And(l, r) if l is r:
-            return l
-        case And(l, And(m, _)) if l is m:
-            return formula.right
-        case Or(TrueF(), _) | Or(_, TrueF()):
-            return TRUE
-        case Or(FalseF(), f) | Or(f, FalseF()):
-            return f
-        case Or(l, r) if l is r:
-            return l
-        case Or(l, Or(m, _)) if l is m:
-            return formula.right
-        case Implies(FalseF(), _) | Implies(_, TrueF()):
-            return TRUE
-        case Implies(TrueF(), f):
-            return f
-        case Implies(f, FalseF()):
-            return simplify(Not(f))
-        case _:
-            return formula
-
-
 def _unbound(formula: TemporalFormula) -> TemporalFormula:
     """``formula`` without the ``[]<=1``/``<><=1`` around it, which expand to
     their operand: a residual that is a constant must show as one."""
@@ -317,8 +280,10 @@ def progress(formula: TemporalFormula, utterance: Utterance) -> tuple[TemporalFo
     The residual cannot give that answer, because after progression a
     weak-next obligation looks like a strong one.
 
-    The walk runs on ``formula``'s state and builds each node through
-    ``simplify``, then ``_canon``: the residual is a state or a bare constant.
+    The walk runs on ``formula``'s state and builds each residual once, in
+    ``_negation`` or ``_join``: the rules run on the operands' states before
+    a node is built, and only what survives goes through ``_canon``. The
+    residual is a state or a bare constant.
     """
     return _progress(_intern(formula), utterance)
 
@@ -328,42 +293,66 @@ def _progress(formula: TemporalFormula, utterance: Utterance) -> tuple[TemporalF
     match formula:
         case Atom(a):
             return (TRUE, True) if a in utterance.atoms else (FALSE, False)
-        case TrueF():
-            return formula, True
-        case FalseF():
-            return formula, False
+        case TrueF() | FalseF():
+            return formula, type(formula) is TrueF
         case Not(f):
             residual, holds = _progress(f, utterance)
-            return _canon(simplify(Not(residual))), not holds
-        case And(l, r):
+            return _negation(residual), not holds
+        case And(l, r) | Or(l, r) | Implies(l, r):
             left, left_holds = _progress(l, utterance)
             right, right_holds = _progress(r, utterance)
-            return _canon(simplify(And(left, right))), left_holds and right_holds
-        case Or(l, r):
-            left, left_holds = _progress(l, utterance)
-            right, right_holds = _progress(r, utterance)
-            return _canon(simplify(Or(left, right))), left_holds or right_holds
-        case Implies(l, r):
-            left, left_holds = _progress(l, utterance)
-            right, right_holds = _progress(r, utterance)
-            return _canon(simplify(Implies(left, right))), not left_holds or right_holds
+            cls = type(formula)
+            return _join(cls, left, right), _HOLDS[cls](left_holds, right_holds)
         case Next(f):
             return _unbound(f), False
-        case Box(f):
+        case Box(f) | Diamond(f) | BoxK(_, f) | DiamondK(_, f):
+            # f now, joined with the rest: the modality itself, or, as in
+            # expand_bounded, the bound one lower, or nothing at k = 1
             residual, holds = _progress(f, utterance)
-            return _canon(simplify(And(residual, formula))), holds
-        case Diamond(f):
-            residual, holds = _progress(f, utterance)
-            return _canon(simplify(Or(residual, formula))), holds
-        case BoxK(k, f) | DiamondK(k, f):
-            # expand_bounded's step: f now, then the bound one lower, through
-            # weak next for []<=k and strong next for <><=k
-            residual, holds = _progress(f, utterance)
-            if k > 1:
-                rest = _unbound(f) if k == 2 else _canon(type(formula)(k - 1, f))
-                residual = _canon(simplify((And if type(formula) is BoxK else Or)(residual, rest)))
-            return residual, holds
+            cls, k = type(formula), getattr(formula, "k", None)
+            if k == 1:
+                return residual, holds
+            rest = formula if k is None else _unbound(f) if k == 2 else _canon(cls(k - 1, f))
+            return _join(And if cls is Box or cls is BoxK else Or, residual, rest), holds
     raise TypeError(f"not a temporal formula: {formula!r}")
+
+
+# A connective's ends-now answer from its operands'; on bools, <= is implication.
+_HOLDS = {And: and_, Or: or_, Implies: le}
+
+
+def _negation(f: TemporalFormula) -> TemporalFormula:
+    """The state of ``!f``: a constant flips, and a double negation cancels."""
+    cls = type(f)
+    if cls is TrueF or cls is FalseF:
+        return _canon(FALSE if cls is TrueF else TRUE)
+    return _canon(f.operand if cls is Not else Not(f))
+
+
+def _join(cls: type, left: TemporalFormula, right: TemporalFormula) -> TemporalFormula:
+    """The state of ``cls(left, right)`` for And, Or or Implies: a constant
+    absorbs or drops out, equal operands merge, and so does a left operand
+    that heads the right one's chain (``[] <> f`` gains no copy of ``<> f``
+    per step); ``f -> false`` is ``!f``. States are equal when ``is`` says so."""
+    lt, rt = type(left), type(right)
+    if cls is Implies:
+        if lt is FalseF or rt is TrueF:
+            return _canon(TRUE)
+        if lt is TrueF:
+            return _canon(right)
+        if rt is FalseF:
+            return _negation(left)
+    else:
+        absorbing, neutral = (FALSE, TRUE) if cls is And else (TRUE, FALSE)
+        if lt is type(absorbing) or rt is type(absorbing):
+            return _canon(absorbing)
+        if lt is type(neutral):
+            return _canon(right)
+        if rt is type(neutral) or left is right:
+            return _canon(left)
+        if rt is cls and right.left is left:
+            return _canon(right)
+    return _canon(cls(left, right))
 
 
 # The transition table, one per process and shared by every session; the

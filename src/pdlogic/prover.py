@@ -44,12 +44,6 @@ from .node import Node
 
 DEFAULT_BUDGET = 10**6
 
-RULES = (
-    "Id", "TensorR", "TensorL", "WithR", "WithL1", "WithL2",
-    "PlusR1", "PlusR2", "PlusL", "LolliR", "LolliL",
-)
-
-
 class ResourceLimit(Exception):
     """A budget ran out: proof search nodes here, free-logic term and formula
     evaluations that the memo does not answer in ``freelogic``
@@ -369,6 +363,7 @@ _SHAPES = {
     "LolliR": (1, Lolli, "a lolli", None),
     "LolliL": (2, None, "", None),
 }
+RULES = tuple(_SHAPES)
 
 
 def _check_node(node: ProofTree, ctx: list[int], contexts: list[list[int]],

@@ -23,7 +23,7 @@ from operator import itemgetter
 
 from . import parsing, temporal
 from .atoms import PronounAtom, atom
-from .monitoring import VIOLATED, Trace, Utterance, Verdict, monitor
+from .monitoring import VIOLATED, Trace, Utterance, monitor
 from .monitoring import expand_bounded  # noqa: F401  (perfbench/tracing.py patches it)
 from .node import Node
 
@@ -61,6 +61,8 @@ def read_utf8(path: str | os.PathLike | None) -> str:
     except UnicodeDecodeError as exc:
         source = "standard input" if path is None else path
         raise InputError(f"{source}: not UTF-8 text (bad byte at offset {exc.start})") from None
+    except UnicodeEncodeError:  # a name such as a lone surrogate, from an in-process caller
+        raise InputError(f"file name cannot be encoded: {os.fspath(path)!r}") from None
     except ValueError:  # open() refuses a name that holds a NUL byte
         raise InputError(f"file name holds a NUL byte: {os.fspath(path)!r}") from None
 

@@ -468,6 +468,16 @@ class TestHostileInput:
         assert (result.returncode, result.stdout) == (2, b"")
         assert result.stderr == b"error: standard input: not UTF-8 text (bad byte at offset 6)\n"
 
+    def test_file_name_that_cannot_be_encoded_exits_2(self, capsys):
+        # A lone surrogate reaches open() only from an in-process caller; it
+        # is not a NUL byte, and the message must not say that it is.
+        code, out, err = run(capsys, "parse", "--kind", "linear", "--file", "\ud800.txt")
+        assert (code, out) == (2, "")
+        assert err == "error: file name cannot be encoded: '\\ud800.txt'\n"
+        code, out, err = run(capsys, "parse", "--kind", "linear", "--file", "a\x00b.txt")
+        assert (code, out) == (2, "")
+        assert err == "error: file name holds a NUL byte: 'a\\x00b.txt'\n"
+
     @pytest.mark.parametrize("depth", [1000, 3000, 10**5])
     @pytest.mark.parametrize("kind", ["linear", "temporal", "free"])
     def test_deep_nesting_exits_2(self, capsys, tmp_path, depth, kind):

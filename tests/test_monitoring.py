@@ -2,6 +2,7 @@
 online monitor."""
 
 import copy
+import hashlib
 import random
 import sys
 import threading
@@ -178,6 +179,25 @@ class TestLabellingPass:
                 f = rng.choice((tl.And, tl.Or, tl.Implies))(copies.pop(), f)
             self.assert_agrees(f, t, expand=False)
 
+    def test_shared_body_labels_each_atom_node_once(self, monkeypatch):
+        # The expansion shares one body under up to 99 Nexts; it is first
+        # reached at the top, where its label serves every deeper reader.
+        f = parse_temporal("[]<=100 (c/d -> <><=5 a/b)")
+        expanded = expand_bounded(f)
+        t = trace(*({C, A} if i % 3 == 0 else {C} for i in range(200)))
+        atom_nodes = {id(g) for g in nodes_of(expanded) if isinstance(g, tl.Atom)}
+        expected = evaluate(f, t, 0)
+        labelled = []
+        original = monitoring._atom_label
+
+        def counting(a, utterances, cache):
+            labelled.append(a)
+            return original(a, utterances, cache)
+
+        monkeypatch.setattr(monitoring, "_atom_label", counting)
+        assert evaluate(expanded, t, 0) == expected
+        assert len(labelled) <= len(atom_nodes) == 2
+
     def test_position_outside_the_trace_raises(self):
         t = trace({A}, {C})
         for position in (-1, 3, 10):
@@ -308,7 +328,8 @@ class TestExpandBounded:
 
     def test_equal_deep_operands_monitor_stepwise(self):
         # Two equal but distinct 25,000-node expansions side by side used to
-        # overflow the stack in simplify's ==, which recursed through both.
+        # overflow the stack in a structural == of the operands, which
+        # recursed through both.
         f = parse_temporal("[]<=5000 a/b /\\ []<=5000 a/b")
         verdicts = monitor(f, [Utterance(frozenset({A}))] * 2)
         assert verdicts[-1].status == SATISFIED
@@ -316,7 +337,7 @@ class TestExpandBounded:
     @pytest.mark.parametrize("j,k", [(5000, 5001), (3000, 2000)], ids=["5000-5001", "3000-2000"])
     def test_unequal_deep_operands_monitor_stepwise(self, j, k):
         # Expanded, the two residuals would be chains of different length,
-        # and simplify's == would recurse down both.
+        # and a structural == of the operands would recurse down both.
         f = parse_temporal(f"[]<={j} a/b /\\ []<={k} a/b")
         verdicts = monitor(f, [Utterance(frozenset({A}))] * 2)
         assert verdicts[-1].status == SATISFIED
@@ -390,6 +411,94 @@ class TestProgress:
                 else:
                     rest = Trace(t.utterances[1:])
                     assert evaluate(residual, rest, 0) == evaluate(g, t, 0), tl.render(f)
+
+
+class TestBuilders:
+    """The simplification rules that a progress walk applies to a residual's
+    operands, one row per rule, through the public ``progress``."""
+
+    @pytest.mark.parametrize("text, residual, holds", [
+        # Not: a constant flips, a double negation cancels
+        ("!a/b", "false", False),
+        ("!c/d", "true", True),
+        ("!() !c/d", "c/d", True),
+        ("!() c/d", "!c/d", True),
+        # And: false absorbs, true drops out, equal operands and a chain
+        # head equal to the left operand merge
+        ("c/d /\\ () c/d", "false", False),
+        ("() c/d /\\ c/d", "false", False),
+        ("a/b /\\ () c/d", "c/d", False),
+        ("() c/d /\\ a/b", "c/d", False),
+        ("a/b /\\ a/b", "true", True),
+        ("() c/d /\\ () c/d", "c/d", False),
+        ("() c/d /\\ () (c/d /\\ a/b)", "c/d /\\ a/b", False),
+        ("() c/d /\\ () a/b", "c/d /\\ a/b", False),
+        ("() a/b /\\ () (c/d /\\ a/b)", "a/b /\\ (c/d /\\ a/b)", False),
+        # Or: the same rules with the constants' roles swapped
+        ("a/b \\/ () c/d", "true", True),
+        ("() c/d \\/ a/b", "true", True),
+        ("c/d \\/ () c/d", "c/d", False),
+        ("() c/d \\/ c/d", "c/d", False),
+        ("c/d \\/ c/d", "false", False),
+        ("() c/d \\/ () c/d", "c/d", False),
+        ("() c/d \\/ () (c/d \\/ a/b)", "c/d \\/ a/b", False),
+        ("() c/d \\/ () a/b", "c/d \\/ a/b", False),
+        ("() a/b \\/ () (c/d \\/ a/b)", "a/b \\/ (c/d \\/ a/b)", False),
+        # Implies: false before or true after is true, true before drops
+        # out, and f -> false is !f; equal operands stay
+        ("c/d -> () c/d", "true", True),
+        ("() c/d -> a/b", "true", True),
+        ("a/b -> () c/d", "c/d", False),
+        ("() c/d -> c/d", "!c/d", True),
+        ("() !c/d -> c/d", "c/d", True),
+        ("() c/d -> () c/d", "c/d -> c/d", True),
+        ("() c/d -> () a/b", "c/d -> a/b", True),
+        # the modalities join their operand's residual with the rest
+        ("[] a/b", "[] a/b", True),
+        ("<> c/d", "<> c/d", False),
+        ("[]<=3 () c/d", "c/d /\\ []<=2 () c/d", False),
+        ("<><=2 c/d", "c/d", False),
+    ])
+    def test_one_row_per_rule(self, text, residual, holds):
+        clear_table()
+        assert progress(parse_temporal(text), Utterance(frozenset({A}))) == (
+            parse_temporal(residual), holds)
+        assert_table_consistent()
+
+    def test_a_collapsed_step_builds_no_node(self, monkeypatch):
+        # she/her /\ they/them on an utterance with both is true: the walk
+        # applies the rules to the operands' states, so no And is built.
+        f = monitoring._intern(parse_temporal("she/her /\\ they/them"))
+        built = []
+        init = tl.And.__init__
+
+        def counting(self, *fields):
+            built.append(fields)
+            init(self, *fields)
+
+        monkeypatch.setattr(tl.And, "__init__", counting)
+        assert progress(f, Utterance(frozenset({SHE, THEY}))) == (tl.TRUE, True)
+        assert built == []
+
+
+def test_stepwise_residuals_are_pinned():
+    # Every stepwise residual and ends-now answer of criterion 4's formulas
+    # over every trace of length <= 3, each prefix walked once, rendered and
+    # hashed; the digest was recorded from the progression that simplified
+    # each residual after building it.
+    digest = hashlib.sha256()
+    traces = all_traces(3)
+    for f in temporal_formulas(3):
+        walked = {(): (f, "")}
+        for t in traces:
+            if t.utterances:
+                g, text = walked[t.utterances[:-1]]
+                g, holds = progress(g, t.utterances[-1])
+                walked[t.utterances] = g, f"{text} {tl.render(g)} {holds:d};"
+        line = tl.render(f) + "\t" + "".join(text for _, text in walked.values()) + "\n"
+        digest.update(line.encode("utf-8"))
+    assert digest.hexdigest() == (
+        "963de5363ae8e13dcb91883f046d9df9505afe2dfcc74fe9b49c0fd55d79b726")
 
 
 class TestMonitor:
@@ -509,6 +618,17 @@ class TestMonitor:
             t = random_trace(rng, rng.randint(0, 30))
             assert monitor(f, t.utterances) == monitor(expand_bounded(f), t.utterances), (
                 tl.render(f), t)
+
+
+def nodes_of(formula):
+    """Every node object of ``formula``, each once, shared ones included."""
+    seen, stack = {}, [formula]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(tl.children(node))
+    return list(seen.values())
 
 
 def next_chain(depth, a):
