@@ -13,6 +13,7 @@ from pdlogic.cli import main
 from pdlogic.parsing import ParseError, _FormulaMemo, parse_sequent
 from pdlogic.prover import (
     RULES,
+    CheckResult,
     ProofTree,
     ResourceLimit,
     _numbering,
@@ -377,6 +378,27 @@ class TestCheckProof:
     def test_unknown_rule(self):
         s = parse_sequent("she/her |- she/her")
         assert not check_proof(ProofTree("Cut", s)).ok
+
+    def test_lolli_l_consequent_belongs_to_the_second_premise(self):
+        # The consequent a/b is in the first premise's context only.
+        assert prove_text("a/b -o a/b, e/f |- e/f") is None
+        proof = ProofTree("LolliL", parse_sequent("a/b -o a/b, e/f |- e/f"), (
+            ProofTree("Id", parse_sequent("a/b |- a/b")),
+            ProofTree("Id", parse_sequent("e/f |- e/f")),
+        ))
+        assert check_proof(proof) == CheckResult(
+            False, (), "no lolli in the context matches the premises")
+
+    def test_lolli_l_uses_up_its_lolli(self):
+        # The first premise keeps the principal a/b -o c/d in its context.
+        assert prove_text("a/b -o c/d, c/d -o a/b, a/b |- c/d") is None
+        first = prove_text("a/b -o c/d, c/d -o a/b, a/b |- a/b")
+        assert check_proof(first).ok
+        proof = ProofTree("LolliL", parse_sequent("a/b -o c/d, c/d -o a/b, a/b |- c/d"), (
+            first, ProofTree("Id", parse_sequent("c/d |- c/d")),
+        ))
+        assert check_proof(proof) == CheckResult(
+            False, (), "no lolli in the context matches the premises")
 
 
 # --- the checker on corrupted proofs -------------------------------------------
