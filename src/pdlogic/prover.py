@@ -33,6 +33,10 @@ when some atom's supply less demand cannot be 0, whatever is chosen at each
 ``&`` and ``(+)``. The count runs over the search's numbering, in about one
 pass over the sequent's distinct subformulas, and a refuted sequent spends no
 search node.
+
+The checker shares no state with the search. One table gives each rule a
+row, and one depth-first walk, on a stack rather than by recursion, checks
+each node of a proof against its rule's row.
 """
 
 from __future__ import annotations
@@ -58,9 +62,6 @@ class ProofTree(Node, defaults={"premises": ()}):
 
 class CheckResult(Node, defaults={"path": (), "reason": ""}):
     __slots__ = ("ok", "path", "reason")  # a bool, a tuple of premise indices, a str
-
-
-ACCEPT = CheckResult(True)
 
 
 def prove(sequent: Sequent, budget: int = DEFAULT_BUDGET) -> ProofTree | None:
@@ -309,146 +310,125 @@ def _remove(pool: tuple[int, ...], formula: int) -> tuple[int, ...]:
 # --- independent proof checking ----------------------------------------------
 
 
-def check_proof(proof: ProofTree) -> CheckResult:
-    """Accept iff every node is a correct rule instance; otherwise reject with
-    the path to the first offending node.
-
-    Formulas are compared by number: each formula object is numbered once per
-    call, equal formulas alike, and a context is the sorted list of its
-    formulas' numbers. The checker numbers formulas the way the search does,
-    with ``_numbering``, but each check builds its own numbering and shares
-    no state with any search."""
-    number, _, parts = _numbering()
-    return _check(proof, (), _context(proof, number), number, parts)
-
-
-def _context(node: ProofTree, number) -> list[int]:
-    return sorted(map(number, node.conclusion.context))
-
-
-def _check(node: ProofTree, path: tuple[int, ...], ctx: list[int],
-           number, parts) -> CheckResult:
-    """Check ``node``, whose context numbers are ``ctx``, then its premises.
-    Each node's context is numbered once, by its parent."""
-    contexts = [_context(premise, number) for premise in node.premises]
-    reason = _check_node(node, ctx, contexts, number, parts)
-    if reason:
-        return CheckResult(False, path, reason)
-    for i, premise in enumerate(node.premises):
-        result = _check(premise, path + (i,), contexts[i], number, parts)
-        if not result.ok:
-            return result
-    return ACCEPT
-
-
-# Each rule's shape: its premise count, then for a right rule its goal's node
-# type and name, and for a left rule whose principal's operands take its place
-# in every premise, the principal's type, the positions in the principal's
-# parts (1 its left operand, 2 its right) that each premise's context gets,
-# and the message when no formula in the context fits.
-_SHAPES = {
-    "Id": (0, Atom, "an atomic", None),
-    "TensorR": (2, Tensor, "a tensor", None),
-    "TensorL": (1, None, "", (Tensor, ((1, 2),),
-                              "no tensor in the context decomposes to the premise")),
-    "WithR": (2, With, "a with", None),
-    "WithL1": (1, None, "", (With, ((1,),),
-                             "no with in the context decomposes to the premise (left)")),
-    "WithL2": (1, None, "", (With, ((2,),),
-                             "no with in the context decomposes to the premise (right)")),
-    "PlusR1": (1, Plus, "a plus", None),
-    "PlusR2": (1, Plus, "a plus", None),
-    "PlusL": (2, None, "", (Plus, ((1,), (2,)),
-                            "no plus in the context decomposes to both premises")),
-    "LolliR": (1, Lolli, "a lolli", None),
-    "LolliL": (2, None, "", None),
+# A row per rule: the principal's type; whether it is in the context (a left
+# rule) or is the goal; whether it is taken out of the context; whether the
+# premises split the rest of the context or each keep it all; each premise's
+# goal and what it adds to its context, by place (0 the conclusion's goal, 1
+# and 2 the principal's operands); and the reasons to reject, in check order.
+# A right rule's: the goal's type, each premise's goal and kept context, the
+# split. A left rule's last is "no formula fits"; its first, for a premise not
+# keeping the conclusion goal, needs no principal and is checked first.
+_RULES = {
+    "Id": (Atom, False, True, True, (), (
+        "Id requires an atomic goal", "Id requires context equal to the goal atom")),
+    "TensorR": (Tensor, False, False, True, ((1, ()), (2, ())), (
+        "TensorR requires a tensor goal", "first premise goal must be the left operand",
+        "second premise goal must be the right operand",
+        "premise contexts do not partition the conclusion context")),
+    "TensorL": (Tensor, True, True, False, ((0, (1, 2)),),
+                ("no tensor in the context decomposes to the premise",)),
+    "WithR": (With, False, False, False, ((1, ()), (2, ())), (
+        "WithR requires a with goal", "first premise goal must be the first operand",
+        "first premise must keep the conclusion context",
+        "second premise goal must be the second operand",
+        "second premise must keep the conclusion context")),
+    "WithL1": (With, True, True, False, ((0, (1,)),),
+               ("no with in the context decomposes to the premise (left)",)),
+    "WithL2": (With, True, True, False, ((0, (2,)),),
+               ("no with in the context decomposes to the premise (right)",)),
+    "PlusR1": (Plus, False, False, False, ((1, ()),), (
+        "PlusR1 requires a plus goal", "premise goal must be the chosen operand",
+        "premise must keep the conclusion context")),
+    "PlusR2": (Plus, False, False, False, ((2, ()),), (
+        "PlusR2 requires a plus goal", "premise goal must be the chosen operand",
+        "premise must keep the conclusion context")),
+    "PlusL": (Plus, True, True, False, ((0, (1,)), (0, (2,))),
+              ("no plus in the context decomposes to both premises",)),
+    "LolliR": (Lolli, False, False, False, ((2, (1,)),), ("LolliR requires a lolli goal",
+               "premise goal must be the consequent", "premise context must add the antecedent")),
+    "LolliL": (Lolli, True, True, True, ((1, ()), (0, (2,))), (
+        "second premise must keep the conclusion goal",
+        "no lolli in the context matches the premises")),
 }
-RULES = tuple(_SHAPES)
+RULES = tuple(_RULES)
 
 
-def _check_node(node: ProofTree, ctx: list[int], contexts: list[list[int]],
-                number, parts) -> str | None:
-    """Why ``node`` is not a rule instance, or None. ``ctx`` and ``contexts``
-    are the sorted context numbers of the node and of its premises."""
-    shape = _SHAPES.get(node.rule)
-    if shape is None:
+def check_proof(proof: ProofTree) -> CheckResult:
+    """Accept iff every node is an instance of its rule's row in ``_RULES``;
+    otherwise reject with the path to the first offending node. The walk is
+    depth first on a stack of its own, so a proof of any depth gets an answer.
+    Formulas are compared by number, equal ones alike, in a fresh numbering of
+    the search's kind; a context is the sorted list of its formulas' numbers."""
+    number, _, parts = _numbering()
+    root = proof.conclusion
+    stack = [(proof, (), sorted(map(number, root.context)), number(root.goal))]
+    while stack:
+        node, path, ctx, goal = stack.pop()
+        premises = node.premises
+        contexts, goals = [], []
+        for premise in premises:
+            contexts.append(sorted(map(number, premise.conclusion.context)))
+            goals.append(number(premise.conclusion.goal))
+        if reason := _check_node(node, ctx, goal, contexts, goals, parts):
+            return CheckResult(False, path, reason)
+        for i in range(len(premises) - 1, -1, -1):
+            stack.append((premises[i], path + (i,), contexts[i], goals[i]))
+    return CheckResult(True)
+
+
+def _check_node(node: ProofTree, ctx: list[int], goal: int, contexts: list[list[int]],
+                goals: list[int], parts) -> str | None:
+    """Why ``node`` is not an instance of its rule's row, or None."""
+    row = _RULES.get(node.rule)
+    if row is None:
         return f"unknown rule {node.rule!r}"
-    count, goal_type, goal_name, left = shape
+    kind, left, _, _, shapes, reasons = row
+    if len(node.premises) != len(shapes):
+        return (f"{node.rule} needs {len(shapes)} premise(s), has {len(node.premises)}"
+                if shapes else f"{node.rule} takes no premises")
+    if not left:
+        if not isinstance(node.conclusion.goal, kind):
+            return reasons[0]
+        misfit = _misfit(row, goal, goal, goals, ctx, contexts, parts)
+        return reasons[misfit] if misfit else None
+    if any(not place and premise_goal != goal for (place, _), premise_goal in zip(shapes, goals)):
+        return reasons[0]
+    for principal in set(ctx):
+        if issubclass(parts[principal][0], kind) and not _misfit(
+                row, principal, goal, goals, ctx, contexts, parts):
+            return None
+    return reasons[-1]
 
-    def goal_of(tree: ProofTree) -> int:
-        return number(tree.conclusion.goal)
 
-    goal = node.conclusion.goal
-    premises = node.premises
-    if len(premises) != count:
-        if not count:  # Id, the one rule without premises
-            return "Id takes no premises"
-        return f"{node.rule} needs {count} premise(s), has {len(premises)}"
-    if goal_type is not None and not isinstance(goal, goal_type):
-        return f"{node.rule} requires {goal_name} goal"
-    if left is not None:
-        principal_type, positions, message = left
-        for principal in set(ctx):
-            entry = parts[principal]
-            if not issubclass(entry[0], principal_type):
-                continue
-            rest = ctx.copy()
-            rest.remove(principal)
-            if all(goal_of(premise) == number(goal)
-                   and premise_ctx == sorted(rest + [entry[i] for i in at])
-                   for premise, premise_ctx, at in zip(premises, contexts, positions)):
-                return None
-        return message
-
-    goal = number(goal)
-    _, a, b = parts[goal]
-    match node.rule:
-        case "Id":
-            if ctx != [goal]:
-                return "Id requires context equal to the goal atom"
-        case "TensorR":
-            if goal_of(premises[0]) != a:
-                return "first premise goal must be the left operand"
-            if goal_of(premises[1]) != b:
-                return "second premise goal must be the right operand"
-            if sorted(contexts[0] + contexts[1]) != ctx:
-                return "premise contexts do not partition the conclusion context"
-        case "WithR":
-            for premise, premise_ctx, operand, side in (
-                (premises[0], contexts[0], a, "first"),
-                (premises[1], contexts[1], b, "second"),
-            ):
-                if goal_of(premise) != operand:
-                    return f"{side} premise goal must be the {side} operand"
-                if premise_ctx != ctx:
-                    return f"{side} premise must keep the conclusion context"
-        case "PlusR1" | "PlusR2":
-            if goal_of(premises[0]) != (a if node.rule == "PlusR1" else b):
-                return "premise goal must be the chosen operand"
-            if contexts[0] != ctx:
-                return "premise must keep the conclusion context"
-        case "LolliR":
-            if goal_of(premises[0]) != b:
-                return "premise goal must be the consequent"
-            if contexts[0] != sorted(ctx + [a]):
-                return "premise context must add the antecedent"
-        case "LolliL":
-            first, second = premises
-            first_ctx, second_ctx = contexts
-            if goal_of(second) != goal:
-                return "second premise must keep the conclusion goal"
-            for lolli in set(ctx):
-                kind, antecedent, consequent = parts[lolli]
-                if not issubclass(kind, Lolli) or goal_of(first) != antecedent:
-                    continue
-                if consequent not in second_ctx:
-                    continue
-                merged = first_ctx + second_ctx
-                merged.remove(consequent)
-                if sorted(merged + [lolli]) == ctx:
-                    return None
-            return "no lolli in the context matches the premises"
-    return None
+def _misfit(row: tuple, principal: int, goal: int, goals: list[int], ctx: list[int],
+            contexts: list[list[int]], parts) -> int:
+    """The index in ``row``'s reasons of the first check ``principal`` fails,
+    -1 for the split, or 0. Each premise goal that is the conclusion goal is
+    the caller's to check, so every goal is checked before any copy."""
+    _, _, taken, split, shapes, _ = row
+    _, a, b = parts[principal]
+    places = (goal, a, b)
+    merged = [principal] if taken else []  # what must make up the context
+    check = 0
+    for (place, added), premise_goal, own in zip(shapes, goals, contexts):
+        if place:
+            check += 1
+            if premise_goal != places[place]:
+                return check
+        if not split:
+            check += 1
+        if added:  # each formula a premise adds is in its own context
+            own = own.copy()
+            for i in added:
+                if places[i] not in own:
+                    return -1 if split else check
+                own.remove(places[i])
+        if split:
+            merged += own
+        elif (sorted(merged + own) if merged else own) != ctx:
+            return check
+    merged.sort()
+    return -1 if split and merged != ctx else 0
 
 
 # --- serialization ------------------------------------------------------------

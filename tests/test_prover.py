@@ -1,6 +1,7 @@
 """Derivability, proof checking, and agreement with the naive search oracle."""
 
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -399,6 +400,28 @@ class TestCheckProof:
         ))
         assert check_proof(proof) == CheckResult(
             False, (), "no lolli in the context matches the premises")
+
+    @staticmethod
+    def lolli_chain_proof(n, leaf_rule):
+        """A proof of ``p0, p0 -o p1, ..., p(n-1) -o pn |- pn``, n levels
+        deep: each LolliL's first premise is the proof one link shorter and
+        its second an Id. Its deepest node, ``p0 |- p0``, has ``leaf_rule``."""
+        letters = str.maketrans("0123456789", "abcdefghij")  # p12 is pbc/p
+        atoms = [ll.Atom(atom(f"p{i}/p".translate(letters))) for i in range(n + 1)]
+        context = [atoms[0]]
+        proof = ProofTree(leaf_rule, ll.Sequent((atoms[0],), atoms[0]))
+        for k in range(1, n + 1):
+            context.append(ll.Lolli(atoms[k - 1], atoms[k]))
+            proof = ProofTree("LolliL", ll.Sequent(tuple(context), atoms[k]), (
+                proof, ProofTree("Id", ll.Sequent((atoms[k],), atoms[k]))))
+        return proof
+
+    def test_a_proof_deeper_than_the_recursion_limit_is_checked(self):
+        n = 1100
+        assert n > sys.getrecursionlimit()
+        assert check_proof(self.lolli_chain_proof(n, "Id")).ok
+        assert check_proof(self.lolli_chain_proof(n, "Cut")) == CheckResult(
+            False, (0,) * n, "unknown rule 'Cut'")
 
 
 # --- the checker on corrupted proofs -------------------------------------------
