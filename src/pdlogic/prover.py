@@ -427,8 +427,7 @@ def _misfit(row: tuple, principal: int, goal: int, goals: list[int], ctx: list[i
             merged += own
         elif (sorted(merged + own) if merged else own) != ctx:
             return check
-    merged.sort()
-    return -1 if split and merged != ctx else 0
+    return -1 if split and sorted(merged) != ctx else 0
 
 
 # --- serialization ------------------------------------------------------------

@@ -1,0 +1,154 @@
+"""Mutation checks: small faults put into a copy of the package, each of which
+some test must catch.
+
+Run from anywhere:  python tests/mutants.py
+
+Each row of ``MUTANTS`` names a fault and gives the file under ``src/``, the
+exact text to replace (it must occur in that file exactly once), the text to
+put in its place, and the narrowest test selection that catches the fault.
+For each row the run copies ``src/`` into a temporary directory, makes the
+one replacement there, and runs ``python -m pytest -x`` on the selection with
+the copy first on the import path (``-o pythonpath=`` overrides the
+``pythonpath`` setting of ``pyproject.toml``). The selection must fail. The
+repository's own ``src/`` is never written.
+
+The run exits 1 when a mutant survives (its selection passes), when a row's
+old text is gone or ambiguous, or when a selection errors instead of failing
+(a typo in it, or a timeout); it names each such row. Before the rows, it
+checks that the tests import the copy and not an installed package, by
+running one selection on a copy whose ``pdlogic/__init__.py`` raises.
+
+The selections never include ``tests/test_installed.py``, whose subprocesses
+import the repository's own ``src/``. pytest does not collect this file, and
+it uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 120
+
+PROVER = "pdlogic/prover.py"
+CHECK = "tests/test_prover.py::TestCheckProof::"
+GOLDEN = "tests/test_prover.py::test_checker_verdicts_on_corrupted_proofs_are_pinned"
+PINNED = "tests/test_prover.py::test_proof_texts_are_pinned"
+
+# (name, file under src/, old text, new text, test selection)
+MUTANTS = (
+    ("LolliL looks for its consequent in either premise's context", PROVER,
+     "                if places[i] not in own:\n"
+     "                    return -1 if split else check\n"
+     "                own.remove(places[i])\n",
+     "                if places[i] not in own + merged:\n"
+     "                    return -1 if split else check\n"
+     "                (own if places[i] in own else merged).remove(places[i])\n",
+     [CHECK + "test_lolli_l_consequent_belongs_to_the_second_premise"]),
+    ("a split also fits when the premises keep the principal", PROVER,
+     "    return -1 if split and sorted(merged) != ctx else 0\n",
+     "    return -1 if split and sorted(merged) != ctx and not (\n"
+     "        row[1] and sorted(merged[1:]) == ctx) else 0\n",
+     [CHECK + "test_lolli_l_uses_up_its_lolli"]),
+    ("PlusL's second premise adds the left operand", PROVER,
+     "((0, (1,)), (0, (2,)))", "((0, (1,)), (0, (1,)))", [PINNED]),
+    ("TensorL adds only the left operand", PROVER,
+     "((0, (1, 2)),)", "((0, (1,)),)", [PINNED]),
+    ("WithR's second premise context is not checked", PROVER,
+     "        elif (sorted(merged + own) if merged else own) != ctx:\n",
+     "        elif check != 4 and (sorted(merged + own) if merged else own) != ctx:\n",
+     [GOLDEN]),
+    ("LolliR does not add the antecedent", PROVER,
+     "((2, (1,)),)", "((2, ()),)", [CHECK + "test_reject_reports_offending_path"]),
+    ("a left rule's premise goal is not checked", PROVER,
+     "    if any(not place and premise_goal != goal for (place, _), premise_goal in"
+     " zip(shapes, goals)):\n"
+     "        return reasons[0]\n",
+     "", [GOLDEN]),
+    ("a split is compared as sets", PROVER,
+     "    return -1 if split and sorted(merged) != ctx else 0\n",
+     "    return -1 if split and set(merged) != set(ctx) else 0\n",
+     [CHECK + "test_tensor_r_requires_partition"]),
+    ("PlusR1 and PlusR2 accept either operand", PROVER,
+     "            if premise_goal != places[place]:\n",
+     "            if premise_goal != places[place] and not (\n"
+     "                    row[0] is Plus and premise_goal in places[1:]):\n",
+     [GOLDEN]),
+    ("LolliL does not check the antecedent", PROVER,
+     "        if place:\n            check += 1\n",
+     "        if place and not row[1]:\n            check += 1\n",
+     [GOLDEN]),
+    ("the walk visits only the first premise", PROVER,
+     "        for i in range(len(premises) - 1, -1, -1):\n",
+     "        for i in range(min(len(premises), 1) - 1, -1, -1):\n",
+     [GOLDEN]),
+)
+
+
+def stale() -> dict[str, int]:
+    """Each row whose old text does not occur exactly once in its file, by
+    name, with the number of times it does."""
+    counts = {name: (ROOT / "src" / file).read_text(encoding="utf-8").count(old)
+              for name, file, old, _, _ in MUTANTS}
+    return {name: count for name, count in counts.items() if count != 1}
+
+
+def run(file: str, old: str, new: str, selection: list[str]) -> tuple[int, str]:
+    """pytest's exit status and output on ``selection``, with ``old``
+    replaced by ``new`` in a copy of ``src/``."""
+    with tempfile.TemporaryDirectory(prefix="pdlogic-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / file
+        target.write_text(target.read_text(encoding="utf-8").replace(old, new, 1),
+                          encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                "-o", f"pythonpath={src}", *selection]
+        try:
+            done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True,
+                                  timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return -1, f"timed out after {TIMEOUT_S} s"
+        return done.returncode, done.stdout + done.stderr
+
+
+def main() -> int:
+    start = time.perf_counter()
+    failing = stale()
+    for name, count in failing.items():
+        print(f"STALE     {name}: its old text occurs {count} times")
+    marker = "the tests import the mutated copy"
+    init = (ROOT / "src/pdlogic/__init__.py").read_text(encoding="utf-8")
+    status, output = run("pdlogic/__init__.py", init,
+                         f"raise ImportError({marker!r})\n" + init, [CHECK + "test_id_axiom"])
+    if status == 0 or marker not in output:
+        print("ERROR     the tests did not import the copy of src/, so no row can be trusted")
+        return 1
+    for name, file, old, new, selection in MUTANTS:
+        if name in failing:
+            continue
+        began = time.perf_counter()
+        status, output = run(file, old, new, selection)
+        took = f"({time.perf_counter() - began:.1f} s)"
+        if status == 1:
+            print(f"killed    {name} {took}")
+            continue
+        failing[name] = status
+        if status == 0:
+            print(f"SURVIVED  {name} {took}: {' '.join(selection)} passes")
+        else:
+            print(f"ERROR     {name} {took}: pytest exit {status}\n{output[-2000:]}")
+    print(f"{len(MUTANTS)} mutants, {len(failing)} not killed, "
+          f"{time.perf_counter() - start:.0f} s")
+    return 1 if failing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
