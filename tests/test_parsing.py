@@ -1,5 +1,6 @@
 """Concrete syntax: examples, precedence, errors, and round-trip properties."""
 
+import hashlib
 import random
 import time
 
@@ -14,6 +15,7 @@ from pdlogic.atoms import atom
 from pdlogic.parsing import (
     MAX_DEPTH,
     ParseError,
+    _FormulaMemo,
     _lex,
     parse_free,
     parse_free_term,
@@ -413,6 +415,40 @@ class TestLexOnDemand:
         assert (err.value.line, err.value.column) == (4, 3)
         assert err.value.byte_offset == len(text.encode("utf-8")) - len("& c/d")
         assert parse_linear(f"# a comment{newline}a/b") == ll.Atom(atom("a/b"))
+
+
+RENDER = {
+    parse_linear: ll.render,
+    parse_sequent: ll.render_sequent,
+    parse_temporal: tl.render,
+    parse_free: fl.render,
+    parse_free_term: fl.render_term,
+}
+
+
+def test_parse_outcomes_are_pinned():
+    # Each of 5000 random token strings through the five parsers and through
+    # one memo's sequent reader, shared by all of them: the rendered result,
+    # or the error's place, message and expected list, hashed. The digest was
+    # recorded from the recursive-descent parser that took several frames per
+    # nesting level.
+    rng = random.Random(32)
+    memo = _FormulaMemo()
+    digest = hashlib.sha256()
+    for _ in range(5000):
+        text = random_token_string(rng)
+        outcomes = []
+        for parse in PARSERS:
+            try:
+                outcomes.append(RENDER[parse](parse(text)))
+            except ParseError as exc:
+                outcomes.append(repr((exc.line, exc.column, exc.byte_offset, exc.message,
+                                      exc.expected)))
+        sequent = memo.sequent(text)
+        outcomes.append("-" if sequent is None else ll.render_sequent(sequent))
+        digest.update(("\t".join(outcomes) + "\n").encode("utf-8"))
+    assert digest.hexdigest() == (
+        "ba32f09aa27bd71ec81edfce95da4268f76abab4cad86a9c83acd874454f8327")
 
 
 # --- round-trip properties -----------------------------------------------------
