@@ -10,15 +10,24 @@ lone ``\\r``.
 
 The lexer is one regular expression built from ``_SYMBOLS`` and ``_ALIASES``,
 run as a generator: the parser pulls the next token only when it moves past
-the current one, so input is read only as far as the first error.
+the current one, so input is read only as far as the first error. It reads
+a space, a word or atom, or a token of one character by its first character,
+and only the rest with that expression. The parser's ``_Cursor`` holds the
+current token, ``tok``, and the generator, ``tokens``; the parse functions
+read and replace ``tok`` themselves, with no method call per token.
 Operators are not listed here: each formula module declares its binary
 connectives once in ``INFIX`` (``temporal.PREFIX`` holds the modalities,
 ``freelogic.QUANTIFIERS``/``DESCRIPTIONS`` the binders), and the renderers
-read the same tables. One precedence-climbing loop, ``_expr``, parses the
-binary connectives of every family. ``prover.proof_from_text`` reads linear
-formulas through a memo (``_FormulaMemo``) that shares two kinds of text:
-whole piece texts, and right operands that end a text, which ``_expr`` keeps
-as it parses. Nothing is looked up in the middle of a parse.
+read the same tables. One precedence-climbing function, ``_expr``, parses
+every family from its grammar tuple. It reads atoms, parentheses, prefix
+operators and binders in its own frame; the depth is an argument, checked
+there against ``MAX_DEPTH``. Parentheses are counted, not recursed into, so
+a nesting level costs at most one Python frame: a prefix operator's
+operand, a right operand or a binder's body. A free-logic term (``_term``)
+takes one more frame where it holds a description. ``prover.proof_from_text``
+reads linear formulas through a memo (``_FormulaMemo``) that shares two kinds
+of text: whole piece texts, and right operands that end a text, which
+``_expr`` keeps as it parses. Nothing is looked up in the middle of a parse.
 """
 
 from __future__ import annotations
@@ -44,10 +53,12 @@ class ParseError(Exception):
 
 
 # Deepest nesting of parentheses, unary operators, binders and right operands
-# that the parser accepts. The recursive-descent parser and the recursive
-# functions over formulas take a few stack frames per level, so this stays
-# well below Python's default recursion limit of 1000 frames.
+# that the parser accepts. The parser takes at most one stack frame per level
+# (two for a description in a predicate's argument or an equation's right
+# side), and the recursive functions over formulas a few, so this stays well
+# below Python's default recursion limit of 1000 frames.
 MAX_DEPTH = 100
+_TOO_DEEP = f"formula nested deeper than {MAX_DEPTH} levels"
 
 
 _KEYWORDS = {"iota", "eps", "forall", "exists", "true", "false"}
@@ -78,14 +89,24 @@ _SYMBOLS = [
 # catches any other character, and "skip" a comment or whitespace at the end.
 # Letters and digits are ASCII only.
 _TOKEN = re.compile(r"\s*(?:" + "|".join([
+    "(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
     r"(?P<atom>[A-Za-z]+/[A-Za-z]+)",
     r"(?P<word>[A-Za-z]+)",
-    r"(?P<int>[0-9]+)",
-    "(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
     "(?P<alias>[" + "".join(_ALIASES) + "])",
+    r"(?P<int>[0-9]+)",
     r"(?P<skip>\s+|#[^\r\n]*)",
     r"(?P<bad>(?s:.))",
 ]) + ")")
+# What ``_lex`` reads without ``_TOKEN``: a word or atom, which starts with a
+# letter, and a token of one character, as (kind, value, the longer symbols
+# that start with that character): each alias, and each symbol of one character.
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_WORD = re.compile(r"[A-Za-z]+(?:/[A-Za-z]+)?")
+_CHAR_TOKENS = {char: ("kw" if value in _KEYWORDS else "sym", value, ())
+                for char, value in _ALIASES.items()}
+_CHAR_TOKENS.update(
+    (char, ("sym", char, tuple(s for s in _SYMBOLS if len(s) > 1 and s[0] == char)))
+    for char in _SYMBOLS if len(char) == 1)
 
 
 def _position(text: str, offset: int) -> tuple[int, int, int]:
@@ -107,76 +128,60 @@ def _lex(text: str):
     """The tokens of ``text`` as ``(kind, value, start)`` tuples, lexed one at
     a time as the parser asks for them and ending with the eof token. ``kind``
     is atom, ident, int, sym, kw or eof; ``start`` is a character offset."""
-    for m in _TOKEN.finditer(text):
+    pos, end = 0, len(text)
+    while pos < end:
+        char = text[pos]
+        if char == " ":
+            pos += 1
+            continue
+        found = _CHAR_TOKENS.get(char)
+        if found is not None:
+            kind, value, longer = found
+            if not longer or not text.startswith(longer, pos):
+                yield kind, value, pos
+                pos += 1
+                continue
+        elif char in _LETTERS:
+            value = _WORD.match(text, pos)[0]
+            if "/" in value:
+                yield "atom", atom(value), pos
+            else:
+                yield "kw" if value in _KEYWORDS else "ident", value, pos
+            pos += len(value)
+            continue
+        m = _TOKEN.match(text, pos)  # "bad" matches any character
         kind = m.lastgroup
         value, start = m[kind], m.start(kind)
-        if kind == "atom":  # the commonest kinds first
-            value = atom(value)
-        elif kind == "sym":
-            pass
-        elif kind == "skip":
+        if start > pos and kind != "skip":  # after other whitespace: read on from the token
+            pos = start
             continue
-        elif kind == "word":
-            kind = "kw" if value in _KEYWORDS else "ident"
-        elif kind == "alias":
-            value = _ALIASES[value]
-            kind = "kw" if value in _KEYWORDS else "sym"
-        elif kind == "int":
+        pos = start + len(value)
+        if kind == "skip":
+            continue
+        if kind == "int":
             try:
                 value = int(value)
             except ValueError:  # Python converts at most 4300 digits
                 message = f"number of {len(value)} digits is too long"
                 raise _error(text, start, message) from None
-        else:
+        elif kind != "sym":
             raise _error(text, start, f"unexpected character {value!r}")
         yield kind, value, start
-    yield "eof", None, len(text)
+    yield "eof", None, end
 
 
 class _Cursor:
-    """The parser's place in ``text``: ``tok``, the current token. Tokens are
-    lexed only as the parser reaches them."""
+    """The parser's place in ``text``: ``tok``, the current token, and
+    ``tokens``, which lexes the ones after it. The parser moves on with
+    ``cur.tok = next(cur.tokens)``, only past a token it has seen is not eof."""
 
-    __slots__ = ("text", "tok", "_next", "pred_arities", "depth", "memo")
+    __slots__ = ("text", "tok", "tokens", "pred_arities")
 
-    def __init__(self, text: str, memo: _FormulaMemo | None = None):
+    def __init__(self, text: str):
         self.text = text
-        self._next = _lex(text).__next__
-        self.tok = self._next()
+        self.tokens = _lex(text)
+        self.tok = next(self.tokens)
         self.pred_arities: dict[str, int] = {}
-        self.depth = 0
-        self.memo = memo  # keeps the right operands that end the text
-
-    def advance(self) -> tuple:
-        """The current token; the next one becomes current. Eof stays current."""
-        tok = self.tok
-        if tok[0] != "eof":
-            self.tok = self._next()
-        return tok
-
-    def at_sym(self, *symbols: str) -> bool:
-        kind, value, _ = self.tok
-        return kind == "sym" and value in symbols
-
-    def take_sym(self, symbol: str) -> None:
-        if not self.at_sym(symbol):
-            raise self.error(f"expected {symbol!r}", expected=[repr(symbol)])
-        self.advance()
-
-    def nested(self, parse, *args):
-        """``parse(self, *args)`` one nesting level deeper, or a positioned
-        ParseError past MAX_DEPTH instead of a RecursionError."""
-        if self.depth >= MAX_DEPTH:
-            raise self.error(f"formula nested deeper than {MAX_DEPTH} levels")
-        self.depth += 1
-        result = parse(self, *args)
-        self.depth -= 1
-        return result
-
-    def expect_eof(self) -> None:
-        kind, value, _ = self.tok
-        if kind != "eof":
-            raise self.error(f"unexpected trailing input at {str(value)!r}")
 
     def error(self, message: str, expected=()) -> ParseError:
         return _error(self.text, self.tok[2], message, expected)
@@ -186,7 +191,9 @@ def _whole(text: str, parse, *args):
     """``parse(cursor, *args)`` over all of ``text``."""
     cur = _Cursor(text)
     result = parse(cur, *args)
-    cur.expect_eof()
+    kind, value, _ = cur.tok
+    if kind != "eof":
+        raise cur.error(f"unexpected trailing input at {str(value)!r}")
     return result
 
 
@@ -213,36 +220,96 @@ def _inverse(table: dict) -> dict:
     return {symbol: node for node, symbol in table.items()}
 
 
-def _expr(cur: _Cursor, family, min_prec: int = 1, lhs=None):
-    """Precedence climbing over one formula family, a pair (operators from
-    ``_operators``, operand parser). ``lhs`` is the first operand if it is
-    already parsed. With ``cur.memo``, a right operand that runs to the end of
-    the text is kept there: it has taken every operator after it, so parsed
-    alone it is the same formula."""
-    operators, operand = family
-    if lhs is None:
-        lhs = operand(cur)
-    while True:
-        kind, value, _ = cur.tok
-        if kind != "sym" or value not in operators:
-            return lhs
-        node, prec = operators[value]
-        if prec < min_prec:
-            return lhs
-        cur.advance()
-        start = cur.tok[2]
-        rhs = cur.nested(_expr, family, prec)  # same level recursion: right-associative
-        if cur.memo is not None and cur.tok[0] == "eof":
-            kept = cur.memo.unsliced.setdefault(len(cur.text) - start, [])
-            kept.append((cur.text, start, rhs))
-        lhs = node(lhs, rhs)
+# The ``min_prec`` of a prefix operator's operand. It is above every INFIX
+# precedence, so the operand takes no infix operator.
+_UNARY = 99
 
 
-def _parenthesized(cur: _Cursor, parse, *args):
-    cur.advance()  # '('
-    inner = cur.nested(parse, *args)
-    cur.take_sym(")")
-    return inner
+def _expr(cur: _Cursor, grammar, min_prec: int = 1, depth: int = 0):
+    """A formula of ``grammar``, ``depth`` levels down, by precedence climbing
+    over its operators of precedence ``min_prec`` or more. A grammar is
+    (operators from ``_operators``, the node of an atom token or None,
+    prefix operators by symbol, keywords: constants or binders, the
+    ``expected`` list of a missing formula, a table of kept operands or
+    None). The '(' that open the formula are counted, each one level down,
+    and each is closed after the operators inside it, in this frame. With a
+    table, a right operand that runs to the end of the text is kept in it:
+    it has taken every operator after it, so parsed alone it is the same."""
+    operators, atoms, prefixes, words, expected, kept = grammar
+    kind, value, start = cur.tok
+    opened = 0
+    while kind == "sym" and value == "(":
+        cur.tok = next(cur.tokens)
+        if depth >= MAX_DEPTH:
+            raise cur.error(_TOO_DEEP)
+        depth += 1
+        opened += 1
+        kind, value, start = cur.tok
+    if kind == "atom" and atoms is not None:
+        cur.tok = next(cur.tokens)
+        lhs = atoms(value)
+    elif kind == "sym" and value in prefixes:
+        cur.tok = next(cur.tokens)
+        bound = (_bound(cur),) if value.endswith("<=") else ()  # []<=k, <><=k
+        if depth >= MAX_DEPTH:
+            raise cur.error(_TOO_DEEP)
+        lhs = prefixes[value](*bound, _expr(cur, grammar, _UNARY, depth + 1))
+    elif kind == "kw" and value in words:
+        if atoms is not None:  # true, false
+            cur.tok = next(cur.tokens)
+            lhs = words[value]
+        else:  # a quantifier's formula, or a description's term
+            lhs = words[value](_binding(cur, depth), _expr(cur, grammar, 1, depth + 1))
+    elif kind == "ident" and atoms is None:
+        cur.tok = next(cur.tokens)
+        if cur.tok[0] == "sym" and cur.tok[1] == "(":
+            cur.tok = next(cur.tokens)
+            args = [_term(cur, depth)]
+            while cur.tok[0] == "sym" and cur.tok[1] == ",":
+                cur.tok = next(cur.tokens)
+                args.append(_term(cur, depth))
+            lhs = _predicate(cur, value, start, args)
+        else:
+            lhs = freelogic.Var(value)
+    else:
+        raise cur.error("expected formula", expected=expected)
+    while True:  # one pass per '(' still open, and one outside them
+        if atoms is not None or not isinstance(lhs, freelogic.FreeTerm):
+            floor = 0 if opened else min_prec
+            while True:
+                # Only a symbol's value can name an operator.
+                operator = operators.get(cur.tok[1])
+                if operator is None or operator[1] < floor:
+                    break
+                node, prec = operator
+                cur.tok = tok = next(cur.tokens)
+                if depth >= MAX_DEPTH:
+                    raise cur.error(_TOO_DEEP)
+                rhs = _expr(cur, grammar, prec, depth + 1)  # same prec: right-associative
+                if kept is not None and cur.tok[0] == "eof":
+                    kept.setdefault(len(cur.text) - tok[2], []).append((cur.text, tok[2], rhs))
+                lhs = node(lhs, rhs)
+        elif cur.tok[0] == "sym" and cur.tok[1] == "=":
+            cur.tok = next(cur.tokens)
+            lhs = freelogic.Eq(lhs, _term(cur, depth))
+            continue
+        elif not opened:  # else a term, the left side of an equation, in '(' ')'
+            raise cur.error("expected '=' after term", expected=["'='"])
+        if not opened:
+            return lhs
+        kind, value, _ = cur.tok  # as in _close, without a call per ')'
+        if kind != "sym" or value != ")":
+            raise cur.error("expected ')'", expected=["')'"])
+        cur.tok = next(cur.tokens)
+        opened -= 1
+        depth -= 1
+
+
+def _close(cur: _Cursor) -> None:
+    kind, value, _ = cur.tok
+    if kind != "sym" or value != ")":
+        raise cur.error("expected ')'", expected=["')'"])
+    cur.tok = next(cur.tokens)
 
 
 # --- linear formulas and sequents ---------------------------------------------
@@ -252,17 +319,7 @@ def parse_linear(text: str) -> linear.LinearFormula:
     return _whole(text, _expr, _LINEAR)
 
 
-def _linear_primary(cur: _Cursor) -> linear.LinearFormula:
-    kind, value, _ = cur.tok
-    if kind == "atom":
-        cur.advance()
-        return linear.Atom(value)
-    if cur.at_sym("("):
-        return _parenthesized(cur, _expr, _LINEAR)
-    raise cur.error("expected formula", expected=["atom", "'('"])
-
-
-_LINEAR = (_operators(linear.INFIX), _linear_primary)
+_LINEAR = (_operators(linear.INFIX), linear.Atom, {}, {}, ["atom", "'('"], None)
 
 
 class _FormulaMemo:
@@ -276,11 +333,12 @@ class _FormulaMemo:
     long is looked up, so a long text pays nothing for its operands unless a
     later text can be one of them."""
 
-    __slots__ = ("formulas", "unsliced")
+    __slots__ = ("formulas", "unsliced", "grammar")
 
     def __init__(self):
         self.formulas: dict[str, linear.LinearFormula] = {}
         self.unsliced: dict[int, list[tuple[str, int, linear.LinearFormula]]] = {}
+        self.grammar = _LINEAR[:-1] + (self.unsliced,)
 
     def formula(self, text: str) -> linear.LinearFormula:
         """``parse_linear(text)``, each distinct text parsed once: equal texts
@@ -292,9 +350,7 @@ class _FormulaMemo:
                 self.formulas.setdefault(whole[start:], operand)
             formula = self.formulas.get(text)
             if formula is None:
-                cur = _Cursor(text, self)
-                formula = _expr(cur, _LINEAR)
-                cur.expect_eof()
+                formula = _whole(text, _expr, self.grammar)
                 self.formulas[text] = formula
         return formula
 
@@ -322,18 +378,16 @@ def parse_sequent(text: str) -> linear.Sequent:
 
 def _sequent(cur: _Cursor) -> linear.Sequent:
     context: list[linear.LinearFormula] = []
-    if cur.at_sym("|-"):
-        cur.advance()
-    else:
+    if cur.tok[0] != "sym" or cur.tok[1] != "|-":
         while True:
             context.append(_expr(cur, _LINEAR))
-            if cur.at_sym(","):
-                cur.advance()
-                continue
-            if cur.at_sym("|-"):
-                cur.advance()
+            kind, value, _ = cur.tok
+            if kind == "sym" and value == "|-":
                 break
-            raise cur.error("expected ',' or '|-'", expected=["','", "'|-'"])
+            if kind != "sym" or value != ",":
+                raise cur.error("expected ',' or '|-'", expected=["','", "'|-'"])
+            cur.tok = next(cur.tokens)
+    cur.tok = next(cur.tokens)  # '|-'
     return linear.Sequent(tuple(context), _expr(cur, _LINEAR))
 
 
@@ -344,25 +398,9 @@ def parse_temporal(text: str) -> temporal.TemporalFormula:
     return _whole(text, _expr, _TEMPORAL)
 
 
-def _temporal_unary(cur: _Cursor) -> temporal.TemporalFormula:
-    kind, value, _ = cur.tok
-    if kind == "sym" and value in _PREFIX:
-        cur.advance()
-        bound = (_bound(cur),) if value.endswith("<=") else ()  # []<=k, <><=k
-        return _PREFIX[value](*bound, cur.nested(_temporal_unary))
-    if cur.at_sym("("):
-        return _parenthesized(cur, _expr, _TEMPORAL)
-    if kind == "atom":
-        cur.advance()
-        return temporal.Atom(value)
-    if kind == "kw" and value in ("true", "false"):
-        cur.advance()
-        return temporal.TRUE if value == "true" else temporal.FALSE
-    raise cur.error("expected formula", expected=["atom", "modality", "'('"])
-
-
-_PREFIX = _inverse(temporal.PREFIX)
-_TEMPORAL = (_operators(temporal.INFIX), _temporal_unary)
+_TEMPORAL = (_operators(temporal.INFIX), temporal.Atom, _inverse(temporal.PREFIX),
+             {"true": temporal.TRUE, "false": temporal.FALSE},
+             ["atom", "modality", "'('"], None)
 
 
 def _bound(cur: _Cursor) -> int:
@@ -371,7 +409,7 @@ def _bound(cur: _Cursor) -> int:
         raise cur.error("expected bound k", expected=["positive integer"])
     if value < 1:
         raise cur.error(f"bounded modality requires k >= 1, got {value}")
-    cur.advance()
+    cur.tok = next(cur.tokens)
     return value
 
 
@@ -383,99 +421,61 @@ def parse_free(text: str) -> freelogic.FreeFormula:
 
 
 def parse_free_term(text: str) -> freelogic.FreeTerm:
-    return _whole(text, _free_term)
+    return _whole(text, _term, 0)
 
 
-def _free_unary(cur: _Cursor, term_ok: bool = False):
-    """A formula with no infix operator on top. With ``term_ok``, a term that
-    no '=' follows is returned as it is: inside a '(' it may be the
-    parenthesized left side of an equation."""
-    kind, value, start = cur.tok
-    if cur.at_sym("!"):
-        cur.advance()
-        return freelogic.Not(cur.nested(_free_unary))
-    if kind == "kw" and value in _QUANTIFIERS:
-        return _binder(cur, _QUANTIFIERS)
-    if cur.at_sym("("):
-        left = _parenthesized(cur, _free_group)
-        if isinstance(left, freelogic.FreeFormula):
-            return left
-    elif kind == "ident":
-        cur.advance()
-        if cur.at_sym("("):
-            return _free_pred(cur, value, start)
-        left = freelogic.Var(value)
-    elif kind == "kw" and value in _DESCRIPTIONS:
-        left = _binder(cur, _DESCRIPTIONS)
-    else:
-        raise cur.error(
-            "expected formula",
-            expected=["predicate", "term", "'!'", "quantifier", "'('"],
-        )
-    if term_ok and not cur.at_sym("="):
-        return left
-    return _free_equation(cur, left)
-
-
-def _free_group(cur: _Cursor):
-    """What a '(' in place of a formula encloses: a formula, or a term."""
-    first = _free_unary(cur, term_ok=True)
-    if isinstance(first, freelogic.FreeTerm):
-        return first
-    return _expr(cur, _FREE, lhs=first)
-
-
-_QUANTIFIERS = _inverse(freelogic.QUANTIFIERS)
 _DESCRIPTIONS = _inverse(freelogic.DESCRIPTIONS)
-_FREE = (_operators(freelogic.INFIX), _free_unary)
+_FREE = (_operators(freelogic.INFIX), None, {"!": freelogic.Not},
+         {**_inverse(freelogic.QUANTIFIERS), **_DESCRIPTIONS},
+         ["predicate", "term", "'!'", "quantifier", "'('"], None)
 
 
-def _free_pred(cur: _Cursor, name: str, start: int) -> freelogic.FreeFormula:
-    cur.take_sym("(")
-    args = [_free_term(cur)]
-    while cur.at_sym(","):
-        cur.advance()
-        args.append(_free_term(cur))
-    cur.take_sym(")")
-    known = cur.pred_arities.get(name)
-    if known is not None and known != len(args):
-        raise _error(
-            cur.text,
-            start,
-            f"predicate {name!r} used with arity {len(args)} but earlier with arity {known}",
-        )
-    cur.pred_arities[name] = len(args)
+def _term(cur: _Cursor, depth: int) -> freelogic.FreeTerm:
+    """A term ``depth`` levels down. The parentheses around it are counted
+    here, each one level, and closed after it."""
+    kind, value, _ = cur.tok
+    opened = 0
+    while kind == "sym" and value == "(":
+        cur.tok = next(cur.tokens)
+        if depth >= MAX_DEPTH:
+            raise cur.error(_TOO_DEEP)
+        depth += 1
+        opened += 1
+        kind, value, _ = cur.tok
+    if kind == "ident":
+        cur.tok = next(cur.tokens)
+        term = freelogic.Var(value)
+    elif kind == "kw" and value in _DESCRIPTIONS:
+        term = _DESCRIPTIONS[value](_binding(cur, depth), _expr(cur, _FREE, 1, depth + 1))
+    else:
+        raise cur.error("expected term", expected=["variable", "'iota'", "'eps'", "'('"])
+    for _ in range(opened):
+        _close(cur)
+    return term
+
+
+def _predicate(cur: _Cursor, name: str, start: int, args: list) -> freelogic.FreeFormula:
+    """``name(args)``, its ')' next, if ``name`` keeps its arity in ``cur``."""
+    _close(cur)
+    known = cur.pred_arities.setdefault(name, len(args))
+    if known != len(args):
+        message = f"predicate {name!r} used with arity {len(args)} but earlier with arity {known}"
+        raise _error(cur.text, start, message)
     return freelogic.Pred(name, tuple(args))
 
 
-def _free_equation(cur: _Cursor, left: freelogic.FreeTerm) -> freelogic.FreeFormula:
-    if not cur.at_sym("="):
-        raise cur.error("expected '=' after term", expected=["'='"])
-    cur.advance()
-    right = _free_term(cur)
-    return freelogic.Eq(left, right)
-
-
-def _free_term(cur: _Cursor) -> freelogic.FreeTerm:
-    kind, value, _ = cur.tok
-    if kind == "ident":
-        cur.advance()
-        return freelogic.Var(value)
-    if kind == "kw" and value in _DESCRIPTIONS:
-        return _binder(cur, _DESCRIPTIONS)
-    if cur.at_sym("("):
-        return _parenthesized(cur, _free_term)
-    raise cur.error("expected term", expected=["variable", "'iota'", "'eps'", "'('"])
-
-
-def _binder(cur: _Cursor, binders: dict):
-    """A keyword of ``binders``, its bound variable, '.', and the body."""
-    node = binders[cur.advance()[1]]
+def _binding(cur: _Cursor, depth: int) -> str:
+    """The variable after a binder keyword, read up to its '.'. The body,
+    one level below ``depth``, is next."""
+    cur.tok = next(cur.tokens)  # the keyword
     kind, var, _ = cur.tok
     if kind != "ident":
         raise cur.error("expected bound variable name", expected=["identifier"])
-    cur.advance()
-    if not cur.at_sym("."):
+    cur.tok = next(cur.tokens)
+    kind, value, _ = cur.tok
+    if kind != "sym" or value != ".":
         raise cur.error("expected '.' after bound variable", expected=["'.'"])
-    cur.advance()
-    return node(var, cur.nested(_expr, _FREE))
+    cur.tok = next(cur.tokens)
+    if depth >= MAX_DEPTH:
+        raise cur.error(_TOO_DEEP)
+    return var

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 import time
 
 import pytest
@@ -282,13 +283,28 @@ def nested_inputs(depth):
         (parse_temporal, "!" * depth + "a/b"),
         (parse_temporal, "(" * depth + "a/b" + ")" * depth),
         (parse_temporal, "[] " * depth + "a/b"),
+        (parse_temporal, "[]<=3 " * depth + "a/b"),
         (parse_temporal, "<><=2 " * depth + "a/b"),
+        (parse_temporal, " -> ".join(["a/b"] * (depth + 1))),
         (parse_free, "!" * depth + "man(x)"),
         (parse_free, "(" * depth + "man(x)" + ")" * depth),
         (parse_free, "forall x. " * depth + "man(x)"),
+        (parse_free, " -> ".join(["man(x)"] * (depth + 1))),
         (parse_free, "(" * depth + "x" + ")" * depth + " = y"),
+        (parse_free, "x = iota y. " * depth + "man(x)"),
         (parse_free_term, "iota x. man(" * depth + "x" + ")" * depth),
+        (parse_free_term, "(" * depth + "x" + ")" * depth),
     ]
+
+
+def recursion_used() -> int:
+    """How much of the recursion limit the caller's stack already takes."""
+    def down(n):
+        try:
+            return down(n + 1)
+        except RecursionError:
+            return n
+    return sys.getrecursionlimit() - down(1)
 
 
 class TestNestingLimit:
@@ -315,6 +331,23 @@ class TestNestingLimit:
             with pytest.raises(ParseError) as err:
                 parse(text)
             assert "nested deeper" in err.value.message
+
+    def test_a_level_takes_one_frame(self):
+        # At most one frame per level, two where a description's body sits in
+        # a predicate's argument or an equation's right side; the slack covers
+        # the parse function's entry, the lexer and a node's constructor.
+        limit = sys.getrecursionlimit()
+        used = recursion_used()
+        try:
+            for parse, text in nested_inputs(MAX_DEPTH):
+                frames = 2 if "iota" in text else 1
+                sys.setrecursionlimit(used + frames * MAX_DEPTH + 25)
+                try:
+                    parse(text)
+                except RecursionError:
+                    pytest.fail(f"{parse.__name__} ran out of frames on {text[:40]!r}")
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_error_points_at_the_first_token_too_deep(self):
         text = "# comment\n" + "(" * (MAX_DEPTH + 1) + "a/b" + ")" * (MAX_DEPTH + 1)
