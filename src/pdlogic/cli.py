@@ -161,7 +161,8 @@ def _value(action: argparse.Action, token: str):
 @functools.cache
 def _build_parser():
     """The parser, and each subcommand's parser with the actions that its
-    ``add_argument`` calls returned, which ``_fast_args`` reads."""
+    ``add_argument`` calls returned and those actions by option string,
+    which ``_fast_args`` reads."""
     parser = argparse.ArgumentParser(
         prog="pdlogic",
         description="Pronoun descriptor logics: parse, prove, monitor, "
@@ -217,7 +218,11 @@ def _build_parser():
     )
     p.set_defaults(func=_cmd_check)
 
-    return parser, commands
+    return parser, {
+        name: (p, actions, {string: action for action in actions
+                            for string in action.option_strings})
+        for name, (p, actions) in commands.items()
+    }
 
 
 def _fast_args(argv: list) -> argparse.Namespace | None:
@@ -234,8 +239,7 @@ def _fast_args(argv: list) -> argparse.Namespace | None:
     _, commands = _build_parser()
     if not argv or not isinstance(argv[0], str) or argv[0] not in commands:
         return None
-    command, actions = commands[argv[0]]
-    options = {string: action for action in actions for string in action.option_strings}
+    command, actions, options = commands[argv[0]]
     given = {}  # action -> (its token, or list of tokens; its option string)
     run = []
     run_ended = False
