@@ -40,6 +40,11 @@ PROVER = "pdlogic/prover.py"
 CHECK = "tests/test_prover.py::TestCheckProof::"
 GOLDEN = "tests/test_prover.py::test_checker_verdicts_on_corrupted_proofs_are_pinned"
 PINNED = "tests/test_prover.py::test_proof_texts_are_pinned"
+PARSING = "pdlogic/parsing.py"
+NESTING = "tests/test_parsing.py::TestNestingLimit::"
+LEXING = "tests/test_parsing.py::TestLexOnDemand::"
+FREE = "tests/test_parsing.py::TestParseFree::"
+READING = "tests/test_prover.py::TestReading::"
 
 # (name, file under src/, old text, new text, test selection)
 MUTANTS = (
@@ -88,6 +93,53 @@ MUTANTS = (
      "        for i in range(len(premises) - 1, -1, -1):\n",
      "        for i in range(min(len(premises), 1) - 1, -1, -1):\n",
      [GOLDEN]),
+    ("a '(' one level too deep is let in", PARSING,
+     "        if depth >= MAX_DEPTH:\n            raise cur.error(_TOO_DEEP)\n"
+     "        depth += 1\n        opened += 1\n        kind, value, start = cur.tok\n",
+     "        if depth > MAX_DEPTH:\n            raise cur.error(_TOO_DEEP)\n"
+     "        depth += 1\n        opened += 1\n        kind, value, start = cur.tok\n",
+     [NESTING + "test_error_points_at_the_first_token_too_deep"]),
+    ("operators inside '(' are cut at the precedence outside it", PARSING,
+     "floor = 0 if opened else min_prec", "floor = min_prec",
+     ["tests/test_parsing.py::test_linear_round_trip"]),
+    ("infix operators associate to the left", PARSING,
+     "rhs = _expr(cur, grammar, prec, depth + 1)",
+     "rhs = _expr(cur, grammar, prec + 1, depth + 1)",
+     ["tests/test_parsing.py::TestParseTemporal::test_implies_right_associative_and_weakest"]),
+    ("a prefix operator's operand takes infix operators", PARSING,
+     "_UNARY = 99", "_UNARY = 1",
+     ["tests/test_parsing.py::TestParseTemporal::test_unary_binds_tighter_than_binary"]),
+    ("a term stands for a formula outside parentheses", PARSING,
+     "        elif not opened:  #", "        elif False:  #",
+     [FREE + "test_bare_description_is_not_a_formula"]),
+    ("a term's parentheses close one short", PARSING,
+     "    for _ in range(opened):\n", "    for _ in range(opened - 1):\n",
+     [FREE + "test_loosely_parenthesized_formulas_round_trip"]),
+    ("a predicate's arity is not kept", PARSING,
+     "known = cur.pred_arities.setdefault(name, len(args))",
+     "known = cur.pred_arities.get(name, len(args))",
+     [FREE + "test_arity_mismatch"]),
+    ("the memo keeps an operand that stops short of the end", PARSING,
+     'if kept is not None and cur.tok[0] == "eof":', "if kept is not None:",
+     [READING + "test_an_operand_that_stops_short_is_not_kept"]),
+    ("kept operands are sliced as they are kept", PARSING,
+     "append((cur.text, tok[2], rhs))", "append((cur.text[tok[2]:], 0, rhs))",
+     [READING + "test_kept_operands_are_sliced_only_when_looked_up"]),
+    ("an alias of a keyword is lexed as a symbol", PARSING,
+     '_CHAR_TOKENS = {char: ("kw" if value in _KEYWORDS else "sym", value, ())',
+     '_CHAR_TOKENS = {char: ("sym", value, ())',
+     [LEXING + "test_agrees_with_eager_lexing"]),
+    ("the letter path reads an atom as a word", PARSING,
+     'if "/" in value:', "if False:", [LEXING + "test_agrees_with_eager_lexing"]),
+    ("a token after a tab or a line end is read with the whitespace", PARSING,
+     'if start > pos and kind != "skip":', "if False:",
+     [LEXING + "test_every_line_end_starts_a_line"]),
+    ("'(' is read alone where '(+)' or '()' starts", PARSING,
+     "if not longer or not text.startswith(longer, pos):", "if True:",
+     [LEXING + "test_agrees_with_eager_lexing"]),
+    ("'\\r\\n' ends two lines", PARSING,
+     '- prefix.count("\\r\\n") + 1', "+ 1",
+     [LEXING + "test_every_line_end_starts_a_line"]),
 )
 
 
