@@ -228,13 +228,13 @@ _UNARY = 99
 def _expr(cur: _Cursor, grammar, min_prec: int = 1, depth: int = 0):
     """A formula of ``grammar``, ``depth`` levels down, by precedence climbing
     over its operators of precedence ``min_prec`` or more. A grammar is
-    (operators from ``_operators``, the node of an atom token or None,
-    prefix operators by symbol, keywords: constants or binders, the
-    ``expected`` list of a missing formula, a table of kept operands or
-    None). The '(' that open the formula are counted, each one level down,
-    and each is closed after the operators inside it, in this frame. With a
-    table, a right operand that runs to the end of the text is kept in it:
-    it has taken every operator after it, so parsed alone it is the same."""
+    (operators from ``_operators``, the node of an atom token or None in
+    free logic, which reads terms instead, prefix operators by symbol,
+    keywords: constants or binders, the ``expected`` list of a missing
+    formula, a table of kept operands or None). The '(' that open the
+    formula are counted, each one level down, and closed here. A right
+    operand that runs to the end of the text is kept in the table: it has
+    taken every operator after it, so parsed alone it is the same."""
     operators, atoms, prefixes, words, expected, kept = grammar
     kind, value, start = cur.tok
     opened = 0
