@@ -10,24 +10,23 @@ lone ``\\r``.
 
 The lexer is one regular expression built from ``_SYMBOLS`` and ``_ALIASES``,
 run as a generator: the parser pulls the next token only when it moves past
-the current one, so input is read only as far as the first error. It reads
-a space, a word or atom, or a token of one character by its first character,
-and only the rest with that expression. The parser's ``_Cursor`` holds the
-current token, ``tok``, and the generator, ``tokens``; the parse functions
-read and replace ``tok`` themselves, with no method call per token.
-Operators are not listed here: each formula module declares its binary
-connectives once in ``INFIX`` (``temporal.PREFIX`` holds the modalities,
-``freelogic.QUANTIFIERS``/``DESCRIPTIONS`` the binders), and the renderers
-read the same tables. One precedence-climbing function, ``_expr``, parses
-every family from its grammar tuple. It reads atoms, parentheses, prefix
-operators and binders in its own frame; the depth is an argument, checked
-there against ``MAX_DEPTH``. Parentheses are counted, not recursed into, so
-a nesting level costs at most one Python frame: a prefix operator's
-operand, a right operand or a binder's body. A free-logic term (``_term``)
-takes one more frame where it holds a description. ``prover.proof_from_text``
-reads linear formulas through a memo (``_FormulaMemo``) that shares two kinds
-of text: whole piece texts, and right operands that end a text, which
-``_expr`` keeps as it parses. Nothing is looked up in the middle of a parse.
+the current one, so input is read only as far as the first error. The
+parser's ``_Cursor`` holds the current token, ``tok``, and the generator,
+``tokens``; the parse functions read and replace ``tok`` themselves, with no
+method call per token. Operators are not listed here: each formula module
+declares its binary connectives once in ``INFIX`` (``temporal.PREFIX`` holds
+the modalities, ``freelogic.QUANTIFIERS``/``DESCRIPTIONS`` the binders), and
+the renderers read the same tables. One precedence-climbing function,
+``_expr``, parses every family from its grammar tuple. It reads atoms,
+parentheses, prefix operators and binders in its own frame; the depth is an
+argument, checked there against ``MAX_DEPTH``. Parentheses are counted, not
+recursed into, so a nesting level costs at most one Python frame: a prefix
+operator's operand, a right operand or a binder's body. A free-logic term
+(``_term``) takes one frame per '(' around it, and one more where it holds a
+description. ``prover.proof_from_text`` reads linear formulas through a memo
+(``_FormulaMemo``) that shares two kinds of text: whole piece texts, and
+right operands that end a text, which ``_expr`` keeps as it parses. Nothing
+is looked up in the middle of a parse.
 """
 
 from __future__ import annotations
@@ -89,24 +88,14 @@ _SYMBOLS = [
 # catches any other character, and "skip" a comment or whitespace at the end.
 # Letters and digits are ASCII only.
 _TOKEN = re.compile(r"\s*(?:" + "|".join([
-    "(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
     r"(?P<atom>[A-Za-z]+/[A-Za-z]+)",
     r"(?P<word>[A-Za-z]+)",
-    "(?P<alias>[" + "".join(_ALIASES) + "])",
     r"(?P<int>[0-9]+)",
+    "(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
+    "(?P<alias>[" + "".join(_ALIASES) + "])",
     r"(?P<skip>\s+|#[^\r\n]*)",
     r"(?P<bad>(?s:.))",
 ]) + ")")
-# What ``_lex`` reads without ``_TOKEN``: a word or atom, which starts with a
-# letter, and a token of one character, as (kind, value, the longer symbols
-# that start with that character): each alias, and each symbol of one character.
-_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
-_WORD = re.compile(r"[A-Za-z]+(?:/[A-Za-z]+)?")
-_CHAR_TOKENS = {char: ("kw" if value in _KEYWORDS else "sym", value, ())
-                for char, value in _ALIASES.items()}
-_CHAR_TOKENS.update(
-    (char, ("sym", char, tuple(s for s in _SYMBOLS if len(s) > 1 and s[0] == char)))
-    for char in _SYMBOLS if len(char) == 1)
 
 
 def _position(text: str, offset: int) -> tuple[int, int, int]:
@@ -128,46 +117,30 @@ def _lex(text: str):
     """The tokens of ``text`` as ``(kind, value, start)`` tuples, lexed one at
     a time as the parser asks for them and ending with the eof token. ``kind``
     is atom, ident, int, sym, kw or eof; ``start`` is a character offset."""
-    pos, end = 0, len(text)
-    while pos < end:
-        char = text[pos]
-        if char == " ":
-            pos += 1
-            continue
-        found = _CHAR_TOKENS.get(char)
-        if found is not None:
-            kind, value, longer = found
-            if not longer or not text.startswith(longer, pos):
-                yield kind, value, pos
-                pos += 1
-                continue
-        elif char in _LETTERS:
-            value = _WORD.match(text, pos)[0]
-            if "/" in value:
-                yield "atom", atom(value), pos
-            else:
-                yield "kw" if value in _KEYWORDS else "ident", value, pos
-            pos += len(value)
-            continue
-        m = _TOKEN.match(text, pos)  # "bad" matches any character
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         value, start = m[kind], m.start(kind)
-        if start > pos and kind != "skip":  # after other whitespace: read on from the token
-            pos = start
+        if kind == "atom":  # the commonest kinds first
+            value = atom(value)
+        elif kind == "sym":
+            pass
+        elif kind == "skip":
             continue
-        pos = start + len(value)
-        if kind == "skip":
-            continue
-        if kind == "int":
+        elif kind == "word":
+            kind = "kw" if value in _KEYWORDS else "ident"
+        elif kind == "alias":
+            value = _ALIASES[value]
+            kind = "kw" if value in _KEYWORDS else "sym"
+        elif kind == "int":
             try:
                 value = int(value)
             except ValueError:  # Python converts at most 4300 digits
                 message = f"number of {len(value)} digits is too long"
                 raise _error(text, start, message) from None
-        elif kind != "sym":
+        else:
             raise _error(text, start, f"unexpected character {value!r}")
         yield kind, value, start
-    yield "eof", None, end
+    yield "eof", None, len(text)
 
 
 class _Cursor:
@@ -232,34 +205,34 @@ def _expr(cur: _Cursor, grammar, min_prec: int = 1, depth: int = 0):
     free logic, which reads terms instead, prefix operators by symbol,
     keywords: constants or binders, the ``expected`` list of a missing
     formula, a table of kept operands or None). The '(' that open the
-    formula are counted, each one level down, and closed here. A right
+    formula are counted, each one level down, and closed here; ``depth`` is
+    checked against ``MAX_DEPTH`` on entry and at each '('. A right
     operand that runs to the end of the text is kept in the table: it has
     taken every operator after it, so parsed alone it is the same."""
     operators, atoms, prefixes, words, expected, kept = grammar
-    kind, value, start = cur.tok
     opened = 0
-    while kind == "sym" and value == "(":
-        cur.tok = next(cur.tokens)
-        if depth >= MAX_DEPTH:
+    while True:
+        if depth > MAX_DEPTH:
             raise cur.error(_TOO_DEEP)
+        kind, value, start = cur.tok
+        if kind != "sym" or value != "(":
+            break
+        cur.tok = next(cur.tokens)
         depth += 1
         opened += 1
-        kind, value, start = cur.tok
     if kind == "atom" and atoms is not None:
         cur.tok = next(cur.tokens)
         lhs = atoms(value)
     elif kind == "sym" and value in prefixes:
         cur.tok = next(cur.tokens)
         bound = (_bound(cur),) if value.endswith("<=") else ()  # []<=k, <><=k
-        if depth >= MAX_DEPTH:
-            raise cur.error(_TOO_DEEP)
         lhs = prefixes[value](*bound, _expr(cur, grammar, _UNARY, depth + 1))
     elif kind == "kw" and value in words:
         if atoms is not None:  # true, false
             cur.tok = next(cur.tokens)
             lhs = words[value]
         else:  # a quantifier's formula, or a description's term
-            lhs = words[value](_binding(cur, depth), _expr(cur, grammar, 1, depth + 1))
+            lhs = words[value](_binding(cur), _expr(cur, grammar, 1, depth + 1))
     elif kind == "ident" and atoms is None:
         cur.tok = next(cur.tokens)
         if cur.tok[0] == "sym" and cur.tok[1] == "(":
@@ -283,8 +256,6 @@ def _expr(cur: _Cursor, grammar, min_prec: int = 1, depth: int = 0):
                     break
                 node, prec = operator
                 cur.tok = tok = next(cur.tokens)
-                if depth >= MAX_DEPTH:
-                    raise cur.error(_TOO_DEEP)
                 rhs = _expr(cur, grammar, prec, depth + 1)  # same prec: right-associative
                 if kept is not None and cur.tok[0] == "eof":
                     kept.setdefault(len(cur.text) - tok[2], []).append((cur.text, tok[2], rhs))
@@ -297,10 +268,7 @@ def _expr(cur: _Cursor, grammar, min_prec: int = 1, depth: int = 0):
             raise cur.error("expected '=' after term", expected=["'='"])
         if not opened:
             return lhs
-        kind, value, _ = cur.tok  # as in _close, without a call per ')'
-        if kind != "sym" or value != ")":
-            raise cur.error("expected ')'", expected=["')'"])
-        cur.tok = next(cur.tokens)
+        _close(cur)
         opened -= 1
         depth -= 1
 
@@ -431,27 +399,21 @@ _FREE = (_operators(freelogic.INFIX), None, {"!": freelogic.Not},
 
 
 def _term(cur: _Cursor, depth: int) -> freelogic.FreeTerm:
-    """A term ``depth`` levels down. The parentheses around it are counted
-    here, each one level, and closed after it."""
+    """A term ``depth`` levels down; a '(' around it is one level more."""
+    if depth > MAX_DEPTH:
+        raise cur.error(_TOO_DEEP)
     kind, value, _ = cur.tok
-    opened = 0
-    while kind == "sym" and value == "(":
-        cur.tok = next(cur.tokens)
-        if depth >= MAX_DEPTH:
-            raise cur.error(_TOO_DEEP)
-        depth += 1
-        opened += 1
-        kind, value, _ = cur.tok
     if kind == "ident":
         cur.tok = next(cur.tokens)
-        term = freelogic.Var(value)
-    elif kind == "kw" and value in _DESCRIPTIONS:
-        term = _DESCRIPTIONS[value](_binding(cur, depth), _expr(cur, _FREE, 1, depth + 1))
-    else:
-        raise cur.error("expected term", expected=["variable", "'iota'", "'eps'", "'('"])
-    for _ in range(opened):
+        return freelogic.Var(value)
+    if kind == "kw" and value in _DESCRIPTIONS:
+        return _DESCRIPTIONS[value](_binding(cur), _expr(cur, _FREE, 1, depth + 1))
+    if kind == "sym" and value == "(":
+        cur.tok = next(cur.tokens)
+        term = _term(cur, depth + 1)
         _close(cur)
-    return term
+        return term
+    raise cur.error("expected term", expected=["variable", "'iota'", "'eps'", "'('"])
 
 
 def _predicate(cur: _Cursor, name: str, start: int, args: list) -> freelogic.FreeFormula:
@@ -464,9 +426,9 @@ def _predicate(cur: _Cursor, name: str, start: int, args: list) -> freelogic.Fre
     return freelogic.Pred(name, tuple(args))
 
 
-def _binding(cur: _Cursor, depth: int) -> str:
+def _binding(cur: _Cursor) -> str:
     """The variable after a binder keyword, read up to its '.'. The body,
-    one level below ``depth``, is next."""
+    one level down, is next."""
     cur.tok = next(cur.tokens)  # the keyword
     kind, var, _ = cur.tok
     if kind != "ident":
@@ -476,6 +438,4 @@ def _binding(cur: _Cursor, depth: int) -> str:
     if kind != "sym" or value != ".":
         raise cur.error("expected '.' after bound variable", expected=["'.'"])
     cur.tok = next(cur.tokens)
-    if depth >= MAX_DEPTH:
-        raise cur.error(_TOO_DEEP)
     return var

@@ -93,12 +93,18 @@ MUTANTS = (
      "        for i in range(len(premises) - 1, -1, -1):\n",
      "        for i in range(min(len(premises), 1) - 1, -1, -1):\n",
      [GOLDEN]),
-    ("a '(' one level too deep is let in", PARSING,
-     "        if depth >= MAX_DEPTH:\n            raise cur.error(_TOO_DEEP)\n"
-     "        depth += 1\n        opened += 1\n        kind, value, start = cur.tok\n",
+    ("a formula one level too deep is let in", PARSING,
      "        if depth > MAX_DEPTH:\n            raise cur.error(_TOO_DEEP)\n"
-     "        depth += 1\n        opened += 1\n        kind, value, start = cur.tok\n",
+     "        kind, value, start = cur.tok\n",
+     "        if depth > MAX_DEPTH + 1:\n            raise cur.error(_TOO_DEEP)\n"
+     "        kind, value, start = cur.tok\n",
      [NESTING + "test_error_points_at_the_first_token_too_deep"]),
+    ("a term one level too deep is let in", PARSING,
+     "    if depth > MAX_DEPTH:\n        raise cur.error(_TOO_DEEP)\n"
+     "    kind, value, _ = cur.tok\n",
+     "    if depth > MAX_DEPTH + 1:\n        raise cur.error(_TOO_DEEP)\n"
+     "    kind, value, _ = cur.tok\n",
+     [NESTING + "test_one_level_past_the_limit_is_a_parse_error"]),
     ("operators inside '(' are cut at the precedence outside it", PARSING,
      "floor = 0 if opened else min_prec", "floor = min_prec",
      ["tests/test_parsing.py::test_linear_round_trip"]),
@@ -112,8 +118,9 @@ MUTANTS = (
     ("a term stands for a formula outside parentheses", PARSING,
      "        elif not opened:  #", "        elif False:  #",
      [FREE + "test_bare_description_is_not_a_formula"]),
-    ("a term's parentheses close one short", PARSING,
-     "    for _ in range(opened):\n", "    for _ in range(opened - 1):\n",
+    ("a term's ')' is not read", PARSING,
+     "        term = _term(cur, depth + 1)\n        _close(cur)\n",
+     "        term = _term(cur, depth + 1)\n",
      [FREE + "test_loosely_parenthesized_formulas_round_trip"]),
     ("a predicate's arity is not kept", PARSING,
      "known = cur.pred_arities.setdefault(name, len(args))",
@@ -125,18 +132,6 @@ MUTANTS = (
     ("kept operands are sliced as they are kept", PARSING,
      "append((cur.text, tok[2], rhs))", "append((cur.text[tok[2]:], 0, rhs))",
      [READING + "test_kept_operands_are_sliced_only_when_looked_up"]),
-    ("an alias of a keyword is lexed as a symbol", PARSING,
-     '_CHAR_TOKENS = {char: ("kw" if value in _KEYWORDS else "sym", value, ())',
-     '_CHAR_TOKENS = {char: ("sym", value, ())',
-     [LEXING + "test_agrees_with_eager_lexing"]),
-    ("the letter path reads an atom as a word", PARSING,
-     'if "/" in value:', "if False:", [LEXING + "test_agrees_with_eager_lexing"]),
-    ("a token after a tab or a line end is read with the whitespace", PARSING,
-     'if start > pos and kind != "skip":', "if False:",
-     [LEXING + "test_every_line_end_starts_a_line"]),
-    ("'(' is read alone where '(+)' or '()' starts", PARSING,
-     "if not longer or not text.startswith(longer, pos):", "if True:",
-     [LEXING + "test_agrees_with_eager_lexing"]),
     ("'\\r\\n' ends two lines", PARSING,
      '- prefix.count("\\r\\n") + 1', "+ 1",
      [LEXING + "test_every_line_end_starts_a_line"]),
