@@ -104,7 +104,7 @@ MUTANTS = (
      "    kind, value, _ = cur.tok\n",
      "    if depth > MAX_DEPTH + 1:\n        raise cur.error(_TOO_DEEP)\n"
      "    kind, value, _ = cur.tok\n",
-     [NESTING + "test_one_level_past_the_limit_is_a_parse_error"]),
+     [NESTING + "test_deeper_nesting_is_a_positioned_parse_error"]),
     ("operators inside '(' are cut at the precedence outside it", PARSING,
      "floor = 0 if opened else min_prec", "floor = min_prec",
      ["tests/test_parsing.py::test_linear_round_trip"]),
@@ -132,6 +132,11 @@ MUTANTS = (
     ("kept operands are sliced as they are kept", PARSING,
      "append((cur.text, tok[2], rhs))", "append((cur.text[tok[2]:], 0, rhs))",
      [READING + "test_kept_operands_are_sliced_only_when_looked_up"]),
+    ("an alias of a keyword is lexed as a symbol", PARSING,
+     '            value = _ALIASES[value]\n'
+     '            kind = "kw" if value in _KEYWORDS else "sym"\n',
+     '            value = _ALIASES[value]\n            kind = "sym"\n',
+     [LEXING + "test_agrees_with_eager_lexing"]),
     ("'\\r\\n' ends two lines", PARSING,
      '- prefix.count("\\r\\n") + 1', "+ 1",
      [LEXING + "test_every_line_end_starts_a_line"]),
