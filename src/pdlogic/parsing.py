@@ -146,7 +146,8 @@ def _lex(text: str):
 class _Cursor:
     """The parser's place in ``text``: ``tok``, the current token, and
     ``tokens``, which lexes the ones after it. The parser moves on with
-    ``cur.tok = next(cur.tokens)``, only past a token it has seen is not eof."""
+    ``cur.tok = next(cur.tokens)``, and only past a token it has seen is not
+    eof."""
 
     __slots__ = ("text", "tok", "tokens", "pred_arities")
 
