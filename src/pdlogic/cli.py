@@ -40,13 +40,6 @@ EXIT_RESOURCE = 3
 INPUT_ERRORS = (InputError, parsing.ParseError, TraceFormatError, prover.ProofTextError,
                 textcheck.ConfigError, textcheck.LexiconError, freelogic.FreeLogicError)
 
-# What went too deep when a subcommand reaches Python's recursion limit. A
-# long sequent whose formulas are all shallow still recurses once per step
-# of its proof search, and a long proof once per level. No input nested 100
-# deep or less, the parsers' limit, was found to take the other subcommands
-# there, so they share one message.
-TOO_DEEP = {"prove": "proof search too deep", "prove --check": "proof too deep to check"}
-
 
 def _fail(message: str, status: int) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -332,10 +325,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_ERROR)
     except prover.ResourceLimit as exc:
         return _fail(str(exc), EXIT_RESOURCE)
-    except RecursionError:
-        work = args.command + (" --check" if getattr(args, "check", None) is not None else "")
-        return _fail(f"{TOO_DEEP.get(work, 'input too deep')} (recursion limit reached)",
-                     EXIT_RESOURCE)
+    except RecursionError:  # no input nested 100 deep or less is known to get here
+        return _fail("input too deep (recursion limit reached)", EXIT_RESOURCE)
 
 
 if __name__ == "__main__":

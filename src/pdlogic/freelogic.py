@@ -114,11 +114,6 @@ class Exists(FreeFormula):
     __slots__ = ("var", "body")
 
 
-def free_vars(node: FreeTerm | FreeFormula) -> frozenset[str]:
-    """Free variables of a term or formula."""
-    return _Scan(node, object).free
-
-
 _KINDS = {FreeTerm: "term", FreeFormula: "formula"}
 
 

@@ -35,8 +35,9 @@ pass over the sequent's distinct subformulas, and a refuted sequent spends no
 search node.
 
 The checker shares no state with the search. One table gives each rule a
-row, and one depth-first walk, on a stack rather than by recursion, checks
-each node of a proof against its rule's row.
+row, and one depth-first walk checks each node of a proof against its rule's
+row. That walk and those over proof text keep stacks of their own; only the
+search recurses, and past Python's recursion limit it raises ResourceLimit.
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ from .node import Node
 DEFAULT_BUDGET = 10**6
 
 class ResourceLimit(Exception):
-    """A budget ran out: proof search nodes here, free-logic term and formula
-    evaluations that the memo does not answer in ``freelogic``
-    (``DEFAULT_BUDGET`` of them per call), and the node cap of the library's
-    ``monitoring.expand_bounded``, which no CLI path calls. Distinct from a
-    negative answer."""
+    """A budget ran out: proof search nodes or Python's recursion limit
+    here, free-logic term and formula evaluations that the memo does not
+    answer in ``freelogic`` (``DEFAULT_BUDGET`` of them per call), and the
+    node cap of the library's ``monitoring.expand_bounded``, which no CLI path
+    calls. Distinct from a negative answer."""
 
 
 class ProofTree(Node, defaults={"premises": ()}):
@@ -65,7 +66,8 @@ class CheckResult(Node, defaults={"path": (), "reason": ""}):
 
 
 def prove(sequent: Sequent, budget: int = DEFAULT_BUDGET) -> ProofTree | None:
-    """A checkable proof of the sequent, or None if none exists. A sequent
+    """A checkable proof of the sequent, or None if none exists; ResourceLimit
+    when the node budget or Python's recursion limit runs out first. A sequent
     that its atom counts refute is answered before the search, and spends
     none of the budget."""
     searcher = _Searcher(budget)
@@ -73,13 +75,14 @@ def prove(sequent: Sequent, budget: int = DEFAULT_BUDGET) -> ProofTree | None:
     goal = searcher.number(sequent.goal)
     if _unbalanced(searcher.parts, context, goal):
         return None
-    term = searcher.enter(context, (), goal).get(())
-    if term is None:
-        return None
-    tree = searcher.build(term, {})
+    try:  # the search recurses a few frames per step, and build one per level
+        term = searcher.enter(context, (), goal).get(())
+        tree = None if term is None else searcher.build(term, {})
+    except RecursionError:
+        raise ResourceLimit("proof search too deep (recursion limit reached)") from None
     # Subproofs list their contexts in the search's canonical order; restore
     # the caller's written order at the root only.
-    return ProofTree(tree.rule, sequent, tree.premises)
+    return None if tree is None else ProofTree(tree.rule, sequent, tree.premises)
 
 
 def _numbering():
@@ -444,13 +447,12 @@ def proof_to_text(proof: ProofTree) -> str:
     one of them alive while the memo of their texts is in use."""
     lines: list[str] = []
     memo: dict[int, str] = {}
-
-    def emit(node: ProofTree, depth: int):
-        lines.append(f"{'  ' * depth}{node.rule} | {render_sequent(node.conclusion, memo)}")
-        for premise in node.premises:
-            emit(premise, depth + 1)
-
-    emit(proof, 0)
+    stack = [(proof, "")]  # each node still to write, with its indentation
+    while stack:
+        node, indent = stack.pop()
+        lines.append(f"{indent}{node.rule} | {render_sequent(node.conclusion, memo)}")
+        for premise in reversed(node.premises):
+            stack.append((premise, indent + "  "))
     return "\n".join(lines) + "\n"
 
 
@@ -486,26 +488,23 @@ def proof_from_text(text: str) -> ProofTree:
             raise ProofTextError(f"line {lineno}: unknown rule {rule!r}")
         at = start + len(line) - len(line.lstrip()) + len(body) - len(sequent_text.lstrip())
         span = sequent_text.strip()
-        sequent = memo.sequent(span)
-        if sequent is None:
-            sequent = _parse_span(parse_sequent, text, at, at + len(span))
-        entries.append((indent // 2, rule, sequent))
+        sequent = memo.sequent(span) or _parse_span(parse_sequent, text, at, at + len(span))
+        entries.append((lineno, indent // 2, rule, sequent))
 
     if not entries:
         raise ProofTextError("empty proof text")
-
-    def build(index: int, depth: int) -> tuple[ProofTree, int]:
-        level, rule, sequent = entries[index]
-        if level != depth:
-            raise ProofTextError(f"entry {index}: unexpected indentation")
-        index += 1
+    previous = -1  # the level of the line before, none before the first
+    for lineno, level, _, _ in entries:
+        if level > previous + 1:
+            raise ProofTextError(f"line {lineno}: unexpected indentation")
+        if not level and previous >= 0:
+            raise ProofTextError(f"line {lineno}: trailing proof lines outside the root tree")
+        previous = level
+    # From the last line up: a line's premises are the trees on the stack a level deeper.
+    stack: list[tuple[int, ProofTree]] = []
+    for _, level, rule, sequent in reversed(entries):
         premises = []
-        while index < len(entries) and entries[index][0] == depth + 1:
-            child, index = build(index, depth + 1)
-            premises.append(child)
-        return ProofTree(rule, sequent, tuple(premises)), index
-
-    tree, consumed = build(0, 0)
-    if consumed != len(entries):
-        raise ProofTextError("trailing proof lines outside the root tree")
-    return tree
+        while stack and stack[-1][0] > level:
+            premises.append(stack.pop()[1])
+        stack.append((level, ProofTree(rule, sequent, tuple(premises))))
+    return stack[0][1]

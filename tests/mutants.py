@@ -14,9 +14,11 @@ repository's own ``src/`` is never written.
 
 The run exits 1 when a mutant survives (its selection passes), when a row's
 old text is gone or ambiguous, or when a selection errors instead of failing
-(a typo in it, or a timeout); it names each such row. Before the rows, it
-checks that the tests import the copy and not an installed package, by
-running one selection on a copy whose ``pdlogic/__init__.py`` raises.
+(a typo in it, or a timeout); it names each such row. It prints the seconds
+each row took and the total, and exits 1 too when the total passes
+``BUDGET_S``. Before the rows, it checks that the tests import the copy and
+not an installed package, by running one selection on a copy whose
+``pdlogic/__init__.py`` raises.
 
 The selections never include ``tests/test_installed.py``, whose subprocesses
 import the repository's own ``src/``. pytest does not collect this file, and
@@ -35,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 120
+BUDGET_S = 300  # the whole run, the import check and every row
 
 PROVER = "pdlogic/prover.py"
 CHECK = "tests/test_prover.py::TestCheckProof::"
@@ -45,6 +48,9 @@ NESTING = "tests/test_parsing.py::TestNestingLimit::"
 LEXING = "tests/test_parsing.py::TestLexOnDemand::"
 FREE = "tests/test_parsing.py::TestParseFree::"
 READING = "tests/test_prover.py::TestReading::"
+SERIAL = "tests/test_prover.py::TestSerialization::"
+MONITORING = "pdlogic/monitoring.py"
+FREELOGIC = "pdlogic/freelogic.py"
 
 # (name, file under src/, old text, new text, test selection)
 MUTANTS = (
@@ -140,6 +146,45 @@ MUTANTS = (
     ("'\\r\\n' ends two lines", PARSING,
      '- prefix.count("\\r\\n") + 1', "+ 1",
      [LEXING + "test_every_line_end_starts_a_line"]),
+    ("proof text may put a line two levels below the one before", PROVER,
+     "        if level > previous + 1:\n", "        if level > previous + 2:\n",
+     [SERIAL + "test_a_structural_error_names_its_line"]),
+    ("a line read back takes the siblings after it as premises", PROVER,
+     "while stack and stack[-1][0] > level:", "while stack and stack[-1][0] >= level:",
+     [SERIAL + "test_text_of_a_parsed_proof_is_the_text_it_came_from"]),
+    ("proof text lists the premises last first", PROVER,
+     "for premise in reversed(node.premises):", "for premise in node.premises:",
+     [SERIAL + "test_text_of_a_parsed_proof_is_the_text_it_came_from"]),
+    ("a search past the recursion limit raises RecursionError", PROVER,
+     "    except RecursionError:\n", "    except ():\n",
+     ["tests/test_prover.py::TestProve::"
+      "test_a_search_past_the_recursion_limit_is_a_resource_limit"]),
+    ("a subgoal's input multiset is not sorted", PROVER,
+     "whole = tuple(sorted(pool + entering))", "whole = pool + entering", [PINNED]),
+    ("equal formulas of distinct objects get distinct numbers", PROVER,
+     "n = by_parts.setdefault(key, len(formulas))", "n = len(formulas)",
+     [CHECK + "test_id_axiom"]),
+    ("a stepwise residual is not interned", MONITORING,
+     "(state, _intern(residual), holds)", "(state, residual, holds)",
+     ["tests/test_monitoring.py::TestTransitionTable::test_interleaved_sessions_through_clears"]),
+    ("a free-logic memo key leaves out a variable", FREELOGIC,
+     "        if len(names & bound) < depth:\n"
+     "            self.marked[id(node)] = tuple(sorted(names))\n",
+     "        if len(names & bound) < depth:\n"
+     "            self.marked[id(node)] = tuple(sorted(names))[1:]\n",
+     ["tests/test_freelogic.py::TestAgainstTheOracle::test_sentences_open_formulas_and_terms"]),
+    ("a free-logic evaluation past the memo spends no budget", FREELOGIC,
+     "    ev.left -= 1\n", "",
+     ["tests/test_freelogic.py::TestEvalFormula::test_budget_counts_evaluations_past_the_memo"]),
+    ("a model's default predicates can be changed", FREELOGIC,
+     'defaults={"predicates": MappingProxyType({})}', 'defaults={"predicates": {}}',
+     ["tests/test_nodes.py::test_the_default_model_predicates_cannot_be_changed"]),
+    ("a reduced value keeps its trailing defaults", "pdlogic/node.py",
+     "            values.pop()\n", "            break\n",
+     ["tests/test_nodes.py::test_a_record_reduces_to_its_fields_less_the_trailing_defaults"]),
+    ("a pronoun atom keeps its case", "pdlogic/atoms.py",
+     '        object.__setattr__(self, "subject", self.subject.lower())\n', "",
+     ["tests/test_formulas.py::TestPronounAtom::test_canonical_key_is_lowercase"]),
 )
 
 
@@ -197,8 +242,11 @@ def main() -> int:
             print(f"SURVIVED  {name} {took}: {' '.join(selection)} passes")
         else:
             print(f"ERROR     {name} {took}: pytest exit {status}\n{output[-2000:]}")
-    print(f"{len(MUTANTS)} mutants, {len(failing)} not killed, "
-          f"{time.perf_counter() - start:.0f} s")
+    total = time.perf_counter() - start
+    print(f"{len(MUTANTS)} mutants, {len(failing)} not killed, {total:.0f} s")
+    if total > BUDGET_S:
+        print(f"SLOW      the run took {total:.0f} s, past its budget of {BUDGET_S} s")
+        return 1
     return 1 if failing else 0
 
 

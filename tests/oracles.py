@@ -383,15 +383,15 @@ def per_line_proof_from_text(text: str) -> ProofTree:
             raise ValueError(f"line {lineno}: unknown rule {rule!r}")
         at = start + len(line) - len(line.lstrip()) + len(body) - len(sequent_text.lstrip())
         sequent = _parse_span(parse_sequent, text, at, at + len(sequent_text.strip()))
-        entries.append((indent // 2, rule, sequent))
+        entries.append((indent // 2, rule, sequent, lineno))
 
     if not entries:
         raise ValueError("empty proof text")
 
     def build(index: int, depth: int) -> tuple[ProofTree, int]:
-        level, rule, sequent = entries[index]
+        level, rule, sequent, lineno = entries[index]
         if level != depth:
-            raise ValueError(f"entry {index}: unexpected indentation")
+            raise ValueError(f"line {lineno}: unexpected indentation")
         index += 1
         premises = []
         while index < len(entries) and entries[index][0] == depth + 1:
@@ -401,7 +401,10 @@ def per_line_proof_from_text(text: str) -> ProofTree:
 
     tree, consumed = build(0, 0)
     if consumed != len(entries):
-        raise ValueError("trailing proof lines outside the root tree")
+        level, _, _, lineno = entries[consumed]
+        if level:
+            raise ValueError(f"line {lineno}: unexpected indentation")
+        raise ValueError(f"line {lineno}: trailing proof lines outside the root tree")
     return tree
 
 

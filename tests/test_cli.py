@@ -100,13 +100,14 @@ class TestProve:
         assert (code, out) == (3, "")
         assert err == "error: proof search too deep (recursion limit reached)\n"
 
-    def test_deep_proof_text_exits_3_naming_the_check(self, capsys, tmp_path):
+    def test_deep_proof_text_is_read_and_checked(self, capsys, tmp_path):
+        # 2000 levels, past the recursion limit: reading it takes no frame per level.
         proof_file = tmp_path / "proof.txt"
         proof_file.write_text("".join("  " * i + "WithL1 | a/b & c/d |- a/b\n"
                                       for i in range(2000)), encoding="utf-8")
         code, out, err = run(capsys, "prove", "--check", str(proof_file))
-        assert (code, out) == (3, "")
-        assert err == "error: proof too deep to check (recursion limit reached)\n"
+        assert (code, err) == (1, "")
+        assert out == "rejected at root: no with in the context decomposes to the premise (left)\n"
 
     def test_derivable_prints_proof(self, capsys):
         code, out, _ = run(capsys, "prove", self.SAFETY)

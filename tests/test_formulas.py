@@ -141,9 +141,3 @@ class TestInvariants:
     def test_bounded_k_must_be_positive(self):
         with pytest.raises(ValueError):
             tl.BoxK(0, tl.Atom(SHE))
-
-    def test_free_vars(self):
-        f = fl.Forall("x", fl.Pred("loves", (fl.Var("x"), fl.Var("y"))))
-        assert fl.free_vars(f) == {"y"}
-        term = fl.Epsilon("x", fl.Pred("man", (fl.Var("x"),)))
-        assert fl.free_vars(term) == frozenset()

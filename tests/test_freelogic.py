@@ -255,7 +255,7 @@ class TestAgainstTheOracle:
         for _ in range(2000):
             formula = oracles.random_free(rng, 5)
             sentence = formula
-            for name in sorted(fl.free_vars(formula)):
+            for name in sorted(fl._Scan(formula, fl.FreeFormula).free):
                 sentence = rng.choice((fl.Forall, fl.Exists))(name, sentence)
             term = rng.choice((fl.Iota, fl.Epsilon))(rng.choice(VARIABLES),
                                                      oracles.random_free(rng, 5))

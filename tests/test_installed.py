@@ -254,6 +254,13 @@ CASES = {
         "error: proof search too deep (recursion limit reached)\n",
         files={"chain.txt": CHAIN + "\n"},
     ),
+    # Proof text 2000 levels deep is read and checked, past the recursion limit.
+    "prove_check_deep_proof_text": Case(
+        ["prove", "--check", "{dir}/proof.txt"], 1,
+        "rejected at root: no with in the context decomposes to the premise (left)\n",
+        files={"proof.txt": "".join("  " * i + "WithL1 | a/b & c/d |- a/b\n"
+                                    for i in range(2000))},
+    ),
     # Atom counts refute the sequent before the search, which spends no node.
     "prove_refuted_spends_no_budget": Case(
         ["prove", "--budget", "0", "a/b |- c/d"], 1, "not derivable\n",

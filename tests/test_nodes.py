@@ -221,6 +221,12 @@ def test_defaults_and_lowercasing_fill_the_fields(cls, given, values):
         assert type(other) is cls and other == record
 
 
+@pytest.mark.parametrize(("cls", "given", "values"), FILLED,
+                         ids=[cls.__name__ for cls, _, _ in FILLED])
+def test_a_record_reduces_to_its_fields_less_the_trailing_defaults(cls, given, values):
+    assert cls(*given).__reduce__() == (cls, values[:len(given)])
+
+
 def test_the_default_model_predicates_cannot_be_changed():
     with pytest.raises(TypeError):
         fl.Model(("a",)).predicates["p", 1] = frozenset()

@@ -4,7 +4,9 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
+from itertools import product
 from pathlib import Path
+from string import ascii_lowercase
 
 import pytest
 
@@ -15,6 +17,7 @@ from pdlogic.parsing import ParseError, _FormulaMemo, parse_sequent
 from pdlogic.prover import (
     RULES,
     CheckResult,
+    ProofTextError,
     ProofTree,
     ResourceLimit,
     _numbering,
@@ -82,6 +85,15 @@ class TestProve:
     def test_resource_limit_is_distinct_from_not_derivable(self):
         with pytest.raises(ResourceLimit):
             prove_text(SAFETY, budget=2)
+
+    def test_a_search_past_the_recursion_limit_is_a_resource_limit(self):
+        # pa/q, pa/q -o pb/q, ... |- ...: 1000 links, no formula deeper than 2.
+        names = ["p" + "".join(t) + "/q" for t in product(ascii_lowercase, repeat=3)]
+        chain = [f"{x} -o {y}" for x, y in zip(names[:1000], names[1:1001])]
+        sequent = ", ".join([names[0]] + chain) + " |- " + names[1000]
+        with pytest.raises(ResourceLimit) as raised:
+            prove_text(sequent)
+        assert str(raised.value) == "proof search too deep (recursion limit reached)"
 
 
 class TestDerivable:
@@ -423,6 +435,18 @@ class TestCheckProof:
         assert check_proof(self.lolli_chain_proof(n, "Cut")) == CheckResult(
             False, (0,) * n, "unknown rule 'Cut'")
 
+    def test_a_proof_deeper_than_the_recursion_limit_reads_back_from_its_text(self):
+        proof = self.lolli_chain_proof(sys.getrecursionlimit() + 100, "Id")
+        back = proof_from_text(proof_to_text(proof))
+        # ``==`` on two trees recurses once per level, so compare node by node.
+        pairs = [(back, proof)]
+        while pairs:
+            node, original = pairs.pop()
+            assert (node.rule, node.conclusion) == (original.rule, original.conclusion)
+            assert len(node.premises) == len(original.premises)
+            pairs.extend(zip(node.premises, original.premises))
+        assert check_proof(back).ok
+
 
 # --- the checker on corrupted proofs -------------------------------------------
 
@@ -597,6 +621,23 @@ class TestSerialization:
         start = sum(len(t) + 1 for t in text.split("\n")[:line - 1]) + column - 1
         assert err.byte_offset == len(text[:start].encode("utf-8"))
         assert str(err).startswith(f"line {line}, column {column}: expected formula")
+
+    @pytest.mark.parametrize("text, message", [
+        # a line two levels below the one before
+        ("TensorR | a/b, c/d |- a/b * c/d\n    Id | a/b |- a/b\n",
+         "line 2: unexpected indentation"),
+        # an indented first line, named by its line and not its place among lines
+        ("\n  Id | a/b |- a/b\n", "line 2: unexpected indentation"),
+        ("TensorR | a/b, c/d |- a/b * c/d\n  Id | a/b |- a/b\n\n"
+         "  Id | c/d |- c/d\nId | a/b |- a/b\n",
+         "line 5: trailing proof lines outside the root tree"),
+        # a rule or parse error on a later line comes before any of structure
+        ("    Id | a/b |- a/b\nFoo | a/b |- a/b\n", "line 2: unknown rule 'Foo'"),
+    ], ids=["two_levels_deeper", "indented_first_line", "second_root", "rule_error_first"])
+    def test_a_structural_error_names_its_line(self, text, message):
+        with pytest.raises(ProofTextError) as raised:
+            proof_from_text(text)
+        assert str(raised.value) == message
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
