@@ -2,9 +2,10 @@
 
 Subpackages by concern: formula syntax (:mod:`pdlogic.linear`,
 :mod:`pdlogic.temporal`, :mod:`pdlogic.freelogic`), concrete text syntax
-(:mod:`pdlogic.parsing`, :mod:`pdlogic.notation`), derivability (:mod:`pdlogic.prover`), finite-trace
-monitoring (:mod:`pdlogic.monitoring`), and document checking
-(:mod:`pdlogic.textcheck`).
+(:mod:`pdlogic.parsing` reads it, and :mod:`pdlogic.notation`, the one
+renderer, writes it from the same tables), derivability
+(:mod:`pdlogic.prover`), finite-trace monitoring (:mod:`pdlogic.monitoring`),
+and document checking (:mod:`pdlogic.textcheck`).
 """
 
 from .atoms import PronounAtom, atom

@@ -26,6 +26,7 @@ from operator import itemgetter
 from types import MappingProxyType
 
 from . import notation
+from .notation import TIGHTEST, wrap
 from .node import Node
 from .prover import DEFAULT_BUDGET, ResourceLimit
 
@@ -169,49 +170,26 @@ class _Scan:
 # --- rendering -------------------------------------------------------------
 
 # Binding strength: binders weakest (their body runs as far right as it can),
-# then ->, \/, /\, then !, then atoms.
+# then ->, \/, /\, then the rest. Terms and formulas have a syntax each, so
+# that each rejects the other; an argument binds tightest, so a description
+# in one is parenthesized.
 INFIX = {Implies: ("->", 1), Or: ("\\/", 2), And: ("/\\", 3)}
 QUANTIFIERS = {Forall: "forall", Exists: "exists"}
 DESCRIPTIONS = {Iota: "iota", Epsilon: "eps"}
-_NOT_PREC = 4
-
-
-def _prec(formula: FreeFormula) -> int:
-    if type(formula) in QUANTIFIERS:
-        return 0
-    return INFIX[type(formula)][1] if type(formula) in INFIX else _NOT_PREC
+_FORMULAS = (INFIX, {Not: "!"}, QUANTIFIERS, {
+    Pred: lambda f: f"{f.name}({', '.join([wrap(t, _TERMS, TIGHTEST) for t in f.args])})",
+    Eq: lambda f: " = ".join([wrap(t, _TERMS, TIGHTEST) for t in (f.left, f.right)]),
+}, "free-logic formula", None)
+_TERMS = ({}, {}, DESCRIPTIONS, {Var: lambda t: t.name}, "free-logic term", _FORMULAS)
 
 
 def render_term(term: FreeTerm) -> str:
-    match term:
-        case Var(name):
-            return name
-        case Iota(v, body) | Epsilon(v, body):
-            return f"{DESCRIPTIONS[type(term)]} {v}. {render(body)}"
-    raise TypeError(f"not a free-logic term: {term!r}")
-
-
-def _arg(term: FreeTerm) -> str:
-    # Description terms are parenthesized in argument position so their body
-    # does not swallow the surrounding formula.
-    text = render_term(term)
-    return f"({text})" if isinstance(term, (Iota, Epsilon)) else text
+    return notation.render(term, _TERMS)
 
 
 def render(formula: FreeFormula) -> str:
     """Canonical ASCII syntax; round-trips through parse_free."""
-    match formula:
-        case Pred(name, args):
-            return f"{name}({', '.join(_arg(a) for a in args)})"
-        case Eq(l, r):
-            return f"{_arg(l)} = {_arg(r)}"
-        case Not(f):
-            return "!" + notation.operand(f, _NOT_PREC, render, _prec)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return notation.infix(INFIX[type(formula)], l, r, render, _prec)
-        case Forall(v, body) | Exists(v, body):
-            return f"{QUANTIFIERS[type(formula)]} {v}. {render(body)}"
-    raise TypeError(f"not a free-logic formula: {formula!r}")
+    return notation.render(formula, _FORMULAS)
 
 
 # --- models and evaluation -------------------------------------------------
@@ -388,7 +366,7 @@ def parse_model(text: str) -> Model:
     """
     domain: tuple[str, ...] | None = None
     predicates: dict[tuple[str, int], set[tuple[str, ...]]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(notation._lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

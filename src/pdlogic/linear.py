@@ -10,8 +10,6 @@ carry meaning of its own.
 
 from __future__ import annotations
 
-import functools
-
 from . import notation
 from .node import Node
 
@@ -72,11 +70,7 @@ def children(formula: LinearFormula) -> tuple[LinearFormula, ...]:
 # so "a/b & c/d (+) e/f" is With(a/b, Plus(c/d, e/f)) and a Tensor child of a
 # With must be parenthesized.
 INFIX = {Tensor: ("*", 1), With: ("&", 2), Plus: ("(+)", 3), Lolli: ("-o", 4)}
-_ATOM_PREC = 5
-
-
-def _prec(formula: LinearFormula) -> int:
-    return INFIX[type(formula)][1] if type(formula) in INFIX else _ATOM_PREC
+_SYNTAX = (INFIX, {}, {}, {Atom: lambda f: f.atom.key}, "linear formula", None)
 
 
 def render(formula: LinearFormula, memo: dict | None = None) -> str:
@@ -87,23 +81,11 @@ def render(formula: LinearFormula, memo: dict | None = None) -> str:
     shared part or in another formula. The caller keeps every formula it
     renders alive for as long as it keeps the memo, so no id is reused.
     """
-    if memo is not None:
-        text = memo.get(id(formula))
-        if text is not None:
-            return text
-    if isinstance(formula, Atom):
-        text = formula.atom.key
-    else:
-        left, right = children(formula)
-        operand = render if memo is None else functools.partial(render, memo=memo)
-        text = notation.infix(INFIX[type(formula)], left, right, operand, _prec)
-    if memo is not None:
-        memo[id(formula)] = text
-    return text
+    return notation.render(formula, _SYNTAX, memo)
 
 
 def render_sequent(sequent: Sequent, memo: dict | None = None) -> str:
     """``Γ |- A`` with each formula as ``render(formula, memo)`` gives it."""
-    ctx = ", ".join([render(f, memo) for f in sequent.context])
-    goal = render(sequent.goal, memo)
+    ctx = ", ".join([notation.render(f, _SYNTAX, memo) for f in sequent.context])
+    goal = notation.render(sequent.goal, _SYNTAX, memo)
     return f"{ctx} |- {goal}" if ctx else f"|- {goal}"

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from operator import and_, is_not, le, or_
 
+from . import notation
 from .atoms import PronounAtom, atom
 from .node import Node
 from .prover import ResourceLimit
@@ -538,7 +539,7 @@ def parse_trace(text: str) -> Trace:
     blank lines are ignored. A bad token raises ``TraceFormatError`` naming
     its line."""
     utterances = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(notation._lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -16,14 +16,17 @@ parser's ``_Cursor`` holds the current token, ``tok``, and the generator,
 method call per token. Operators are not listed here: each formula module
 declares its binary connectives once in ``INFIX`` (``temporal.PREFIX`` holds
 the modalities, ``freelogic.QUANTIFIERS``/``DESCRIPTIONS`` the binders), and
-the renderers read the same tables. One precedence-climbing function,
-``_expr``, parses every family from its grammar tuple. It reads atoms,
-parentheses, prefix operators and binders in its own frame; the depth is an
-argument, checked there against ``MAX_DEPTH``. Parentheses are counted, not
-recursed into, so a nesting level costs at most one Python frame: a prefix
-operator's operand, a right operand or a binder's body. A free-logic term
-(``_term``) takes one frame per '(' around it, and one more where it holds a
-description. ``prover.proof_from_text`` reads linear formulas through a memo
+``notation.render`` reads the same tables. A prefix operator's operand is
+read at ``notation.TIGHTEST``, the precedence the renderer gives every node
+that is not a connective, so it takes no infix operator. One
+precedence-climbing function, ``_expr``, parses every family from its
+grammar tuple. It reads atoms, parentheses, prefix operators and binders in
+its own frame; the depth is an argument, checked there against
+``MAX_DEPTH``. Parentheses are counted, not recursed into, so a nesting
+level costs at most one Python frame: a prefix operator's operand, a right
+operand or a binder's body. A free-logic term (``_term``) takes one frame
+per '(' around it, and one more where it holds a description.
+``prover.proof_from_text`` reads linear formulas through a memo
 (``_FormulaMemo``) that shares two kinds of text: whole piece texts, and
 right operands that end a text, which ``_expr`` keeps as it parses. Nothing
 is looked up in the middle of a parse.
@@ -35,6 +38,7 @@ import re
 
 from . import freelogic, linear, temporal
 from .atoms import atom
+from .notation import TIGHTEST
 
 
 class ParseError(Exception):
@@ -194,11 +198,6 @@ def _inverse(table: dict) -> dict:
     return {symbol: node for node, symbol in table.items()}
 
 
-# The ``min_prec`` of a prefix operator's operand. It is above every INFIX
-# precedence, so the operand takes no infix operator.
-_UNARY = 99
-
-
 def _expr(cur: _Cursor, grammar, min_prec: int = 1, depth: int = 0):
     """A formula of ``grammar``, ``depth`` levels down, by precedence climbing
     over its operators of precedence ``min_prec`` or more. A grammar is
@@ -227,7 +226,7 @@ def _expr(cur: _Cursor, grammar, min_prec: int = 1, depth: int = 0):
     elif kind == "sym" and value in prefixes:
         cur.tok = next(cur.tokens)
         bound = (_bound(cur),) if value.endswith("<=") else ()  # []<=k, <><=k
-        lhs = prefixes[value](*bound, _expr(cur, grammar, _UNARY, depth + 1))
+        lhs = prefixes[value](*bound, _expr(cur, grammar, TIGHTEST, depth + 1))
     elif kind == "kw" and value in words:
         if atoms is not None:  # true, false
             cur.tok = next(cur.tokens)

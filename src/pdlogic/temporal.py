@@ -102,10 +102,6 @@ def children(formula: TemporalFormula) -> tuple[TemporalFormula, ...]:
     raise TypeError(f"not a temporal formula: {formula!r}")
 
 
-def size(formula: TemporalFormula) -> int:
-    return 1 + sum(size(c) for c in children(formula))
-
-
 def atoms(formula: TemporalFormula) -> frozenset[PronounAtom]:
     if isinstance(formula, Atom):
         return frozenset((formula.atom,))
@@ -118,27 +114,10 @@ def atoms(formula: TemporalFormula) -> frozenset[PronounAtom]:
 # (right-associative, weakest).
 INFIX = {Implies: ("->", 1), Or: ("\\/", 2), And: ("/\\", 3)}
 PREFIX = {Not: "!", Box: "[]", Diamond: "<>", Next: "()", BoxK: "[]<=", DiamondK: "<><="}
-_UNARY_PREC = 4
-
-
-def _prec(formula: TemporalFormula) -> int:
-    return INFIX[type(formula)][1] if type(formula) in INFIX else _UNARY_PREC
+_SYNTAX = (INFIX, PREFIX, {}, {Atom: lambda f: f.atom.key, TrueF: lambda f: "true",
+                               FalseF: lambda f: "false"}, "temporal formula", None)
 
 
 def render(formula: TemporalFormula) -> str:
     """Canonical ASCII syntax; round-trips through parse_temporal."""
-    match formula:
-        case Atom(a):
-            return a.key
-        case TrueF():
-            return "true"
-        case FalseF():
-            return "false"
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return notation.infix(INFIX[type(formula)], l, r, render, _prec)
-    (operand,) = children(formula)
-    # "!" hugs its operand; the modalities, with their bound, stand apart.
-    head = PREFIX[type(formula)] + str(getattr(formula, "k", ""))
-    if not isinstance(formula, Not):
-        head += " "
-    return head + notation.operand(operand, _UNARY_PREC, render, _prec)
+    return notation.render(formula, _SYNTAX)

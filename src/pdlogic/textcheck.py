@@ -21,7 +21,7 @@ import re
 import sys
 from operator import itemgetter
 
-from . import parsing, temporal
+from . import notation, parsing, temporal
 from .atoms import PronounAtom, atom
 from .monitoring import VIOLATED, Trace, Utterance, monitor
 from .monitoring import expand_bounded  # noqa: F401  (perfbench/tracing.py patches it)
@@ -93,7 +93,7 @@ def parse_lexicon(text: str) -> Lexicon:
     """Lexicon file format: ``<surface-token> -> <atom> [<atom>...]`` per line,
     ``#`` comments."""
     entries: dict[str, set[PronounAtom]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(notation._lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -51,6 +51,8 @@ READING = "tests/test_prover.py::TestReading::"
 SERIAL = "tests/test_prover.py::TestSerialization::"
 MONITORING = "pdlogic/monitoring.py"
 FREELOGIC = "pdlogic/freelogic.py"
+NOTATION = "pdlogic/notation.py"
+RENDER = "tests/test_formulas.py::TestRender::"
 
 # (name, file under src/, old text, new text, test selection)
 MUTANTS = (
@@ -119,7 +121,7 @@ MUTANTS = (
      "rhs = _expr(cur, grammar, prec + 1, depth + 1)",
      ["tests/test_parsing.py::TestParseTemporal::test_implies_right_associative_and_weakest"]),
     ("a prefix operator's operand takes infix operators", PARSING,
-     "_UNARY = 99", "_UNARY = 1",
+     "_expr(cur, grammar, TIGHTEST, depth + 1)", "_expr(cur, grammar, 1, depth + 1)",
      ["tests/test_parsing.py::TestParseTemporal::test_unary_binds_tighter_than_binary"]),
     ("a term stands for a formula outside parentheses", PARSING,
      "        elif not opened:  #", "        elif False:  #",
@@ -182,6 +184,27 @@ MUTANTS = (
     ("a reduced value keeps its trailing defaults", "pdlogic/node.py",
      "            values.pop()\n", "            break\n",
      ["tests/test_nodes.py::test_a_record_reduces_to_its_fields_less_the_trailing_defaults"]),
+    ("a left operand that binds as tight as its parent is not parenthesized", NOTATION,
+     "wrap(getattr(node, left), syntax, prec + 1, memo)",
+     "wrap(getattr(node, left), syntax, prec, memo)",
+     [RENDER + "test_right_associative_chains"]),
+    ("a right operand that binds as tight as its parent is parenthesized", NOTATION,
+     "wrap(getattr(node, right), syntax, prec, memo)",
+     "wrap(getattr(node, right), syntax, prec + 1, memo)",
+     [RENDER + "test_right_associative_chains"]),
+    ("'!' stands apart from its operand", NOTATION,
+     '        if head != "!":\n            head += " "\n', '        head += " "\n',
+     ["tests/test_precedence.py::test_render_matches_golden[free]"]),
+    ("a prefix operator's operand may be a connective unparenthesized", NOTATION,
+     "wrap(node.operand, syntax, TIGHTEST, memo)", "wrap(node.operand, syntax, 1, memo)",
+     ["tests/test_precedence.py::test_render_matches_golden[temporal]"]),
+    ("a binder binds as tight as a leaf", NOTATION,
+     "prec = op[1] if op else 0 if", "prec = op[1] if op else TIGHTEST if",
+     [RENDER + "test_free_description_argument_is_parenthesized"]),
+    ("a variable renders where a formula belongs", FREELOGIC,
+     '}, "free-logic formula", None)\n',
+     '}, "free-logic formula", None)\n_FORMULAS[3][Var] = lambda t: t.name\n',
+     [RENDER + "test_non_formula_is_a_type_error"]),
     ("a pronoun atom keeps its case", "pdlogic/atoms.py",
      '        object.__setattr__(self, "subject", self.subject.lower())\n', "",
      ["tests/test_formulas.py::TestPronounAtom::test_canonical_key_is_lowercase"]),

@@ -210,6 +210,15 @@ class TestMonitor:
         assert code == 1
         assert out == "0\tInconclusive\n1\tInconclusive\n2\tViolated\n"
 
+    def test_a_form_feed_does_not_end_a_trace_line(self, capsys, files):
+        # A line ends at "\n", "\r\n" or a lone "\r"; a form feed separates
+        # two atoms of one utterance, as a space does.
+        spec, trace = files
+        for gap in ("\f", " "):
+            trace.write_text(f"she/her{gap}they/them\nshe/her\n", encoding="utf-8")
+            code, out, err = run(capsys, "monitor", str(spec), str(trace), "--mode", "stepwise")
+            assert (code, out, err) == (0, "0\tInconclusive\n1\tInconclusive\n2\tSatisfied\n", "")
+
     def test_satisfied_exits_0(self, capsys, tmp_path):
         spec = tmp_path / "spec.txt"
         trace = tmp_path / "trace.txt"

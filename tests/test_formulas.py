@@ -87,11 +87,6 @@ class TestAtomTable:
             "line 3: pronoun token must be one or more ASCII letters, got 'h3r'")
 
 
-class TestSize:
-    def test_temporal(self):
-        assert tl.size(tl.Box(tl.Implies(tl.Atom(SHE), tl.Atom(THEY)))) == 4
-
-
 class TestAtoms:
     def test_temporal_nested(self):
         f = tl.Box(tl.Diamond(tl.Atom(THEY)))
@@ -131,10 +126,37 @@ class TestRender:
         f = fl.Exists("y", fl.Eq(fl.Var("y"), term))
         assert fl.render(f) == "exists y. y = (iota x. man(x))"
 
+    # For each renderer, nodes it rejects, each with the node its message
+    # names and that node's place: a node of another family, a term where a
+    # formula belongs or a formula where a term does, and a bad node below
+    # the root.
+    x, p = fl.Var("x"), fl.Pred("p", (fl.Var("x"),))
+    LINEAR, TEMPORAL = "linear formula", "temporal formula"
+    FORMULA, TERM = "free-logic formula", "free-logic term"
+    REJECTED = {
+        ll.render: [(tl.Atom(SHE), tl.Atom(SHE), LINEAR),
+                    (ll.With(ll.Atom(SHE), tl.Atom(SHE)), tl.Atom(SHE), LINEAR),
+                    (ll.Lolli(ll.Tensor(ll.Atom(SHE), "x"), ll.Atom(SHE)), "x", LINEAR)],
+        tl.render: [(ll.Atom(SHE), ll.Atom(SHE), TEMPORAL), (fl.Not(p), fl.Not(p), TEMPORAL),
+                    (tl.Box(tl.And(tl.Atom(SHE), ll.Atom(SHE))), ll.Atom(SHE), TEMPORAL),
+                    (tl.BoxK(2, tl.Not(fl.Not(p))), fl.Not(p), TEMPORAL)],
+        fl.render: [(tl.Not(tl.Atom(SHE)), tl.Not(tl.Atom(SHE)), FORMULA), (x, x, FORMULA),
+                    (fl.Iota("x", p), fl.Iota("x", p), FORMULA), (fl.Not(x), x, FORMULA),
+                    (fl.Exists("y", fl.Or(p, fl.Epsilon("x", p))), fl.Epsilon("x", p), FORMULA),
+                    (fl.Pred("q", (x, p)), p, TERM), (fl.Forall("x", fl.Eq(x, "y")), "y", TERM)],
+        fl.render_term: [(tl.Atom(SHE), tl.Atom(SHE), TERM), (p, p, TERM),
+                         (fl.Iota("x", x), x, FORMULA),
+                         (fl.Epsilon("x", fl.Pred("q", (fl.Iota("y", p), p))), p, TERM)],
+    }
+
     @pytest.mark.parametrize("render", [ll.render, tl.render, fl.render, fl.render_term])
     def test_non_formula_is_a_type_error(self, render):
         with pytest.raises(TypeError):
             render("she/her")
+        for node, bad, noun in self.REJECTED[render]:
+            with pytest.raises(TypeError) as raised:
+                render(node)
+            assert str(raised.value) == f"not a {noun}: {bad!r}"
 
 
 class TestInvariants:

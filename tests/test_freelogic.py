@@ -369,6 +369,13 @@ class TestModelFormat:
         with pytest.raises(ModelFormatError, match="^line 2: "):
             parse_model(f"domain: a\n{line}\n")
 
+    def test_a_line_ends_only_at_a_newline_or_carriage_return(self):
+        model = parse_model("domain: a b\npred p/1: a\fb\n")
+        assert model.predicates == {("p", 1): frozenset({("a",), ("b",)})}
+        model = parse_model("domain: a b\rpred p/1: a\x85b\r\npred q/1: b")
+        assert model.predicates == {("p", 1): frozenset({("a",), ("b",)}),
+                                    ("q", 1): frozenset({("b",)})}
+
     def test_pred_keyword_takes_any_whitespace(self):
         model = parse_model("domain: a\npred\tman/1:a\n")
         assert model.predicates == {("man", 1): frozenset({("a",)})}

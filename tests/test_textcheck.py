@@ -319,6 +319,13 @@ class TestLexicon:
         with pytest.raises(LexiconError, match=r"^line 3: "):
             parse_lexicon(f"# comment\nshe -> she/her\nher -> {bad}\n")
 
+    def test_a_form_feed_does_not_end_a_line(self):
+        # so the words of what looks like a second entry follow the first atom
+        with pytest.raises(LexiconError) as raised:
+            parse_lexicon("# comment\rher -> she/her\fthey -> they/them\n")
+        assert str(raised.value) == (
+            "line 2: atom key must look like subject/object, got 'they'")
+
     def test_parse_and_lookup(self):
         lex = parse_lexicon("XE -> xe/xem\nxem -> xe/xem\nxyrself -> xe/xem\n")
         xe = frozenset({atom("xe/xem")})
