@@ -64,6 +64,6 @@ def wrap(node, syntax: tuple, min_prec: int, memo: dict | None = None) -> str:
 
 
 def _lines(text: str) -> list[str]:
-    """The lines of a trace, model or lexicon file. A line ends at ``\\n``,
+    """The lines of a trace, model, lexicon or spec file. A line ends at ``\\n``,
     ``\\r\\n`` or a lone ``\\r``, not at the other ends of ``str.splitlines``."""
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")

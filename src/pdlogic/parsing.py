@@ -175,15 +175,19 @@ def _whole(text: str, parse, *args):
     return result
 
 
-def _parse_span(parse, text: str, start: int, end: int):
+def _parse_span(parse, text: str, start: int, end: int, splitlines: bool = True):
     """``parse(text[start:end])``, a formula or sequent within one line of a
-    file. A ParseError names its place in ``text``: the line, numbered as
-    ``str.splitlines`` numbers them, the column within it and the byte offset."""
+    file. A ParseError names its place in ``text``: the line, the column within
+    it and the byte offset. Lines are numbered as ``str.splitlines`` numbers
+    them (proof text), or, with ``splitlines=False``, as ``_position`` does."""
     span = text[start:end]
     try:
         return parse(span)
     except ParseError as exc:
-        prefix = text[:start] + span.encode("utf-8")[:exc.byte_offset].decode("utf-8")
+        offset = start + len(span.encode("utf-8")[:exc.byte_offset].decode("utf-8"))
+        if not splitlines:
+            raise _error(text, offset, exc.message, exc.expected) from None
+        prefix = text[:offset]
         lines = (prefix + "|").splitlines()  # the error starts the last line
         raise ParseError(len(prefix.encode("utf-8")), len(lines), len(lines[-1]),
                          exc.message, exc.expected) from None

@@ -2,15 +2,18 @@
 
 The pipeline is deliberately thin: split the document into sentences, turn
 every sentence bearing a tracked pronoun form into one utterance, and hand
-the resulting trace to the monitor. A word is a run of letters, and it is a
-form when its ``str.lower()`` is a lexicon entry. One compiled pattern per
-lexicon finds, in each sentence, the words that could be forms, so Python
-looks up only those. The pattern starts with a case-sensitive class of the
-characters that can begin a form, so ``re`` skips to them in C and tries
-its case-insensitive test only there. No coreference resolution is attempted:
-every pronoun in the document is attributed to the single referent, because a
-wrong coreference heuristic would manufacture false accusations of
-misgendering. This limitation is surfaced in the report output.
+the resulting trace to the monitor. It makes one pass, whose steps run in C:
+one split at every sentence end, one running sum of byte lengths and one scan
+per sentence; Python handles only the sentences in which the scan found a
+word. A word is a run of letters, and it is a form when its ``str.lower()``
+is a lexicon entry. One compiled pattern per lexicon finds, in each sentence,
+the words that could be forms, so Python looks up only those. The pattern
+starts with a case-sensitive class of the characters that can begin a form,
+so ``re`` skips to them in C and tries its case-insensitive test only there.
+No coreference resolution is attempted: every pronoun in the document is
+attributed to the single referent, because a wrong coreference heuristic
+would manufacture false accusations of misgendering. This limitation is
+surfaced in the report output.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import functools
 import os
 import re
 import sys
+from itertools import accumulate
 from operator import itemgetter
 
 from . import notation, parsing, temporal
@@ -146,14 +150,17 @@ class ReferentSpec(Node):
 def parse_referent_spec(text: str, base_dir: str | os.PathLike | None = None) -> ReferentSpec:
     """Spec file format: ``referent:`` and ``descriptor:`` lines, optional
     ``lexicon: <path>`` (relative to the spec file). Each key appears at
-    most once, and a line ends at ``#``."""
+    most once, and a line ends at ``#``, as well as at ``\\n``, ``\\r\\n``
+    or a lone ``\\r``."""
     seen: set[str] = set()
     names: frozenset[str] | None = None
     descriptor = None
     lexicon = None
     end = 0
-    for lineno, raw in enumerate(text.splitlines(keepends=True), start=1):
-        start, end = end, end + len(raw)
+    for lineno, raw in enumerate(notation._lines(text), start=1):
+        start = end
+        end = start + len(raw)
+        end += 2 if text.startswith("\r\n", end) else 1  # past the line's end
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -172,7 +179,7 @@ def parse_referent_spec(text: str, base_dir: str | os.PathLike | None = None) ->
             # an error at the end of the formula is placed at the line's end
             at = start + raw.index(value, raw.index(":") + 1)
             descriptor = parsing._parse_span(parsing.parse_temporal, text, at,
-                                             start + len(raw.rstrip()))
+                                             start + len(raw.rstrip()), splitlines=False)
         elif key == "lexicon":
             if not value:
                 raise ConfigError(f"line {lineno}: empty value for 'lexicon'")
@@ -210,10 +217,11 @@ def _scanner(forms: frozenset[str]) -> re.Pattern:
     form. That loses no run: an ASCII character lowers to one ASCII
     character, so a run that lowers to a form and starts with one starts with
     a character that lowers to the form's first. (A class under IGNORECASE
-    would hand ``re`` no such prefix.) After the class, ``(?<=L)(?<!L.)``
-    keeps only the first letter of a run, and a lookahead holds one branch
-    per first character, ``(?<=h)(?:e|er|im|...)``, before the run is
-    consumed.
+    would hand ``re`` no such prefix.) After the class, ``(?<!L.)(?<=L)``
+    keeps only the first letter of a run; most of the class's hits in prose
+    are inside a word, and the first test rejects them at once. A lookahead
+    then holds one branch per first character, ``(?<=h)(?:e|er|im|...)``,
+    before the run is consumed.
 
     It relies on ``str.lower()`` mapping each letter to one letter that
     matches it under ``re.IGNORECASE`` (σ and ς match each other there). The
@@ -235,35 +243,54 @@ def _scanner(forms: frozenset[str]) -> re.Pattern:
     branches = "|".join(f"(?<={re.escape(first)})(?:{'|'.join(rest)})"
                         for first, rest in rests.items())
     return re.compile(
-        f"[^{cannot_start}](?<={_LETTER})(?<!{_LETTER}.)"
+        f"[^{cannot_start}](?<!{_LETTER}.)(?<={_LETTER})"
         f"(?i:(?=(?:{branches})(?!{_LETTER})){_LETTER}*)"
     )
 
 
-# ``\s`` here and ``str.strip`` in ``segment`` accept exactly the characters
-# that ``str.isspace`` does.
-_SENTENCE_END = re.compile(r"[.!?](?=\s|\Z)")
+# ``\s`` here and ``str.strip`` below accept exactly the characters that
+# ``str.isspace`` does.
+_SENTENCE_END = re.compile(r"([.!?])(?=\s|\Z)")
+
+
+def _split(text: str) -> tuple[list[str], list[int]]:
+    """The document cut once at its sentence ends, and the byte offset at
+    which each piece starts, with the document's length in bytes last.
+
+    The pieces alternate, a chunk and its terminator, and end with a chunk
+    that has none. Chunk ``i``, ``pieces[2 * i]``, is sentence ``i`` with the
+    whitespace before it (and, for the last, after it). Every chunk but the
+    last precedes a terminator, so only the last can be blank. The split,
+    the encoding and the running sum all run in C."""
+    pieces = _SENTENCE_END.split(text)
+    return pieces, list(accumulate(map(len, map(str.encode, pieces)), initial=0))
+
+
+def _span(pieces: list[str], offsets: list[int], index: int) -> tuple[int, int]:
+    """The byte span of sentence ``index``: its chunk less the whitespace
+    around it, with its terminator."""
+    chunk = pieces[2 * index]
+    lead = len(chunk) - len(chunk.lstrip())
+    start = offsets[2 * index] + len(chunk[:lead].encode())
+    if 2 * index + 1 < len(pieces):
+        return start, offsets[2 * index + 2]
+    return start, offsets[-1] - len(chunk[len(chunk.rstrip()):].encode())
+
+
+def _sentence_count(text: str) -> int:
+    """``len(segment(text))``, without the spans."""
+    pieces = _SENTENCE_END.split(text)
+    return len(pieces) // 2 + bool(pieces[-1].strip())
 
 
 def segment(text: str) -> list[tuple[str, tuple[int, int]]]:
     """Sentences with byte spans. A sentence ends at '.', '!', or '?' followed
-    by whitespace or end of input; the terminator belongs to the sentence.
-
-    One regex pass finds the sentence ends. Byte offsets are a running count:
-    the gap before each sentence and the sentence itself are encoded once each.
-    """
-    sentences = []
-    start = byte = 0  # where the current chunk begins, in characters and in bytes
-    for end in [m.end() for m in _SENTENCE_END.finditer(text)] + [len(text)]:
-        chunk = text[start:end]
-        sentence = chunk.strip()
-        if sentence:
-            lead = len(chunk) - len(chunk.lstrip())
-            byte += len(chunk[:lead].encode("utf-8"))
-            end_byte = byte + len(sentence.encode("utf-8"))
-            sentences.append((sentence, (byte, end_byte)))
-            byte = end_byte  # every chunk but the last ends at its terminator
-        start = end
+    by whitespace or end of input; the terminator belongs to the sentence."""
+    pieces, offsets = _split(text)
+    sentences = [(chunk.lstrip() + end, _span(pieces, offsets, index))
+                 for index, (chunk, end) in enumerate(zip(pieces[::2], pieces[1::2]))]
+    if last := pieces[-1].strip():
+        sentences.append((last, _span(pieces, offsets, len(sentences))))
     return sentences
 
 
@@ -279,40 +306,41 @@ class Report(Node):
     __slots__ = ("verdict", "diagnostics", "trace")  # a Verdict, a list of Diagnostics, a Trace
 
 
-def _utterances(
-    sentences: list[tuple[str, tuple[int, int]]], spec: ReferentSpec
-) -> list[tuple[Utterance, int]]:
-    """Each sentence with a lexicon form, as an utterance of the union of its
-    forms' atoms, paired with the sentence's index.
+def _utterances(text: str, spec: ReferentSpec) -> list[tuple[Utterance, int]]:
+    """Each sentence of ``text`` with a lexicon form, as an utterance of the
+    union of its forms' atoms, paired with the sentence's index.
 
-    Each sentence is scanned once, in C, by the lexicon's ``_scanner``; only
-    the runs it finds are lowercased and looked up."""
+    The document is split once (``_split``) and each chunk is scanned, in C,
+    by the lexicon's ``_scanner``. Python visits only the chunks where the
+    scan found a run: it looks up those runs, and computes a span only for a
+    chunk with a form. A chunk's index is its sentence's, since a blank chunk
+    holds no run."""
     entries = spec.lexicon.entries
     lookup = entries.get
-    scans = map(_scanner(frozenset(entries)).findall, map(itemgetter(0), sentences))
+    pieces, offsets = _split(text)
+    scans = map(_scanner(frozenset(entries)).findall, pieces[::2])
     result = []
-    for index, tokens in enumerate(scans):
+    for index, tokens in filter(itemgetter(1), enumerate(scans)):
         found = None
         for token in tokens:
             atoms = lookup(token.lower())
             if atoms:
                 found = atoms if found is None else found | atoms
         if found:
-            result.append((Utterance(found, sentences[index][1]), index))
+            result.append((Utterance(found, _span(pieces, offsets, index)), index))
     return result
 
 
 def extract_trace(text: str, spec: ReferentSpec) -> Trace:
     """One utterance per sentence containing at least one tracked pronoun
     form; pronoun-free sentences produce no utterance."""
-    return Trace(tuple(u for u, _ in _utterances(segment(text), spec)))
+    return Trace(tuple(u for u, _ in _utterances(text, spec)))
 
 
 def check_document(text: str, spec: ReferentSpec) -> Report:
     """Monitor the extracted trace against the descriptor; the verdict is
     always forced conclusive at end of document."""
-    sentences = segment(text)
-    pairs = _utterances(sentences, spec)
+    pairs = _utterances(text, spec)
     trace = Trace(tuple(u for u, _ in pairs))
     final = monitor(spec.descriptor, trace.utterances)[-1]
     diagnostics: list[Diagnostic] = []
@@ -333,7 +361,7 @@ def check_document(text: str, spec: ReferentSpec) -> Report:
             diagnostics.append(
                 Diagnostic(
                     (doc_end, doc_end),
-                    len(sentences),
+                    _sentence_count(text),
                     frozenset(),
                     "descriptor violated at end of document "
                     "(an outstanding obligation was never met)",

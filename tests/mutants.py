@@ -53,6 +53,8 @@ MONITORING = "pdlogic/monitoring.py"
 FREELOGIC = "pdlogic/freelogic.py"
 NOTATION = "pdlogic/notation.py"
 RENDER = "tests/test_formulas.py::TestRender::"
+TEXTCHECK = "pdlogic/textcheck.py"
+ORACLE = "tests/test_textcheck.py::TestSegmentAgainstOracle::"
 
 # (name, file under src/, old text, new text, test selection)
 MUTANTS = (
@@ -205,6 +207,34 @@ MUTANTS = (
      '}, "free-logic formula", None)\n',
      '}, "free-logic formula", None)\n_FORMULAS[3][Var] = lambda t: t.name\n',
      [RENDER + "test_non_formula_is_a_type_error"]),
+    ("the scanner finds a form that ends a word", TEXTCHECK,
+     "(?<!{_LETTER}.)(?<={_LETTER})", "(?<={_LETTER})",
+     [ORACLE + "test_matches_direct_segmentation"]),
+    ("the scanner finds a form that starts with no letter", TEXTCHECK,
+     "(?<!{_LETTER}.)(?<={_LETTER})", "(?<!{_LETTER}.)",
+     [ORACLE + "test_hostile_lexicon_matches_direct_extraction"]),
+    ("the scanner's leading class holds only the forms' own first characters", TEXTCHECK,
+     "if c.lower() not in rests", "if c not in rests",
+     ["tests/test_textcheck.py::TestExtractTrace::test_case_insensitive"]),
+    ("the scanner's leading class holds no character outside ASCII", TEXTCHECK,
+     'f"[^{cannot_start}]', 'f"[^{cannot_start}\\x80-\\U0010ffff]',
+     [ORACLE + "test_every_first_letter_of_a_form_is_found"]),
+    ("the dot after a form's i is not optional", TEXTCHECK,
+     '.replace("i\\u0307", "i\\u0307?")', "",
+     [ORACLE + "test_every_first_letter_of_a_form_is_found"]),
+    ("a span counts the whitespace before a sentence in characters", TEXTCHECK,
+     "offsets[2 * index] + len(chunk[:lead].encode())", "offsets[2 * index] + lead",
+     [ORACLE + "test_matches_direct_segmentation"]),
+    ("the last sentence's span keeps the whitespace after it", TEXTCHECK,
+     "return start, offsets[-1] - len(chunk[len(chunk.rstrip()):].encode())",
+     "return start, offsets[-1]",
+     [ORACLE + "test_matches_direct_segmentation"]),
+    ("a sentence's atoms are its last form's", TEXTCHECK,
+     "found = atoms if found is None else found | atoms", "found = atoms",
+     [ORACLE + "test_matches_direct_segmentation"]),
+    ("a blank last chunk counts as a sentence", TEXTCHECK,
+     "return len(pieces) // 2 + bool(pieces[-1].strip())", "return (len(pieces) + 1) // 2",
+     [ORACLE + "test_end_of_document_names_the_sentence_count"]),
     ("a pronoun atom keeps its case", "pdlogic/atoms.py",
      '        object.__setattr__(self, "subject", self.subject.lower())\n', "",
      ["tests/test_formulas.py::TestPronounAtom::test_canonical_key_is_lowercase"]),

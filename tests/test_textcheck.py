@@ -109,11 +109,17 @@ class TestSegmentAgainstOracle:
     @example(". she.!? her?" + "".join(SPACES) + "!")
     @example("\x1c\x1dShe.\x1e\x1fThey!\x85He?\xa0It.\u2028Ze\u3000.")
     @example("İt. ſhe. \u212aHE. ΟΣ'Σ her. Café her. 日本 they")
+    # forms after whitespace of more bytes than characters, two in a sentence
+    @example("Hi.\u3000She saw it. \x85Her? \xa0they. \u3000\x85\xa0he")
+    # an unterminated last sentence with whitespace after it
+    @example("She left. her \u3000\x85\n")
+    # a document that ends right at a terminator
+    @example("She left. Her book.")
+    @example("She left.\r\nHer book.\r\n\r\nthey\r\n")
     def test_matches_direct_segmentation(self, text):
         spec = spec_for("[] she/her")
-        sentences = segment(text)
-        assert sentences == direct_segment(text)
-        assert (textcheck._utterances(sentences, spec)
+        assert segment(text) == direct_segment(text)
+        assert (textcheck._utterances(text, spec)
                 == direct_utterances(direct_segment(text), spec))
 
     @settings(derandomize=True, max_examples=1500, deadline=None, database=None)
@@ -124,9 +130,19 @@ class TestSegmentAgainstOracle:
         # i̇t), a letter that matches a non-letter under IGNORECASE (ι and
         # U+0345), and forms that begin or end others (o, er, t): the scan
         # must give the same utterances as a lookup of every word.
-        sentences = segment(text)
-        assert (textcheck._utterances(sentences, HOSTILE_SPEC)
-                == direct_utterances(sentences, HOSTILE_SPEC))
+        assert (textcheck._utterances(text, HOSTILE_SPEC)
+                == direct_utterances(direct_segment(text), HOSTILE_SPEC))
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(hostile_text)
+    @example("She left. It rained. \n")
+    @example("She left. It rained.")
+    @example("She left. It rained")
+    def test_end_of_document_names_the_sentence_count(self, text):
+        # no piece holds a form of hy/hym, so every document is violated at its end
+        (diag,) = check_document(text, spec_for("<> hy/hym")).diagnostics
+        assert "end of document" in diag.message
+        assert diag.sentence_index == len(direct_segment(text))
 
     def test_each_letter_lowers_to_one_letter_that_matches_it(self):
         # The scan finds a form where str.lower() of a run equals it, by
@@ -264,14 +280,20 @@ class TestCheckDocument:
         ("She left. It rained.", "<> they/them"),  # violated at end of document
         ("She left. He agreed.", "[] she/her"),  # violated at a sentence
     ])
-    def test_segments_once(self, monkeypatch, text, descriptor):
+    def test_scans_the_whole_text_once_without_segmenting(self, monkeypatch, text,
+                                                           descriptor):
         calls = []
+        utterances = textcheck._utterances
 
-        def counting_segment(text):
+        def counting_utterances(text, spec):
             calls.append(text)
-            return segment(text)
+            return utterances(text, spec)
 
-        monkeypatch.setattr(textcheck, "segment", counting_segment)
+        def no_segment(text):
+            raise AssertionError("check_document called segment")
+
+        monkeypatch.setattr(textcheck, "_utterances", counting_utterances)
+        monkeypatch.setattr(textcheck, "segment", no_segment)
         check_document(text, spec_for(descriptor))
         assert calls == [text]
 
@@ -442,6 +464,8 @@ class TestReferentSpec:
         # a comment after the formula: the error is at the end of the line,
         # as the parser reads the comment itself
         ("referent: Mara\ndescriptor: [] (she/her /\\  # a note\n", 2, 37),
+        # \x85 is whitespace, not a line end
+        ("referent: Mara\x85\ndescriptor: [] she/\n", 2, 16),
     ])
     def test_bad_descriptor_names_its_place_in_the_spec(self, text, line, column):
         with pytest.raises(ParseError) as raised:
@@ -451,6 +475,13 @@ class TestReferentSpec:
         start = sum(len(t) + 1 for t in text.split("\n")[:line - 1]) + column - 1
         assert err.byte_offset == len(text[:start].encode("utf-8"))
         assert str(err).startswith(f"line {line}, column {column}: expected formula")
+
+    def test_only_a_line_end_ends_a_line(self):
+        # a form feed is whitespace inside the referent line, not a line end
+        with pytest.raises(ConfigError, match="^spec file has no 'descriptor:' line$"):
+            parse_referent_spec("referent: Mara\fdescriptor: [] she/her\n")
+        spec = parse_referent_spec("referent: Mara\fM\x85\rdescriptor: [] she/her\u2028\n")
+        assert spec.referent_names == {"Mara", "M"}
 
 
 class TestReportRendering:
