@@ -280,8 +280,9 @@ class TestCheckDocument:
         ("She left. It rained.", "<> they/them"),  # violated at end of document
         ("She left. He agreed.", "[] she/her"),  # violated at a sentence
     ])
-    def test_scans_the_whole_text_once_without_segmenting(self, monkeypatch, text,
-                                                           descriptor):
+    def test_segments_once(self, monkeypatch, text, descriptor):
+        # the one split of the document is _utterances' own: it is called
+        # once, with the whole text, and segment is never called
         calls = []
         utterances = textcheck._utterances
 
