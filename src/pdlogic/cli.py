@@ -3,9 +3,11 @@
 Exit status contract: 0 = positive result (parsed / provable / satisfied /
 true / denoting), 1 = negative result (not derivable / violated / false /
 non-denoting), 2 = usage, input, parse or configuration error, 3 = resource
-limit. Each subcommand runs straight through and raises on failure; ``main``
-holds the one table from exception to exit status, and every failure it
-catches ends in a single ``error:`` line on stderr with nothing on stdout.
+limit, 4 = a bug. Each subcommand runs straight through and raises on
+failure; ``main`` holds the one table from exception to exit status, and
+every failure it expects ends in a single ``error:`` line on stderr with
+nothing on stdout. Any other exception is a bug: its traceback goes to
+stderr.
 
 ``main`` may be called many times in one process. The argument parser is
 built on the first call and reused; each call parses its own argv into a new
@@ -34,9 +36,10 @@ EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 EXIT_RESOURCE = 3
+EXIT_BUG = 4
 
 # Failures that exit 2 because the input is at fault. Any other exception is
-# a bug below main and is not caught.
+# a bug below main: main prints its traceback and exits 4.
 INPUT_ERRORS = (InputError, parsing.ParseError, TraceFormatError, prover.ProofTextError,
                 textcheck.ConfigError, textcheck.LexiconError, freelogic.FreeLogicError)
 
@@ -327,6 +330,11 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_RESOURCE)
     except RecursionError:  # no input nested 100 deep or less is known to get here
         return _fail("input too deep (recursion limit reached)", EXIT_RESOURCE)
+    except Exception:  # a bug, which must not exit 1 and read as a negative result
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_BUG
 
 
 if __name__ == "__main__":

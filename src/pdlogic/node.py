@@ -5,7 +5,9 @@ A value class lists its fields, in order, as its ``__slots__``. When the class
 is created, ``Node`` builds from that list its ``__match_args__``,
 ``__init__``, ``__eq__`` and ``__hash__``, so that a value takes its fields by
 position or by name, two values are equal when they are of one class and
-their fields are equal, and a value hashes as the tuple of its fields. The
+their fields are equal, and a value hashes as the tuple of its fields. A class
+that defines its own ``__eq__`` or ``__hash__`` keeps it, as a record whose
+values nest deeper than Python's recursion limit must. The
 class keyword ``defaults``, a dict from field name to value, gives defaults
 to the last fields, in order, as the defaults of ``__init__``; every instance
 shares a default, so it must be immutable. A value has no ``__dict__``, so
@@ -54,8 +56,10 @@ class Node:
         exec(_compiled(source), namespace)
         namespace["__init__"].__defaults__ = tuple(defaults.values())
         cls.__match_args__ = fields
-        for name in ("__init__", "__eq__", "__hash__"):
-            setattr(cls, name, namespace[name])
+        cls.__init__ = namespace["__init__"]
+        for name in ("__eq__", "__hash__"):
+            if name not in cls.__dict__:  # a class's own comparison is kept
+                setattr(cls, name, namespace[name])
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)

@@ -64,6 +64,18 @@ def wrap(node, syntax: tuple, min_prec: int, memo: dict | None = None) -> str:
 
 
 def _lines(text: str) -> list[str]:
-    """The lines of a trace, model, lexicon or spec file. A line ends at ``\\n``,
-    ``\\r\\n`` or a lone ``\\r``, not at the other ends of ``str.splitlines``."""
+    """The lines of a trace, model, lexicon or spec file or of proof text. A
+    line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``, not at the other ends
+    of ``str.splitlines``."""
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _line_starts(text: str):
+    """Each line of ``_lines(text)`` with the offset in ``text`` at which it
+    starts: the next starts past its line end, of 2 characters for ``\\r\\n``
+    and 1 for the others."""
+    start = 0
+    for line in _lines(text):
+        yield line, start
+        start += len(line)
+        start += 2 if text.startswith("\r\n", start) else 1

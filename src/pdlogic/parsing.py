@@ -102,14 +102,18 @@ _TOKEN = re.compile(r"\s*(?:" + "|".join([
 ]) + ")")
 
 
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    """The line and column of character ``offset``, counted in ``text`` itself,
+    which is not copied. A line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``,
+    as a file read in text mode has it."""
+    line = (text.count("\n", 0, offset) + text.count("\r", 0, offset)
+            - text.count("\r\n", 0, offset) + 1)
+    return line, offset - max(text.rfind("\n", 0, offset), text.rfind("\r", 0, offset))
+
+
 def _position(text: str, offset: int) -> tuple[int, int, int]:
-    """The byte offset, line and column of character ``offset``. A line ends at
-    ``\\n``, ``\\r\\n`` or a lone ``\\r``, as a file read in text mode has it."""
-    prefix = text[:offset]
-    byte_offset = len(prefix.encode("utf-8"))
-    line = prefix.count("\n") + prefix.count("\r") - prefix.count("\r\n") + 1
-    column = offset - max(prefix.rfind("\n"), prefix.rfind("\r"))
-    return byte_offset, line, column
+    """The byte offset, line and column of character ``offset``."""
+    return (len(text[:offset].encode("utf-8")), *_line_column(text, offset))
 
 
 def _error(text: str, offset: int, message: str, expected=()) -> ParseError:
@@ -175,22 +179,16 @@ def _whole(text: str, parse, *args):
     return result
 
 
-def _parse_span(parse, text: str, start: int, end: int, splitlines: bool = True):
+def _parse_span(parse, text: str, start: int, end: int):
     """``parse(text[start:end])``, a formula or sequent within one line of a
     file. A ParseError names its place in ``text``: the line, the column within
-    it and the byte offset. Lines are numbered as ``str.splitlines`` numbers
-    them (proof text), or, with ``splitlines=False``, as ``_position`` does."""
+    it and the byte offset, as ``_position`` counts them."""
     span = text[start:end]
     try:
         return parse(span)
     except ParseError as exc:
         offset = start + len(span.encode("utf-8")[:exc.byte_offset].decode("utf-8"))
-        if not splitlines:
-            raise _error(text, offset, exc.message, exc.expected) from None
-        prefix = text[:offset]
-        lines = (prefix + "|").splitlines()  # the error starts the last line
-        raise ParseError(len(prefix.encode("utf-8")), len(lines), len(lines[-1]),
-                         exc.message, exc.expected) from None
+        raise _error(text, offset, exc.message, exc.expected) from None
 
 
 def _operators(infix: dict) -> dict[str, tuple[type, int]]:

@@ -46,6 +46,7 @@ from .linear import (
     Atom, Lolli, LinearFormula, Plus, Sequent, Tensor, With, children, render_sequent,
 )
 from .node import Node
+from .notation import _line_starts
 
 DEFAULT_BUDGET = 10**6
 
@@ -58,7 +59,54 @@ class ResourceLimit(Exception):
 
 
 class ProofTree(Node, defaults={"premises": ()}):
+    """A proof, equal and hashing as ``Node`` makes a record: by its fields,
+    premises included. Both walk the premises on an explicit stack, so that
+    a proof of any depth compares and hashes."""
+
     __slots__ = ("rule", "conclusion", "premises")  # a str, a Sequent, a tuple of ProofTrees
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            mine, theirs = pairs.pop()
+            if mine is theirs:
+                continue
+            if (mine.__class__ is not theirs.__class__ or mine.rule != theirs.rule
+                    or mine.conclusion != theirs.conclusion
+                    or len(mine.premises) != len(theirs.premises)):
+                return False
+            pairs.extend(zip(mine.premises, theirs.premises))
+        return True
+
+    def __hash__(self):
+        # hash((rule, conclusion, premises)), each node's after its premises'
+        hashes: dict[int, int] = {}
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            pending = [p for p in node.premises if id(p) not in hashes]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            premises = tuple(_Hashed(hashes[id(p)]) for p in node.premises)
+            hashes[id(node)] = hash((node.rule, node.conclusion, _Hashed(hash(premises))))
+        return hashes[id(self)]
+
+
+class _Hashed:
+    """A value whose hash is known: in a tuple, it hashes as the value it
+    stands for would, so the tuple hashes alike."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
 
 
 class CheckResult(Node, defaults={"path": (), "reason": ""}):
@@ -458,7 +506,8 @@ def proof_to_text(proof: ProofTree) -> str:
 
 def proof_from_text(text: str) -> ProofTree:
     """Inverse of proof_to_text; raises ProofTextError on malformed trees, and a
-    ParseError at its line and column in ``text`` on a malformed sequent.
+    ParseError at its line and column in ``text`` on a malformed sequent. A
+    line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r`` (``notation._lines``).
 
     Two kinds of formula text are shared within one call. Each distinct
     text is parsed once, and equal texts give one formula object. Each right
@@ -471,9 +520,7 @@ def proof_from_text(text: str) -> ProofTree:
 
     entries = []
     memo = _FormulaMemo()
-    end = 0
-    for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
-        start, end = end, end + len(line)
+    for lineno, (line, start) in enumerate(_line_starts(text), start=1):
         body = line.strip()
         if not body:
             continue

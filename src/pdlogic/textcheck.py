@@ -5,7 +5,11 @@ every sentence bearing a tracked pronoun form into one utterance, and hand
 the resulting trace to the monitor. It makes one pass, whose steps run in C:
 one split at every sentence end, one running sum of byte lengths and one scan
 per sentence; Python handles only the sentences in which the scan found a
-word. A word is a run of letters, and it is a form when its ``str.lower()``
+word. That pass, and every other pass over the whole document (its length in
+bytes, its sentence count, a line and column in it), takes the document in
+blocks of about ``_BLOCK`` characters that end at sentence ends, so that its
+working memory grows with the utterances found and one block, not with the
+document. A word is a run of letters, and it is a form when its ``str.lower()``
 is a lexicon entry. One compiled pattern per lexicon finds, in each sentence,
 the words that could be forms, so Python looks up only those. The pattern
 starts with a case-sensitive class of the characters that can begin a form,
@@ -156,11 +160,7 @@ def parse_referent_spec(text: str, base_dir: str | os.PathLike | None = None) ->
     names: frozenset[str] | None = None
     descriptor = None
     lexicon = None
-    end = 0
-    for lineno, raw in enumerate(notation._lines(text), start=1):
-        start = end
-        end = start + len(raw)
-        end += 2 if text.startswith("\r\n", end) else 1  # past the line's end
+    for lineno, (raw, start) in enumerate(notation._line_starts(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -179,7 +179,7 @@ def parse_referent_spec(text: str, base_dir: str | os.PathLike | None = None) ->
             # an error at the end of the formula is placed at the line's end
             at = start + raw.index(value, raw.index(":") + 1)
             descriptor = parsing._parse_span(parsing.parse_temporal, text, at,
-                                             start + len(raw.rstrip()), splitlines=False)
+                                             start + len(raw.rstrip()))
         elif key == "lexicon":
             if not value:
                 raise ConfigError(f"line {lineno}: empty value for 'lexicon'")
@@ -252,18 +252,44 @@ def _scanner(forms: frozenset[str]) -> re.Pattern:
 # ``str.isspace`` does.
 _SENTENCE_END = re.compile(r"([.!?])(?=\s|\Z)")
 
+# The characters a pass over the document takes at a time, up to the next
+# sentence end: no pass holds more than one block's pieces, bytes or prefix.
+_BLOCK = 1 << 16
 
-def _split(text: str) -> tuple[list[str], list[int]]:
-    """The document cut once at its sentence ends, and the byte offset at
-    which each piece starts, with the document's length in bytes last.
+
+def _blocks(text: str):
+    """``text`` in blocks of about ``_BLOCK`` characters. Each block but the
+    last ends just past a sentence end, so no sentence straddles two, and each
+    block's sentence ends are the document's. A document of one block is
+    yielded as it is, not copied; a sentence longer than a block is held
+    whole."""
+    at = 0
+    while True:
+        end = _SENTENCE_END.search(text, at + _BLOCK)
+        cut = end.end() if end else len(text)
+        yield text[at:cut]
+        if cut == len(text):
+            return
+        at = cut
+
+
+def _utf8_length(text: str) -> int:
+    """``len(text.encode())``, one block at a time."""
+    return sum(len(block.encode()) for block in _blocks(text))
+
+
+def _split(text: str, base: int = 0) -> tuple[list[str], list[int]]:
+    """The text cut once at its sentence ends, and the byte offset at which
+    each piece starts, counted from ``base``, with the text's end last.
 
     The pieces alternate, a chunk and its terminator, and end with a chunk
     that has none. Chunk ``i``, ``pieces[2 * i]``, is sentence ``i`` with the
     whitespace before it (and, for the last, after it). Every chunk but the
-    last precedes a terminator, so only the last can be blank. The split,
-    the encoding and the running sum all run in C."""
+    last precedes a terminator, so only the last can be blank; in a block
+    that ends at a sentence end it is empty. The split, the encoding and the
+    running sum all run in C."""
     pieces = _SENTENCE_END.split(text)
-    return pieces, list(accumulate(map(len, map(str.encode, pieces)), initial=0))
+    return pieces, list(accumulate(map(len, map(str.encode, pieces)), initial=base))
 
 
 def _span(pieces: list[str], offsets: list[int], index: int) -> tuple[int, int]:
@@ -278,9 +304,14 @@ def _span(pieces: list[str], offsets: list[int], index: int) -> tuple[int, int]:
 
 
 def _sentence_count(text: str) -> int:
-    """``len(segment(text))``, without the spans."""
-    pieces = _SENTENCE_END.split(text)
-    return len(pieces) // 2 + bool(pieces[-1].strip())
+    """``len(segment(text))``, without the spans, one block at a time. A
+    block's sentences are its terminators, and the last block's last chunk
+    if it is not blank."""
+    count = 0
+    for block in _blocks(text):
+        pieces = _SENTENCE_END.split(block)
+        count += len(pieces) // 2
+    return count + bool(pieces[-1].strip())
 
 
 def segment(text: str) -> list[tuple[str, tuple[int, int]]]:
@@ -310,24 +341,31 @@ def _utterances(text: str, spec: ReferentSpec) -> list[tuple[Utterance, int]]:
     """Each sentence of ``text`` with a lexicon form, as an utterance of the
     union of its forms' atoms, paired with the sentence's index.
 
-    The document is split once (``_split``) and each chunk is scanned, in C,
-    by the lexicon's ``_scanner``. Python visits only the chunks where the
-    scan found a run: it looks up those runs, and computes a span only for a
-    chunk with a form. A chunk's index is its sentence's, since a blank chunk
-    holds no run."""
+    The document is taken one block at a time (``_blocks``). Each block is
+    split once (``_split``) and each of its chunks is scanned, in C, by the
+    lexicon's ``_scanner``. Python visits only the chunks where the scan
+    found a run: it looks up those runs, and computes a span only for a chunk
+    with a form. A chunk's index in its block is its sentence's, less the
+    sentences of the blocks before, since a blank chunk holds no run and a
+    block but the last ends with an empty one. Each block carries its first
+    sentence's index and its byte offset to the next."""
     entries = spec.lexicon.entries
     lookup = entries.get
-    pieces, offsets = _split(text)
-    scans = map(_scanner(frozenset(entries)).findall, pieces[::2])
+    findall = _scanner(frozenset(entries)).findall
     result = []
-    for index, tokens in filter(itemgetter(1), enumerate(scans)):
-        found = None
-        for token in tokens:
-            atoms = lookup(token.lower())
-            if atoms:
-                found = atoms if found is None else found | atoms
-        if found:
-            result.append((Utterance(found, _span(pieces, offsets, index)), index))
+    first = base = 0  # the block's first sentence index and byte offset
+    for block in _blocks(text):
+        pieces, offsets = _split(block, base)
+        for index, tokens in filter(itemgetter(1), enumerate(map(findall, pieces[::2]))):
+            found = None
+            for token in tokens:
+                atoms = lookup(token.lower())
+                if atoms:
+                    found = atoms if found is None else found | atoms
+            if found:
+                result.append((Utterance(found, _span(pieces, offsets, index)), first + index))
+        first += len(pieces) // 2
+        base = offsets[-1]
     return result
 
 
@@ -357,7 +395,7 @@ def check_document(text: str, spec: ReferentSpec) -> Report:
                 )
             )
         else:
-            doc_end = len(text.encode("utf-8"))
+            doc_end = _utf8_length(text)
             diagnostics.append(
                 Diagnostic(
                     (doc_end, doc_end),
@@ -374,9 +412,19 @@ def check_document(text: str, spec: ReferentSpec) -> Report:
 
 
 def _line_column(text: str, byte_offset: int) -> tuple[int, int]:
-    data = text.encode("utf-8")[:byte_offset].decode("utf-8", errors="replace")
-    _, line, column = parsing._position(data, len(data))
-    return line, column
+    """The line and column of the character at ``byte_offset``. The byte
+    offset is turned into a character offset one block at a time, and
+    ``parsing._line_column`` counts the lines before it in ``text`` itself,
+    so no prefix of the document is copied."""
+    offset = 0  # the characters before byte_offset
+    for block in _blocks(text):
+        data = block.encode()
+        if byte_offset <= len(data):
+            offset += len(data[:byte_offset].decode("utf-8", errors="replace"))
+            break
+        byte_offset -= len(data)
+        offset += len(block)
+    return parsing._line_column(text, offset)
 
 
 def render_report(report: Report, text: str) -> str:
@@ -402,6 +450,5 @@ def render_report_machine(report: Report, text: str) -> str:
             f"{diag.byte_span[0]}\t{diag.byte_span[1]}\t{report.verdict.status}\t{atoms_text}"
         )
     if not lines:
-        doc_end = len(text.encode("utf-8"))
-        lines.append(f"0\t{doc_end}\t{report.verdict.status}\t-")
+        lines.append(f"0\t{_utf8_length(text)}\t{report.verdict.status}\t-")
     return "\n".join(lines) + "\n"

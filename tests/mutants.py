@@ -55,6 +55,7 @@ NOTATION = "pdlogic/notation.py"
 RENDER = "tests/test_formulas.py::TestRender::"
 TEXTCHECK = "pdlogic/textcheck.py"
 ORACLE = "tests/test_textcheck.py::TestSegmentAgainstOracle::"
+BLOCKWISE = "tests/test_textcheck.py::TestBlockwise::test_every_pass_matches_the_whole_text"
 
 # (name, file under src/, old text, new text, test selection)
 MUTANTS = (
@@ -148,7 +149,7 @@ MUTANTS = (
      '            value = _ALIASES[value]\n            kind = "sym"\n',
      [LEXING + "test_agrees_with_eager_lexing"]),
     ("'\\r\\n' ends two lines", PARSING,
-     '- prefix.count("\\r\\n") + 1', "+ 1",
+     '- text.count("\\r\\n", 0, offset) + 1', "+ 1",
      [LEXING + "test_every_line_end_starts_a_line"]),
     ("proof text may put a line two levels below the one before", PROVER,
      "        if level > previous + 1:\n", "        if level > previous + 2:\n",
@@ -233,8 +234,34 @@ MUTANTS = (
      "found = atoms if found is None else found | atoms", "found = atoms",
      [ORACLE + "test_matches_direct_segmentation"]),
     ("a blank last chunk counts as a sentence", TEXTCHECK,
-     "return len(pieces) // 2 + bool(pieces[-1].strip())", "return (len(pieces) + 1) // 2",
+     "return count + bool(pieces[-1].strip())", "return count + 1",
      [ORACLE + "test_end_of_document_names_the_sentence_count"]),
+    ("a block is cut before its last sentence's terminator", TEXTCHECK,
+     "cut = end.end() if end else len(text)", "cut = end.start() if end else len(text)",
+     [BLOCKWISE]),
+    ("a sentence's index is not carried across blocks", TEXTCHECK,
+     "first + index))", "index))", [BLOCKWISE]),
+    ("a sentence's byte offset is not carried across blocks", TEXTCHECK,
+     "pieces, offsets = _split(block, base)", "pieces, offsets = _split(block)", [BLOCKWISE]),
+    ("the UTF-8 length drops the last block", TEXTCHECK,
+     "return sum(len(block.encode()) for block in _blocks(text))",
+     "return sum(list(map(len, map(str.encode, _blocks(text))))[:-1])", [BLOCKWISE]),
+    ("a line and column count a block's characters one short", TEXTCHECK,
+     "        offset += len(block)\n", "        offset += len(block) - 1\n", [BLOCKWISE]),
+    ("proof text ends lines wherever str.splitlines does", PROVER,
+     "enumerate(_line_starts(text), start=1)",
+     "enumerate(zip(text.splitlines(), __import__('itertools').accumulate(\n"
+     "            map(len, text.splitlines(keepends=True)), initial=0)), start=1)",
+     [SERIAL + "test_only_a_line_end_ends_a_line"]),
+    ("proof trees that differ in a premise are equal", PROVER,
+     "            pairs.extend(zip(mine.premises, theirs.premises))\n", "",
+     [CHECK + "test_equal_proofs_deeper_than_the_recursion_limit_compare_and_hash_alike"]),
+    ("a class's own __eq__ and __hash__ are replaced", "pdlogic/node.py",
+     "            if name not in cls.__dict__:", "            if True:",
+     [CHECK + "test_equal_proofs_deeper_than_the_recursion_limit_compare_and_hash_alike"]),
+    ("a bug below main escapes it", "pdlogic/cli.py",
+     "    except Exception:  # a bug", "    except ():  # a bug",
+     ["tests/test_cli.py::TestHostileInput::test_a_value_error_below_main_is_not_bad_input"]),
     ("a pronoun atom keeps its case", "pdlogic/atoms.py",
      '        object.__setattr__(self, "subject", self.subject.lower())\n', "",
      ["tests/test_formulas.py::TestPronounAtom::test_canonical_key_is_lowercase"]),

@@ -34,6 +34,7 @@ from pdlogic.freelogic import (NON_DENOTING, And, Epsilon, Eq, Exists, FreeFormu
                                Forall, Implies, Iota, Model, Not, Or, Pred,
                                UnboundVariableError, UnknownPredicateError, Var)
 from pdlogic.monitoring import Trace, Utterance
+from pdlogic.notation import _lines
 from pdlogic.parsing import _ALIASES, _KEYWORDS, _TOKEN, _error, _parse_span, parse_sequent
 from pdlogic.prover import DEFAULT_BUDGET, RULES, ProofTree, ResourceLimit
 
@@ -367,8 +368,9 @@ def eager_lex(text: str) -> list[_Token]:
 def per_line_proof_from_text(text: str) -> ProofTree:
     entries = []
     end = 0
-    for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
-        start, end = end, end + len(line)
+    for lineno, line in enumerate(_lines(text), start=1):
+        start = end
+        end += len(line) + (2 if text.startswith("\r\n", end + len(line)) else 1)
         body = line.strip()
         if not body:
             continue

@@ -520,15 +520,18 @@ class TestHostileInput:
         code, out, err = run(capsys, "monitor", files["spec"], files["trace"], "--mode", "batch")
         assert (code, out, err) == (3, "", "error: input too deep (recursion limit reached)\n")
 
-    def test_a_value_error_below_main_is_not_bad_input(self, files, monkeypatch):
+    def test_a_value_error_below_main_is_not_bad_input(self, capsys, files, monkeypatch):
         # Only the package's own input errors exit 2. A ValueError from a bug
-        # below main propagates, so that no test mistakes it for bad input.
+        # below main exits 4 with its traceback, so that no caller mistakes it
+        # for bad input or for a negative result.
         def buggy(*args):
             raise ValueError("a bug, not the input")
 
         monkeypatch.setattr(cli, "evaluate", buggy)
-        with pytest.raises(ValueError, match="^a bug, not the input$"):
-            main(["monitor", files["spec"], files["trace"]])
+        code, out, err = run(capsys, "monitor", files["spec"], files["trace"])
+        assert (code, out) == (4, "")
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("ValueError: a bug, not the input\n")
 
     @pytest.mark.parametrize("bad", ["she", "she/h3r"])
     def test_bad_lexicon_atom_exits_2(self, capsys, tmp_path, bad):

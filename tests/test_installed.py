@@ -351,14 +351,13 @@ runpy.run_module("pdlogic.cli", run_name="__main__")
 """
 
 
-def test_a_bug_exits_1_with_a_traceback():
-    # A bug below main is no input error, so it escapes main, and Python
-    # prints its traceback and exits 1. That status is also the negative
-    # result's: only stderr tells a bug from "not derivable" (ROADMAP item 12).
+def test_a_bug_exits_4_with_a_traceback():
+    # A bug below main is no input error. main prints its traceback and exits
+    # 4, a status of its own, so that it cannot read as "not derivable".
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", BUGGY_RUN], capture_output=True,
                             env={**os.environ, "PYTHONPATH": path}, timeout=60)
     stderr = result.stderr.decode("utf-8")
-    assert (result.returncode, result.stdout) == (cli.EXIT_NEGATIVE, b"")
+    assert (result.returncode, result.stdout) == (4, b"")
     assert stderr.startswith("Traceback (most recent call last):\n")
     assert stderr.endswith("ValueError: a bug, not the input\n")

@@ -435,6 +435,16 @@ class TestCheckProof:
         assert check_proof(self.lolli_chain_proof(n, "Cut")) == CheckResult(
             False, (0,) * n, "unknown rule 'Cut'")
 
+    def test_equal_proofs_deeper_than_the_recursion_limit_compare_and_hash_alike(self):
+        n = 1100
+        assert n > sys.getrecursionlimit()
+        proof, twin = self.lolli_chain_proof(n, "Id"), self.lolli_chain_proof(n, "Id")
+        assert proof is not twin
+        assert proof == twin and not proof != twin
+        assert hash(proof) == hash(twin)
+        # they differ only in the rule of the deepest node
+        assert proof != self.lolli_chain_proof(n, "Cut")
+
     def test_a_proof_deeper_than_the_recursion_limit_reads_back_from_its_text(self):
         proof = self.lolli_chain_proof(sys.getrecursionlimit() + 100, "Id")
         back = proof_from_text(proof_to_text(proof))
@@ -612,6 +622,8 @@ class TestSerialization:
          "  TensorR | c/d, e/f |- c/d * e/f\n"
          "    Id | c/d |- c/d\n"
          "    Id |  \tc/d , |- c/d\n", 6, 18),
+        # \x85 is whitespace, not a line end
+        (BAD_THIRD_LINE.replace("\n", "\x85\n", 1), 3, 20),
     ])
     def test_bad_sequent_names_its_place_in_the_proof(self, text, line, column):
         with pytest.raises(ParseError) as raised:
@@ -638,6 +650,16 @@ class TestSerialization:
         with pytest.raises(ProofTextError) as raised:
             proof_from_text(text)
         assert str(raised.value) == message
+
+    def test_only_a_line_end_ends_a_line(self):
+        # a form feed is whitespace within its line, so three "lines" joined
+        # by form feeds are one, whose sequent has trailing input
+        text = "TensorR | a/b, c/d |- a/b * c/d\f  Id | a/b |- a/b\f  Id | c/d |- c/d\n"
+        with pytest.raises(ParseError, match="^line 1, column 35: unexpected trailing input"):
+            proof_from_text(text)
+        back = proof_from_text(text.replace("\f", "\r"))
+        assert back == proof_from_text(text.replace("\f", "\r\n"))
+        assert [p.rule for p in back.premises] == ["Id", "Id"]
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):

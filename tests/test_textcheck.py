@@ -196,14 +196,67 @@ class TestSegmentAgainstOracle:
         assert all(ch.strip() == ch for ch in every if not ch.isspace())
 
 
-def generated_document(size: int) -> str:
-    """About ``size`` bytes of prose, half the sentences with a pronoun."""
+def whole_text_line_column(text, byte_offset):
+    """The line and column at ``byte_offset``, from the decoded prefix of the
+    whole encoded text: the computation before the passes went blockwise."""
+    prefix = text.encode("utf-8")[:byte_offset].decode("utf-8", errors="replace")
+    line = prefix.count("\n") + prefix.count("\r") - prefix.count("\r\n") + 1
+    return line, len(prefix) - max(prefix.rfind("\n"), prefix.rfind("\r"))
+
+
+class TestBlockwise:
+    """Each whole-document pass, with blocks of 1 to 9 characters, against
+    the oracle's segmentation and the whole-text computations. A block then
+    ends just past nearly every sentence end, and a sentence longer than the
+    block is held whole."""
+
+    @staticmethod
+    def check(text, spec, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(textcheck, "_BLOCK", block)
+            sentences = direct_segment(text)
+            assert textcheck._utterances(text, spec) == direct_utterances(sentences, spec)
+            assert textcheck._utf8_length(text) == len(text.encode())
+            # no piece holds a form of hy/hym, so every document is violated at its end
+            (diag,) = check_document(text, spec_for("<> hy/hym")).diagnostics
+            assert diag.message.startswith("descriptor violated at end of document")
+            assert diag.sentence_index == len(sentences)
+            assert diag.byte_span == (len(text.encode()),) * 2
+            for offset in range(len(text) + 1):
+                byte_offset = len(text[:offset].encode())
+                assert (textcheck._line_column(text, byte_offset)
+                        == whole_text_line_column(text, byte_offset)), offset
+
+    @settings(derandomize=True, max_examples=1500, deadline=None, database=None)
+    @given(hostile_text, st.integers(1, 9))
+    @example("She left. Her book.", 1)
+    @example("She left.\r\nHer book.\r\n\r\nthey\r\n", 3)
+    @example("a.\rb.\r\nc.\n", 1)
+    @example("Hi.\u3000She saw it. \x85Her? \xa0they. \u3000\x85\xa0he", 2)
+    def test_every_pass_matches_the_whole_text(self, text, block):
+        self.check(text, spec_for("[] she/her"), block)
+
+    @settings(derandomize=True, max_examples=1500, deadline=None, database=None)
+    @given(st.lists(st.sampled_from(HOSTILE_PIECES), max_size=40).map("".join),
+           st.integers(1, 9))
+    def test_every_pass_matches_the_whole_text_under_a_hostile_lexicon(self, text, block):
+        self.check(text, HOSTILE_SPEC, block)
+
+    def test_a_document_of_one_block_is_not_copied(self):
+        text = "She left. They agreed."
+        assert list(textcheck._blocks(text)) == [text]
+        assert next(textcheck._blocks(text)) is text
+
+
+def generated_document(size: int, pronouns: bool = True) -> str:
+    """About ``size`` bytes of prose, half the sentences with a pronoun, or
+    none without ``pronouns``."""
     rng = random.Random(7)
     words = "the report was filed after lunch near the café in a quiet room".split()
     parts, total = [], 0
     while total < size:
         sentence = [rng.choice(words) for _ in range(rng.randint(4, 12))]
-        if rng.random() < 0.5:
+        if pronouns and rng.random() < 0.5:
             sentence.insert(rng.randrange(len(sentence)), rng.choice(("she", "they", "her")))
         text = " ".join(sentence).capitalize() + rng.choice(".!?") + rng.choice((" ", "\n"))
         parts.append(text)
@@ -222,6 +275,28 @@ def test_checking_a_megabyte_allocates_little():
         tracemalloc.stop()
     assert report.verdict.status == "Satisfied"
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("descriptor", ["[] she/her", "<> she/her"])
+def test_checking_four_megabytes_without_a_pronoun_allocates_under_two(descriptor):
+    # Satisfied, the machine report spans the whole document; violated at its
+    # end, the diagnostic counts its sentences and the prose report its lines.
+    # Each pass holds one block at a time, never the whole document's pieces
+    # or bytes.
+    text = generated_document(4 * 2**20, pronouns=False)
+    spec = spec_for(descriptor)
+    tracemalloc.start()
+    try:
+        report = check_document(text, spec)
+        machine = render_report_machine(report, text)
+        prose = render_report(report, text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.trace.utterances == ()
+    assert machine.startswith(f"{0 if descriptor[0] == '[' else len(text.encode())}\t")
+    assert prose.count("\n") == (2 if descriptor[0] == "[" else 3)
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestExtractTrace:
