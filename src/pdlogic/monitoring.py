@@ -10,21 +10,26 @@ demand); expansion and progression take the same steps.
 ``evaluate`` decides a whole trace in one bottom-up labelling pass over bit
 vectors (the dynamic-programming monitor of Havelund & Rosu, "Synthesizing
 Monitors for Safety Properties", TACAS 2002): linear in the trace length, with
-O(log k) shifts per bounded modality. The direct recursive semantics it is
-checked against lives in the tests, as ``oracles.direct_evaluate``. The online
-monitor decides each utterance from one ``progress`` walk, which yields both
-the residual obligation and whether the formula holds if the stream ends there.
-Residuals are states of one transition table per process, shared by every
-``MonitorSession``: the walk applies the simplification rules to a residual's
-operands before it builds the residual, and builds only what survives through
-the table, so equal residuals are one object; walks are memoized per (state,
-atom set).
+O(log k) shifts per bounded modality. It reads the suffix's atom sets once,
+and builds each atom's label from them by C-level iteration, which hashes no
+atom per utterance. The direct recursive semantics it is checked against lives in the
+tests, as ``oracles.direct_evaluate``. The online monitor decides each
+utterance from one ``progress`` walk, which yields both the residual obligation
+and whether the formula holds if the stream ends there. Residuals are states of
+one transition table per process, shared by every ``MonitorSession``: the walk
+applies the simplification rules to a residual's operands before it builds the
+residual, and builds only what survives through the table, so equal residuals
+are one object; walks are memoized per (state, atom set), and a step the table
+holds is one dict lookup. Interning collapses a tower of like bounded
+modalities, ``[]<=i []<=j f`` to ``[]<=(i+j-1) f`` and ``<><=i <><=j f`` to
+``<><=(i+j-1) f``, so nested bounds of one kind progress as one bound.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from operator import and_, is_not, le, or_
+from itertools import islice
+from operator import and_, attrgetter, is_not, le, or_
 
 from . import notation
 from .atoms import PronounAtom, atom
@@ -99,12 +104,14 @@ def evaluate(formula: TemporalFormula, trace: Trace, position: int) -> bool:
 
     One bottom-up labelling pass with an explicit stack, so expansions tens
     of thousands of nodes deep need no recursion. Only the suffix of n
-    utterances from ``position`` is read. A label is an int whose bit i says
-    that the subformula holds from suffix position i, and bit n stands for
-    the empty suffix. Connectives are masks, Next is a shift, Box and Diamond
-    read the highest zero or one of their operand, and a bounded modality is
-    a window AND or OR built from O(log k) doubling shifts. A decided left
-    operand of And, Or or Implies skips the right one.
+    utterances from ``position`` is read: its atom sets are taken once per
+    call, last first, by C-level iteration. A label is an int whose bit i
+    says that the subformula holds from suffix position i, and bit n stands
+    for the empty suffix. Each atom's label is built from those atom sets
+    once per call (``_atom_label``). Connectives are masks, Next is a shift,
+    Box and Diamond read the highest zero or one of their operand, and a
+    bounded modality is a window AND or OR built from O(log k) doubling
+    shifts. A decided left operand of And, Or or Implies skips the right one.
 
     A Next at ()-depth d (the number of Nexts above it) is read only at
     positions from d on. At d >= n - 1 it is false wherever it is read, so
@@ -118,9 +125,9 @@ def evaluate(formula: TemporalFormula, trace: Trace, position: int) -> bool:
     end = len(trace)
     if not 0 <= position <= end:
         raise IndexError(f"position {position} outside [0, {end}]")
-    # Every operator reads its operands at or after its own position.
-    utterances = trace.utterances[position:] if position else trace.utterances
     n = end - position
+    # Every operator reads its operands at or after its own position.
+    atom_sets = tuple(islice(map(_ATOMS, reversed(trace.utterances)), n))
     full = (1 << (n + 1)) - 1
     below = full >> 1  # the utterances, without the empty suffix
     top = full ^ below  # the empty suffix alone
@@ -178,7 +185,7 @@ def evaluate(formula: TemporalFormula, trace: Trace, position: int) -> bool:
                 else:
                     label = (full ^ left) | right
         elif cls is Atom:
-            label = _atom_label(node.atom, utterances, atom_labels)
+            label = _atom_label(node.atom, atom_sets, atom_labels)
         elif cls is TrueF:
             label = full
         elif cls is FalseF:
@@ -190,14 +197,27 @@ def evaluate(formula: TemporalFormula, trace: Trace, position: int) -> bool:
     return bool(label & 1)
 
 
+_ATOMS = attrgetter("atoms")  # an utterance's atom set
+# Whether an atom is absent, as a byte, to the label's binary digit.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"10")
+
+
 def _atom_label(
-    a: PronounAtom, utterances: tuple[Utterance, ...], cache: dict[PronounAtom, int]
+    a: PronounAtom, atom_sets: tuple[frozenset[PronounAtom], ...], cache: dict[PronounAtom, int]
 ) -> int:
-    """Bit i set where utterance i uses ``a``; the empty suffix's bit is clear.
-    Built once per atom and call, and kept in ``cache``."""
+    """Bit i set where the i-th of ``atom_sets`` from the end holds ``a``;
+    the empty suffix's bit is clear. ``atom_sets`` are the suffix's atom
+    sets, last first, so they read as the label's binary digits. Built once
+    per atom and call, and kept in ``cache``.
+
+    The digits come from C-level iteration: ``isdisjoint`` of a one-atom set
+    probes each atom set with the hash that set already stores, so no
+    ``PronounAtom`` is hashed per utterance, and its answers become the
+    digits in one ``bytes`` and one ``translate``."""
     label = cache.get(a)
     if label is None:
-        bits = "".join(["1" if a in u.atoms else "0" for u in reversed(utterances)])
+        absent = frozenset((a,)).isdisjoint
+        bits = bytes(map(absent, atom_sets)).translate(_DIGITS)
         label = cache[a] = int(bits, 2) if bits else 0
     return label
 
@@ -419,7 +439,10 @@ def _intern(formula: TemporalFormula) -> TemporalFormula:
         stack.pop()
         states = [done[id(kid)] for kid in kids]
         built = node
-        if any(map(is_not, states, kids)):
+        if (cls is BoxK or cls is DiamondK) and type(states[0]) is cls:
+            # a tower: []<=i []<=j f is []<=(i+j-1) f, and so for <><=
+            built = cls(node.k + states[0].k - 1, states[0].operand)
+        elif any(map(is_not, states, kids)):
             built = cls(node.k, *states) if cls in (BoxK, DiamondK) else cls(*states)
         done[id(node)] = _canon(built)
     return done[id(formula)]
@@ -443,6 +466,8 @@ class MonitorSession:
     - ``_states``, one canonical state per structure, added by ``_intern``
       and ``_canon``. A residual that progression rebuilds equal, such as
       that of ``[] <> f`` while ``f`` is absent, is the same state again.
+      ``_intern`` collapses towers of like bounded modalities, so no state
+      is one; ``[]<=3`` nested 99 deep is the one state ``[]<=199``.
     - ``_steps``, ``(id(state), atom set) -> (state, next state,
       holds_if_ended)``. A state already left once with that atom set costs
       one dict lookup: stepwise ``[] (a/b -> <><=5 c/d)`` walks each of its
@@ -451,14 +476,18 @@ class MonitorSession:
       (formula, its state, None)``, so a formula object that starts many
       sessions is walked once, not once per session.
 
-    A session keeps only its residual, its position, its verdict and the
-    ends-now answer; a session never fed gets that answer at ``finish``,
-    from ``evaluate`` on the empty trace. On a miss it interns its residual
-    again before the walk, because the table may have been cleared since it
-    took that state, and the walk's result, which may be a bare constant:
-    one lookup each while the table holds them. States are keyed on identity
-    and not hashed by structure, because a structural hash recurses through
-    the whole residual at every lookup.
+    A session keeps only its residual, its position, its verdict, the
+    ends-now answer and whether it is still open (Inconclusive); a session
+    never fed gets that answer at ``finish``, from ``evaluate`` on the empty
+    trace. On a hit, ``feed`` unpacks the entry, and the class of the next
+    state (``TrueF`` or ``FalseF``), together with the ends-now answer,
+    decides the verdict: one lookup, with no property and no ``isinstance``
+    per step. A closed session only counts the utterances fed. On a miss it
+    interns its residual again before the walk, because the table may have
+    been cleared since it took that state, and the walk's result, which may
+    be a bare constant: one lookup each while the table holds them. States
+    are keyed on identity and not hashed by structure, because a structural
+    hash recurses through the whole residual at every lookup.
 
     Invariant: every id in a key names an object that the same entry holds
     (a state holds its children, a step its state, a start its formula), so
@@ -474,6 +503,8 @@ class MonitorSession:
 
     STEP_CAP = 4096
 
+    __slots__ = ("residual", "position", "verdict", "_holds_if_ended", "_open")
+
     def __init__(self, formula: TemporalFormula):
         start = _steps.get((id(formula), None))
         if start is None:
@@ -482,9 +513,10 @@ class MonitorSession:
         _, self.residual, self._holds_if_ended = start
         self.position = 0
         self.verdict = Verdict(INCONCLUSIVE)
+        self._open = True  # while the verdict is Inconclusive
 
     def feed(self, utterance: Utterance) -> Verdict:
-        if self.verdict.conclusive:
+        if not self._open:
             self.position += 1
             return self.verdict
         step = _steps.get((id(self.residual), utterance.atoms))
@@ -493,23 +525,29 @@ class MonitorSession:
             state = _intern(self.residual)
             residual, holds = progress(state, utterance)
             step = _steps[id(state), utterance.atoms] = (state, _intern(residual), holds)
-        _, self.residual, self._holds_if_ended = step
-        if isinstance(self.residual, TrueF) and self._holds_if_ended:
-            self.verdict = Verdict(SATISFIED, self.position)
-        elif isinstance(self.residual, FalseF) and not self._holds_if_ended:
-            self.verdict = Verdict(VIOLATED, self.position)
-        self.position += 1
+        _, residual, holds = step
+        position = self.position
+        self.position = position + 1
+        self.residual = residual
+        self._holds_if_ended = holds
+        if holds:
+            if type(residual) is TrueF:
+                self._conclude(SATISFIED, position)
+        elif type(residual) is FalseF:
+            self._conclude(VIOLATED, position)
         return self.verdict
 
     def finish(self) -> Verdict:
         """Force a verdict for end-of-stream."""
-        if self.verdict.conclusive:
-            return self.verdict
-        if not self.position:  # never fed: the formula on the empty trace
-            self._holds_if_ended = evaluate(self.residual, EMPTY_TRACE, 0)
-        status = SATISFIED if self._holds_if_ended else VIOLATED
-        self.verdict = Verdict(status)
+        if self._open:
+            if not self.position:  # never fed: the formula on the empty trace
+                self._holds_if_ended = evaluate(self.residual, EMPTY_TRACE, 0)
+            self._conclude(SATISFIED if self._holds_if_ended else VIOLATED)
         return self.verdict
+
+    def _conclude(self, status: str, position: int | None = None) -> None:
+        self.verdict = Verdict(status, position)
+        self._open = False
 
 
 def _make_room(cap: int) -> None:
@@ -523,8 +561,8 @@ def monitor(formula: TemporalFormula, utterances: Iterable[Utterance]) -> list[V
     """Verdict after each utterance; if the stream ends inconclusive, a final
     forced verdict is appended."""
     session = MonitorSession(formula)
-    verdicts = [session.feed(u) for u in utterances]
-    if not verdicts or not verdicts[-1].conclusive:
+    verdicts = list(map(session.feed, utterances))
+    if session._open:
         verdicts.append(session.finish())
     return verdicts
 

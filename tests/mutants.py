@@ -50,6 +50,9 @@ FREE = "tests/test_parsing.py::TestParseFree::"
 READING = "tests/test_prover.py::TestReading::"
 SERIAL = "tests/test_prover.py::TestSerialization::"
 MONITORING = "pdlogic/monitoring.py"
+LABELS = "tests/test_monitoring.py::TestLabellingPass::"
+SESSION = "tests/test_monitoring.py::TestMonitor::"
+TOWERS = "tests/test_monitoring.py::TestTowers::"
 FREELOGIC = "pdlogic/freelogic.py"
 NOTATION = "pdlogic/notation.py"
 RENDER = "tests/test_formulas.py::TestRender::"
@@ -172,6 +175,26 @@ MUTANTS = (
     ("a stepwise residual is not interned", MONITORING,
      "(state, _intern(residual), holds)", "(state, residual, holds)",
      ["tests/test_monitoring.py::TestTransitionTable::test_interleaved_sessions_through_clears"]),
+    ("an atom label's digits are swapped", MONITORING,
+     'bytes.maketrans(b"\\x00\\x01", b"10")', 'bytes.maketrans(b"\\x00\\x01", b"01")',
+     [LABELS + "test_labels_from_shared_equal_and_unused_atom_sets"]),
+    ("a residual true under a strong next is Satisfied", MONITORING,
+     "        if holds:\n", "        if holds or type(residual) is TrueF:\n",
+     [SESSION + "test_true_under_strong_next_is_not_yet_satisfied"]),
+    ("a conclusive session does not count the utterances fed", MONITORING,
+     "            self.position += 1\n            return self.verdict\n",
+     "            return self.verdict\n",
+     [SESSION + "test_position_counts_every_utterance_fed"]),
+    ("a session stays open after its verdict", MONITORING,
+     "        self._open = False\n", "",
+     [SESSION + "test_position_counts_every_utterance_fed"]),
+    ("a tower of like bounds adds its bounds", MONITORING,
+     "cls(node.k + states[0].k - 1, states[0].operand)",
+     "cls(node.k + states[0].k, states[0].operand)",
+     [TOWERS + "test_a_tower_interns_to_one_bound"]),
+    ("a tower of unlike bounds is collapsed", MONITORING,
+     "and type(states[0]) is cls:", "and type(states[0]) in (BoxK, DiamondK):",
+     [TOWERS + "test_unlike_modalities_stay_apart"]),
     ("a free-logic memo key leaves out a variable", FREELOGIC,
      "        if len(names & bound) < depth:\n"
      "            self.marked[id(node)] = tuple(sorted(names))\n",

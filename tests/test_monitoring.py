@@ -13,7 +13,7 @@ import pytest
 
 from pdlogic import monitoring
 from pdlogic import temporal as tl
-from pdlogic.atoms import atom
+from pdlogic.atoms import PronounAtom, atom
 from pdlogic.monitoring import (
     EMPTY_TRACE,
     INCONCLUSIVE,
@@ -178,6 +178,41 @@ class TestLabellingPass:
             while copies:
                 f = rng.choice((tl.And, tl.Or, tl.Implies))(copies.pop(), f)
             self.assert_agrees(f, t, expand=False)
+
+    def test_labels_from_shared_equal_and_unused_atom_sets(self):
+        # Atom labels are read off the suffix's atom sets: one frozenset
+        # object held by several utterances, equal sets held as distinct
+        # objects (one of them of an atom object equal to, but not, the one
+        # the formula names), and atoms that no utterance uses. Each formula
+        # object is evaluated on two traces in turn, from every position, so
+        # a label kept past its call would answer for the wrong trace.
+        rng = random.Random(56)
+        she, he = ATOM_POOL[:2]
+        shared = frozenset({she, he})
+        unused = tl.Atom(ATOM_POOL[4])
+
+        def atom_set():
+            pick = rng.randrange(5)
+            if pick == 0:
+                return shared
+            if pick == 1:
+                return frozenset({she, he})
+            if pick == 2:
+                return frozenset({PronounAtom("She", "Her")})
+            return frozenset(a for a in ATOM_POOL[:3] if rng.random() < 0.5)
+
+        def some_trace():
+            return Trace(tuple(Utterance(atom_set()) for _ in range(rng.randint(0, 10))))
+
+        for _ in range(400):
+            f = tl.Or(random_temporal(rng, rng.randint(1, 5)), tl.Not(unused))
+            first, second = some_trace(), some_trace()
+            for i in range(max(len(first), len(second)) + 1):
+                for t in (first, second):
+                    if i <= len(t):
+                        assert evaluate(f, t, i) == direct_evaluate(f, t, i), (
+                            tl.render(f), t, i)
+            assert evaluate(unused, first, 0) is False
 
     def test_shared_body_labels_each_atom_node_once(self, monkeypatch):
         # The expansion shares one body under up to 99 Nexts; it is first
@@ -484,8 +519,9 @@ class TestBuilders:
 def test_stepwise_residuals_are_pinned():
     # Every stepwise residual and ends-now answer of criterion 4's formulas
     # over every trace of length <= 3, each prefix walked once, rendered and
-    # hashed; the digest was recorded from the progression that simplified
-    # each residual after building it.
+    # hashed. The digest was recorded once towers of like bounded modalities
+    # were collapsed when interned: that moved the residual text of the 20
+    # formulas such as []<=2 []<=3 a/b, and no ends-now answer.
     digest = hashlib.sha256()
     traces = all_traces(3)
     for f in temporal_formulas(3):
@@ -498,7 +534,7 @@ def test_stepwise_residuals_are_pinned():
         line = tl.render(f) + "\t" + "".join(text for _, text in walked.values()) + "\n"
         digest.update(line.encode("utf-8"))
     assert digest.hexdigest() == (
-        "963de5363ae8e13dcb91883f046d9df9505afe2dfcc74fe9b49c0fd55d79b726")
+        "1440153ce40b200b3780690dc91494ebdd81dbec75f549d815ce3e95d52fca5d")
 
 
 class TestMonitor:
@@ -538,6 +574,23 @@ class TestMonitor:
                         assert v.status == conclusive
                     elif v.conclusive:
                         conclusive = v.status
+
+    def test_true_under_strong_next_is_not_yet_satisfied(self):
+        # After one utterance () true leaves true, but its next is strong:
+        # the stream may not end here, so the verdict waits for a second.
+        f = parse_temporal("() true")
+        silent = Utterance(frozenset())
+        assert [v.status for v in monitor(f, [silent])] == [INCONCLUSIVE, VIOLATED]
+        assert verdict_codes(monitor(f, [silent] * 3)) == "IS1S1"
+
+    def test_position_counts_every_utterance_fed(self):
+        # A conclusive session still counts the utterances fed after it.
+        session = MonitorSession(parse_temporal("<> a/b"))
+        for i, atoms in enumerate(({C}, {A}, set(), {C})):
+            verdict = session.feed(Utterance(frozenset(atoms)))
+            assert session.position == i + 1
+        assert (verdict.status, verdict.witness_position) == (SATISFIED, 1)
+        assert session.finish() is verdict
 
     def test_feed_is_one_progress_walk(self, monkeypatch):
         def forbidden(*args):
@@ -701,6 +754,52 @@ class TestResidualGrowth:
         assert max(sizes) < 1000
         assert sizes[-1] == sizes[0]
         assert session.finish().status == SATISFIED
+
+
+class TestTowers:
+    """A bounded modality over one of its own kind is one bound when
+    interned: []<=i []<=j f is []<=(i+j-1) f, and so for <><=."""
+
+    @pytest.mark.parametrize("tower, bound", [
+        ("[]<=3 []<=4 a/b", "[]<=6 a/b"),
+        ("<><=3 <><=4 a/b", "<><=6 a/b"),
+        ("[]<=2 []<=2 []<=2 (a/b \\/ c/d)", "[]<=4 (a/b \\/ c/d)"),
+        ("<><=1 <><=5 () a/b", "<><=5 () a/b"),
+        ("!<><=2 <><=2 []<=2 []<=2 a/b", "!<><=3 []<=3 a/b"),
+    ])
+    def test_a_tower_interns_to_one_bound(self, tower, bound):
+        assert monitoring._intern(parse_temporal(tower)) is monitoring._intern(
+            parse_temporal(bound))
+
+    @pytest.mark.parametrize("text", ["[]<=2 <><=3 a/b", "<><=3 []<=2 a/b",
+                                      "[]<=2 () []<=2 a/b", "[] []<=2 a/b"])
+    def test_unlike_modalities_stay_apart(self, text):
+        assert tl.render(monitoring._intern(parse_temporal(text))) == text
+
+    def test_towers_against_the_direct_semantics(self):
+        # Towers of random height, kind and bounds over small bodies: the
+        # stepwise verdicts equal those of the expansion, which has no
+        # tower, and the last one agrees with the direct semantics.
+        rng = random.Random(66)
+        for _ in range(1500):
+            f = random_temporal(rng, rng.randint(1, 3))
+            for _ in range(rng.randint(2, 5)):
+                f = rng.choice((tl.BoxK, tl.DiamondK))(rng.randint(1, 4), f)
+            t = random_trace(rng, rng.randint(0, 14))
+            verdicts = monitor(f, t.utterances)
+            assert verdicts == monitor(expand_bounded(f), t.utterances), (tl.render(f), t)
+            expected = SATISFIED if direct_evaluate(f, t, 0) else VIOLATED
+            assert verdicts[-1].status == expected, (tl.render(f), t)
+
+    def test_ninety_nine_nested_bounds_answer_at_once(self):
+        # []<=3 nested 99 deep is []<=199: one state per step, where the
+        # uncollapsed residual kept a conjunct per combination of bounds.
+        f = parse_temporal("[]<=3 " * 99 + "a/b")
+        said, silent = Utterance(frozenset({A})), Utterance(frozenset())
+        with budget(1):
+            assert monitor(f, [said] * 50)[-1].status == SATISFIED
+            verdicts = monitor(f, [said] * 30 + [silent] + [said] * 19)
+        assert (verdicts[-1].status, verdicts[-1].witness_position) == (VIOLATED, 30)
 
 
 def clear_table():
