@@ -10,19 +10,19 @@ demand); expansion and progression take the same steps.
 ``evaluate`` decides a whole trace in one bottom-up labelling pass over bit
 vectors (the dynamic-programming monitor of Havelund & Rosu, "Synthesizing
 Monitors for Safety Properties", TACAS 2002): linear in the trace length, with
-O(log k) shifts per bounded modality. It reads the suffix's atom sets once,
-and builds each atom's label from them by C-level iteration, which hashes no
-atom per utterance. The direct recursive semantics it is checked against lives in the
-tests, as ``oracles.direct_evaluate``. The online monitor decides each
+O(log k) shifts per bounded modality. It reads the suffix's atom sets once, and
+builds each atom's label from them by C-level iteration, which hashes no atom
+per utterance. The direct recursive semantics it is checked against lives in
+the tests, as ``oracles.direct_evaluate``. The online monitor decides each
 utterance from one ``progress`` walk, which yields both the residual obligation
 and whether the formula holds if the stream ends there. Residuals are states of
 one transition table per process, shared by every ``MonitorSession``: the walk
 applies the simplification rules to a residual's operands before it builds the
 residual, and builds only what survives through the table, so equal residuals
 are one object; walks are memoized per (state, atom set), and a step the table
-holds is one dict lookup. Interning collapses a tower of like bounded
-modalities, ``[]<=i []<=j f`` to ``[]<=(i+j-1) f`` and ``<><=i <><=j f`` to
-``<><=(i+j-1) f``, so nested bounds of one kind progress as one bound.
+holds is one dict lookup. Interning and progression are each one ``node.fold``,
+one visit per part of a state. A tower of like bounded modalities interns as
+one bound: ``[]<=i []<=j f`` as ``[]<=(i+j-1) f``, and so for ``<><=``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from operator import and_, attrgetter, is_not, le, or_
 
 from . import notation
 from .atoms import PronounAtom, atom
-from .node import Node
+from .node import Node, fold
 from .prover import ResourceLimit
 from .temporal import (
     FALSE,
@@ -301,41 +301,36 @@ def progress(formula: TemporalFormula, utterance: Utterance) -> tuple[TemporalFo
     The residual cannot give that answer, because after progression a
     weak-next obligation looks like a strong one.
 
-    The walk runs on ``formula``'s state and builds each residual once, in
-    ``_negation`` or ``_join``: the rules run on the operands' states before
-    a node is built, and only what survives goes through ``_canon``. The
-    residual is a state or a bare constant.
+    The walk is one ``fold`` of ``formula``'s state that stops at a Next.
+    Each residual is built once, in ``_negation`` or ``_join``, on its
+    operands' states, and only what survives the rules goes through
+    ``_canon``. The residual is a state or a bare constant.
     """
-    return _progress(_intern(formula), utterance)
+    present = utterance.atoms
 
-
-def _progress(formula: TemporalFormula, utterance: Utterance) -> tuple[TemporalFormula, bool]:
-    """``progress`` on a state."""
-    match formula:
-        case Atom(a):
-            return (TRUE, True) if a in utterance.atoms else (FALSE, False)
-        case TrueF() | FalseF():
-            return formula, type(formula) is TrueF
-        case Not(f):
-            residual, holds = _progress(f, utterance)
+    def step(node: TemporalFormula, below: list) -> tuple[TemporalFormula, bool]:
+        cls = type(node)
+        if cls is Atom:
+            return (TRUE, True) if node.atom in present else (FALSE, False)
+        if cls is TrueF or cls is FalseF:
+            return node, cls is TrueF
+        if cls is Next:
+            return _unbound(node.operand), False
+        residual, holds = below[0]
+        if cls is Not:
             return _negation(residual), not holds
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            left, left_holds = _progress(l, utterance)
-            right, right_holds = _progress(r, utterance)
-            cls = type(formula)
-            return _join(cls, left, right), _HOLDS[cls](left_holds, right_holds)
-        case Next(f):
-            return _unbound(f), False
-        case Box(f) | Diamond(f) | BoxK(_, f) | DiamondK(_, f):
-            # f now, joined with the rest: the modality itself, or, as in
-            # expand_bounded, the bound one lower, or nothing at k = 1
-            residual, holds = _progress(f, utterance)
-            cls, k = type(formula), getattr(formula, "k", None)
-            if k == 1:
-                return residual, holds
-            rest = formula if k is None else _unbound(f) if k == 2 else _canon(cls(k - 1, f))
-            return _join(And if cls is Box or cls is BoxK else Or, residual, rest), holds
-    raise TypeError(f"not a temporal formula: {formula!r}")
+        if cls is And or cls is Or or cls is Implies:
+            right, right_holds = below[1]
+            return _join(cls, residual, right), _HOLDS[cls](holds, right_holds)
+        # a modality: the operand now, and the rest of it as in expand_bounded
+        k = getattr(node, "k", None)
+        if k == 1:
+            return residual, holds
+        f = node.operand
+        rest = node if k is None else _unbound(f) if k == 2 else _canon(cls(k - 1, f))
+        return _join(And if cls is Box or cls is BoxK else Or, residual, rest), holds
+
+    return fold(_intern(formula), step, _read_now)
 
 
 # A connective's ends-now answer from its operands'; on bools, <= is implication.
@@ -412,40 +407,30 @@ def _intern(formula: TemporalFormula) -> TemporalFormula:
     """The one object in ``_states`` structurally equal to ``formula``, added
     with its parts if there is none.
 
-    Interning a state, such as a progress result, is one lookup. Any other
-    formula is walked bottom-up on an explicit stack, so chains deeper than
-    the recursion limit need no recursion: a node whose children are states
-    goes through ``_canon``, and any other is rebuilt on its children's states.
+    Interning a state, such as a progress result, is one lookup; any other
+    formula is one ``fold`` of ``_state``, which interns each part once.
     """
     found = _states.get(_key(formula))
     if found is not None:
         return found
-    done: dict[int, TemporalFormula] = {}  # id(node) -> its state
-    stack = [formula]
-    while stack:
-        node = stack[-1]
-        if id(node) in done:  # a shared node, pushed twice
-            stack.pop()
-            continue
-        cls = type(node)
-        if cls is And or cls is Or or cls is Implies:
-            kids = (node.left, node.right)
-        else:  # as children() would, at half the cost; _canon checks the type
-            kids = (node.operand,) if cls in _UNARY else ()
-        missed = [kid for kid in kids if id(kid) not in done]
-        if missed:
-            stack.extend(missed)
-            continue
-        stack.pop()
-        states = [done[id(kid)] for kid in kids]
-        built = node
-        if (cls is BoxK or cls is DiamondK) and type(states[0]) is cls:
-            # a tower: []<=i []<=j f is []<=(i+j-1) f, and so for <><=
-            built = cls(node.k + states[0].k - 1, states[0].operand)
-        elif any(map(is_not, states, kids)):
-            built = cls(node.k, *states) if cls in (BoxK, DiamondK) else cls(*states)
-        done[id(node)] = _canon(built)
-    return done[id(formula)]
+    return fold(formula, _state, children)
+
+
+def _state(node: TemporalFormula, states: list) -> TemporalFormula:
+    """The state of ``node`` from its operands' ``states``: itself, or rebuilt on them."""
+    cls = type(node)
+    built = node
+    if (cls is BoxK or cls is DiamondK) and type(states[0]) is cls:
+        # a tower: []<=i []<=j f is []<=(i+j-1) f, and so for <><=
+        built = cls(node.k + states[0].k - 1, states[0].operand)
+    elif any(map(is_not, states, children(node))):
+        built = cls(node.k, *states) if cls in (BoxK, DiamondK) else cls(*states)
+    return _canon(built)
+
+
+def _read_now(node: TemporalFormula) -> tuple[TemporalFormula, ...]:
+    """The operands that a progress step of ``node`` reads: all but a Next's."""
+    return () if type(node) is Next else children(node)
 
 
 class MonitorSession:
@@ -453,19 +438,20 @@ class MonitorSession:
 
     Progression-based: it may stay Inconclusive in states a semantically
     omniscient monitor would already decide, but it never flips a conclusive
-    verdict. Each step takes one ``progress`` walk of the residual, or its
-    memoized result, which yields the next residual and whether the formula
-    holds if the stream ends here; a conclusive verdict is emitted only when
-    the residual is a constant and that ends-now answer agrees with it.
+    verdict. Each step takes one ``progress`` walk of the residual's parts,
+    or its memoized result, which yields the next residual and whether the
+    formula holds if the stream ends here; a conclusive verdict is emitted
+    only when the residual is a constant and that ends-now answer agrees.
 
     The walks are memoized in one transition table per process, which every
     session shares, so the monitor is the finite-trace automaton of De
     Giacomo & Vardi (IJCAI 2013), built on demand by progression (Bacchus &
     Kabanza, AIJ 2000). The table has two parts:
 
-    - ``_states``, one canonical state per structure, added by ``_intern``
-      and ``_canon``. A residual that progression rebuilds equal, such as
-      that of ``[] <> f`` while ``f`` is absent, is the same state again.
+    - ``_states``, one canonical state per structure (hash-consing, as in
+      Filliâtre & Conchon, ML Workshop 2006), added by ``_intern`` and
+      ``_canon``. A residual that progression rebuilds equal, such as that
+      of ``[] <> f`` while ``f`` is absent, is the same state again.
       ``_intern`` collapses towers of like bounded modalities, so no state
       is one; ``[]<=3`` nested 99 deep is the one state ``[]<=199``.
     - ``_steps``, ``(id(state), atom set) -> (state, next state,

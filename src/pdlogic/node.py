@@ -19,7 +19,7 @@ free-logic memo, rely on nodes never changing. A class that defines
 ``__post_init__`` has it called after the fields are set, to reject bad
 values. ``__reduce__`` rebuilds a value from its fields, less the trailing
 ones that are their defaults, so ``copy.deepcopy`` and ``pickle`` work and
-rerun ``__post_init__``.
+rerun ``__post_init__``. ``fold`` is the package's one walk over values.
 """
 
 from __future__ import annotations
@@ -84,3 +84,26 @@ class Node:
 def _compiled(source: str):
     """The code of a class's methods; classes with one list of fields share it."""
     return compile(source, "<node>", "exec")
+
+
+def fold(root, visit, kids):
+    """``visit(node, values)`` of ``root``, where ``values`` lists those of
+    ``kids(node)`` in order: a DAG walked bottom-up on a stack of its own, so
+    no depth needs recursion. Each node object is visited once, after its
+    kids, and its value kept on its ``id``, which ``root`` keeps its own."""
+    values = {}
+    stack = [(root, None)]  # (node, None) to expand, (node, its kids) to visit
+    while stack:
+        node, below = stack.pop()
+        if below is not None:
+            values[id(node)] = visit(node, [values[id(kid)] for kid in below])
+        elif id(node) not in values:  # else a shared node, pushed twice
+            below = kids(node)
+            if not below:  # a leaf, visited at once
+                values[id(node)] = visit(node, [])
+                continue
+            stack.append((node, below))
+            for kid in below:
+                if id(kid) not in values:
+                    stack.append((kid, None))
+    return values[id(root)]

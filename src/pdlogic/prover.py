@@ -42,10 +42,12 @@ search recurses, and past Python's recursion limit it raises ResourceLimit.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .linear import (
     Atom, Lolli, LinearFormula, Plus, Sequent, Tensor, With, children, render_sequent,
 )
-from .node import Node
+from .node import Node, fold
 from .notation import _line_starts
 
 DEFAULT_BUDGET = 10**6
@@ -60,8 +62,8 @@ class ResourceLimit(Exception):
 
 class ProofTree(Node, defaults={"premises": ()}):
     """A proof, equal and hashing as ``Node`` makes a record: by its fields,
-    premises included. Both walk the premises on an explicit stack, so that
-    a proof of any depth compares and hashes."""
+    premises included. Both walk the premises on an explicit stack, the hash
+    by ``fold``, so that a proof of any depth compares and hashes."""
 
     __slots__ = ("rule", "conclusion", "premises")  # a str, a Sequent, a tuple of ProofTrees
 
@@ -81,19 +83,12 @@ class ProofTree(Node, defaults={"premises": ()}):
         return True
 
     def __hash__(self):
-        # hash((rule, conclusion, premises)), each node's after its premises'
-        hashes: dict[int, int] = {}
-        stack = [self]
-        while stack:
-            node = stack[-1]
-            pending = [p for p in node.premises if id(p) not in hashes]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            premises = tuple(_Hashed(hashes[id(p)]) for p in node.premises)
-            hashes[id(node)] = hash((node.rule, node.conclusion, _Hashed(hash(premises))))
-        return hashes[id(self)]
+        return fold(self, _hashed, attrgetter("premises"))
+
+
+def _hashed(node: ProofTree, premises: list[int]) -> int:
+    """hash((rule, conclusion, premises)) of ``node``, from its premises' hashes."""
+    return hash((node.rule, node.conclusion, _Hashed(hash(tuple(map(_Hashed, premises))))))
 
 
 class _Hashed:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import notation
 from .atoms import PronounAtom
-from .node import Node
+from .node import Node, fold
 
 
 class TemporalFormula(Node):
@@ -92,22 +92,23 @@ FALSE = FalseF()
 
 
 def children(formula: TemporalFormula) -> tuple[TemporalFormula, ...]:
-    match formula:
-        case Atom() | TrueF() | FalseF():
-            return ()
-        case Not(f) | Box(f) | Diamond(f) | Next(f) | BoxK(_, f) | DiamondK(_, f):
-            return (f,)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return (l, r)
+    cls = type(formula)
+    if cls is And or cls is Or or cls is Implies:
+        return formula.left, formula.right
+    if cls in PREFIX:  # the unary operators
+        return (formula.operand,)
+    if cls is Atom or cls is TrueF or cls is FalseF:
+        return ()
     raise TypeError(f"not a temporal formula: {formula!r}")
 
 
 def atoms(formula: TemporalFormula) -> frozenset[PronounAtom]:
-    if isinstance(formula, Atom):
-        return frozenset((formula.atom,))
-    if not children(formula):
-        return frozenset()
-    return frozenset().union(*(atoms(c) for c in children(formula)))
+    """The pronoun atoms that ``formula`` names, at any depth."""
+    return fold(formula, _atoms, children)
+
+
+def _atoms(node: TemporalFormula, below: list) -> frozenset[PronounAtom]:
+    return frozenset((node.atom,)) if type(node) is Atom else frozenset().union(*below)
 
 
 # Binding strength: unary operators tightest, then /\, then \/, then ->

@@ -369,12 +369,6 @@ def _utterances(text: str, spec: ReferentSpec) -> list[tuple[Utterance, int]]:
     return result
 
 
-def extract_trace(text: str, spec: ReferentSpec) -> Trace:
-    """One utterance per sentence containing at least one tracked pronoun
-    form; pronoun-free sentences produce no utterance."""
-    return Trace(tuple(u for u, _ in _utterances(text, spec)))
-
-
 def check_document(text: str, spec: ReferentSpec) -> Report:
     """Monitor the extracted trace against the descriptor; the verdict is
     always forced conclusive at end of document."""

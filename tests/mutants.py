@@ -285,6 +285,17 @@ MUTANTS = (
     ("a bug below main escapes it", "pdlogic/cli.py",
      "    except Exception:  # a bug", "    except ():  # a bug",
      ["tests/test_cli.py::TestHostileInput::test_a_value_error_below_main_is_not_bad_input"]),
+    ("fold visits a node that was pushed twice a second time", "pdlogic/node.py",
+     "        elif id(node) not in values:  # else a shared node, pushed twice\n",
+     "        else:\n",
+     ["tests/test_nodes.py::test_fold_visits_each_shared_node_once"]),
+    ("a proof's hash ignores its premises' hashes", PROVER,
+     "_Hashed(hash(tuple(map(_Hashed, premises))))", "_Hashed(hash(()))",
+     ["tests/test_nodes.py::TestEachClass::test_hash_is_the_hash_of_the_fields"
+      "[prover.ProofTree]"]),
+    ("atoms keeps only its first operand's atoms", "pdlogic/temporal.py",
+     "frozenset().union(*below)", "frozenset().union(*below[:1])",
+     ["tests/test_formulas.py::TestAtoms::test_a_chain_deeper_than_the_recursion_limit"]),
     ("a pronoun atom keeps its case", "pdlogic/atoms.py",
      '        object.__setattr__(self, "subject", self.subject.lower())\n', "",
      ["tests/test_formulas.py::TestPronounAtom::test_canonical_key_is_lowercase"]),

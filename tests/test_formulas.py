@@ -95,6 +95,14 @@ class TestAtoms:
     def test_true_has_no_atoms(self):
         assert tl.atoms(tl.TRUE) == frozenset()
 
+    def test_a_chain_deeper_than_the_recursion_limit(self):
+        # every operand's atoms count, the deepest one's too
+        f = tl.Atom(THEY)
+        for _ in range(3000):
+            f = tl.And(tl.Atom(SHE), f)
+        assert tl.atoms(f) == {SHE, THEY}
+        assert tl.atoms(tl.Implies(f, tl.Next(tl.Atom(HE)))) == {SHE, THEY, HE}
+
 
 class TestRender:
     def test_with_over_tensor_parenthesizes(self):

@@ -215,6 +215,16 @@ CASES = {
                           "ος -> xe/xem\nxe -> xe/xem\nxem -> xe/xem\n",
                "doc.txt": "O'ER the hill. ΟΣ went home.\n"},
     ),
+    # []<=3 <><=3 repeated, 20 deep: she/her is needed near the 20th
+    # utterance, and three he/him sentences there break it at the third.
+    # Each step visits each distinct part of the residual once.
+    "check_alternating_nested_bounds": Case(
+        ["check", "{dir}/nested.spec", "{dir}/doc.txt", "--machine"], 1,
+        "235\t247\tViolated\the/him\n",
+        files={"nested.spec": "referent: Mara\ndescriptor: " + "[]<=3 <><=3 " * 10
+                              + "she/her\n",
+               "doc.txt": "She spoke. " * 19 + "He answered. " * 3 + "She left. " * 5},
+    ),
     # Each sample's machine report is its golden file, and the exit status
     # is 0 for Satisfied, 1 for Violated.
     **{f"check_golden_{name}": Case(

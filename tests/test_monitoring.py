@@ -22,6 +22,7 @@ from pdlogic.monitoring import (
     MonitorSession,
     Trace,
     Utterance,
+    Verdict,
     evaluate,
     expand_bounded,
     monitor,
@@ -802,6 +803,47 @@ class TestTowers:
         assert (verdicts[-1].status, verdicts[-1].witness_position) == (VIOLATED, 30)
 
 
+class TestSharedStates:
+    """A progress step visits each part of its state once, however many paths
+    lead to it, and never recurses: a nesting that shares its parts is cheap,
+    and one deeper than the recursion limit answers."""
+
+    def test_alternating_bounds_forty_deep_answer_at_once(self):
+        # []<=3 <><=3 repeated: its residuals have few distinct parts but
+        # exponentially many paths to them. Each <><=3 can make up for the
+        # []<=3 above it, so only a silence around utterance 40 breaks it.
+        f = parse_temporal("[]<=3 <><=3 " * 20 + "a/b")
+        said, silent = Utterance(frozenset({A})), Utterance(frozenset())
+        gap = [said] * 39 + [silent] * 3 + [said] * 8
+        with budget(1):
+            satisfied = monitor(f, [said] * 50)
+            violated = monitor(f, gap)
+        assert (satisfied[-1].status, satisfied[-1].witness_position) == (SATISFIED, 40)
+        assert (violated[-1].status, violated[-1].witness_position) == (VIOLATED, 41)
+        # the batch labelling pass agrees, and a/b at 41 would still save it
+        assert evaluate(f, Trace(tuple(gap)), 0) is False
+        assert evaluate(f, Trace(tuple(gap[:41] + [said] + gap[42:])), 0) is True
+
+    def test_a_conjunction_of_itself_sixty_deep_answers_at_once(self):
+        f = tl.Diamond(tl.Atom(A))
+        for _ in range(60):
+            f = tl.And(f, f)
+        said, silent = Utterance(frozenset({A})), Utterance(frozenset())
+        with budget(1):
+            assert monitor(f, [silent, said]) == [Verdict(INCONCLUSIVE), Verdict(SATISFIED, 1)]
+            assert monitor(f, [silent] * 3)[-1] == Verdict(VIOLATED)
+
+    def test_a_chain_deeper_than_the_recursion_limit(self):
+        # a library-built f = a /\ f, 3000 deep; the parser stops at 100
+        f = tl.Atom(A)
+        for _ in range(3000):
+            f = tl.And(tl.Atom(A), f)
+        said = Utterance(frozenset({A}))
+        assert monitor(f, [said]) == [Verdict(SATISFIED, 0)]
+        assert MonitorSession(f).feed(said) == Verdict(SATISFIED, 0)
+        assert evaluate(f, Trace((said,)), 0) is True
+
+
 def clear_table():
     """Empty the process's transition table."""
     for table in (monitoring._states, monitoring._steps):
@@ -811,20 +853,14 @@ def clear_table():
 @pytest.fixture
 def walks(monkeypatch):
     """Empties the transition table, then records every progress walk made
-    from there on: one entry per whole walk, not per recursive call."""
+    from there on, one entry per call of ``progress``."""
     clear_table()
     made = []
-    depth = [0]
     original = monitoring.progress
 
     def counting(formula, utterance):
-        if not depth[0]:
-            made.append(formula)
-        depth[0] += 1
-        try:
-            return original(formula, utterance)
-        finally:
-            depth[0] -= 1
+        made.append(formula)
+        return original(formula, utterance)
 
     monkeypatch.setattr(monitoring, "progress", counting)
     return made

@@ -1,7 +1,8 @@
 """The contract every value class keeps, the formula nodes of the three
 families and the package's records alike: its fields in order, construction
 by position or by name, structural equality and hashing that survive copying
-and pickling, immutability, and no per-value ``__dict__``."""
+and pickling, immutability, and no per-value ``__dict__``; and ``fold``, the
+one walk over a DAG of nodes."""
 
 import copy
 import importlib
@@ -18,7 +19,7 @@ from pdlogic import linear as ll
 from pdlogic import temporal as tl
 from pdlogic.atoms import atom
 from pdlogic.monitoring import expand_bounded
-from pdlogic.node import Node
+from pdlogic.node import Node, fold
 from pdlogic.parsing import parse_temporal
 
 SHE = atom("she/her")
@@ -251,3 +252,29 @@ def test_a_bound_below_one_is_rejected(cls):
             cls(k, T_A)
     with pytest.raises(ValueError, match="got 0$"):
         cls(k=0, operand=T_A)
+
+
+def test_fold_visits_each_shared_node_once():
+    # And(f, f) nested 60 deep over <> she/her: 62 objects, and a tree of
+    # 3 * 2**60 - 1 nodes, each object reached by 2**i paths
+    f = tl.Diamond(T_A)
+    for _ in range(60):
+        f = tl.And(f, f)
+    visited = []
+
+    def size(node, sizes):
+        visited.append(node)
+        return 1 + sum(sizes)
+
+    assert fold(f, size, tl.children) == 3 * 2**60 - 1
+    assert len(visited) == 62 and len(set(map(id, visited))) == 62
+    assert visited[:2] == [T_A, tl.Diamond(T_A)] and visited[-1] is f
+
+
+def test_fold_passes_each_node_its_kids_values_in_order():
+    # a chain deeper than the recursion limit, as a left-to-right reading
+    f = tl.Atom(THEY)
+    for _ in range(3000):
+        f = tl.Or(T_A, f)
+    text = fold(f, lambda node, below: " ".join(below) or node.atom.subject, tl.children)
+    assert text == "she " * 3000 + "they"

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pdlogic import temporal as tl
 from pdlogic import textcheck
 from pdlogic.atoms import atom
 from pdlogic.monitoring import expand_bounded
@@ -21,7 +22,6 @@ from pdlogic.textcheck import (
     ReferentSpec,
     check_document,
     default_lexicon,
-    extract_trace,
     parse_lexicon,
     parse_referent_spec,
     render_report,
@@ -301,37 +301,37 @@ def test_checking_four_megabytes_without_a_pronoun_allocates_under_two(descripto
 
 class TestExtractTrace:
     def test_pronounless_sentences_are_skipped(self):
-        trace = extract_trace(
+        trace = check_document(
             "She left. The weather was nice. They agreed.", spec_for("[] she/her")
-        )
+        ).trace
         assert [u.atoms for u in trace.utterances] == [
             frozenset({SHE}),
             frozenset({THEY}),
         ]
 
     def test_forms_union_within_a_sentence(self):
-        trace = extract_trace("Her book. She read it to her.", spec_for("[] she/her"))
+        trace = check_document("Her book. She read it to her.", spec_for("[] she/her")).trace
         # 'it' is a tracked form of it/it, so the second sentence unions two atoms
         assert trace.utterances[0].atoms == frozenset({SHE})
         assert SHE in trace.utterances[1].atoms
 
     def test_nothing_tracked(self):
-        assert extract_trace("Nothing here.", spec_for("[] she/her")).utterances == ()
+        assert check_document("Nothing here.", spec_for("[] she/her")).trace.utterances == ()
 
     def test_an_empty_lexicon_finds_nothing(self):
         spec = ReferentSpec(frozenset(["Mara"]), parse_temporal("true"), Lexicon({}))
-        assert extract_trace("She left. They agreed.", spec).utterances == ()
+        assert check_document("She left. They agreed.", spec).trace.utterances == ()
 
     def test_spans_point_at_the_sentence(self):
         text = "Intro words. She left."
-        trace = extract_trace(text, spec_for("[] she/her"))
+        trace = check_document(text, spec_for("[] she/her")).trace
         start, end = trace.utterances[0].source_span
         assert text.encode()[start:end].decode() == "She left."
 
     def test_case_insensitive(self):
         spec = spec_for("[] she/her")
-        lower = extract_trace("she left. SHE WON.".lower(), spec)
-        shouty = extract_trace("she left. SHE WON.", spec)
+        lower = check_document("she left. SHE WON.".lower(), spec).trace
+        shouty = check_document("she left. SHE WON.", spec).trace
         assert lower == shouty
 
 
@@ -396,11 +396,9 @@ class TestCheckDocument:
         for text in docs:
             for d in descriptors:
                 spec = spec_for(d)
-                expected = direct_evaluate(
-                    expand_bounded(spec.descriptor), extract_trace(text, spec), 0
-                )
-                verdict = check_document(text, spec).verdict.status
-                assert verdict == ("Satisfied" if expected else "Violated")
+                report = check_document(text, spec)
+                expected = direct_evaluate(expand_bounded(spec.descriptor), report.trace, 0)
+                assert report.verdict.status == ("Satisfied" if expected else "Violated")
 
     def test_determinism(self):
         spec = spec_for("[] she/her")
@@ -483,6 +481,17 @@ class TestReferentSpec:
     def test_descriptor_atom_must_be_in_lexicon(self):
         with pytest.raises(ConfigError):
             spec_for("[] xe/xem")
+
+    def test_a_descriptor_deeper_than_the_recursion_limit(self):
+        # a library-built conjunction: every atom is looked up, the deepest too
+        f = tl.Atom(SHE)
+        for _ in range(3000):
+            f = tl.And(tl.Atom(SHE), f)
+        spec = ReferentSpec(frozenset(["Mara"]), f, default_lexicon())
+        assert check_document("She left.", spec).verdict.status == "Satisfied"
+        with pytest.raises(ConfigError, match="^descriptor atoms missing from lexicon: xe/xem$"):
+            ReferentSpec(frozenset(["Mara"]), tl.And(tl.Atom(SHE), tl.And(f, tl.Atom(
+                atom("xe/xem")))), default_lexicon())
 
     def test_parse_spec_text(self):
         spec = parse_referent_spec("referent: Mara M\ndescriptor: [] she/her\n")
