@@ -10,19 +10,37 @@ Terms and formulas are immutable trees of ``Node``s (see ``node``): each class
 lists its fields as its ``__slots__``, and nodes compare and hash by
 structure.
 
-Evaluation remembers the value of each part of a formula under each binding of
+Evaluation first scopes each quantifier tightly (miniscoping: Nonnengart and
+Weidenbach, "Computing Small Clause Normal Forms", Handbook of Automated
+Reasoning, 2001), bottom-up, inside description bodies too:
+
+- ``Q x. f`` becomes ``f`` when x is not free in f;
+- ``forall`` distributes over ``/\\``, and ``exists`` over ``\\/``;
+- when only one operand of ``/\\``, ``\\/`` or ``->`` uses x, the quantifier
+  moves onto that operand, and in the antecedent of ``->`` it flips:
+  ``forall x. A -> B`` with x only in A becomes ``(exists x. A) -> B``.
+
+These rules are sound because a model's domain is nonempty and every formula
+is two-valued; they change the order and the cost of evaluation, not its
+value. Operands keep their order, and ``!`` is left alone. Evaluation then
+remembers the value of each part of the scoped formula under each binding of
 the part's own free variables, so a formula f costs O(|f| * |D|^w)
-evaluations, where w is the most free variables of any part of f (Vardi, "The
-Complexity of Relational Query Languages", STOC 1982). Each evaluation that
-this memo does not answer counts against a budget of ``DEFAULT_BUDGET`` per
-call, past which the call raises ``ResourceLimit``. A binder scans the domain
-in order and stops once its value is fixed: ``forall`` at the first falsifier,
-``exists`` and ``eps`` at the first satisfier, and ``iota`` at the second.
+evaluations, where w is the most free variables of any part of f once scoped
+(Vardi, "The Complexity of Relational Query Languages", STOC 1982). So
+``forall x. forall y. p(x) \\/ q(y)`` costs O(|D|), as ``(forall x. p(x)) \\/
+(forall y. q(y))``, but ``forall x. forall y. p(x) \\/ q(x, y)``, which no rule
+splits, O(|D|^2).
+
+Each evaluation that this memo does not answer counts against a budget of
+``DEFAULT_BUDGET`` per call, past which the call raises ``ResourceLimit``. A
+binder scans the domain in order and stops once its value is fixed:
+``forall`` at the first falsifier, ``exists`` and ``eps`` at the first
+satisfier, and ``iota`` at the second.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import is_, itemgetter
 from types import MappingProxyType
 
 from . import notation
@@ -44,7 +62,13 @@ class UnknownPredicateError(FreeLogicError):
 
 
 class ModelFormatError(FreeLogicError):
-    pass
+    """A malformed model. One that ``Model`` raises names the ``part`` at
+    fault, ``"domain"`` or a predicate's ``(name, arity)``, so that
+    ``parse_model`` can name its line."""
+
+    def __init__(self, message: str, part: str | tuple[str, int] | None = None):
+        super().__init__(message)
+        self.part = part
 
 
 # --- terms -----------------------------------------------------------------
@@ -118,53 +142,152 @@ class Exists(FreeFormula):
 _KINDS = {FreeTerm: "term", FreeFormula: "formula"}
 
 
-class _Scan:
-    """One bottom-up walk over a term or formula, keyed on node identity: its
-    free variables, the name and arity of each predicate in reading order, and
-    the free variables, in sorted order, of each node that does not use every
-    variable bound around it. Evaluation visits such a node again with the
-    same values of its own free variables; a node that uses every variable
-    bound around it meets each binding of them once. Variables are left out,
-    as a key for one would cost as much as its value. A root that is not a
-    ``kind``, a term where a formula belongs and a formula where a term does
-    raise TypeError, so evaluation meets only well-formed nodes."""
+_CONNECTIVES = (And, Or, Implies)
+_DUALS = {Forall: Exists, Exists: Forall}
+_SPLITS = {Forall: And, Exists: Or}  # the connective each quantifier distributes over
 
-    __slots__ = ("predicates", "marked", "_seen", "free")
+
+class _Scan:
+    """One bottom-up walk over a term or formula, keyed on node identity. It
+    reads the formula as written for its free variables and for the name and
+    arity of each predicate in reading order. It builds the formula with
+    tight quantifier scopes, ``scoped``, and marks each part of it that
+    evaluation may visit again with the same values of the part's own free
+    variables: ``marked`` gives their names in sorted order. A root that is
+    not a ``kind``, a term where a formula belongs and a formula where a term
+    does raise TypeError, so evaluation meets only well-formed nodes.
+
+    Each quantifier moves into its scoped body as far as the rules of the
+    module docstring take it; no rule enters ``!``, an atom or a binder. A
+    part that no rule changes stays the same object.
+
+    A part is marked once its parent's place is fixed: for a connective, once
+    a part that is not a connective is built above it. It is marked when it
+    misses a variable that its parent binds, or that its parent uses and a
+    binder around them binds: evaluation then visits it once per value of
+    that variable, with the same values of its own. A binder moves only onto
+    the operands that use its variable, so the variables that a part uses and
+    that are bound around it are the same as written and as scoped. Variables
+    are left out, as a key for one would cost as much as its value. A part
+    shared by two places is marked whatever its places."""
+
+    __slots__ = ("predicates", "marked", "free", "scoped", "_seen", "_free")
 
     def __init__(self, root: FreeTerm | FreeFormula, kind: type):
         self.predicates: list[tuple[str, int]] = []
         self.marked: dict[int, tuple[str, ...]] = {}
-        self._seen: dict[int, frozenset[str]] = {}
-        self.free = self._walk(root, 0, frozenset(), kind)
+        self._seen: dict[int, FreeTerm | FreeFormula] = {}  # a part as written -> scoped
+        # each part scoped or built on the way, and its free variables: kept
+        # alive, so that no two parts share an id
+        self._free: dict[int, tuple[FreeTerm | FreeFormula, frozenset[str]]] = {}
+        self.scoped = self._walk(root, frozenset(), kind)
+        self.free = self._free[id(self.scoped)][1]
+        if type(self.scoped) in _CONNECTIVES:
+            self._settle(self.scoped, frozenset())
 
-    def _walk(self, node, depth: int, bound: frozenset[str], kind) -> frozenset[str]:
-        """The free variables of ``node``, an instance of ``kind`` that sits
-        under ``depth`` binders of the variables ``bound``."""
+    def _walk(self, node, bound: frozenset[str], kind):
+        """``node``, an instance of ``kind`` under binders of the variables
+        ``bound``, scoped."""
         if not isinstance(node, kind):
             raise TypeError(f"not a free-logic {_KINDS[kind]}: {node!r}")
-        if id(node) in self._seen:  # a part shared by two places: their visits may agree
-            names = self._seen[id(node)]
-            self.marked[id(node)] = tuple(sorted(names))
-            return names
-        match node:
-            case Var(name):
-                return frozenset((name,))
-            case Iota(v, body) | Epsilon(v, body) | Forall(v, body) | Exists(v, body):
-                names = self._walk(body, depth + 1, bound | {v}, FreeFormula) - {v}
-            case Pred(name, args):
-                self.predicates.append((name, len(args)))
-                names = frozenset().union(*(self._walk(a, depth, bound, FreeTerm) for a in args))
-            case Eq(l, r) | And(l, r) | Or(l, r) | Implies(l, r):
-                kind = FreeTerm if type(node) is Eq else FreeFormula
-                names = self._walk(l, depth, bound, kind) | self._walk(r, depth, bound, kind)
-            case Not(f):
-                names = self._walk(f, depth, bound, FreeFormula)
-            case _:
-                raise TypeError(f"not a free-logic node: {node!r}")
-        self._seen[id(node)] = names
-        if len(names & bound) < depth:
-            self.marked[id(node)] = tuple(sorted(names))
-        return names
+        scoped = self._seen.get(id(node))
+        if scoped is not None:  # a part shared by two places: their visits may agree
+            if type(scoped) is not Var:
+                self.marked[id(scoped)] = tuple(sorted(self._free[id(scoped)][1]))
+            return scoped
+        cls = type(node)
+        if cls is Var:
+            scoped = self._made(node, frozenset((node.name,)))
+        elif cls is Pred:
+            self.predicates.append((node.name, len(node.args)))
+            args = tuple([self._walk(arg, bound, FreeTerm) for arg in node.args])
+            scoped = self._made(node if all(map(is_, args, node.args)) else Pred(node.name, args),
+                                frozenset().union(*[self._free[id(arg)][1] for arg in args]))
+            self._settle(scoped, bound)
+        elif cls is Not:
+            operand = self._walk(node.operand, bound, FreeFormula)
+            scoped = self._made(node if operand is node.operand else Not(operand),
+                                self._free[id(operand)][1])
+            self._settle(scoped, bound)
+        elif cls is Eq or cls in _CONNECTIVES:
+            part = FreeTerm if cls is Eq else FreeFormula
+            left = self._walk(node.left, bound, part)
+            right = self._walk(node.right, bound, part)
+            same = left is node.left and right is node.right
+            scoped = self._made(node if same else cls(left, right),
+                                self._free[id(left)][1] | self._free[id(right)][1])
+            if cls is Eq:
+                self._settle(scoped, bound)
+        elif cls in _DUALS or cls is Iota or cls is Epsilon:
+            body = self._walk(node.body, bound | {node.var}, FreeFormula)
+            if cls in _DUALS:
+                scoped = self._bind(cls, node.var, body, bound, node)
+            else:
+                scoped = self._made(node if body is node.body else cls(node.var, body),
+                                    self._free[id(body)][1] - {node.var})
+                self._settle(scoped, bound)
+        else:
+            raise TypeError(f"not a free-logic node: {node!r}")
+        self._seen[id(node)] = scoped
+        return scoped
+
+    def _made(self, node, names: frozenset[str]):
+        self._free[id(node)] = node, names
+        return node
+
+    def _bind(self, cls: type, var: str, body: FreeFormula, bound: frozenset[str],
+              written: FreeFormula | None = None) -> FreeFormula:
+        """``cls(var, body)``, a quantifier over a scoped body under binders of
+        ``bound``, with its scope made tight; ``written`` if that is what it
+        is."""
+        names = self._free[id(body)][1]
+        if var not in names:
+            return body
+        kind = type(body)
+        if kind in _CONNECTIVES:
+            left, right = body.left, body.right
+            in_left, in_right = (var in self._free[id(left)][1], var in self._free[id(right)][1])
+            if not in_right:
+                left = self._bind(_DUALS[cls] if kind is Implies else cls, var, left, bound)
+            elif not in_left:
+                right = self._bind(cls, var, right, bound)
+            elif kind is _SPLITS[cls]:
+                left = self._bind(cls, var, left, bound)
+                right = self._bind(cls, var, right, bound)
+            if left is not body.left or right is not body.right:
+                return self._made(kind(left, right),
+                                  self._free[id(left)][1] | self._free[id(right)][1])
+        if written is None or written.body is not body:
+            written = cls(var, body)
+        self._made(written, names - {var})
+        self._settle(written, bound)
+        return written
+
+    def _settle(self, node, bound: frozenset[str]) -> None:
+        """Mark the parts just below ``node``, whose place in the scoped
+        formula is fixed, under binders of the variables ``bound``; then the
+        parts below each connective among them, whose place is fixed too."""
+        cls = type(node)
+        needed = self._free[id(node)][1] & bound
+        if cls is Pred:
+            kids = node.args
+        elif cls is Not:
+            kids = (node.operand,)
+        elif cls is Eq or cls in _CONNECTIVES:
+            kids = (node.left, node.right)
+        else:  # a binder
+            kids = (node.body,)
+            bound = bound | {node.var}
+            needed = needed | {node.var}
+        for kid in kids:
+            kind = type(kid)
+            if kind is Var:
+                continue
+            names = self._free[id(kid)][1]
+            if not needed <= names:
+                self.marked[id(kid)] = tuple(sorted(names))
+            if kind in _CONNECTIVES:
+                self._settle(kid, bound)
 
 
 # --- rendering -------------------------------------------------------------
@@ -207,40 +330,42 @@ class Model(Node, defaults={"predicates": MappingProxyType({})}):
 
     def __post_init__(self):
         if not self.domain:
-            raise ModelFormatError("model domain must be nonempty")
+            raise ModelFormatError("model domain must be nonempty", "domain")
         if len(set(self.domain)) != len(self.domain):
-            raise ModelFormatError("model domain individuals must be distinct")
+            raise ModelFormatError("model domain individuals must be distinct", "domain")
         members = set(self.domain)
         for (name, arity), tuples in self.predicates.items():
             for tup in tuples:
                 if len(tup) != arity:
                     raise ModelFormatError(
-                        f"predicate {name}/{arity} has a tuple of arity {len(tup)}"
+                        f"predicate {name}/{arity} has a tuple of arity {len(tup)}", (name, arity)
                     )
                 for ind in tup:
                     if ind not in members:
                         raise ModelFormatError(
-                            f"predicate {name}/{arity} mentions unknown individual {ind!r}"
+                            f"predicate {name}/{arity} mentions unknown individual {ind!r}",
+                            (name, arity),
                         )
 
 
 class _Evaluation:
     """The state of one eval_term or eval_formula call, passed down the
     recursion, so each call, in whichever thread, counts and remembers only
-    its own evaluations: the model, the evaluations left of the call's budget,
-    and a memo table for each node that ``_Scan`` marks, keyed on the values
-    of the node's own free variables. A description nested d deep is then
-    evaluated once per binding of the variables it uses, not |D|^d times.
+    its own evaluations: the model, the part to evaluate with its quantifier
+    scopes made tight, the evaluations left of the call's budget, and a memo
+    table for each node that ``_Scan`` marks, keyed on the values of the
+    node's own free variables. A description nested d deep is then evaluated
+    once per binding of the variables it uses, not |D|^d times.
 
     Before anything is evaluated, it rejects a free variable that the
     environment does not bind and a predicate that the model does not
-    interpret, so neither depends on which parts evaluation reaches. Each
-    evaluation that the memo does not answer counts against the proof
-    search's node budget, past which the call raises ResourceLimit. Each memo
-    entry is one such evaluation, so the memo never holds more entries than
-    the evaluations spent."""
+    interpret, as the formula is written, so neither depends on which parts
+    evaluation reaches. Each evaluation of the scoped formula that the memo
+    does not answer counts against the proof search's node budget, past which
+    the call raises ResourceLimit. Each memo entry is one such evaluation, so
+    the memo never holds more entries than the evaluations spent."""
 
-    __slots__ = ("domain", "predicates", "left", "marked")
+    __slots__ = ("domain", "predicates", "left", "marked", "root")
 
     def __init__(self, model: Model, env: dict[str, str], root: FreeTerm | FreeFormula,
                  kind: type):
@@ -254,6 +379,7 @@ class _Evaluation:
         for name, arity in scan.predicates:
             if (name, arity) not in model.predicates:
                 raise UnknownPredicateError(f"model does not interpret {name}/{arity}")
+        self.root = scan.scoped
         # marked node id -> (environment -> key, memo table of the node's values)
         self.marked = {node: (itemgetter(*names) if names else _no_values, {})
                        for node, names in scan.marked.items()}
@@ -264,22 +390,27 @@ def _no_values(env: dict[str, str]) -> tuple[()]:
 
 
 _MISSING = object()  # no memo entry; None is the value of a non-denoting term
+_EXHAUSTED = "free-logic evaluation budget exhausted"
 
 # One evaluator serves terms and formulas, and one domain scan, ``_witnesses``,
-# the four binders. The evaluator spends the budget inline, and it matches bare
-# class patterns and then reads attributes: a pattern that captures costs a
-# __match_args__ lookup per field, and made an evaluation past the memo twice
-# as dear. The scan rebinds one copy of the environment in place.
+# the four binders. The evaluator spends the budget inline and dispatches on
+# the node's class, most frequent first: a ``match`` tries each class pattern
+# in turn. An atom reads a variable among its arguments from the environment
+# in place, where a call would cost more than the read, and spends one
+# evaluation on it as the call would. The scan rebinds one copy of the
+# environment in place.
 
 
 def eval_term(model: Model, env: dict[str, str], term: FreeTerm) -> str | None:
     """Denotation of a term: an individual name, or None when it does not denote."""
-    return _eval(_Evaluation(model, env, term, FreeTerm), env, term)
+    ev = _Evaluation(model, env, term, FreeTerm)
+    return _eval(ev, env, ev.root)
 
 
 def eval_formula(model: Model, env: dict[str, str], formula: FreeFormula) -> bool:
     """Truth of a formula under ``env``, which binds at least its free variables."""
-    return _eval(_Evaluation(model, env, formula, FreeFormula), env, formula)
+    ev = _Evaluation(model, env, formula, FreeFormula)
+    return _eval(ev, env, ev.root)
 
 
 def check_sentence(model: Model, formula: FreeFormula) -> bool:
@@ -300,39 +431,46 @@ def _eval(ev: _Evaluation, env: dict[str, str], node: FreeTerm | FreeFormula):
             return value
     ev.left -= 1
     if ev.left < 0:
-        raise ResourceLimit("free-logic evaluation budget exhausted")
-    match node:
-        case Var():
-            value = env[node.name]
-        case Pred():
-            # An argument that does not denote makes the atom false; the
-            # arguments after it are not evaluated.
-            args = []
-            for arg in node.args:
-                args.append(_eval(ev, env, arg))
-                if args[-1] is NON_DENOTING:
+        raise ResourceLimit(_EXHAUSTED)
+    kind = type(node)
+    if kind is Pred:
+        # An argument that does not denote makes the atom false; the
+        # arguments after it are not evaluated.
+        args = []
+        for arg in node.args:
+            if type(arg) is Var:
+                ev.left -= 1
+                if ev.left < 0:
+                    raise ResourceLimit(_EXHAUSTED)
+                args.append(env[arg.name])
+            else:
+                value = _eval(ev, env, arg)
+                if value is NON_DENOTING:
                     value = False
                     break
-            else:
-                value = tuple(args) in ev.predicates[node.name, len(args)]
-        case Eq():
-            lv = _eval(ev, env, node.left)
-            value = lv is not NON_DENOTING and lv == _eval(ev, env, node.right)
-        case Not():
-            value = not _eval(ev, env, node.operand)
-        case And():
-            value = _eval(ev, env, node.left) and _eval(ev, env, node.right)
-        case Or():
-            value = _eval(ev, env, node.left) or _eval(ev, env, node.right)
-        case Implies():
-            value = not _eval(ev, env, node.left) or _eval(ev, env, node.right)
-        case Forall():
-            value = not _witnesses(ev, env, node, False, 1)
-        case Exists():
-            value = bool(_witnesses(ev, env, node, True, 1))
-        case Iota() | Epsilon():
-            found = _witnesses(ev, env, node, True, 2 if type(node) is Iota else 1)
-            value = found[0] if len(found) == 1 else NON_DENOTING
+                args.append(value)
+        else:
+            value = tuple(args) in ev.predicates[node.name, len(args)]
+    elif kind is Not:
+        value = not _eval(ev, env, node.operand)
+    elif kind is And:
+        value = _eval(ev, env, node.left) and _eval(ev, env, node.right)
+    elif kind is Or:
+        value = _eval(ev, env, node.left) or _eval(ev, env, node.right)
+    elif kind is Implies:
+        value = not _eval(ev, env, node.left) or _eval(ev, env, node.right)
+    elif kind is Forall:
+        value = not _witnesses(ev, env, node, False, 1)
+    elif kind is Exists:
+        value = bool(_witnesses(ev, env, node, True, 1))
+    elif kind is Eq:
+        lv = _eval(ev, env, node.left)
+        value = lv is not NON_DENOTING and lv == _eval(ev, env, node.right)
+    elif kind is Var:
+        value = env[node.name]
+    else:  # Iota or Epsilon
+        found = _witnesses(ev, env, node, True, 2 if kind is Iota else 1)
+        value = found[0] if len(found) == 1 else NON_DENOTING
     if marked is not None:
         table[key] = value
     return value
@@ -366,6 +504,7 @@ def parse_model(text: str) -> Model:
     """
     domain: tuple[str, ...] | None = None
     predicates: dict[tuple[str, int], set[tuple[str, ...]]] = {}
+    lines: dict[str | tuple[str, int], int] = {}  # the line of the domain and of each pred
     for lineno, raw in enumerate(notation._lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -377,6 +516,7 @@ def parse_model(text: str) -> Model:
             if not names:
                 raise ModelFormatError(f"line {lineno}: empty domain")
             domain = tuple(names)
+            lines["domain"] = lineno
         elif line.split(maxsplit=1)[0] == "pred":
             head, colon, extension = line[len("pred"):].partition(":")
             if not colon:
@@ -408,8 +548,12 @@ def parse_model(text: str) -> Model:
                     f"line {lineno}: duplicate declaration of {key[0]}/{arity}"
                 )
             predicates[key] = tuples
+            lines[key] = lineno
         else:
             raise ModelFormatError(f"line {lineno}: unrecognized line {line!r}")
     if domain is None:
         raise ModelFormatError("model file has no domain declaration")
-    return Model(domain, {k: frozenset(v) for k, v in predicates.items()})
+    try:
+        return Model(domain, {k: frozenset(v) for k, v in predicates.items()})
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"line {lines[exc.part]}: {exc}") from None

@@ -54,6 +54,8 @@ LABELS = "tests/test_monitoring.py::TestLabellingPass::"
 SESSION = "tests/test_monitoring.py::TestMonitor::"
 TOWERS = "tests/test_monitoring.py::TestTowers::"
 FREELOGIC = "pdlogic/freelogic.py"
+EVALUATING = "tests/test_freelogic.py::TestEvalFormula::"
+SCOPING = "tests/test_freelogic.py::TestScoping::"
 NOTATION = "pdlogic/notation.py"
 RENDER = "tests/test_formulas.py::TestRender::"
 TEXTCHECK = "pdlogic/textcheck.py"
@@ -196,14 +198,32 @@ MUTANTS = (
      "and type(states[0]) is cls:", "and type(states[0]) in (BoxK, DiamondK):",
      [TOWERS + "test_unlike_modalities_stay_apart"]),
     ("a free-logic memo key leaves out a variable", FREELOGIC,
-     "        if len(names & bound) < depth:\n"
-     "            self.marked[id(node)] = tuple(sorted(names))\n",
-     "        if len(names & bound) < depth:\n"
-     "            self.marked[id(node)] = tuple(sorted(names))[1:]\n",
+     "                self.marked[id(kid)] = tuple(sorted(names))\n",
+     "                self.marked[id(kid)] = tuple(sorted(names))[1:]\n",
      ["tests/test_freelogic.py::TestAgainstTheOracle::test_sentences_open_formulas_and_terms"]),
     ("a free-logic evaluation past the memo spends no budget", FREELOGIC,
-     "    ev.left -= 1\n", "",
+     "            return value\n    ev.left -= 1\n", "            return value\n",
      ["tests/test_freelogic.py::TestEvalFormula::test_budget_counts_evaluations_past_the_memo"]),
+    ("a variable read in place spends no budget", FREELOGIC,
+     "            if type(arg) is Var:\n                ev.left -= 1\n",
+     "            if type(arg) is Var:\n",
+     [EVALUATING + "test_budget_counts_evaluations_of_the_scoped_formula"]),
+    ("forall is pushed into both operands of \\/", FREELOGIC,
+     "            elif kind is _SPLITS[cls]:", "            elif kind in (_SPLITS[cls], Or):",
+     [SCOPING + "test_rule[forall_over_or_stays]"]),
+    ("a quantifier moved onto an antecedent keeps its kind", FREELOGIC,
+     "_DUALS[cls] if kind is Implies else cls", "cls",
+     [SCOPING + "test_rule[forall_onto_an_antecedent]"]),
+    ("a distributed quantifier is dropped from the left operand", FREELOGIC,
+     "            elif kind is _SPLITS[cls]:\n                left = self._bind(cls, var, left, bound)\n",
+     "            elif kind is _SPLITS[cls]:\n",
+     [SCOPING + "test_rule[forall_over_and]"]),
+    ("a model's own error names the domain's line for a predicate", FREELOGIC,
+     'f"line {lines[exc.part]}: {exc}"', 'f"line {lines[\'domain\']}: {exc}"',
+     ["tests/test_freelogic.py::TestModelFormat::test_an_unknown_individual_names_its_pred_line"]),
+    ("the parts below a connective are never marked", FREELOGIC,
+     "            if kind in _CONNECTIVES:\n                self._settle(kid, bound)\n", "",
+     [SCOPING + "test_no_part_is_evaluated_twice_with_the_same_values"]),
     ("a model's default predicates can be changed", FREELOGIC,
      'defaults={"predicates": MappingProxyType({})}', 'defaults={"predicates": {}}',
      ["tests/test_nodes.py::test_the_default_model_predicates_cannot_be_changed"]),

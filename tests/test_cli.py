@@ -563,13 +563,23 @@ class TestHostileInput:
         assert time.perf_counter() - started < 5.0
 
     def test_wide_sentence_past_the_budget_exits_3(self, capsys, tmp_path):
-        # The body uses all four variables: 32^4 evaluations past the memo.
+        # No scope rule splits the body, which uses all four variables: 32^4
+        # evaluations past the memo.
+        model = tmp_path / "model.txt"
+        model.write_text("domain: " + " ".join(f"i{k}" for k in range(32)) + "\npred r/4:\n",
+                         encoding="utf-8")
+        text = "forall x. forall y. forall z. forall w. !r(x, y, z, w)"
+        assert run(capsys, "eval", str(model), text) == (
+            3, "", "error: free-logic evaluation budget exhausted\n")
+
+    def test_wide_sentence_that_scoping_splits_answers(self, capsys, tmp_path):
+        # Scoped, x = y \/ !(x = y) \/ forall z. forall w. z = w: its body
+        # uses two variables.
         model = tmp_path / "model.txt"
         model.write_text("domain: " + " ".join(f"i{k}" for k in range(32)) + "\n",
                          encoding="utf-8")
         text = "forall x. forall y. forall z. forall w. x = y \\/ !(x = y) \\/ z = w"
-        assert run(capsys, "eval", str(model), text) == (
-            3, "", "error: free-logic evaluation budget exhausted\n")
+        assert run(capsys, "eval", str(model), text) == (0, "true\n", "")
 
     def test_huge_bound_answers_in_stepwise_monitor(self, capsys, files):
         spec = Path(files["spec"])

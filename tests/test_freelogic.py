@@ -28,8 +28,11 @@ TWO_MEN = parse_model("domain: a b\npred man/1: a b\n")
 ONE_MAN = parse_model("domain: a b\npred man/1: b\n")
 ONLY_B_IS_P = parse_model("domain: a b\npred p/1: b\n")
 
-WIDE = parse_free("forall x. forall y. forall z. forall w. x = y \\/ !(x = y) \\/ z = w")
-# the same shape over the variables and predicates of oracles.random_free
+# No scope rule splits this body, which uses all four variables.
+WIDE = parse_free("forall x. forall y. forall z. forall w. !r(x, y, z, w)")
+# Scoped, this one is forall x. forall y. x = y \/ !(x = y) \/ (forall z. forall w. z = w).
+SPLIT = parse_free("forall x. forall y. forall z. forall w. x = y \\/ !(x = y) \\/ z = w")
+# SPLIT's shape over the variables and predicates of oracles.random_free
 WIDE_SMALL = parse_free("forall x. forall y. forall z. loves(x, y) \\/ !man(x) \\/ happy(z)")
 VARIABLES = ("x", "y", "z")
 
@@ -121,13 +124,33 @@ class TestEvalFormula:
         assert fastest < 0.01
 
     def test_wide_sentence_past_the_budget_raises(self):
-        # The body uses all four variables, so it is evaluated past the memo
-        # once for each of the 32^4 bindings: more than the 10^6 budget.
-        model = Model(tuple(f"i{k}" for k in range(32)))
+        # No scope rule splits the body, which uses all four variables, so it
+        # is evaluated past the memo once for each of the 32^4 bindings: more
+        # than the 10^6 budget.
+        model = Model(tuple(f"i{k}" for k in range(32)), {("r", 4): frozenset()})
         with pytest.raises(ResourceLimit, match="^free-logic evaluation budget exhausted$"):
             check_sentence(model, WIDE)
         # the budget is per call: the next one starts afresh
         assert check_sentence(model, parse_free("forall x. x = x")) is True
+
+    def test_a_wide_sentence_that_scoping_splits_answers(self, monkeypatch):
+        # Its scoped body uses two variables, and it is true at x = y or at
+        # !(x = y), so each of the 32^2 bindings takes at most 9 evaluations:
+        # two disjunctions, !, and each = with its two variables. forall z.
+        # forall w. z = w is never reached. Unscoped, it took 32^4 bindings.
+        model = Model(tuple(f"i{k}" for k in range(32)))
+        monkeypatch.setattr(fl, "DEFAULT_BUDGET", 10 * 32 * 32)
+        assert check_sentence(model, SPLIT) is True
+
+    def test_budget_counts_evaluations_of_the_scoped_formula(self, monkeypatch):
+        # Scoped, (forall x. man(x)) /\ (forall y. happy(y)): the conjunction
+        # and two binders, then each atom and its variable once per individual.
+        model = parse_model("domain: a b c d e\npred man/1: a b c d e\npred happy/1: a b c d e\n")
+        monkeypatch.setattr(fl, "DEFAULT_BUDGET", 3 + 2 * 2 * 5)
+        assert check_sentence(model, parse_free("forall x. forall y. man(x) /\\ happy(y)"))
+        monkeypatch.setattr(fl, "DEFAULT_BUDGET", 3 + 2 * 2 * 5 - 1)
+        with pytest.raises(ResourceLimit):
+            check_sentence(model, parse_free("forall x. forall y. man(x) /\\ happy(y)"))
 
     def test_budget_counts_evaluations_past_the_memo(self, monkeypatch):
         # The 23 descriptions and the 23 atoms around them are closed, so each
@@ -226,9 +249,9 @@ def random_model(rng):
     return Model(domain, {("p", 1): extension})
 
 
-def random_full_model(rng):
-    """One to four individuals, and every predicate of oracles.random_free."""
-    domain = tuple(f"d{i}" for i in range(rng.randint(1, 4)))
+def random_full_model(rng, most=4):
+    """One to ``most`` individuals, and every predicate of oracles.random_free."""
+    domain = tuple(f"d{i}" for i in range(rng.randint(1, most)))
     return Model(domain, {
         (name, arity): frozenset(t for t in itertools.product(domain, repeat=arity)
                                  if rng.random() < 0.5)
@@ -272,6 +295,141 @@ class TestAgainstTheOracle:
         # both kinds of answer are compared, many times
         assert denotations.count(None) > 500
         assert len(denotations) - denotations.count(None) > 500
+
+
+SCOPE_VARIABLES = ("x", "y", "z", "w")
+
+
+def random_scopable(rng, depth):
+    """A formula over the predicates of oracles.random_free whose atoms each
+    use one or two of x, y, z and w, so that a quantifier over a connective
+    often has an operand to move onto. Its binders pick their variable at
+    random, so some bind a variable that nothing uses and some one that a
+    binder around them binds too. Some atoms hold a description whose body
+    has quantifiers of its own."""
+    if depth <= 1 or rng.random() < 0.2:
+        roll = rng.random()
+        first, second = (fl.Var(rng.choice(SCOPE_VARIABLES)) for _ in range(2))
+        if roll < 0.1:
+            first = rng.choice((fl.Iota, fl.Epsilon))(rng.choice(SCOPE_VARIABLES),
+                                                      random_scopable(rng, 3))
+        if roll < 0.3:
+            return fl.Pred(rng.choice(("man", "happy")), (first,))
+        if roll < 0.5:
+            return fl.Eq(first, second)
+        return fl.Pred("loves", (first, second))
+    roll = rng.randrange(8)
+    if roll == 0:
+        return fl.Not(random_scopable(rng, depth - 1))
+    if roll < 5:
+        node = (fl.And, fl.Or, fl.Implies, fl.Implies)[roll - 1]
+        return node(random_scopable(rng, depth - 1), random_scopable(rng, depth - 1))
+    return rng.choice((fl.Forall, fl.Exists))(rng.choice(SCOPE_VARIABLES),
+                                              random_scopable(rng, depth - 1))
+
+
+def scoped(formula, kind=fl.FreeFormula):
+    return fl._Scan(formula, kind).scoped
+
+
+class TestScoping:
+    """Evaluation scopes each quantifier tightly first. Each rule is pinned on
+    the formula it builds, and formulas that the rules rewrite are evaluated
+    against oracles.eval_formula and oracles.eval_term, which evaluate them as
+    written."""
+
+    @pytest.mark.parametrize("written, tight", [
+        ("forall x. man(y)", "man(y)"),
+        ("forall x. exists x. man(x)", "exists x. man(x)"),
+        ("forall x. man(x) /\\ happy(x)", "(forall x. man(x)) /\\ (forall x. happy(x))"),
+        ("exists x. man(x) \\/ happy(x)", "(exists x. man(x)) \\/ (exists x. happy(x))"),
+        ("forall x. man(x) \\/ happy(x)", "forall x. man(x) \\/ happy(x)"),
+        ("exists x. man(x) /\\ happy(x)", "exists x. man(x) /\\ happy(x)"),
+        ("forall x. man(x) \\/ happy(y)", "(forall x. man(x)) \\/ happy(y)"),
+        ("exists x. happy(y) /\\ man(x)", "happy(y) /\\ (exists x. man(x))"),
+        ("forall x. man(x) -> happy(y)", "(exists x. man(x)) -> happy(y)"),
+        ("exists x. man(x) -> happy(y)", "(forall x. man(x)) -> happy(y)"),
+        ("forall x. happy(y) -> man(x)", "happy(y) -> (forall x. man(x))"),
+        ("exists x. happy(y) -> man(x)", "happy(y) -> (exists x. man(x))"),
+        ("forall x. man(x) -> happy(x)", "forall x. man(x) -> happy(x)"),
+        ("forall x. !(man(x) /\\ happy(y))", "forall x. !(man(x) /\\ happy(y))"),
+        ("forall x. (man(x) \\/ happy(y)) \\/ loves(y, y)",
+         "((forall x. man(x)) \\/ happy(y)) \\/ loves(y, y)"),
+        ("forall x. forall y. man(x) /\\ loves(x, y)",
+         "(forall x. man(x)) /\\ (forall x. forall y. loves(x, y))"),
+        ("forall x. forall y. (man(x) -> happy(y)) -> loves(x, x)",
+         "forall x. (man(x) -> (exists y. happy(y))) -> loves(x, x)"),
+        ("man(iota x. forall y. happy(y) /\\ man(x))",
+         "man((iota x. (forall y. happy(y)) /\\ man(x)))"),
+        (fl.render(SPLIT), "forall x. forall y. x = y \\/ !x = y \\/ (forall z. forall w. z = w)"),
+    ], ids=["vacuous", "shadowed", "forall_over_and", "exists_over_or", "forall_over_or_stays",
+            "exists_over_and_stays", "forall_onto_a_disjunct", "exists_onto_a_conjunct",
+            "forall_onto_an_antecedent", "exists_onto_an_antecedent",
+            "forall_onto_a_consequent", "exists_onto_a_consequent", "implication_stays",
+            "negation_stays", "onto_an_operand_and_further", "the_inner_binder_moves_too",
+            "the_dual_moves_on", "inside_a_description", "wide"])
+    def test_rule(self, written, tight):
+        assert fl.render(scoped(parse_free(written))) == tight
+
+    def test_a_formula_with_no_quantifier_to_move_is_the_same_object(self):
+        for formula in map(parse_free, (
+                "man(iota x. loves(x, y)) /\\ !(y = y)", "forall x. man(x) \\/ happy(x)",
+                "exists x. forall y. loves(x, y) -> man(x) /\\ happy(y)")):
+            assert scoped(formula) is formula, fl.render(formula)
+        term = parse_free_term("eps x. exists y. loves(x, y) /\\ happy(y)")
+        assert scoped(term, fl.FreeTerm) is term
+        rng = random.Random(41)
+        kept = 0
+        for _ in range(300):
+            formula = oracles.random_free(rng, 5)
+            if not any(word in fl.render(formula) for word in ("forall", "exists")):
+                assert scoped(formula) is formula, fl.render(formula)
+                kept += 1
+        assert kept > 100
+
+    def test_rewritten_formulas_against_the_oracle(self):
+        rng = random.Random(41)
+        rewritten = 0
+        for _ in range(400):
+            body = random_scopable(rng, 5)
+            sentence = body
+            for name in rng.sample(SCOPE_VARIABLES, 4):
+                sentence = rng.choice((fl.Forall, fl.Exists))(name, sentence)
+            term = rng.choice((fl.Iota, fl.Epsilon))(rng.choice(SCOPE_VARIABLES), body)
+            rewritten += scoped(sentence) is not sentence
+            for _ in range(2):
+                model = random_full_model(rng, 3)
+                env = {name: rng.choice(model.domain) for name in SCOPE_VARIABLES}
+                assert check_sentence(model, sentence) == oracles.eval_formula(
+                    model, {}, sentence), fl.render(sentence)
+                assert eval_formula(model, env, body) == oracles.eval_formula(
+                    model, env, body), fl.render(body)
+                assert eval_term(model, env, term) == oracles.eval_term(
+                    model, env, term), fl.render_term(term)
+        assert rewritten > 300
+
+    def test_no_part_is_evaluated_twice_with_the_same_values(self, monkeypatch):
+        # Each part past the memo, but a variable, is recorded with the values
+        # of its own free variables: a part whose marks are missing would be
+        # recorded again with the same ones.
+        def recording(ev, env, node):
+            marked = ev.marked.get(id(node))
+            if type(node) is not fl.Var and (marked is None or marked[0](env) not in marked[1]):
+                kind = fl.FreeTerm if isinstance(node, fl.FreeTerm) else fl.FreeFormula
+                names = sorted(fl._Scan(node, kind).free)
+                visits.append((id(node), tuple(env[name] for name in names)))
+            return real(ev, env, node)
+
+        real = fl._eval
+        monkeypatch.setattr(fl, "_eval", recording)
+        rng = random.Random(42)
+        for _ in range(150):
+            sentence = random_scopable(rng, 5)
+            for name in rng.sample(SCOPE_VARIABLES, 4):
+                sentence = rng.choice((fl.Forall, fl.Exists))(name, sentence)
+            visits = []
+            check_sentence(random_full_model(rng, 3), sentence)
+            assert len(visits) == len(set(visits)), fl.render(sentence)
 
 
 class TestLaws:
@@ -345,6 +503,25 @@ class TestModelFormat:
     def test_unknown_individual_rejected(self):
         with pytest.raises(ModelFormatError):
             parse_model("domain: a\npred man/1: b\n")
+
+    def test_an_unknown_individual_names_its_pred_line(self):
+        # the domain line comes last, so the individual is checked after it
+        text = "pred p/1: a\n# q follows\n\npred q/1: a b\ndomain: a\n"
+        with pytest.raises(ModelFormatError,
+                           match="^line 4: predicate q/1 mentions unknown individual 'b'$"):
+            parse_model(text)
+
+    def test_repeated_individuals_name_the_domain_line(self):
+        with pytest.raises(ModelFormatError,
+                           match="^line 3: model domain individuals must be distinct$"):
+            parse_model("pred p/1: a\n\ndomain: a b a\n")
+
+    def test_a_model_built_in_python_names_no_line(self):
+        with pytest.raises(ModelFormatError, match="^model domain individuals must be distinct$"):
+            Model(("a", "a"))
+        with pytest.raises(ModelFormatError,
+                           match="^predicate q/1 mentions unknown individual 'b'$"):
+            Model(("a",), {("q", 1): frozenset({("b",)})})
 
     def test_empty_domain_rejected(self):
         with pytest.raises(ModelFormatError):

@@ -153,12 +153,19 @@ CASES = {
         ["eval", "{dir}/model.txt", "p(iota x. " * 40 + "p(x)" + ")" * 40], 1, "false\n",
         files={"model.txt": "domain: a b\npred p/1: b\n"}, timeout=30,
     ),
-    # A body that uses all four variables is evaluated 32^4 times: it stops at
-    # the evaluation budget.
+    # A body that no scope rule splits and that uses all four variables is
+    # evaluated 32^4 times: it stops at the evaluation budget.
     "eval_wide_sentence_past_the_budget": Case(
+        ["eval", "{dir}/model.txt", "forall x. forall y. forall z. forall w. !r(x, y, z, w)"],
+        3, "", "error: free-logic evaluation budget exhausted\n",
+        files={"model.txt": "domain: " + " ".join(f"i{k}" for k in range(32)) + "\npred r/4:\n"},
+        timeout=30,
+    ),
+    # Scoped, the body is x = y \/ !(x = y) \/ forall z. forall w. z = w, which
+    # uses two variables: it answers.
+    "eval_wide_sentence_that_scoping_splits_answers": Case(
         ["eval", "{dir}/model.txt",
-         "forall x. forall y. forall z. forall w. x = y \\/ !(x = y) \\/ z = w"], 3, "",
-        "error: free-logic evaluation budget exhausted\n",
+         "forall x. forall y. forall z. forall w. x = y \\/ !(x = y) \\/ z = w"], 0, "true\n", "",
         files={"model.txt": "domain: " + " ".join(f"i{k}" for k in range(32)) + "\n"},
         timeout=30,
     ),
