@@ -12,24 +12,26 @@ structure.
 
 Evaluation first scopes each quantifier tightly (miniscoping: Nonnengart and
 Weidenbach, "Computing Small Clause Normal Forms", Handbook of Automated
-Reasoning, 2001), bottom-up, inside description bodies too:
+Reasoning, 2001), bottom-up, inside description bodies too, by three rules:
 
 - ``Q x. f`` becomes ``f`` when x is not free in f;
-- ``forall`` distributes over ``/\\``, and ``exists`` over ``\\/``;
 - when only one operand of ``/\\``, ``\\/`` or ``->`` uses x, the quantifier
-  moves onto that operand, and in the antecedent of ``->`` it flips:
-  ``forall x. A -> B`` with x only in A becomes ``(exists x. A) -> B``.
+  moves onto that operand;
+- in the antecedent of ``->`` it flips: ``forall x. A -> B`` with x only in
+  A becomes ``(exists x. A) -> B``.
 
-These rules are sound because a model's domain is nonempty and every formula
-is two-valued; they change the order and the cost of evaluation, not its
-value. Operands keep their order, and ``!`` is left alone. Evaluation then
-remembers the value of each part of the scoped formula under each binding of
-the part's own free variables, so a formula f costs O(|f| * |D|^w)
-evaluations, where w is the most free variables of any part of f once scoped
-(Vardi, "The Complexity of Relational Query Languages", STOC 1982). So
-``forall x. forall y. p(x) \\/ q(y)`` costs O(|D|), as ``(forall x. p(x)) \\/
-(forall y. q(y))``, but ``forall x. forall y. p(x) \\/ q(x, y)``, which no rule
-splits, O(|D|^2).
+These rules are sound because a model's domain is nonempty and every formula is
+two-valued; they change the order and the cost of evaluation, not its value.
+Operands keep their order, ``!`` is left alone, and a quantifier that both
+operands need stays whole, keeping its early stop. Evaluation then remembers
+the value of a part of the scoped formula, under each binding of the part's own
+free variables, when the part misses a variable that its parent binds, or one
+that its parent uses and a binder around them binds, or when two places share
+it. So a formula f costs O(|f| * |D|^w) evaluations, where w is the most free
+variables of any part of f once scoped (Vardi, "The Complexity of Relational
+Query Languages", STOC 1982): ``forall x. forall y. p(x) \\/ q(y)`` costs
+O(|D|), as ``(forall x. p(x)) \\/ (forall y. q(y))``, but ``forall x. forall y.
+p(x) \\/ q(x, y)``, which no rule splits, O(|D|^2).
 
 Each evaluation that this memo does not answer counts against a budget of
 ``DEFAULT_BUDGET`` per call, past which the call raises ``ResourceLimit``. A
@@ -140,36 +142,28 @@ class Exists(FreeFormula):
 
 
 _KINDS = {FreeTerm: "term", FreeFormula: "formula"}
-
-
 _CONNECTIVES = (And, Or, Implies)
 _DUALS = {Forall: Exists, Exists: Forall}
-_SPLITS = {Forall: And, Exists: Or}  # the connective each quantifier distributes over
 
 
 class _Scan:
-    """One bottom-up walk over a term or formula, keyed on node identity. It
-    reads the formula as written for its free variables and for the name and
-    arity of each predicate in reading order. It builds the formula with
-    tight quantifier scopes, ``scoped``, and marks each part of it that
-    evaluation may visit again with the same values of the part's own free
-    variables: ``marked`` gives their names in sorted order. A root that is
-    not a ``kind``, a term where a formula belongs and a formula where a term
-    does raise TypeError, so evaluation meets only well-formed nodes.
+    """Two walks over a term or formula. The first, bottom-up and keyed on
+    node identity, reads the formula as written for its free variables and
+    the name and arity of each predicate in reading order. It builds
+    ``scoped`` by the module docstring's three rules: a vacuous binder goes,
+    and a quantifier moves onto the one operand of a connective that uses its
+    variable, flipping in an antecedent. No rule enters ``!``, an atom or a
+    binder, and a part that no rule changes stays the same object. A root
+    that is not a ``kind``, a term where a formula belongs and a formula
+    where a term does raise TypeError, so evaluation meets only well-formed
+    nodes.
 
-    Each quantifier moves into its scoped body as far as the rules of the
-    module docstring take it; no rule enters ``!``, an atom or a binder. A
-    part that no rule changes stays the same object.
-
-    A part is marked once its parent's place is fixed: for a connective, once
-    a part that is not a connective is built above it. It is marked when it
-    misses a variable that its parent binds, or that its parent uses and a
-    binder around them binds: evaluation then visits it once per value of
-    that variable, with the same values of its own. A binder moves only onto
-    the operands that use its variable, so the variables that a part uses and
-    that are bound around it are the same as written and as scoped. Variables
-    are left out, as a key for one would cost as much as its value. A part
-    shared by two places is marked whatever its places."""
+    The second walks the finished ``scoped`` top-down. It marks a part that
+    misses a variable its parent binds, or one that its parent uses and a
+    binder around them binds, or that two places share: evaluation may visit
+    it again with the same values of its own free variables, whose names
+    ``marked`` gives in sorted order. Variables are left out, as a key for
+    one would cost as much as its value."""
 
     __slots__ = ("predicates", "marked", "free", "scoped", "_seen", "_free")
 
@@ -180,52 +174,42 @@ class _Scan:
         # each part scoped or built on the way, and its free variables: kept
         # alive, so that no two parts share an id
         self._free: dict[int, tuple[FreeTerm | FreeFormula, frozenset[str]]] = {}
-        self.scoped = self._walk(root, frozenset(), kind)
+        self.scoped = self._walk(root, kind)
         self.free = self._free[id(self.scoped)][1]
-        if type(self.scoped) in _CONNECTIVES:
-            self._settle(self.scoped, frozenset())
+        self._mark(self.scoped, frozenset(), frozenset(), set())
 
-    def _walk(self, node, bound: frozenset[str], kind):
-        """``node``, an instance of ``kind`` under binders of the variables
-        ``bound``, scoped."""
+    def _walk(self, node, kind):
+        """``node``, an instance of ``kind``, scoped."""
         if not isinstance(node, kind):
             raise TypeError(f"not a free-logic {_KINDS[kind]}: {node!r}")
         scoped = self._seen.get(id(node))
-        if scoped is not None:  # a part shared by two places: their visits may agree
-            if type(scoped) is not Var:
-                self.marked[id(scoped)] = tuple(sorted(self._free[id(scoped)][1]))
+        if scoped is not None:
             return scoped
         cls = type(node)
         if cls is Var:
             scoped = self._made(node, frozenset((node.name,)))
         elif cls is Pred:
             self.predicates.append((node.name, len(node.args)))
-            args = tuple([self._walk(arg, bound, FreeTerm) for arg in node.args])
+            args = tuple([self._walk(arg, FreeTerm) for arg in node.args])
             scoped = self._made(node if all(map(is_, args, node.args)) else Pred(node.name, args),
                                 frozenset().union(*[self._free[id(arg)][1] for arg in args]))
-            self._settle(scoped, bound)
         elif cls is Not:
-            operand = self._walk(node.operand, bound, FreeFormula)
+            operand = self._walk(node.operand, FreeFormula)
             scoped = self._made(node if operand is node.operand else Not(operand),
                                 self._free[id(operand)][1])
-            self._settle(scoped, bound)
         elif cls is Eq or cls in _CONNECTIVES:
             part = FreeTerm if cls is Eq else FreeFormula
-            left = self._walk(node.left, bound, part)
-            right = self._walk(node.right, bound, part)
+            left = self._walk(node.left, part)
+            right = self._walk(node.right, part)
             same = left is node.left and right is node.right
             scoped = self._made(node if same else cls(left, right),
                                 self._free[id(left)][1] | self._free[id(right)][1])
-            if cls is Eq:
-                self._settle(scoped, bound)
-        elif cls in _DUALS or cls is Iota or cls is Epsilon:
-            body = self._walk(node.body, bound | {node.var}, FreeFormula)
-            if cls in _DUALS:
-                scoped = self._bind(cls, node.var, body, bound, node)
-            else:
-                scoped = self._made(node if body is node.body else cls(node.var, body),
-                                    self._free[id(body)][1] - {node.var})
-                self._settle(scoped, bound)
+        elif cls in _DUALS:
+            scoped = self._bind(cls, node.var, self._walk(node.body, FreeFormula), node)
+        elif cls is Iota or cls is Epsilon:
+            body = self._walk(node.body, FreeFormula)
+            scoped = self._made(node if body is node.body else cls(node.var, body),
+                                self._free[id(body)][1] - {node.var})
         else:
             raise TypeError(f"not a free-logic node: {node!r}")
         self._seen[id(node)] = scoped
@@ -235,40 +219,42 @@ class _Scan:
         self._free[id(node)] = node, names
         return node
 
-    def _bind(self, cls: type, var: str, body: FreeFormula, bound: frozenset[str],
+    def _bind(self, cls: type, var: str, body: FreeFormula,
               written: FreeFormula | None = None) -> FreeFormula:
-        """``cls(var, body)``, a quantifier over a scoped body under binders of
-        ``bound``, with its scope made tight; ``written`` if that is what it
-        is."""
+        """``cls(var, body)``, a quantifier over a scoped body, with its scope
+        made tight; ``written`` if that is what it is."""
         names = self._free[id(body)][1]
         if var not in names:
             return body
         kind = type(body)
         if kind in _CONNECTIVES:
             left, right = body.left, body.right
-            in_left, in_right = (var in self._free[id(left)][1], var in self._free[id(right)][1])
-            if not in_right:
-                left = self._bind(_DUALS[cls] if kind is Implies else cls, var, left, bound)
-            elif not in_left:
-                right = self._bind(cls, var, right, bound)
-            elif kind is _SPLITS[cls]:
-                left = self._bind(cls, var, left, bound)
-                right = self._bind(cls, var, right, bound)
+            if var not in self._free[id(right)][1]:
+                left = self._bind(_DUALS[cls] if kind is Implies else cls, var, left)
+            elif var not in self._free[id(left)][1]:
+                right = self._bind(cls, var, right)
             if left is not body.left or right is not body.right:
                 return self._made(kind(left, right),
                                   self._free[id(left)][1] | self._free[id(right)][1])
         if written is None or written.body is not body:
             written = cls(var, body)
-        self._made(written, names - {var})
-        self._settle(written, bound)
-        return written
+        return self._made(written, names - {var})
 
-    def _settle(self, node, bound: frozenset[str]) -> None:
-        """Mark the parts just below ``node``, whose place in the scoped
-        formula is fixed, under binders of the variables ``bound``; then the
-        parts below each connective among them, whose place is fixed too."""
+    def _mark(self, node, needed: frozenset[str], bound: frozenset[str],
+              placed: set[int]) -> None:
+        """Mark ``node``, a part of the scoped formula under binders of the
+        variables ``bound`` whose parent needs the variables ``needed``, and
+        the parts below it; ``placed`` holds the parts already met."""
         cls = type(node)
-        needed = self._free[id(node)][1] & bound
+        if cls is Var:
+            return
+        names = self._free[id(node)][1]
+        if id(node) in placed or not needed <= names:
+            self.marked[id(node)] = tuple(sorted(names))
+            if id(node) in placed:  # a part shared by two places
+                return
+        placed.add(id(node))
+        needed = names & bound
         if cls is Pred:
             kids = node.args
         elif cls is Not:
@@ -280,14 +266,7 @@ class _Scan:
             bound = bound | {node.var}
             needed = needed | {node.var}
         for kid in kids:
-            kind = type(kid)
-            if kind is Var:
-                continue
-            names = self._free[id(kid)][1]
-            if not needed <= names:
-                self.marked[id(kid)] = tuple(sorted(names))
-            if kind in _CONNECTIVES:
-                self._settle(kid, bound)
+            self._mark(kid, needed, bound, placed)
 
 
 # --- rendering -------------------------------------------------------------

@@ -114,11 +114,11 @@ def prove(sequent: Sequent, budget: int = DEFAULT_BUDGET) -> ProofTree | None:
     that its atom counts refute is answered before the search, and spends
     none of the budget."""
     searcher = _Searcher(budget)
-    context = tuple(map(searcher.number, sequent.context))
-    goal = searcher.number(sequent.goal)
-    if _unbalanced(searcher.parts, context, goal):
-        return None
-    try:  # the search recurses a few frames per step, and build one per level
+    try:  # numbering and build recurse one frame per level, the search a few per step
+        context = tuple(map(searcher.number, sequent.context))
+        goal = searcher.number(sequent.goal)
+        if _unbalanced(searcher.parts, context, goal):
+            return None
         term = searcher.enter(context, (), goal).get(())
         tree = None if term is None else searcher.build(term, {})
     except RecursionError:
@@ -404,21 +404,26 @@ def check_proof(proof: ProofTree) -> CheckResult:
     otherwise reject with the path to the first offending node. The walk is
     depth first on a stack of its own, so a proof of any depth gets an answer.
     Formulas are compared by number, equal ones alike, in a fresh numbering of
-    the search's kind; a context is the sorted list of its formulas' numbers."""
+    the search's kind; a context is the sorted list of its formulas' numbers.
+    The numbering recurses once per level of a formula, so a formula deeper
+    than Python's recursion limit raises ResourceLimit."""
     number, _, parts = _numbering()
     root = proof.conclusion
-    stack = [(proof, (), sorted(map(number, root.context)), number(root.goal))]
-    while stack:
-        node, path, ctx, goal = stack.pop()
-        premises = node.premises
-        contexts, goals = [], []
-        for premise in premises:
-            contexts.append(sorted(map(number, premise.conclusion.context)))
-            goals.append(number(premise.conclusion.goal))
-        if reason := _check_node(node, ctx, goal, contexts, goals, parts):
-            return CheckResult(False, path, reason)
-        for i in range(len(premises) - 1, -1, -1):
-            stack.append((premises[i], path + (i,), contexts[i], goals[i]))
+    try:
+        stack = [(proof, (), sorted(map(number, root.context)), number(root.goal))]
+        while stack:
+            node, path, ctx, goal = stack.pop()
+            premises = node.premises
+            contexts, goals = [], []
+            for premise in premises:
+                contexts.append(sorted(map(number, premise.conclusion.context)))
+                goals.append(number(premise.conclusion.goal))
+            if reason := _check_node(node, ctx, goal, contexts, goals, parts):
+                return CheckResult(False, path, reason)
+            for i in range(len(premises) - 1, -1, -1):
+                stack.append((premises[i], path + (i,), contexts[i], goals[i]))
+    except RecursionError:
+        raise ResourceLimit("proof check too deep (recursion limit reached)") from None
     return CheckResult(True)
 
 

@@ -166,9 +166,22 @@ MUTANTS = (
      "for premise in reversed(node.premises):", "for premise in node.premises:",
      [SERIAL + "test_text_of_a_parsed_proof_is_the_text_it_came_from"]),
     ("a search past the recursion limit raises RecursionError", PROVER,
-     "    except RecursionError:\n", "    except ():\n",
+     "    except RecursionError:\n        raise ResourceLimit(\"proof search",
+     "    except ():\n        raise ResourceLimit(\"proof search",
      ["tests/test_prover.py::TestProve::"
       "test_a_search_past_the_recursion_limit_is_a_resource_limit"]),
+    ("a check past the recursion limit raises RecursionError", PROVER,
+     "    except RecursionError:\n        raise ResourceLimit(\"proof check",
+     "    except ():\n        raise ResourceLimit(\"proof check",
+     ["tests/test_prover.py::TestCheckProof::"
+      "test_a_formula_deeper_than_the_recursion_limit_is_a_resource_limit"]),
+    ("a formula is numbered outside the search's recursion guard", PROVER,
+     "    try:  # numbering and build recurse one frame per level, the search a few per step\n"
+     "        context = tuple(map(searcher.number, sequent.context))\n",
+     "    context = tuple(map(searcher.number, sequent.context))\n"
+     "    try:  # numbering and build recurse one frame per level, the search a few per step\n",
+     ["tests/test_prover.py::TestProve::"
+      "test_a_formula_past_the_recursion_limit_is_a_resource_limit"]),
     ("a subgoal's input multiset is not sorted", PROVER,
      "whole = tuple(sorted(pool + entering))", "whole = pool + entering", [PINNED]),
     ("equal formulas of distinct objects get distinct numbers", PROVER,
@@ -198,8 +211,8 @@ MUTANTS = (
      "and type(states[0]) is cls:", "and type(states[0]) in (BoxK, DiamondK):",
      [TOWERS + "test_unlike_modalities_stay_apart"]),
     ("a free-logic memo key leaves out a variable", FREELOGIC,
-     "                self.marked[id(kid)] = tuple(sorted(names))\n",
-     "                self.marked[id(kid)] = tuple(sorted(names))[1:]\n",
+     "            self.marked[id(node)] = tuple(sorted(names))\n",
+     "            self.marked[id(node)] = tuple(sorted(names))[1:]\n",
      ["tests/test_freelogic.py::TestAgainstTheOracle::test_sentences_open_formulas_and_terms"]),
     ("a free-logic evaluation past the memo spends no budget", FREELOGIC,
      "            return value\n    ev.left -= 1\n", "            return value\n",
@@ -208,21 +221,20 @@ MUTANTS = (
      "            if type(arg) is Var:\n                ev.left -= 1\n",
      "            if type(arg) is Var:\n",
      [EVALUATING + "test_budget_counts_evaluations_of_the_scoped_formula"]),
-    ("forall is pushed into both operands of \\/", FREELOGIC,
-     "            elif kind is _SPLITS[cls]:", "            elif kind in (_SPLITS[cls], Or):",
-     [SCOPING + "test_rule[forall_over_or_stays]"]),
+    ("a part that two places share is left unmarked", FREELOGIC,
+     "if id(node) in placed or not needed <= names:", "if not needed <= names:",
+     [EVALUATING + "test_a_part_that_two_places_share_is_evaluated_once"]),
     ("a quantifier moved onto an antecedent keeps its kind", FREELOGIC,
      "_DUALS[cls] if kind is Implies else cls", "cls",
      [SCOPING + "test_rule[forall_onto_an_antecedent]"]),
-    ("a distributed quantifier is dropped from the left operand", FREELOGIC,
-     "            elif kind is _SPLITS[cls]:\n                left = self._bind(cls, var, left, bound)\n",
-     "            elif kind is _SPLITS[cls]:\n",
-     [SCOPING + "test_rule[forall_over_and]"]),
+    ("a binder's variable is left out of what its body needs", FREELOGIC,
+     "            needed = needed | {node.var}\n", "",
+     [EVALUATING + "test_budget_counts_evaluations_past_the_memo"]),
     ("a model's own error names the domain's line for a predicate", FREELOGIC,
      'f"line {lines[exc.part]}: {exc}"', 'f"line {lines[\'domain\']}: {exc}"',
      ["tests/test_freelogic.py::TestModelFormat::test_an_unknown_individual_names_its_pred_line"]),
-    ("the parts below a connective are never marked", FREELOGIC,
-     "            if kind in _CONNECTIVES:\n                self._settle(kid, bound)\n", "",
+    ("a binder does not widen the variables bound below it", FREELOGIC,
+     "            bound = bound | {node.var}\n", "",
      [SCOPING + "test_no_part_is_evaluated_twice_with_the_same_values"]),
     ("a model's default predicates can be changed", FREELOGIC,
      'defaults={"predicates": MappingProxyType({})}', 'defaults={"predicates": {}}',

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,10 @@ from pdlogic.parsing import parse_free, parse_free_term
 from pdlogic.prover import ResourceLimit
 
 import oracles
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import reference  # noqa: E402
+import workloads  # noqa: E402
 
 TWO_MEN = parse_model("domain: a b\npred man/1: a b\n")
 ONE_MAN = parse_model("domain: a b\npred man/1: b\n")
@@ -193,6 +198,41 @@ class TestEvalFormula:
         assert eval_term(model, {}, parse_free_term("eps x. x = x")) == "i0"
         assert eval_term(model, {}, parse_free_term("iota x. x = x")) is None
 
+    def test_a_binder_that_both_conjuncts_use_stops_early(self):
+        # forall x stays over both conjuncts, so it stops at its first
+        # individual, where !(x = x) is false. A forall x over each conjunct
+        # would first scan the 100^3 bindings of the left one, past the budget.
+        model = Model(tuple(f"i{k}" for k in range(100)))
+        assert check_sentence(model, parse_free(
+            "forall x. forall y. forall z. !(x = y /\\ y = z /\\ !(x = z)) /\\ !(x = x)")) is False
+
+    @pytest.mark.parametrize("text, spent", [
+        ("forall x. man(x) /\\ happy(x)", 6), ("exists x. !man(x) \\/ !happy(x)", 8),
+    ], ids=["forall", "exists"])
+    def test_a_binder_stops_at_the_operand_that_fixes_it(self, monkeypatch, text, spent):
+        # Over 1000 men, none happy, the binder stops at its first individual:
+        # the binder and the connective, then each atom, its variable and any
+        # ! over it once.
+        domain = tuple(f"i{k}" for k in range(1000))
+        model = Model(domain, {("man", 1): frozenset((i,) for i in domain),
+                               ("happy", 1): frozenset()})
+        monkeypatch.setattr(fl, "DEFAULT_BUDGET", spent)
+        check_sentence(model, parse_free(text))
+        monkeypatch.setattr(fl, "DEFAULT_BUDGET", spent - 1)
+        with pytest.raises(ResourceLimit):
+            check_sentence(model, parse_free(text))
+
+    def test_a_part_that_two_places_share_is_evaluated_once(self, monkeypatch):
+        # One object at both places: the right one is answered by the memo,
+        # so the sentence costs the conjunction and one scan of the domain.
+        every = parse_free("forall x. x = x")
+        model = Model(tuple(f"i{k}" for k in range(1000)))
+        monkeypatch.setattr(fl, "DEFAULT_BUDGET", 1 + 1 + 3 * 1000)
+        assert check_sentence(model, fl.And(every, every)) is True
+        monkeypatch.setattr(fl, "DEFAULT_BUDGET", 1 + 1 + 3 * 1000 - 1)
+        with pytest.raises(ResourceLimit):
+            check_sentence(model, fl.And(every, every))
+
     def test_atoms_stop_at_an_argument_that_does_not_denote(self, monkeypatch):
         # Each description scans all 20,000 individuals in 80,001 evaluations.
         # The atom is false once its first argument does not denote, so it
@@ -341,8 +381,8 @@ class TestScoping:
     @pytest.mark.parametrize("written, tight", [
         ("forall x. man(y)", "man(y)"),
         ("forall x. exists x. man(x)", "exists x. man(x)"),
-        ("forall x. man(x) /\\ happy(x)", "(forall x. man(x)) /\\ (forall x. happy(x))"),
-        ("exists x. man(x) \\/ happy(x)", "(exists x. man(x)) \\/ (exists x. happy(x))"),
+        ("forall x. man(x) /\\ happy(x)", "forall x. man(x) /\\ happy(x)"),
+        ("exists x. man(x) \\/ happy(x)", "exists x. man(x) \\/ happy(x)"),
         ("forall x. man(x) \\/ happy(x)", "forall x. man(x) \\/ happy(x)"),
         ("exists x. man(x) /\\ happy(x)", "exists x. man(x) /\\ happy(x)"),
         ("forall x. man(x) \\/ happy(y)", "(forall x. man(x)) \\/ happy(y)"),
@@ -356,7 +396,7 @@ class TestScoping:
         ("forall x. (man(x) \\/ happy(y)) \\/ loves(y, y)",
          "((forall x. man(x)) \\/ happy(y)) \\/ loves(y, y)"),
         ("forall x. forall y. man(x) /\\ loves(x, y)",
-         "(forall x. man(x)) /\\ (forall x. forall y. loves(x, y))"),
+         "forall x. man(x) /\\ (forall y. loves(x, y))"),
         ("forall x. forall y. (man(x) -> happy(y)) -> loves(x, x)",
          "forall x. (man(x) -> (exists y. happy(y))) -> loves(x, x)"),
         ("man(iota x. forall y. happy(y) /\\ man(x))",
@@ -430,6 +470,31 @@ class TestScoping:
             visits = []
             check_sentence(random_full_model(rng, 3), sentence)
             assert len(visits) == len(set(visits)), fl.render(sentence)
+
+    def test_the_benchmark_sentences_cost_no_more_evaluations(self, monkeypatch):
+        # The eval sentences of the cli workload, built as perfbench/workloads.py
+        # builds them from seeds 0-599: a scope rule that costs evaluations on
+        # them shows here.
+        built = []
+
+        def recording(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        real = fl._Evaluation
+        monkeypatch.setattr(fl, "_Evaluation", recording)
+        spent = []
+        for seed in range(600):
+            rng = random.Random(seed)
+            for depth, size in workloads.EVAL_GRID:
+                _, _, text = workloads.random_model(rng, size)
+                variables = ["x", "y", "z", "w"][:depth]
+                f = workloads.random_free(rng, 3, variables)
+                for var in reversed(variables):
+                    f = (rng.choice(("forall", "exists")), var, f)
+                check_sentence(parse_model(text), parse_free(reference.free_text(f)))
+                spent.append(fl.DEFAULT_BUDGET - built.pop().left)
+        assert sum(spent) <= 81_660 and max(spent) <= 625
 
 
 class TestLaws:

@@ -169,6 +169,16 @@ CASES = {
         files={"model.txt": "domain: " + " ".join(f"i{k}" for k in range(32)) + "\n"},
         timeout=30,
     ),
+    # forall x stays over both conjuncts and stops at its first individual,
+    # where !(x = x) is false; the 100^3 bindings of the left one are never
+    # all scanned.
+    "eval_a_binder_that_both_conjuncts_use_stops_early": Case(
+        ["eval", "{dir}/model.txt",
+         "forall x. forall y. forall z. !(x = y /\\ y = z /\\ !(x = z)) /\\ !(x = x)"],
+        1, "false\n", "",
+        files={"model.txt": "domain: " + " ".join(f"i{k}" for k in range(100)) + "\n"},
+        timeout=10,
+    ),
     # iota stops at the second satisfier, so 20,000 individuals cost it a
     # few evaluations.
     "eval_iota_over_20000_individuals": Case(

@@ -95,6 +95,21 @@ class TestProve:
             prove_text(sequent)
         assert str(raised.value) == "proof search too deep (recursion limit reached)"
 
+    def test_a_formula_past_the_recursion_limit_is_a_resource_limit(self):
+        # Only a library caller builds one: the parser stops at 100 levels.
+        deep = deep_tensor(3000)
+        with pytest.raises(ResourceLimit) as raised:
+            prove(ll.Sequent((deep,), deep))
+        assert str(raised.value) == "proof search too deep (recursion limit reached)"
+
+
+def deep_tensor(depth):
+    """``a/b * a/b * ...``, ``depth`` tensors deep on the left."""
+    formula = ll.Atom(atom("a/b"))
+    for _ in range(depth):
+        formula = ll.Tensor(formula, ll.Atom(atom("a/b")))
+    return formula
+
 
 class TestDerivable:
     """Goals proved from the empty context."""
@@ -434,6 +449,12 @@ class TestCheckProof:
         assert check_proof(self.lolli_chain_proof(n, "Id")).ok
         assert check_proof(self.lolli_chain_proof(n, "Cut")) == CheckResult(
             False, (0,) * n, "unknown rule 'Cut'")
+
+    def test_a_formula_deeper_than_the_recursion_limit_is_a_resource_limit(self):
+        deep = deep_tensor(3000)
+        with pytest.raises(ResourceLimit) as raised:
+            check_proof(ProofTree("Id", ll.Sequent((deep,), deep)))
+        assert str(raised.value) == "proof check too deep (recursion limit reached)"
 
     def test_equal_proofs_deeper_than_the_recursion_limit_compare_and_hash_alike(self):
         n = 1100

@@ -1,12 +1,17 @@
-"""The CI workflow's benchmark gate: the inline script of the step "benchmark
-answers are all correct", read from .github/workflows/tests.yml as text and
-run on sample outputs of ``perfbench/run.py --workload all``.
+"""The CI workflow, read from .github/workflows/tests.yml as text.
 
-The script is the heredoc between ``<<'PY'`` and ``PY``. It must exit 0
-only when all four workloads print a result line that says
-``"correct": true``."""
+Its benchmark gate is the inline script of the step "benchmark answers are
+all correct", run here on sample outputs of ``perfbench/run.py --workload
+all``. The script is the heredoc between ``<<'PY'`` and ``PY``. It must exit
+0 only when all four workloads print a result line that says ``"correct":
+true``.
+
+Its Python matrix must start at the floor that pyproject.toml's
+``requires-python`` names, so that CI runs the oldest Python the package
+claims."""
 
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -14,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 WORKLOADS = ("prove", "monitor", "check", "cli")
 
 
@@ -48,3 +54,14 @@ def test_benchmark_gate(name, tmp_path):
                             capture_output=True, text=True, timeout=30)
     assert result.stderr == ""
     assert result.returncode == status
+
+
+def version(text: str) -> tuple[int, ...]:
+    return tuple(map(int, text.split(".")))
+
+
+def test_the_matrix_starts_at_the_python_floor():
+    matrix = re.search(r"python-version: \[(.*)\]", WORKFLOW.read_text("utf-8")).group(1)
+    floor = re.search(r'requires-python = ">=([0-9.]+)"',
+                      (ROOT / "pyproject.toml").read_text("utf-8")).group(1)
+    assert min(version(v.strip(' "')) for v in matrix.split(",")) == version(floor)
