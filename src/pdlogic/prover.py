@@ -36,8 +36,11 @@ search node.
 
 The checker shares no state with the search. One table gives each rule a
 row, and one depth-first walk checks each node of a proof against its rule's
-row. That walk and those over proof text keep stacks of their own; only the
+row. That walk and those over proof text keep stacks of their own. The
 search recurses, and past Python's recursion limit it raises ResourceLimit.
+The numbering of formulas that the search and the checker each make
+recurses once per level of a formula; a check whose numbering reaches that
+limit is redone with a numbering on a stack of its own.
 """
 
 from __future__ import annotations
@@ -128,14 +131,18 @@ def prove(sequent: Sequent, budget: int = DEFAULT_BUDGET) -> ProofTree | None:
     return None if tree is None else ProofTree(tree.rule, sequent, tree.premises)
 
 
-def _numbering():
+def _numbering(on_a_stack: bool = False):
     """One numbering of formulas, for one search or one check: a function
     from formula to number, the list of formulas by number, and the list of
     their parts by number. A formula's parts are its node class and its
     operands' numbers, ``(Atom, -1, -1)`` for an atom. Equal formulas get
     one number; a formula is numbered when first met, its operands before
     it. Numbers are memoized on ``id``: the sequent or proof keeps every
-    formula it numbers alive while the numbering is in use."""
+    formula it numbers alive while the numbering is in use.
+
+    The function recurses once per level of a formula. With ``on_a_stack``
+    it gives the same numbers at any depth, slower: ``fold`` walks the
+    operands not yet numbered, left first."""
     by_id: dict[int, int] = {}
     by_parts: dict = {}
     formulas: list[LinearFormula] = []
@@ -155,6 +162,14 @@ def _numbering():
                 parts.append(entry)
             by_id[id(formula)] = n
         return n
+
+    if on_a_stack:
+        recursive = number
+
+        def number(formula: LinearFormula) -> int:
+            # fold visits a formula after its operands, so each call recurses one level
+            return fold(formula, lambda node, _: recursive(node),
+                        lambda node: () if id(node) in by_id else children(node)[::-1])
 
     return number, formulas, parts
 
@@ -405,25 +420,31 @@ def check_proof(proof: ProofTree) -> CheckResult:
     depth first on a stack of its own, so a proof of any depth gets an answer.
     Formulas are compared by number, equal ones alike, in a fresh numbering of
     the search's kind; a context is the sorted list of its formulas' numbers.
-    The numbering recurses once per level of a formula, so a formula deeper
-    than Python's recursion limit raises ResourceLimit."""
-    number, _, parts = _numbering()
-    root = proof.conclusion
+    That numbering recurses once per level of a formula, so a formula deeper
+    than Python's recursion limit gets the check redone, once, with a
+    numbering on a stack of its own: a formula of any depth gets an answer."""
     try:
-        stack = [(proof, (), sorted(map(number, root.context)), number(root.goal))]
-        while stack:
-            node, path, ctx, goal = stack.pop()
-            premises = node.premises
-            contexts, goals = [], []
-            for premise in premises:
-                contexts.append(sorted(map(number, premise.conclusion.context)))
-                goals.append(number(premise.conclusion.goal))
-            if reason := _check_node(node, ctx, goal, contexts, goals, parts):
-                return CheckResult(False, path, reason)
-            for i in range(len(premises) - 1, -1, -1):
-                stack.append((premises[i], path + (i,), contexts[i], goals[i]))
+        return _check(proof, _numbering())
     except RecursionError:
-        raise ResourceLimit("proof check too deep (recursion limit reached)") from None
+        return _check(proof, _numbering(on_a_stack=True))
+
+
+def _check(proof: ProofTree, numbering) -> CheckResult:
+    """``check_proof`` in ``numbering``, a fresh one from ``_numbering``."""
+    number, _, parts = numbering
+    root = proof.conclusion
+    stack = [(proof, (), sorted(map(number, root.context)), number(root.goal))]
+    while stack:
+        node, path, ctx, goal = stack.pop()
+        premises = node.premises
+        contexts, goals = [], []
+        for premise in premises:
+            contexts.append(sorted(map(number, premise.conclusion.context)))
+            goals.append(number(premise.conclusion.goal))
+        if reason := _check_node(node, ctx, goal, contexts, goals, parts):
+            return CheckResult(False, path, reason)
+        for i in range(len(premises) - 1, -1, -1):
+            stack.append((premises[i], path + (i,), contexts[i], goals[i]))
     return CheckResult(True)
 
 

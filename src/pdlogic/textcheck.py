@@ -4,16 +4,21 @@ The pipeline is deliberately thin: split the document into sentences, turn
 every sentence bearing a tracked pronoun form into one utterance, and hand
 the resulting trace to the monitor. It makes one pass, whose steps run in C:
 one split at every sentence end, one running sum of byte lengths and one scan
-per sentence; Python handles only the sentences in which the scan found a
-word. That pass, and every other pass over the whole document (its length in
-bytes, its sentence count, a line and column in it), takes the document in
+for lexicon forms; Python handles only the sentences in which the scan found
+a word. That pass, and every other pass over the whole document (its length
+in bytes, its sentence count, a line and column in it), takes the document in
 blocks of about ``_BLOCK`` characters that end at sentence ends, so that its
 working memory grows with the utterances found and one block, not with the
 document. A word is a run of letters, and it is a form when its ``str.lower()``
-is a lexicon entry. One compiled pattern per lexicon finds, in each sentence,
-the words that could be forms, so Python looks up only those. The pattern
-starts with a case-sensitive class of the characters that can begin a form,
-so ``re`` skips to them in C and tries its case-insensitive test only there.
+is a lexicon entry. The scan finds the words that could be forms, so Python
+looks up only those, and it takes one of two paths, by the lexicon's forms
+alone. When every form is ASCII and none holds a ``k`` (the bundled lexicon's
+are), one bytes pattern per first letter of the forms scans each block's
+lowercased UTF-8 bytes; each starts with the literal its forms share, so
+``re`` searches for that literal and tests a word only where it occurs. Any
+other lexicon takes one pattern that scans each sentence; it starts with a
+case-sensitive class of the characters that can begin a form, so ``re``
+skips to them in C and tries its case-insensitive test only there.
 No coreference resolution is attempted: every pronoun in the document is
 attributed to the single referent, because a wrong coreference heuristic
 would manufacture false accusations of misgendering. This limitation is
@@ -26,6 +31,7 @@ import functools
 import os
 import re
 import sys
+from bisect import bisect_right
 from itertools import accumulate
 from operator import itemgetter
 
@@ -208,7 +214,9 @@ _LETTER = r"[^\W\d_]"
 def _scanner(forms: frozenset[str]) -> re.Pattern:
     """A pattern whose ``findall`` gives the runs of letters at whose start
     some form matches, case-insensitively, up to the run's end: a superset of
-    the runs whose ``str.lower()`` is a form, and only whole runs.
+    the runs whose ``str.lower()`` is a form, and only whole runs. It scans
+    one sentence at a time, for a lexicon that ``_byte_scanner`` does not
+    take: one with a form outside ASCII, or with a ``k``.
 
     The pattern begins with a case-sensitive class, so that ``re`` skips in C
     to the characters that can start such a run; only there does it try the
@@ -246,6 +254,64 @@ def _scanner(forms: frozenset[str]) -> re.Pattern:
         f"[^{cannot_start}](?<!{_LETTER}.)(?<={_LETTER})"
         f"(?i:(?=(?:{branches})(?!{_LETTER})){_LETTER}*)"
     )
+
+
+_is_letter = re.compile(_LETTER).match
+
+
+@functools.lru_cache(maxsize=16)
+def _byte_scanner(forms: frozenset[str]) -> tuple | None:
+    """The ``finditer`` of one bytes pattern per first letter of the forms,
+    to run on a text's lowercased UTF-8 bytes; or None when some form is not
+    ASCII or holds a ``k``, for ``_scanner`` to take.
+
+    ``bytes.lower`` folds only A-Z, so a position in the lowercased bytes is
+    a byte offset into the text. A run of letters whose ``str.lower()`` is an
+    ASCII form is a run of ASCII letters: the only characters that lower to
+    text holding an ASCII letter are those letters, U+0130 (to ``i`` and a
+    combining dot, which no ASCII form holds) and the Kelvin sign (to
+    ``k``). A form that holds a character that is no letter never matches a
+    run, so it is left out. Each pattern starts with the literal that its
+    forms share, so ``re`` searches for that literal and enters the matcher
+    nowhere else; its lookbehind and lookahead then keep only a whole run of
+    ASCII letters: ``the(?<![A-Za-z]the)(?:mselves|mself|irs|ir|m|y)(?![A-Za-z])``.
+    A neighbouring letter outside ASCII is ruled out by ``_byte_hits``."""
+    if not all(form.isascii() and "k" not in form for form in forms):
+        return None
+    groups: dict[str, list[str]] = {}  # by first letter
+    for form in sorted(filter(str.isalpha, forms)):
+        groups.setdefault(form[0], []).append(form)
+    finditers = []
+    for group in groups.values():
+        head = os.path.commonprefix(group)
+        rests = "|".join(sorted((form[len(head):] for form in group), key=len, reverse=True))
+        finditers.append(
+            re.compile(f"{head}(?<![A-Za-z]{head})(?:{rests})(?![A-Za-z])".encode()).finditer)
+    return tuple(finditers)
+
+
+def _byte_hits(block: str, offsets: list[int], finditers: tuple) -> list[tuple[int, list]]:
+    """Each sentence of ``block`` in which ``_byte_scanner``'s patterns find
+    a form, by its index in the block, with the forms found, in sentence
+    order. ``offsets`` are ``_split``'s for the block: a hit at a byte offset
+    lies in the chunk whose start comes last at or before it, since no form
+    reaches into a terminator. A hit beside a byte outside ASCII is kept only
+    when the character that byte belongs to is no letter."""
+    data = block.encode().lower()
+    base, size = offsets[0], len(data)
+    words: dict[int, list] = {}
+    for finditer in finditers:
+        for match in finditer(data):
+            start, end = match.span()
+            if start and data[start - 1] > 127 and _is_letter(
+                    data[max(start - 4, 0):start].decode(errors="ignore")[-1]):
+                continue
+            if end < size and data[end] > 127 and _is_letter(
+                    data[end:end + 4].decode(errors="ignore")[0]):
+                continue
+            words.setdefault(bisect_right(offsets, base + start) >> 1, []).append(
+                match[0].decode())
+    return sorted(words.items())
 
 
 # ``\s`` here and ``str.strip`` below accept exactly the characters that
@@ -341,22 +407,32 @@ def _utterances(text: str, spec: ReferentSpec) -> list[tuple[Utterance, int]]:
     """Each sentence of ``text`` with a lexicon form, as an utterance of the
     union of its forms' atoms, paired with the sentence's index.
 
-    The document is taken one block at a time (``_blocks``). Each block is
-    split once (``_split``) and each of its chunks is scanned, in C, by the
-    lexicon's ``_scanner``. Python visits only the chunks where the scan
-    found a run: it looks up those runs, and computes a span only for a chunk
-    with a form. A chunk's index in its block is its sentence's, less the
-    sentences of the blocks before, since a blank chunk holds no run and a
-    block but the last ends with an empty one. Each block carries its first
-    sentence's index and its byte offset to the next."""
+    The document is taken one block at a time (``_blocks``), and each block
+    is split once (``_split``). When ``_byte_scanner`` takes the lexicon's
+    forms, its patterns scan the block's lowercased bytes, and ``_byte_hits``
+    hands each hit to its chunk by its byte offset; otherwise each chunk is
+    scanned by the lexicon's ``_scanner``. Both run in C, and Python visits
+    only the chunks where the scan found a run: it looks up those runs, and
+    computes a span only for a chunk with a form. A chunk's index in its
+    block is its sentence's, less the sentences of the blocks before, since a
+    blank chunk holds no run and a block but the last ends with an empty one.
+    Each block carries its first sentence's index and its byte offset to the
+    next."""
     entries = spec.lexicon.entries
     lookup = entries.get
-    findall = _scanner(frozenset(entries)).findall
+    forms = frozenset(entries)
+    finditers = _byte_scanner(forms)
+    if finditers is None:  # a form outside ASCII, or one with a k
+        findall = _scanner(forms).findall
     result = []
     first = base = 0  # the block's first sentence index and byte offset
     for block in _blocks(text):
         pieces, offsets = _split(block, base)
-        for index, tokens in filter(itemgetter(1), enumerate(map(findall, pieces[::2]))):
+        if finditers is None:
+            hits = filter(itemgetter(1), enumerate(map(findall, pieces[::2])))
+        else:
+            hits = _byte_hits(block, offsets, finditers)
+        for index, tokens in hits:
             found = None
             for token in tokens:
                 atoms = lookup(token.lower())

@@ -61,6 +61,7 @@ RENDER = "tests/test_formulas.py::TestRender::"
 TEXTCHECK = "pdlogic/textcheck.py"
 ORACLE = "tests/test_textcheck.py::TestSegmentAgainstOracle::"
 BLOCKWISE = "tests/test_textcheck.py::TestBlockwise::test_every_pass_matches_the_whole_text"
+BYTES = "tests/test_textcheck.py::TestBytePath::"
 
 # (name, file under src/, old text, new text, test selection)
 MUTANTS = (
@@ -170,11 +171,10 @@ MUTANTS = (
      "    except ():\n        raise ResourceLimit(\"proof search",
      ["tests/test_prover.py::TestProve::"
       "test_a_search_past_the_recursion_limit_is_a_resource_limit"]),
-    ("a check past the recursion limit raises RecursionError", PROVER,
-     "    except RecursionError:\n        raise ResourceLimit(\"proof check",
-     "    except ():\n        raise ResourceLimit(\"proof check",
-     ["tests/test_prover.py::TestCheckProof::"
-      "test_a_formula_deeper_than_the_recursion_limit_is_a_resource_limit"]),
+    ("a check past the recursion limit is not redone on a stack", PROVER,
+     "    except RecursionError:\n        return _check(",
+     "    except ():\n        return _check(",
+     [CHECK + "test_a_formula_deeper_than_the_recursion_limit_is_checked"]),
     ("a formula is numbered outside the search's recursion guard", PROVER,
      "    try:  # numbering and build recurse one frame per level, the search a few per step\n"
      "        context = tuple(map(searcher.number, sequent.context))\n",
@@ -265,19 +265,36 @@ MUTANTS = (
      [RENDER + "test_non_formula_is_a_type_error"]),
     ("the scanner finds a form that ends a word", TEXTCHECK,
      "(?<!{_LETTER}.)(?<={_LETTER})", "(?<={_LETTER})",
-     [ORACLE + "test_matches_direct_segmentation"]),
+     [ORACLE + "test_hostile_lexicon_matches_direct_extraction"]),
     ("the scanner finds a form that starts with no letter", TEXTCHECK,
      "(?<!{_LETTER}.)(?<={_LETTER})", "(?<!{_LETTER}.)",
      [ORACLE + "test_hostile_lexicon_matches_direct_extraction"]),
     ("the scanner's leading class holds only the forms' own first characters", TEXTCHECK,
      "if c.lower() not in rests", "if c not in rests",
-     ["tests/test_textcheck.py::TestExtractTrace::test_case_insensitive"]),
+     [ORACLE + "test_hostile_lexicon_matches_direct_extraction"]),
     ("the scanner's leading class holds no character outside ASCII", TEXTCHECK,
      'f"[^{cannot_start}]', 'f"[^{cannot_start}\\x80-\\U0010ffff]',
      [ORACLE + "test_every_first_letter_of_a_form_is_found"]),
     ("the dot after a form's i is not optional", TEXTCHECK,
      '.replace("i\\u0307", "i\\u0307?")', "",
      [ORACLE + "test_every_first_letter_of_a_form_is_found"]),
+    ("a byte hit beside a letter outside ASCII before it is kept", TEXTCHECK,
+     "if start and data[start - 1] > 127 and", "if False and",
+     [BYTES + "test_matches_direct_extraction"]),
+    ("a byte hit beside a letter outside ASCII after it is kept", TEXTCHECK,
+     "if end < size and data[end] > 127 and", "if False and",
+     [BYTES + "test_matches_direct_extraction"]),
+    ("a byte pattern finds a form that ends a word", TEXTCHECK,
+     "{head}(?<![A-Za-z]{head})(?:", "{head}(?:",
+     [BYTES + "test_matches_direct_extraction"]),
+    ("a lexicon with a k form takes the byte path", TEXTCHECK,
+     'form.isascii() and "k" not in form', "form.isascii()",
+     [BYTES + "test_a_k_form_finds_the_kelvin_sign"]),
+    ("a sentence keeps only its last byte hit", TEXTCHECK,
+     "words.setdefault(bisect_right(offsets, base + start) >> 1, []).append(\n"
+     "                match[0].decode())\n",
+     "words[bisect_right(offsets, base + start) >> 1] = [match[0].decode()]\n",
+     [BYTES + "test_matches_direct_extraction"]),
     ("a span counts the whitespace before a sentence in characters", TEXTCHECK,
      "offsets[2 * index] + len(chunk[:lead].encode())", "offsets[2 * index] + lead",
      [ORACLE + "test_matches_direct_segmentation"]),

@@ -342,6 +342,25 @@ CASES = {
                "crlf.txt": "Mara came.\r\nHe smiled.\r\n"},
         env={"PYTHONUTF8": "1"},
     ),
+    # Forms beside characters outside ASCII: "Caféher" and "He²" are one word
+    # each (² is a letter to re), while "Her" before a combining accent, and
+    # forms beside quotes, NBSP or a dash, are forms.
+    "check_forms_beside_characters_outside_ascii": Case(
+        ["check", "{dir}/mara.spec", "{dir}/doc.txt", "--machine"], 1,
+        "57\t72\tViolated\the/him they/them\n",
+        files={"mara.spec": "referent: Mara\ndescriptor: [] !he/him\n",
+               "doc.txt": "\u201cHer\u201d book. Caf\u00e9her went. He\u00b2 stayed. Her\u0301 "
+                          "too. \u00a0them\u2014he left.\n"},
+    ),
+    # The Kelvin sign lowers to k, so a lexicon with a k form finds the Kelvin
+    # sign then "IT" as the form kit.
+    "check_a_k_form_finds_the_kelvin_sign": Case(
+        ["check", "{dir}/kit.spec", "{dir}/doc.txt", "--machine"], 1,
+        "17\t28\tViolated\tki/kit\n",
+        files={"kit.spec": "referent: Kit\ndescriptor: [] !ki/kit\nlexicon: lex.txt\n",
+               "lex.txt": "ki -> ki/kit\nkit -> ki/kit\n",
+               "doc.txt": "The kettle sang. \u212aIT left.\n"},
+    ),
 }
 
 

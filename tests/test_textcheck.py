@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from pdlogic import temporal as tl
 from pdlogic import textcheck
 from pdlogic.atoms import atom
-from pdlogic.monitoring import expand_bounded
+from pdlogic.monitoring import Utterance, expand_bounded
 from pdlogic.parsing import ParseError, parse_temporal
 from pdlogic.textcheck import (
     ConfigError,
@@ -246,6 +246,76 @@ class TestBlockwise:
         text = "She left. They agreed."
         assert list(textcheck._blocks(text)) == [text]
         assert next(textcheck._blocks(text)) is text
+
+
+# Pieces that sit next to the bundled lexicon's forms at the byte level:
+# quotes, a dash and NBSP (no letters, of several bytes), a combining accent
+# (no letter), ² (a letter to re, not to str.isalpha), letters outside ASCII,
+# İ and the Kelvin sign (which lower to text with an ASCII letter), ſ, digits
+# and _, and forms and words that share their letters, in mixed case.
+BYTE_PIECES = [
+    " ", "\n", ".", "!", "?", "\u201c", "\u201d", "\u2014", "\xa0", "\u0301", "\xb2", "\xe9",
+    "\u65e5\u672c", "3", "_", "\u0130", "\u017f", "\u212a", "she", "Her", "HERS", "hErself",
+    "he", "Him", "HIS", "hir", "THEY", "Them", "their", "it", "ITS", "Itself", "ze", "Zir",
+    "vaer", "hy", "the", "T", "h", "x",
+]
+KI = atom("ki/kit")
+# An ASCII lexicon with a form that holds a k: the Kelvin sign lowers to k.
+KELVIN_SPEC = ReferentSpec(frozenset(["Kit"]), parse_temporal("[] !ki/kit"),
+                           Lexicon({"ki": frozenset({KI}), "kit": frozenset({KI})}))
+
+
+class TestBytePath:
+    """The bundled lexicon's forms are ASCII letters, none a k, so its
+    forms are found in each block's lowercased UTF-8 bytes; these pin that
+    this gives what a lookup of every word gives."""
+
+    @settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+    @given(st.lists(st.sampled_from(BYTE_PIECES), max_size=40).map("".join))
+    @example("\u201cHer\u201d book. Caf\u00e9her went. He\u00b2 stayed. Her\u0301 too. "
+             "\u00a0them\u2014he left.\n")
+    @example("\u212aIT. \u0130t. \u017fhe. her3 _his \u65e5\u672cthey\u65e5\u672c.")
+    def test_matches_direct_extraction(self, text):
+        spec = spec_for("[] she/her")
+        assert (textcheck._utterances(text, spec)
+                == direct_utterances(direct_segment(text), spec))
+
+    @settings(derandomize=True, max_examples=500, deadline=None, database=None)
+    @given(st.lists(st.sampled_from(BYTE_PIECES), max_size=40).map("".join),
+           st.integers(1, 9))
+    @example("She left. \u201cHer\u201d book. Them\u2014he left.", 1)
+    def test_matches_direct_extraction_in_small_blocks(self, text, block):
+        spec = spec_for("[] she/her")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(textcheck, "_BLOCK", block)
+            assert (textcheck._utterances(text, spec)
+                    == direct_utterances(direct_segment(text), spec))
+
+    def test_a_k_form_finds_the_kelvin_sign(self):
+        text = "The kettle sang. \u212aIT left.\n"
+        assert textcheck._utterances(text, KELVIN_SPEC) == [
+            (Utterance(frozenset({KI}), (17, 28)), 1)]
+        assert textcheck._utterances(text, KELVIN_SPEC) == direct_utterances(
+            direct_segment(text), KELVIN_SPEC)
+
+    def test_the_path_depends_only_on_the_forms(self, monkeypatch):
+        def no_scanner(forms):
+            raise AssertionError("_scanner was called")
+
+        monkeypatch.setattr(textcheck, "_scanner", no_scanner)
+        assert textcheck._utterances(generated_document(10**6), spec_for("[] she/her"))
+        for spec in (HOSTILE_SPEC, KELVIN_SPEC):
+            with pytest.raises(AssertionError, match="^_scanner was called$"):
+                textcheck._utterances("She left.", spec)
+
+    def test_only_two_characters_outside_ascii_lower_to_an_ascii_letter(self):
+        # so a run whose str.lower() is a form of ASCII letters, none a k,
+        # is a run of ASCII letters, and bytes.lower() finds it
+        ascii_letter = re.compile("[A-Za-z]").search
+        found = [chr(c) for c in range(128, sys.maxunicode + 1)
+                 if ascii_letter(chr(c).lower())]
+        assert found == ["\u0130", "\u212a"]
+        assert ["\u0130".lower(), "\u212a".lower()] == ["i\u0307", "k"]
 
 
 def generated_document(size: int, pronouns: bool = True) -> str:
