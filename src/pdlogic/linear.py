@@ -11,7 +11,7 @@ carry meaning of its own.
 from __future__ import annotations
 
 from . import notation
-from .node import Node
+from .node import Node, fold
 
 
 class LinearFormula(Node):
@@ -80,12 +80,26 @@ def render(formula: LinearFormula, memo: dict | None = None) -> str:
     under ``id(formula)`` and read back when the object comes again, as a
     shared part or in another formula. The caller keeps every formula it
     renders alive for as long as it keeps the memo, so no id is reused.
+
+    The render recurses once per level of the formula. A formula deeper than
+    Python's recursion limit is rendered again, once, on a stack of its own:
+    ``fold`` visits each part after its operands, and renders it one level
+    deep from their texts in the memo (a fresh one if none was given).
     """
-    return notation.render(formula, _SYNTAX, memo)
+    try:
+        return notation.render(formula, _SYNTAX, memo)
+    except RecursionError:
+        memo = {} if memo is None else memo
+        return fold(formula, lambda node, _: notation.render(node, _SYNTAX, memo),
+                    lambda node: () if id(node) in memo else children(node))
 
 
 def render_sequent(sequent: Sequent, memo: dict | None = None) -> str:
     """``Γ |- A`` with each formula as ``render(formula, memo)`` gives it."""
-    ctx = ", ".join([notation.render(f, _SYNTAX, memo) for f in sequent.context])
-    goal = notation.render(sequent.goal, _SYNTAX, memo)
+    try:
+        ctx = ", ".join([notation.render(f, _SYNTAX, memo) for f in sequent.context])
+        goal = notation.render(sequent.goal, _SYNTAX, memo)
+    except RecursionError:  # again, through render, which takes a deep formula on a stack
+        ctx = ", ".join([render(f, memo) for f in sequent.context])
+        goal = render(sequent.goal, memo)
     return f"{ctx} |- {goal}" if ctx else f"|- {goal}"

@@ -513,7 +513,9 @@ def proof_to_text(proof: ProofTree) -> str:
     """Indented text format: ``rule | sequent``, children indented two spaces.
 
     Each formula object of the proof is rendered once; the proof keeps every
-    one of them alive while the memo of their texts is in use."""
+    one of them alive while the memo of their texts is in use. A formula
+    deeper than Python's recursion limit is rendered on a stack
+    (``render_sequent``), so the formulas of a proof may be of any depth."""
     lines: list[str] = []
     memo: dict[int, str] = {}
     stack = [(proof, "")]  # each node still to write, with its indentation

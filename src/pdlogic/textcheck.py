@@ -13,10 +13,14 @@ document. A word is a run of letters, and it is a form when its ``str.lower()``
 is a lexicon entry. The scan finds the words that could be forms, so Python
 looks up only those, and it takes one of two paths, by the lexicon's forms
 alone. When every form is ASCII and none holds a ``k`` (the bundled lexicon's
-are), one bytes pattern per first letter of the forms scans each block's
-lowercased UTF-8 bytes; each starts with the literal its forms share, so
-``re`` searches for that literal and tests a word only where it occurs. Any
-other lexicon takes one pattern that scans each sentence; it starts with a
+are), each block is encoded once, in the same C call that lowers A-Z and
+turns '!' and '?' into '.'. Those bytes are split at sentence ends by a search
+for the literal '.', the chunks' lengths give each sentence's end, and one
+bytes pattern per first letter of the forms scans the same bytes; each starts
+with the literal its forms share, so ``re`` searches for that literal and
+tests a word only where it occurs. No piece is encoded and no hit decoded.
+Any other lexicon has each block split as text, its pieces encoded for their
+byte lengths, and one pattern that scans each sentence; it starts with a
 case-sensitive class of the characters that can begin a form, so ``re``
 skips to them in C and tries its case-insensitive test only there.
 No coreference resolution is attempted: every pronoun in the document is
@@ -30,10 +34,10 @@ from __future__ import annotations
 import functools
 import os
 import re
+import string
 import sys
 from bisect import bisect_right
 from itertools import accumulate
-from operator import itemgetter
 
 from . import notation, parsing, temporal
 from .atoms import PronounAtom, atom
@@ -262,20 +266,24 @@ _is_letter = re.compile(_LETTER).match
 @functools.lru_cache(maxsize=16)
 def _byte_scanner(forms: frozenset[str]) -> tuple | None:
     """The ``finditer`` of one bytes pattern per first letter of the forms,
-    to run on a text's lowercased UTF-8 bytes; or None when some form is not
-    ASCII or holds a ``k``, for ``_scanner`` to take.
+    to run on a text's folded UTF-8 bytes (``_FOLD``), and a map from each
+    form's bytes to the form; or None when some form is not ASCII or holds a
+    ``k``, for ``_scanner`` to take.
 
-    ``bytes.lower`` folds only A-Z, so a position in the lowercased bytes is
-    a byte offset into the text. A run of letters whose ``str.lower()`` is an
-    ASCII form is a run of ASCII letters: the only characters that lower to
-    text holding an ASCII letter are those letters, U+0130 (to ``i`` and a
-    combining dot, which no ASCII form holds) and the Kelvin sign (to
-    ``k``). A form that holds a character that is no letter never matches a
-    run, so it is left out. Each pattern starts with the literal that its
-    forms share, so ``re`` searches for that literal and enters the matcher
-    nowhere else; its lookbehind and lookahead then keep only a whole run of
-    ASCII letters: ``the(?<![A-Za-z]the)(?:mselves|mself|irs|ir|m|y)(?![A-Za-z])``.
-    A neighbouring letter outside ASCII is ruled out by ``_byte_hits``."""
+    The fold lowers only A-Z, as ``bytes.lower`` does, so a position in the
+    folded bytes is a byte offset into the text. A run of letters whose
+    ``str.lower()`` is an ASCII form is a run of ASCII letters: the only
+    characters that lower to text holding an ASCII letter are those letters,
+    U+0130 (to ``i`` and a combining dot, which no ASCII form holds) and the
+    Kelvin sign (to ``k``). A form that holds a character that is no letter
+    never matches a run, so it is left out. Each pattern starts with the
+    literal that its forms share, so ``re`` searches for that literal and
+    enters the matcher nowhere else; its lookbehind and lookahead then keep
+    only a whole run of ASCII letters:
+    ``the(?<![A-Za-z]the)(?:mselves|mself|irs|ir|m|y)(?![A-Za-z])``. A
+    neighbouring letter outside ASCII is ruled out by ``_byte_hits``. The
+    map is built here, once per lexicon, so that a hit is looked up by its
+    bytes, never decoded."""
     if not all(form.isascii() and "k" not in form for form in forms):
         return None
     groups: dict[str, list[str]] = {}  # by first letter
@@ -287,36 +295,27 @@ def _byte_scanner(forms: frozenset[str]) -> tuple | None:
         rests = "|".join(sorted((form[len(head):] for form in group), key=len, reverse=True))
         finditers.append(
             re.compile(f"{head}(?<![A-Za-z]{head})(?:{rests})(?![A-Za-z])".encode()).finditer)
-    return tuple(finditers)
-
-
-def _byte_hits(block: str, offsets: list[int], finditers: tuple) -> list[tuple[int, list]]:
-    """Each sentence of ``block`` in which ``_byte_scanner``'s patterns find
-    a form, by its index in the block, with the forms found, in sentence
-    order. ``offsets`` are ``_split``'s for the block: a hit at a byte offset
-    lies in the chunk whose start comes last at or before it, since no form
-    reaches into a terminator. A hit beside a byte outside ASCII is kept only
-    when the character that byte belongs to is no letter."""
-    data = block.encode().lower()
-    base, size = offsets[0], len(data)
-    words: dict[int, list] = {}
-    for finditer in finditers:
-        for match in finditer(data):
-            start, end = match.span()
-            if start and data[start - 1] > 127 and _is_letter(
-                    data[max(start - 4, 0):start].decode(errors="ignore")[-1]):
-                continue
-            if end < size and data[end] > 127 and _is_letter(
-                    data[end:end + 4].decode(errors="ignore")[0]):
-                continue
-            words.setdefault(bisect_right(offsets, base + start) >> 1, []).append(
-                match[0].decode())
-    return sorted(words.items())
+    return tuple(finditers), {form.encode(): form for form in forms}
 
 
 # ``\s`` here and ``str.strip`` below accept exactly the characters that
 # ``str.isspace`` does.
 _SENTENCE_END = re.compile(r"([.!?])(?=\s|\Z)")
+
+# Those 29 characters in UTF-8, for the byte path: the ASCII ones, and the
+# rest, of two or three bytes.
+_ASCII_SPACE = rb"[\t-\r\x1c- ]"
+_WIDE_SPACE = (rb"\xc2[\x85\xa0]|\xe1\x9a\x80|\xe2\x80[\x80-\x8a\xa8\xa9\xaf]"
+               rb"|\xe2\x81\x9f|\xe3\x80\x80")
+# Lowers A-Z, as ``bytes.lower`` does, and folds '!' and '?' into '.', so
+# that a sentence end in the folded bytes starts with a literal, which ``re``
+# searches for in C.
+_FOLD = bytes.maketrans(string.ascii_uppercase.encode() + b"!?",
+                        string.ascii_lowercase.encode() + b"..")
+_BYTE_SENTENCE_END = re.compile(rb"\.(?=%s|%s|\Z)" % (_ASCII_SPACE, _WIDE_SPACE))
+# Whitespace as runs of ASCII spaces between wide ones: twice as fast as
+# ``(?:<space>)*``, which tries every branch at every character.
+_byte_lead = re.compile(rb"%s*(?:(?:%s)%s*)*" % (_ASCII_SPACE, _WIDE_SPACE, _ASCII_SPACE)).match
 
 # The characters a pass over the document takes at a time, up to the next
 # sentence end: no pass holds more than one block's pieces, bytes or prefix.
@@ -403,45 +402,88 @@ class Report(Node):
     __slots__ = ("verdict", "diagnostics", "trace")  # a Verdict, a list of Diagnostics, a Trace
 
 
+def _str_hits(block: str, base: int, findall) -> tuple[list, int, int]:
+    """Each chunk of ``block`` in which ``findall`` (a ``_scanner``'s) finds
+    a run, as its sentence's index in the block, byte span and lowercased
+    runs; the block's count of terminators; and the byte offset of its end.
+    Byte offsets count from ``base``."""
+    pieces, offsets = _split(block, base)
+    hits = [(index, _span(pieces, offsets, index), [run.lower() for run in runs])
+            for index, runs in enumerate(map(findall, pieces[::2])) if runs]
+    return hits, len(pieces) // 2, offsets[-1]
+
+
+def _byte_hits(block: str, base: int, scanner: tuple) -> tuple[list, int, int]:
+    """As ``_str_hits``, for ``_byte_scanner``'s patterns, which give forms.
+
+    The block is encoded and folded (``_FOLD``) once, in C, and its bytes are
+    split at sentence ends by a literal search. A sentence's end is the
+    running sum of the lengths of the chunks up to it, each plus its
+    terminator's byte. A hit lies in the first sentence that ends after it,
+    since no form holds a terminator; it is kept only when the character of
+    a neighbouring byte outside ASCII is no letter. A span drops the
+    whitespace before its sentence, by one match (``_byte_lead``)."""
+    finditers, names = scanner
+    data = block.encode().translate(_FOLD)
+    chunks = _BYTE_SENTENCE_END.split(data)
+    ends = list(accumulate(map((1).__add__, map(len, chunks))))
+    size = len(data)
+    words: dict[int, list] = {}
+    for finditer in finditers:
+        for match in finditer(data):
+            start, end = match.span()
+            if start and data[start - 1] > 127 and _is_letter(
+                    data[max(start - 4, 0):start].decode(errors="ignore")[-1]):
+                continue
+            if end < size and data[end] > 127 and _is_letter(
+                    data[end:end + 4].decode(errors="ignore")[0]):
+                continue
+            words.setdefault(bisect_right(ends, start), []).append(names[match[0]])
+    last = len(chunks) - 1  # the chunk after the last terminator
+    hits = []
+    for index, forms in sorted(words.items()):
+        start = _byte_lead(data, ends[index - 1] if index else 0).end()
+        end = ends[index] if index < last else start + len(data[start:].decode().rstrip().encode())
+        hits.append((index, (base + start, base + end), forms))
+    return hits, last, base + size
+
+
 def _utterances(text: str, spec: ReferentSpec) -> list[tuple[Utterance, int]]:
     """Each sentence of ``text`` with a lexicon form, as an utterance of the
     union of its forms' atoms, paired with the sentence's index.
 
-    The document is taken one block at a time (``_blocks``), and each block
-    is split once (``_split``). When ``_byte_scanner`` takes the lexicon's
-    forms, its patterns scan the block's lowercased bytes, and ``_byte_hits``
-    hands each hit to its chunk by its byte offset; otherwise each chunk is
-    scanned by the lexicon's ``_scanner``. Both run in C, and Python visits
-    only the chunks where the scan found a run: it looks up those runs, and
-    computes a span only for a chunk with a form. A chunk's index in its
-    block is its sentence's, less the sentences of the blocks before, since a
-    blank chunk holds no run and a block but the last ends with an empty one.
-    Each block carries its first sentence's index and its byte offset to the
-    next."""
+    The document is taken one block at a time (``_blocks``). When
+    ``_byte_scanner`` takes the lexicon's forms, ``_byte_hits`` splits the
+    block's folded bytes and its patterns scan them; otherwise ``_str_hits``
+    splits the block (``_split``) and the lexicon's ``_scanner`` scans each
+    chunk. Both run in C, and Python visits only the sentences where the scan
+    found a run: it looks up those runs, and keeps a sentence with a form.
+    A sentence's index in its block is its index in the document, less the
+    sentences of the blocks before, since a block but the last ends with an
+    empty chunk. Each block carries its first sentence's index and its byte
+    offset to the next."""
     entries = spec.lexicon.entries
     lookup = entries.get
     forms = frozenset(entries)
-    finditers = _byte_scanner(forms)
-    if finditers is None:  # a form outside ASCII, or one with a k
-        findall = _scanner(forms).findall
+    scanner = _byte_scanner(forms)
+    if scanner is None:  # a form outside ASCII, or one with a k
+        hits_of, scanner = _str_hits, _scanner(forms).findall
+    else:
+        hits_of = _byte_hits
     result = []
     first = base = 0  # the block's first sentence index and byte offset
     for block in _blocks(text):
-        pieces, offsets = _split(block, base)
-        if finditers is None:
-            hits = filter(itemgetter(1), enumerate(map(findall, pieces[::2])))
-        else:
-            hits = _byte_hits(block, offsets, finditers)
-        for index, tokens in hits:
+        hits, sentences, end = hits_of(block, base, scanner)
+        for index, span, tokens in hits:
             found = None
             for token in tokens:
-                atoms = lookup(token.lower())
+                atoms = lookup(token)
                 if atoms:
                     found = atoms if found is None else found | atoms
             if found:
-                result.append((Utterance(found, _span(pieces, offsets, index)), first + index))
-        first += len(pieces) // 2
-        base = offsets[-1]
+                result.append((Utterance(found, span), first + index))
+        first += sentences
+        base = end
     return result
 
 

@@ -291,10 +291,23 @@ MUTANTS = (
      'form.isascii() and "k" not in form', "form.isascii()",
      [BYTES + "test_a_k_form_finds_the_kelvin_sign"]),
     ("a sentence keeps only its last byte hit", TEXTCHECK,
-     "words.setdefault(bisect_right(offsets, base + start) >> 1, []).append(\n"
-     "                match[0].decode())\n",
-     "words[bisect_right(offsets, base + start) >> 1] = [match[0].decode()]\n",
+     "words.setdefault(bisect_right(ends, start), []).append(names[match[0]])\n",
+     "words[bisect_right(ends, start)] = [names[match[0]]]\n",
      [BYTES + "test_matches_direct_extraction"]),
+    ("the byte path's spaces leave out the ideographic space", TEXTCHECK,
+     '|\\xe2\\x81\\x9f|\\xe3\\x80\\x80"', '|\\xe2\\x81\\x9f"',
+     [BYTES + "test_sentence_ends_agree_with_the_str_pattern"]),
+    ("the byte fold leaves ? as it is", TEXTCHECK,
+     'b"!?",\n                        string.ascii_lowercase.encode() + b".."',
+     'b"!",\n                        string.ascii_lowercase.encode() + b"."',
+     [BYTES + "test_sentence_ends_agree_with_the_str_pattern"]),
+    ("a byte span ends one byte before its terminator's end", TEXTCHECK,
+     "end = ends[index] if index < last", "end = ends[index] - 1 if index < last",
+     [BYTES + "test_matches_direct_extraction"]),
+    ("a byte span keeps the whitespace before its sentence", TEXTCHECK,
+     "start = _byte_lead(data, ends[index - 1] if index else 0).end()",
+     "start = ends[index - 1] if index else 0",
+     [BYTES + "test_spaces_before_a_sentence_stay_out_of_its_span"]),
     ("a span counts the whitespace before a sentence in characters", TEXTCHECK,
      "offsets[2 * index] + len(chunk[:lead].encode())", "offsets[2 * index] + lead",
      [ORACLE + "test_matches_direct_segmentation"]),
@@ -314,12 +327,19 @@ MUTANTS = (
     ("a sentence's index is not carried across blocks", TEXTCHECK,
      "first + index))", "index))", [BLOCKWISE]),
     ("a sentence's byte offset is not carried across blocks", TEXTCHECK,
-     "pieces, offsets = _split(block, base)", "pieces, offsets = _split(block)", [BLOCKWISE]),
+     "hits.append((index, (base + start, base + end), forms))",
+     "hits.append((index, (start, end), forms))", [BLOCKWISE]),
+    ("a sentence's byte offset is not carried across blocks by the scanner", TEXTCHECK,
+     "pieces, offsets = _split(block, base)", "pieces, offsets = _split(block)",
+     [BLOCKWISE + "_under_a_hostile_lexicon"]),
     ("the UTF-8 length drops the last block", TEXTCHECK,
      "return sum(len(block.encode()) for block in _blocks(text))",
      "return sum(list(map(len, map(str.encode, _blocks(text))))[:-1])", [BLOCKWISE]),
     ("a line and column count a block's characters one short", TEXTCHECK,
      "        offset += len(block)\n", "        offset += len(block) - 1\n", [BLOCKWISE]),
+    ("a render past the recursion limit is not redone on a stack", "pdlogic/linear.py",
+     "    except RecursionError:\n", "    except ():\n",
+     [RENDER + "test_a_formula_deeper_than_the_recursion_limit"]),
     ("proof text ends lines wherever str.splitlines does", PROVER,
      "enumerate(_line_starts(text), start=1)",
      "enumerate(zip(text.splitlines(), __import__('itertools').accumulate(\n"

@@ -120,6 +120,26 @@ class TestRender:
         assert ll.render(ll.Lolli(a, ll.Lolli(b, c))) == "she/her -o they/them -o he/him"
         assert ll.render(ll.Lolli(ll.Lolli(a, b), c)) == "(she/her -o they/them) -o he/him"
 
+    @staticmethod
+    def deep_tensor_and_text(depth):
+        """``she/her * she/her * ...``, ``depth`` tensors deep on the left, and its text."""
+        formula = ll.Atom(SHE)
+        for _ in range(depth):
+            formula = ll.Tensor(formula, ll.Atom(SHE))
+        return formula, "(" * (depth - 1) + "she/her * she/her" + ") * she/her" * (depth - 1)
+
+    def test_a_formula_deeper_than_the_recursion_limit(self):
+        # the recursive render runs out of frames and is redone on a stack
+        formula, text = self.deep_tensor_and_text(3000)
+        assert ll.render(formula) == text
+        memo = {}
+        assert ll.render(formula, memo) == text
+        assert memo[id(formula)] == text
+
+    def test_a_sequent_deeper_than_the_recursion_limit(self):
+        formula, text = self.deep_tensor_and_text(3000)
+        assert str(ll.Sequent((formula, ll.Atom(THEY)), formula)) == f"{text}, they/them |- {text}"
+
     def test_tensor_order_is_preserved(self):
         ab = ll.Tensor(ll.Atom(SHE), ll.Atom(THEY))
         ba = ll.Tensor(ll.Atom(THEY), ll.Atom(SHE))

@@ -361,6 +361,15 @@ CASES = {
                "lex.txt": "ki -> ki/kit\nkit -> ki/kit\n",
                "doc.txt": "The kettle sang. \u212aIT left.\n"},
     ),
+    # Sentences that end in ! or ? before a space of two or three bytes: the
+    # fourth utterance is the fourth sentence, and its span starts past the
+    # ideographic space before it.
+    "check_ends_before_spaces_outside_ascii": Case(
+        ["check", "{dir}/mara.spec", "{dir}/doc.txt", "--machine"], 1,
+        "34\t44\tViolated\tthey/them\n",
+        files={"mara.spec": "referent: Mara\ndescriptor: () () () !they/them\n",
+               "doc.txt": "She left!\u00a0Her book?\u2028She sat!\u3000They came?\n"},
+    ),
 }
 
 

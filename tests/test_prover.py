@@ -621,6 +621,13 @@ class TestSerialization:
         assert back.premises[1].conclusion.goal is not proof.premises[1].conclusion.goal
         assert proof_to_text(back) == text
 
+    def test_a_formula_deeper_than_the_recursion_limit_is_written(self):
+        # the recursive render runs out of frames and is redone on a stack
+        deep = deep_tensor(3000)
+        text = "(" * 2999 + "a/b * a/b" + ") * a/b" * 2999
+        assert proof_to_text(ProofTree("Id", ll.Sequent((deep,), deep))) == (
+            f"Id | {text} |- {text}\n")
+
     BAD_THIRD_LINE = ("TensorR | a/b, c/d |- a/b * c/d\n"
                       "  Id | a/b |- a/b\n"
                       "  Id | c/d |- c/d &\n")

@@ -189,11 +189,17 @@ class TestSegmentAgainstOracle:
 
     def test_whitespace_sets_agree(self):
         # segment finds ends with re's \s and trims with str.strip; both must
-        # accept exactly the characters str.isspace() does
+        # accept exactly the characters str.isspace() does, and so must the
+        # byte path's spaces, in UTF-8
         every = "".join(chr(c) for c in range(sys.maxunicode + 1))
         assert re.findall(r"\s", every) == SPACES
         assert "".join(SPACES).strip() == ""
         assert all(ch.strip() == ch for ch in every if not ch.isspace())
+        space = b"%s|%s" % (textcheck._ASCII_SPACE, textcheck._WIDE_SPACE)
+        encoded = every.encode(errors="surrogatepass")
+        assert re.findall(space, encoded) == [ch.encode() for ch in SPACES]
+        for run in ("".join(SPACES), "".join(reversed(SPACES))):
+            assert textcheck._byte_lead(run.encode() + b"x").end() == len(run.encode())
 
 
 def whole_text_line_column(text, byte_offset):
@@ -259,6 +265,10 @@ BYTE_PIECES = [
     "he", "Him", "HIS", "hir", "THEY", "Them", "their", "it", "ITS", "Itself", "ze", "Zir",
     "vaer", "hy", "the", "T", "h", "x",
 ]
+# A terminator before each space of two or three bytes in UTF-8.
+WIDE_ENDS = [end + space for end in ".!?" for space in SPACES if len(space.encode()) > 1]
+byte_text = st.lists(st.one_of(st.sampled_from(BYTE_PIECES), st.sampled_from(WIDE_ENDS)),
+                     max_size=40).map("".join)
 KI = atom("ki/kit")
 # An ASCII lexicon with a form that holds a k: the Kelvin sign lowers to k.
 KELVIN_SPEC = ReferentSpec(frozenset(["Kit"]), parse_temporal("[] !ki/kit"),
@@ -271,7 +281,7 @@ class TestBytePath:
     this gives what a lookup of every word gives."""
 
     @settings(derandomize=True, max_examples=1000, deadline=None, database=None)
-    @given(st.lists(st.sampled_from(BYTE_PIECES), max_size=40).map("".join))
+    @given(byte_text)
     @example("\u201cHer\u201d book. Caf\u00e9her went. He\u00b2 stayed. Her\u0301 too. "
              "\u00a0them\u2014he left.\n")
     @example("\u212aIT. \u0130t. \u017fhe. her3 _his \u65e5\u672cthey\u65e5\u672c.")
@@ -281,8 +291,7 @@ class TestBytePath:
                 == direct_utterances(direct_segment(text), spec))
 
     @settings(derandomize=True, max_examples=500, deadline=None, database=None)
-    @given(st.lists(st.sampled_from(BYTE_PIECES), max_size=40).map("".join),
-           st.integers(1, 9))
+    @given(byte_text, st.integers(1, 9))
     @example("She left. \u201cHer\u201d book. Them\u2014he left.", 1)
     def test_matches_direct_extraction_in_small_blocks(self, text, block):
         spec = spec_for("[] she/her")
@@ -290,6 +299,32 @@ class TestBytePath:
             patch.setattr(textcheck, "_BLOCK", block)
             assert (textcheck._utterances(text, spec)
                     == direct_utterances(direct_segment(text), spec))
+
+    def test_sentence_ends_agree_with_the_str_pattern(self):
+        # Each of . ! ? before every code point in turn, and at the end of
+        # the block: the byte pattern must cut the folded bytes where
+        # _SENTENCE_END cuts the text.
+        fold = textcheck._FOLD
+        for end in ".!?":
+            for first in range(0, sys.maxunicode + 1, 1 << 16):
+                text = "".join(end + chr(c) for c in range(first, first + (1 << 16))
+                               if not 0xD800 <= c < 0xE000) + end
+                chunks = textcheck._SENTENCE_END.split(text)[::2]
+                assert (textcheck._BYTE_SENTENCE_END.split(text.encode().translate(fold))
+                        == [chunk.encode().translate(fold) for chunk in chunks])
+
+    def test_spaces_before_a_sentence_stay_out_of_its_span(self):
+        text = ("Hi.\u00a0She left.\u2028Her book!\u3000They came?\x1cHe sat.\x1c"
+                "\u3000\x85her too\u2029\u3000")
+        data = text.encode()
+        spans = []
+        for sentence in ("She left.", "Her book!", "They came?", "He sat.", "her too"):
+            start = data.index(sentence.encode())
+            spans.append((start, start + len(sentence.encode())))
+        utterances = textcheck._utterances(text, spec_for("[] she/her"))
+        assert [(u.source_span, index) for u, index in utterances] == list(
+            zip(spans, range(1, 6)))
+        assert utterances == direct_utterances(direct_segment(text), spec_for("[] she/her"))
 
     def test_a_k_form_finds_the_kelvin_sign(self):
         text = "The kettle sang. \u212aIT left.\n"
