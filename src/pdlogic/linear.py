@@ -96,10 +96,6 @@ def render(formula: LinearFormula, memo: dict | None = None) -> str:
 
 def render_sequent(sequent: Sequent, memo: dict | None = None) -> str:
     """``Γ |- A`` with each formula as ``render(formula, memo)`` gives it."""
-    try:
-        ctx = ", ".join([notation.render(f, _SYNTAX, memo) for f in sequent.context])
-        goal = notation.render(sequent.goal, _SYNTAX, memo)
-    except RecursionError:  # again, through render, which takes a deep formula on a stack
-        ctx = ", ".join([render(f, memo) for f in sequent.context])
-        goal = render(sequent.goal, memo)
+    ctx = ", ".join([render(f, memo) for f in sequent.context])
+    goal = render(sequent.goal, memo)
     return f"{ctx} |- {goal}" if ctx else f"|- {goal}"
